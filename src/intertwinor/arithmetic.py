@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 Rational = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, float]
@@ -178,6 +178,18 @@ def is_integral(r: ScalarLike) -> bool:
     return False
 
 
+def rising_product(n: Rational, d: Rational, m: int) -> Rational:
+    """The product n (n+d) (n+2d) ... (n+(m-1)d); the empty product is 1.
+
+    Over integers this is d^m times the rising factorial of z = n/d, so the
+    integer numerator can be accumulated first and divided out once.
+    """
+    out = 1
+    for i in range(m):
+        out *= n + i * d
+    return out
+
+
 def rising_factorial(z: Rational, m: int) -> Fraction:
     """Exact rising factorial z (z+1) ... (z+m-1); the empty product is 1.
 
@@ -187,20 +199,36 @@ def rising_factorial(z: Rational, m: int) -> Fraction:
     if m < 0:
         raise ValueError(f"rising_factorial needs m >= 0, got {m}")
     z = Fraction(z)
-    out = Fraction(1)
-    for i in range(m):
-        out *= z + i
-    return out
+    return Fraction(rising_product(z.numerator, z.denominator, m), z.denominator ** m)
+
+
+def gamma_product(xs2, r: int) -> Tuple[int, int]:
+    """Product of the quotients G((x+r)/2) / G((x-r)/2) over doubled arguments 2x.
+
+    ``xs2`` holds the doubled arguments (ints or Fractions), ``r`` is an
+    integer order.  Each quotient is the rising factorial of length |r| at
+    (x - |r|)/2 = n/d, taken for r >= 0 and inverted for r < 0; the result is
+    the unreduced integer pair (numerator, denominator) of the whole product,
+    with the numerators prod(n + i*d) accumulated before any division.  A
+    zero denominator is a pole: it happens only for r < 0, where the whole
+    product is the reciprocal of a vanishing rising factorial.
+    """
+    m = abs(r)
+    num = den = 1
+    for x2 in xs2:
+        d = 4 * x2.denominator
+        num *= rising_product(x2.numerator - 2 * m * x2.denominator, d, m)
+        den *= d ** m
+    return (num, den) if r >= 0 else (den, num)
 
 
 def quotient(num: Rational, den: Rational) -> ExtendedScalar:
     """num/den as an extended scalar: pole at den == 0, error at 0/0."""
-    num, den = Fraction(num), Fraction(den)
     if den == 0:
         if num == 0:
             raise IndeterminateError("0 / 0 is indeterminate")
         return POLE
-    return ExtendedScalar.exact(num / den)
+    return ExtendedScalar(Fraction(num, den))
 
 
 def gamma_ratio(x: Rational, r: int) -> ExtendedScalar:
@@ -215,13 +243,7 @@ def gamma_ratio(x: Rational, r: int) -> ExtendedScalar:
     if not is_integral(r):
         raise ValueError(f"exact gamma_ratio needs integer r, got {r!r}; "
                          "use gamma_ratio_numeric")
-    r = int(r)
-    if r >= 0:
-        return ExtendedScalar.exact(rising_factorial(Fraction(x - r, 2), r))
-    inv = rising_factorial(Fraction(x + r, 2), -r)
-    if inv == 0:
-        return POLE
-    return ExtendedScalar.exact(1 / inv)
+    return quotient(*gamma_product((2 * x,), int(r)))
 
 
 def _gamma_sign(v: float) -> int:

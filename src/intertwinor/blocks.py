@@ -54,27 +54,6 @@ class ProjectionConstants:
     alpha: Fraction
     beta: Fraction
 
-    def _ratio(self, num: Fraction, den: Fraction, name: str) -> Fraction:
-        if den == 0:
-            raise DegenerateNormalizationError(f"projection ratio {name} degenerates")
-        return num / den
-
-    def raise_through_d(self) -> Fraction:
-        """d(w+ f) = (mu+1)/mu * w+ (d f) on coexact forms."""
-        return self._ratio(self.mu + 1, self.mu, "(mu+1)/mu")
-
-    def lower_through_d(self) -> Fraction:
-        """d(w- f) = (nu-1)/nu * w- (d f) on coexact forms."""
-        return self._ratio(self.nu - 1, self.nu, "(nu-1)/nu")
-
-    def raise_through_delta(self) -> Fraction:
-        """delta(w+ f) = (beta+1)/beta * w+ (delta f) on exact forms."""
-        return self._ratio(self.beta + 1, self.beta, "(beta+1)/beta")
-
-    def lower_through_delta(self) -> Fraction:
-        """delta(w- f) = (alpha-1)/alpha * w- (delta f) on exact forms."""
-        return self._ratio(self.alpha - 1, self.alpha, "(alpha-1)/alpha")
-
 
 def projection_constants(n: int, k: int, j: int) -> ProjectionConstants:
     """The four constants mu, nu, alpha, beta for S^n, degree k, level j."""
@@ -149,11 +128,6 @@ class CasimirShifts:
 
     n1: Fraction
     n2: Fraction
-
-
-def mult1_casimir_shift(pt: SpectralPoint, djp: int, dj: int) -> Fraction:
-    """Bochner shift for a unit multiplicity-one step: 2(dj'*J' + dj*J + 1)."""
-    return 2 * (djp * pt.Jp + dj * pt.J + 1)
 
 
 def interface_shifts(params: BundleParams, pt: SpectralPoint) -> CasimirShifts:
@@ -253,14 +227,6 @@ def block_scale_squared(params: BundleParams, pt: SpectralPoint, r: int) -> Exte
     gamma_part = gamma_ratio(pt.Jp + pt.J + 2, r) * gamma_ratio(pt.Jp - pt.J, r)
     s = params.s
     return quotient(s + r, s - r) * gamma_part * gamma_part
-
-
-def paired_block_scale(params: BundleParams, r: Rational, t1: Rational) -> Fraction:
-    """Seed for the exact-side partner: (s-r)/(s+r) times the coexact seed."""
-    s = params.s
-    if s + r == 0:
-        raise DegenerateNormalizationError("paired scale degenerates: s = -r")
-    return Fraction(s - r) / Fraction(s + r) * Fraction(t1)
 
 
 # -- square-root operator values --------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Optional
 import click
 
 from . import blocks, spectra, torus, verify
-from .arithmetic import format_fraction
+from .arithmetic import IndeterminateError, format_fraction
 from .spectra import (
     BundleParams,
     DegenerateNormalizationError,
@@ -124,7 +124,11 @@ def _eval_record(params: BundleParams, jp: int, j: int, r, family: Family,
                 record["trace_unit_seed"] = format_fraction(block.trace)
             except DegenerateNormalizationError as err:
                 record["trace_unit_seed"] = f"degenerate: {err}"
-            record["seed_squared"] = blocks.block_scale_squared(params, pt, int(r)).serialize()
+            try:
+                seed_squared = blocks.block_scale_squared(params, pt, int(r)).serialize()
+            except IndeterminateError:  # the s = r pole meets a vanishing gamma part
+                seed_squared = "indeterminate"
+            record["seed_squared"] = seed_squared
         return record
     value = spectra.normalized_eigenvalue(
         family, params, pt, r if mode == "float" else int(r))
@@ -133,7 +137,9 @@ def _eval_record(params: BundleParams, jp: int, j: int, r, family: Family,
         if isinstance(value.radicand, Fraction) else _fmt_float(value.radicand, precision)
     record["pole"] = value.coeff.is_pole
     record["zero"] = value.coeff.is_zero
-    if mode == "float":
+    if mode == "float" and value.coeff.is_pole:
+        record["value_float"] = "pole"
+    elif mode == "float":
         z = value.to_complex()
         record["value_float"] = _fmt_float(z.real, precision) if z.imag == 0 else \
             {"re": _fmt_float(z.real, precision), "im": _fmt_float(z.imag, precision)}
@@ -170,6 +176,8 @@ def cmd_eval(p, q, k, a, jp, j, r_text, family, operator, mode, precision, outpu
                               precision)
     except (NonexistentKTypeError, DegenerateNormalizationError, ValueError) as err:
         raise click.ClickException(str(err))
+    if record.get("value_float") == "pole":  # kept as a table row, an error on its own
+        raise click.ClickException("pole has no finite value")
     _emit(_json_line(record), _resolve_out(output))
 
 
@@ -241,8 +249,11 @@ def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
               show_default=True)
 def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
     """Run the exact consistency suites; exit 0 only with zero failures."""
-    grid = verify.GridSpec(p_max=p_max, q_max=q_max, j_max=j_max,
-                           r_values=tuple(range(1, r_max + 1)))
+    try:
+        grid = verify.GridSpec(p_max=p_max, q_max=q_max, j_max=j_max,
+                               r_values=tuple(range(1, r_max + 1)))
+    except ValueError as err:
+        raise click.ClickException(str(err))
     names = tuple(verify.SUITES) if suite == "all" else (suite,)
     all_reports = []
     failed = 0
@@ -265,18 +276,24 @@ def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
 @click.option("--r", "r_text", type=str, required=True)
 @click.option("--m", "--M", "m_trunc", type=int, default=24, show_default=True,
               help="Fourier truncation")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True,
+              help="float-mode pass threshold; exact mode demands an exact zero")
 @click.option("--mode", type=click.Choice(("exact", "float")), default="exact",
               show_default=True)
 @click.option("-o", "--output", type=str, default=None)
 def cmd_torus(k, r_text, m_trunc, tol, mode, output):
-    """Measure the intertwining residual on the truncated torus basis."""
+    """Measure the intertwining residual on the truncated torus basis.
+
+    Passes only when at least one interior column was checked.
+    """
     r = _parse_r(r_text, mode)
     try:
         result = torus.intertwining_residual(m_trunc, k, r, mode=mode)
     except (torus.PoleOnModeError, ValueError) as err:
         raise click.ClickException(str(err))
-    passed = result.residual < tol
+    # a run that checked no column proves nothing; exact mode demands exact zero
+    passed = result.columns > 0 and (
+        result.exact_zero if mode == "exact" else result.residual < tol)
     record = {
         "check": "intertwining-residual",
         "point": {"k": k, "r": str(r), "M": m_trunc, "mode": mode,

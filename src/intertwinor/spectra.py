@@ -26,7 +26,7 @@ from .arithmetic import (
     IndeterminateError,
     ScalarLike,
     format_fraction,
-    gamma_ratio,
+    gamma_product,
     gamma_ratio_numeric,
     is_integral,
     quotient,
@@ -201,6 +201,37 @@ def spectral_point(params: BundleParams, jp: int, j: int,
 
 
 # -- transition quantities and eigenvalue formulas ----------------------------
+#
+# Each formula is written once, on doubled levels 2J', 2J and doubled order
+# 2r, where every half-integer shift clears and lattice points give plain
+# integers.  The bodies are type-generic: the same code serves ints (the
+# verification sweeps), Fractions and floats (the public wrappers below).
+
+def transition_factors(mixed: bool, jp2, j2, r2, djp: int, dj: int):
+    """Transition quotient to the (dj', dj) neighbor as (numerator, denominator) pairs.
+
+    With X = dj'*2J' + dj*2J + 2, a multiplicity-one type has the single
+    factor (X + 2r)/(X - 2r); a mixed pair has the two factors at X - 2 and
+    X + 2.  The quotient is the product of the factors.
+    """
+    x = djp * jp2 + dj * j2 + 2
+    if mixed:
+        return ((x - 2 + r2, x - 2 - r2), (x + 2 + r2, x + 2 - r2))
+    return ((x + r2, x - r2),)
+
+
+def gamma_args(mixed: bool, jp2, j2):
+    """Doubled gamma-quotient arguments of the eigenvalue or the mixed-pair determinant.
+
+    Multiplicity one: J' + J + 1 and J' - J + 1.  Mixed pair: J' + J,
+    J' + J + 2, J' - J and J' - J + 2.  Each argument x enters as the
+    quotient G((x+r)/2) / G((x-r)/2).
+    """
+    plus, minus = jp2 + j2, jp2 - j2
+    if mixed:
+        return (plus, plus + 4, minus, minus + 4)
+    return (plus + 2, minus + 2)
+
 
 def _ratio(num, den) -> ExtendedScalar:
     if isinstance(num, float) or isinstance(den, float):
@@ -212,16 +243,36 @@ def _ratio(num, den) -> ExtendedScalar:
     return quotient(num, den)
 
 
+def _transition(mixed: bool, pt: SpectralPoint, r: ScalarLike,
+                direction: Direction) -> ExtendedScalar:
+    """The transition quotient as the product of its factors' extended-scalar ratios."""
+    factors = transition_factors(mixed, 2 * pt.Jp, 2 * pt.J, 2 * r,
+                                 direction.djp, direction.dj)
+    out = _ratio(*factors[0])
+    for num, den in factors[1:]:
+        out = out * _ratio(num, den)
+    return out
+
+
+def _gamma_quotient(mixed: bool, pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
+    """Product of the gamma quotients at :func:`gamma_args`: exact (rising
+    factorials) for integer r, floating through log-gamma otherwise."""
+    xs2 = gamma_args(mixed, 2 * pt.Jp, 2 * pt.J)
+    if is_integral(r):
+        return quotient(*gamma_product(xs2, int(r)))
+    out = ExtendedScalar.floating(1.0)
+    for x2 in xs2:
+        out = out * gamma_ratio_numeric(float(x2 / 2), float(r))
+    return out
+
+
 def mult1_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> ExtendedScalar:
     """Eigenvalue quotient to the (dj', dj) neighbor on a multiplicity-one type.
 
     With x = dj'*J' + dj*J + 1, the quotient is (x + r)/(x - r): a pole at
     x = r, zero at x = -r, indeterminate when x = r = 0.
     """
-    x = direction.djp * pt.Jp + direction.dj * pt.J + 1
-    if isinstance(r, float):
-        x = float(x)
-    return _ratio(x + r, x - r)
+    return _transition(False, pt, r, direction)
 
 
 def mult1_eigenvalue(pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
@@ -230,16 +281,7 @@ def mult1_eigenvalue(pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
     Product of the two gamma ratios at arguments J' + J + 1 and J' - J + 1;
     exact (rising factorial) for integer r, floating otherwise.
     """
-    xs = (pt.Jp + pt.J + 1, pt.Jp - pt.J + 1)
-    if is_integral(r):
-        out = ExtendedScalar.exact(1)
-        for x in xs:
-            out = out * gamma_ratio(x, int(r))
-        return out
-    out = ExtendedScalar.floating(1.0)
-    for x in xs:
-        out = out * gamma_ratio_numeric(float(x), float(r))
-    return out
+    return _gamma_quotient(False, pt, r)
 
 
 def cross_type_quotient(params: BundleParams, r: ScalarLike) -> ExtendedScalar:
@@ -257,24 +299,12 @@ def mult2_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> 
     (x+r)(x+2+r) / ((x-r)(x+2-r)), evaluated as a product of extended-scalar
     ratios so that pole/zero collisions are reported, not silently cancelled.
     """
-    x = direction.djp * pt.Jp + direction.dj * pt.J
-    if isinstance(r, float):
-        x = float(x)
-    return _ratio(x + r, x - r) * _ratio(x + 2 + r, x + 2 - r)
+    return _transition(True, pt, r, direction)
 
 
 def mult2_det(pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
     """Determinant of the intertwinor on a mixed pair (gamma-quotient form)."""
-    xs = (pt.Jp + pt.J, pt.Jp + pt.J + 2, pt.Jp - pt.J, pt.Jp - pt.J + 2)
-    if is_integral(r):
-        out = ExtendedScalar.exact(1)
-        for x in xs:
-            out = out * gamma_ratio(x, int(r))
-        return out
-    out = ExtendedScalar.floating(1.0)
-    for x in xs:
-        out = out * gamma_ratio_numeric(float(x), float(r))
-    return out
+    return _gamma_quotient(True, pt, r)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .arithmetic import (
     gamma_ratio_numeric,
     is_integral,
 )
+from .spectra import SpectralPoint, mult1_eigenvalue
 
 Mode = Tuple[int, int, str]
 Column = Dict[Mode, object]
@@ -93,9 +94,6 @@ class ExactComplex:
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-    def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     def __repr__(self):
         return f"ExactComplex({self.re}, {self.im})"
@@ -388,11 +386,6 @@ def half_commutator_with_phi(basis: TorusBasis) -> OperatorMatrix:
 
 # -- the spectrally defined operator ----------------------------------------------------
 
-def _gamma_pair_exact(jp: int, jn: int, r: int) -> Fraction:
-    """Multiplicity-one gamma quotient at shifted levels (|m|, |n|), integer r."""
-    return (gamma_ratio(jp + jn + 1, r) * gamma_ratio(jp - jn + 1, r)).value
-
-
 def _seed_t_exact(jp: int, jn: int, r: int) -> Fraction:
     """The block normalization -seed/((J'+J+r)(J'-J-r)(s+r)) at p=q=2, k=1.
 
@@ -433,7 +426,7 @@ def spectral_operator(basis: TorusBasis, r, normalization: str = "gamma") -> Ope
             for n in range(-basis.M, basis.M + 1):
                 jp, jn = abs(m), abs(n)
                 if exact:
-                    val = _gamma_pair_exact(jp, jn, int(r))
+                    val = mult1_eigenvalue(SpectralPoint(jp, jn), int(r)).value
                 else:
                     g1 = gamma_ratio_numeric(jp + jn + 1, float(r))
                     g2 = gamma_ratio_numeric(jp - jn + 1, float(r))

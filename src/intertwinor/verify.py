@@ -6,22 +6,25 @@ quotient could degenerate), and failures carry both sides of the violated
 identity as witnesses.  Degenerate points (vanishing normalization factors,
 nonexistent labels) are skipped and counted, never silently dropped.
 
-The default sweeps run on plain integers: doubling the shifted levels clears
-all half-integer denominators, and the gamma quotients are cached with the
-power-of-two scale that cross-multiplication cancels.  Each suite accepts
-injectable implementations of the quantity it checks; installing one switches
-the suite to a generic extended-scalar path, which is how test fixtures wire
-in deliberately perturbed versions (negative controls).
+The diamond suite runs on plain integers: it takes the library's own
+doubled-level formulas (levels 2J', 2J and order 2r, which clears every
+half-integer shift), so the gate checks the code that users run, and
+compares unreduced (numerator, denominator) pairs by cross-multiplication.
+Each suite accepts an injectable implementation of the quantity it checks;
+the diamond suite adapts one to the same integer pairs and the same loop.
+This is how test fixtures wire in deliberately perturbed versions (negative
+controls).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from . import blocks, spectra
+from . import arithmetic, blocks, spectra
 from .arithmetic import IndeterminateError, format_fraction, gamma_ratio
 from .spectra import (
     DIRECTIONS,
@@ -29,7 +32,6 @@ from .spectra import (
     DegenerateNormalizationError,
     Family,
     KTypeLabel,
-    SpectralPoint,
 )
 
 PASS = "pass"
@@ -139,126 +141,31 @@ _CORNER_PATHS = (
     (((-1, +1), (+1, +1)), ((+1, +1), (-1, +1))),
     (((-1, -1), (+1, -1)), ((+1, -1), (-1, -1))),
 )
+_STEPS = tuple((d.djp, d.dj) for d in DIRECTIONS)
 
 
-def _scaled_gamma_product(args: Sequence[int], big_r: int) -> int:
-    """Product of gamma quotients at doubled arguments, scaled by 4^(r * #args).
+def _as_pair(fn, params: BundleParams, jp: int, j: int, r, *rest) -> Tuple[int, int]:
+    """Adapt a public extended-scalar function to an integer (numerator, denominator).
 
-    Each quotient at doubled argument X and doubled order R is the integer
-    product (X-R)(X-R+4)...(X+R-4) divided by 4^r; the scale is dropped since
-    every comparison cross-multiplies it away.
+    A pole is (1, 0); an indeterminate value is (0, 0), which every
+    comparison passes over, as it does a route with a vanishing step.
     """
-    out = 1
-    for x2 in args:
-        for i in range(x2 - big_r, x2 + big_r, 4):
-            out *= i
-    return out
-
-
-def _fast_diamond(grid: GridSpec) -> List[CheckReport]:
-    reports: List[CheckReport] = []
-    j_hi = grid.j_max + 2
-    for params in iter_bundles(grid):
-        dp, dq = params.p - 2, params.q - 2
-        for family in (Family.COEXACT, Family.EXACT, Family.MIXED):
-            mixed = family is Family.MIXED
-            exists = _exists_set(params, family, j_hi)
-            fam_pt = {"family": family.value}
-            # doubled-argument gamma products, keyed by (r, level pair)
-            cache: Dict[Tuple[int, int, int], int] = {}
-
-            def value(r: int, jp: int, j: int) -> int:
-                key = (r, jp, j)
-                got = cache.get(key)
-                if got is None:
-                    x1, x2 = 2 * jp + dp, 2 * j + dq
-                    if mixed:
-                        args = (x1 + x2, x1 + x2 + 4, x1 - x2, x1 - x2 + 4)
-                    else:
-                        args = (x1 + x2 + 2, x1 - x2 + 2)
-                    got = _scaled_gamma_product(args, 2 * r)
-                    cache[key] = got
-                return got
-
-            for jp in range(grid.j_max + 1):
-                for j in range(grid.j_max + 1):
-                    if (jp, j) not in exists:
-                        continue
-                    x1, x2 = 2 * jp + dp, 2 * j + dq
-                    for r in grid.r_values:
-                        big_r = 2 * r
-                        fail = None
-                        # path independence around the four corners
-                        for path_a, path_b in _CORNER_PATHS:
-                            prod_a = _path_nd(jp, j, x1, x2, big_r, path_a, exists, mixed)
-                            prod_b = _path_nd(jp, j, x1, x2, big_r, path_b, exists, mixed)
-                            if prod_a is None or prod_b is None:
-                                continue
-                            if prod_a[0] * prod_b[1] != prod_b[0] * prod_a[1]:
-                                fail = ("diamond-path",
-                                        f"{prod_a[0]}/{prod_a[1]}", f"{prod_b[0]}/{prod_b[1]}")
-                                break
-                        # gamma compatibility along the four single steps
-                        if fail is None:
-                            src = value(r, jp, j)
-                            for d1, d2 in ((-1, +1), (+1, +1), (-1, -1), (+1, -1)):
-                                tj, tjj = jp + d1, j + d2
-                                if tj < 0 or tjj < 0 or (tj, tjj) not in exists:
-                                    continue
-                                x = d1 * x1 + d2 * x2
-                                if mixed:
-                                    num = (x + big_r) * (x + 4 + big_r)
-                                    den = (x - big_r) * (x + 4 - big_r)
-                                else:
-                                    num = x + 2 + big_r
-                                    den = x + 2 - big_r
-                                if value(r, tj, tjj) * den != src * num:
-                                    fail = ("gamma-transition",
-                                            f"{value(r, tj, tjj)}*{den}", f"{src}*{num}")
-                                    break
-                        point = _point_dict(params, jp, j, r, fam_pt)
-                        if fail is None:
-                            reports.append(CheckReport("diamond", point, PASS))
-                        else:
-                            name, lhs, rhs = fail
-                            point["identity"] = name
-                            reports.append(CheckReport("diamond", point, FAIL, lhs, rhs))
-    return reports
-
-
-def _path_nd(jp, j, x1, x2, big_r, path, exists, mixed):
-    """Numerator/denominator of a two-step transition product, or None.
-
-    Degenerate steps (vanishing numerator or denominator, missing
-    intermediate or final label) make the whole path undefined.
-    """
-    num, den = 1, 1
-    cj, cjj, cx1, cx2 = jp, j, x1, x2
-    for d1, d2 in path:
-        nj, njj = cj + d1, cjj + d2
-        if nj < 0 or njj < 0 or (nj, njj) not in exists:
-            return None
-        x = d1 * cx1 + d2 * cx2
-        if mixed:
-            step_n = (x + big_r) * (x + 4 + big_r)
-            step_d = (x - big_r) * (x + 4 - big_r)
-        else:
-            step_n = x + 2 + big_r
-            step_d = x + 2 - big_r
-        if step_n == 0 or step_d == 0:
-            return None
-        num *= step_n
-        den *= step_d
-        cj, cjj, cx1, cx2 = nj, njj, cx1 + 2 * d1, cx2 + 2 * d2
-    return num, den
+    try:
+        value = fn(spectra.spectral_point(params, jp, j), r, *rest)
+    except IndeterminateError:
+        return 0, 0
+    if value.is_pole:
+        return 1, 0
+    value = Fraction(value.value)
+    return value.numerator, value.denominator
 
 
 def run_diamond_checks(
     grid: GridSpec,
-    mult1_fn: Callable = spectra.mult1_transition,
-    mult2_fn: Callable = spectra.mult2_transition,
-    mult1_eig_fn: Callable = spectra.mult1_eigenvalue,
-    mult2_det_fn: Callable = spectra.mult2_det,
+    mult1_fn: Optional[Callable] = None,
+    mult2_fn: Optional[Callable] = None,
+    mult1_eig_fn: Optional[Callable] = None,
+    mult2_det_fn: Optional[Callable] = None,
 ) -> List[CheckReport]:
     """Path independence of the transition quantities plus gamma compatibility.
 
@@ -266,79 +173,89 @@ def run_diamond_checks(
     two-step routes to each distance-two neighbor; gamma compatibility
     cross-multiplies eigenvalue (or determinant) ratios against the one-step
     transition quantities, so zeros of the spectral function need no special
-    casing.
+    casing.  By default both sides come from the library's doubled-level
+    formulas (:func:`spectra.transition_factors`, :func:`spectra.gamma_args`
+    and :func:`arithmetic.gamma_product`) as integer pairs; a function passed
+    in replaces its formula through the same integer-pair interface.
     """
-    if (mult1_fn is spectra.mult1_transition and mult2_fn is spectra.mult2_transition
-            and mult1_eig_fn is spectra.mult1_eigenvalue
-            and mult2_det_fn is spectra.mult2_det):
-        return _fast_diamond(grid)
     reports: List[CheckReport] = []
     for params in iter_bundles(grid):
+        dp, dq = params.p - 2, params.q - 2
+        # the pair functions below are used up within their own iteration
         for family in (Family.COEXACT, Family.EXACT, Family.MIXED):
-            transition = mult2_fn if family is Family.MIXED else mult1_fn
-            exists = _exists_set(params, family, grid.j_max + 2)
-            for jp, j in iter_levels(grid):
-                if (jp, j) not in exists:
-                    continue
-                pt = spectra.spectral_point(params, jp, j)
-                for r in grid.r_values:
-                    reports.append(_diamond_point_generic(
-                        params, family, jp, j, pt, r, transition, exists,
-                        mult1_eig_fn, mult2_det_fn))
+            mixed = family is Family.MIXED
+            trans_fn, eig_fn = (mult2_fn, mult2_det_fn) if mixed else (mult1_fn, mult1_eig_fn)
+            if trans_fn is None:
+                def transition(jp, j, r, d1, d2):
+                    num = den = 1
+                    for n, d in spectra.transition_factors(
+                            mixed, 2 * jp + dp, 2 * j + dq, 2 * r, d1, d2):
+                        num, den = num * n, den * d
+                    return num, den
+            else:
+                def transition(jp, j, r, d1, d2):
+                    return _as_pair(trans_fn, params, jp, j, r, spectra.Direction(d1, d2))
+            if eig_fn is None:
+                def gamma(jp, j, r):
+                    return arithmetic.gamma_product(
+                        spectra.gamma_args(mixed, 2 * jp + dp, 2 * j + dq), r)
+            else:
+                def gamma(jp, j, r):
+                    return _as_pair(eig_fn, params, jp, j, r)
+            reports += _diamond_family(grid, params, family, transition, gamma)
     return reports
 
 
-def _path_product_generic(params, jp, j, r, path, transition_fn, exists):
-    total = Fraction(1)
-    cj, cjj = jp, j
-    for d1, d2 in path:
-        nj, njj = cj + d1, cjj + d2
-        if nj < 0 or njj < 0 or (nj, njj) not in exists:
-            return None
-        pt = spectra.spectral_point(params, cj, cjj)
-        try:
-            step = transition_fn(pt, r, spectra.Direction(d1, d2))
-        except IndeterminateError:
-            return None
-        if step.is_pole or step.is_zero:
-            return None
-        total *= step.value
-        cj, cjj = nj, njj
-    return total
+def _diamond_family(grid, params, family, transition, gamma) -> List[CheckReport]:
+    exists = _exists_set(params, family, grid.j_max + 2)
+    fam_pt = {"family": family.value}
+    value = lru_cache(maxsize=None)(gamma)
 
+    @lru_cache(maxsize=None)
+    def steps(jp, j, r) -> dict:
+        # transition pairs from (jp, j) to each existing neighbor, by direction
+        return {(d1, d2): transition(jp, j, r, d1, d2)
+                for d1, d2 in _STEPS if (jp + d1, j + d2) in exists}
 
-def _diamond_point_generic(params, family, jp, j, pt, r, transition_fn, exists,
-                           mult1_eig_fn, mult2_det_fn) -> CheckReport:
-    mixed = family is Family.MIXED
-    point = _point_dict(params, jp, j, r, {"family": family.value})
-    for path_a, path_b in _CORNER_PATHS:
-        va = _path_product_generic(params, jp, j, r, path_a, transition_fn, exists)
-        vb = _path_product_generic(params, jp, j, r, path_b, transition_fn, exists)
-        if va is None or vb is None:
+    reports: List[CheckReport] = []
+    for jp, j in iter_levels(grid):
+        if (jp, j) not in exists:
             continue
-        if va != vb:
-            point["identity"] = "diamond-path"
-            return CheckReport("diamond", point, FAIL,
-                               lhs=format_fraction(va), rhs=format_fraction(vb))
-    source = (mult2_det_fn(pt, r) if mixed else mult1_eig_fn(pt, r)).value
-    for direction in DIRECTIONS:
-        tj, tjj = jp + direction.djp, j + direction.dj
-        if tj < 0 or tjj < 0 or (tj, tjj) not in exists:
-            continue
-        tpt = spectra.spectral_point(params, tj, tjj)
-        target = (mult2_det_fn(tpt, r) if mixed else mult1_eig_fn(tpt, r)).value
-        try:
-            trans = transition_fn(pt, r, direction)
-        except IndeterminateError:
-            continue
-        if trans.is_pole:
-            continue
-        if target != source * trans.value:
-            point["identity"] = "gamma-transition"
-            return CheckReport("diamond", point, FAIL,
-                               lhs=format_fraction(target),
-                               rhs=format_fraction(source * trans.value))
-    return CheckReport("diamond", point, PASS)
+        for r in grid.r_values:
+            here = steps(jp, j, r)
+            onward = {d: steps(jp + d[0], j + d[1], r) for d in here}
+            fail = None
+            # each corner's two routes; a route is undefined when a step
+            # leaves the existing labels or has a vanishing factor
+            for routes in _CORNER_PATHS:
+                prods = []
+                for first, second in routes:
+                    one = here.get(first)
+                    two = one and onward[first].get(second)
+                    if not two or 0 in one or 0 in two:
+                        break
+                    prods.append((one[0] * two[0], one[1] * two[1]))
+                else:
+                    (num_a, den_a), (num_b, den_b) = prods
+                    if num_a * den_b != num_b * den_a:
+                        fail = ("diamond-path", format_fraction(Fraction(num_a, den_a)),
+                                format_fraction(Fraction(num_b, den_b)))
+                        break
+            if fail is None:
+                src_n, src_d = value(jp, j, r)
+                for (d1, d2), (n, d) in here.items():
+                    tgt_n, tgt_d = value(jp + d1, j + d2, r)
+                    lhs, rhs = tgt_n * src_d * d, src_n * tgt_d * n
+                    if lhs != rhs:
+                        fail = ("gamma-transition", str(lhs), str(rhs))
+                        break
+            point = _point_dict(params, jp, j, r, fam_pt)
+            if fail is None:
+                reports.append(CheckReport("diamond", point, PASS))
+            else:
+                point["identity"], lhs, rhs = fail
+                reports.append(CheckReport("diamond", point, FAIL, lhs, rhs))
+    return reports
 
 
 # -- interface suite --------------------------------------------------------------

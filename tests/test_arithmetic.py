@@ -10,11 +10,13 @@ from intertwinor.arithmetic import (
     ExtendedScalar,
     IndeterminateError,
     format_fraction,
+    gamma_product,
     gamma_ratio,
     gamma_ratio_numeric,
     is_integral,
     quotient,
     rising_factorial,
+    rising_product,
     sqrt_exact,
 )
 
@@ -39,6 +41,33 @@ class TestRisingFactorial:
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):
             rising_factorial(Fraction(1), -1)
+
+
+class TestGammaProduct:
+    def test_rising_product_is_scaled_rising_factorial(self):
+        # (-3)(-1)(1)(3) = 2^4 * rising(-3/2, 4)
+        assert rising_product(-3, 2, 4) == 9
+        assert rising_product(Fraction(1, 3), 1, 0) == 1
+
+    def test_integer_pair_matches_gamma_ratio(self):
+        for xs2 in ((7,), (2, -4, 9), (Fraction(2, 3), 5)):
+            for r in range(-4, 5):
+                want = ExtendedScalar.exact(1)
+                for x2 in xs2:
+                    want = want * gamma_ratio(Fraction(x2) / 2, r)
+                num, den = gamma_product(xs2, r)
+                assert isinstance(num, int) and isinstance(den, int)
+                assert quotient(num, den) == want
+
+    def test_unreduced_scale(self):
+        # G(2)/G(1) at x = 3, r = 1, doubled argument 6: numerator 4, scale 4
+        assert gamma_product((6,), 1) == (4, 4)
+        assert gamma_product((6, 4), 0) == (1, 1)
+
+    def test_pole_is_zero_denominator(self):
+        # G(-1)/G(2) at x = 1, r = -3: the numerator gamma sits at a pole
+        assert gamma_product((2,), -3)[1] == 0
+        assert gamma_ratio(1, -3).is_pole
 
 
 class TestGammaRatio:

@@ -20,10 +20,8 @@ from intertwinor.blocks import (
     intertwinor_block,
     laplace_data,
     leading_symbol_polynomials,
-    mult1_casimir_shift,
     order2_block,
     order2_eigenvalue,
-    paired_block_scale,
     projection_constants,
     proportional,
 )
@@ -58,19 +56,6 @@ class TestProjectionConstants:
         pc = projection_constants(2, 0, 1)
         assert (pc.mu, pc.nu, pc.alpha, pc.beta) == (1, 2, 0, 3)
 
-    def test_degenerate_ratio(self):
-        pc = projection_constants(5, 0, 0)
-        assert pc.mu == 0
-        with pytest.raises(DegenerateNormalizationError):
-            pc.raise_through_d()
-
-    def test_ratios(self):
-        pc = projection_constants(3, 1, 2)
-        assert pc.raise_through_d() == Fraction(4, 3)
-        assert pc.lower_through_d() == Fraction(2, 3)
-        assert pc.raise_through_delta() == Fraction(5, 4)
-        assert pc.lower_through_delta() == Fraction(1, 2)
-
 
 class TestLaplaceData:
     def test_identities(self):
@@ -100,11 +85,6 @@ class TestLaplaceData:
 
 
 class TestCasimirShifts:
-    def test_mult1_unit_step(self):
-        pt = SpectralPoint(Fraction(5, 2), Fraction(3, 2))
-        assert mult1_casimir_shift(pt, +1, +1) == 2 * (pt.Jp + pt.J + 1)
-        assert mult1_casimir_shift(pt, -1, +1) == 2 * (-pt.Jp + pt.J + 1)
-
     def test_interface_shifts_from_factor_spectra(self):
         # independent recomputation as plain Laplacian differences at fixed bidegree
         for params in (PARAMS, BundleParams(5, 4, 2, 1), BundleParams(3, 7, 2, 2)):
@@ -180,13 +160,6 @@ class TestSeedScale:
                 product = ((pt.Jp + pt.J - r) * (pt.Jp - pt.J + r) * (s - r)) \
                     / ((pt.Jp + pt.J + r) * (pt.Jp - pt.J - r) * (s + r))
                 assert det.value == product * seed_sq.value
-
-    def test_paired_scale(self):
-        assert paired_block_scale(PARAMS, 1, 3) == 1
-        assert paired_block_scale(PARAMS, 0, Fraction(7, 2)) == Fraction(7, 2)
-        assert paired_block_scale(BundleParams(2, 2, 1, 1), 1, 1) == -1
-        with pytest.raises(DegenerateNormalizationError):
-            paired_block_scale(BundleParams(2, 4, 2, 1), 0, 1)  # s = 0 = -r
 
 
 class TestInterfaceEquations:

@@ -86,6 +86,22 @@ class TestEval:
         assert result.exit_code != 0
 
 
+    def test_indeterminate_seed_is_data(self, runner):
+        # the s = r pole of the seed meets a vanishing gamma part
+        result = run_ok(runner, ["eval", "--p", "5", "--q", "9", "--k", "4", "--a", "4",
+                                 "--jp", "10", "--j", "6", "--r", "2", "--family", "mixed"])
+        record = json.loads(result.output)
+        assert record["seed_squared"] == "indeterminate"
+        assert record["det"] == "0"
+
+    def test_float_pole_is_an_error(self, runner):
+        result = runner.invoke(main, ["eval", "--p", "7", "--q", "8", "--k", "5", "--a", "3",
+                                      "--jp", "1", "--j", "2", "--r", "0.5",
+                                      "--family", "coexact", "--mode", "float"])
+        assert result.exit_code == 1
+        assert result.output == "Error: pole has no finite value\n"
+
+
 class TestTable:
     ARGS = ["table", "--p", "4", "--q", "6", "--k", "2", "--a", "1",
             "--jp-max", "2", "--j-max", "2", "--r", "1", "--family", "m1-delta"]
@@ -127,6 +143,25 @@ class TestTable:
         assert rows and all(",degenerate," in row for row in rows)
 
 
+    def test_float_pole_rows_are_data(self, runner):
+        out = run_ok(runner, ["table", "--p", "7", "--q", "8", "--k", "5", "--a", "3",
+                              "--jp-max", "5", "--j-max", "5", "--r", "0.5",
+                              "--family", "coexact", "--mode", "float",
+                              "--format", "jsonl"]).output
+        records = [json.loads(line) for line in out.splitlines()]
+        poles = [rec for rec in records if rec["pole"]]
+        assert poles and len(poles) < len(records)
+        assert all(rec["coeff"] == "pole" and rec["value_float"] == "pole" for rec in poles)
+
+    def test_indeterminate_seed_rows_are_data(self, runner):
+        out = run_ok(runner, ["table", "--p", "2", "--q", "6", "--k", "1", "--a", "1",
+                              "--jp-max", "5", "--j-max", "5", "--r", "2",
+                              "--family", "mixed", "--format", "jsonl"]).output
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 25
+        assert any(rec["seed_squared"] == "indeterminate" for rec in records)
+
+
 class TestVerify:
     def test_exit_zero_and_report(self, runner, tmp_path):
         report = tmp_path / "report.jsonl"
@@ -144,6 +179,15 @@ class TestVerify:
                                  "--j-max", "2", "--r-max", "1", "-o", str(report)])
         for name in ("diamond", "interface", "det", "even-order", "scalar"):
             assert f"{name}:" in result.output
+
+
+    @pytest.mark.parametrize("bad", [["--r-max", "0"], ["--j-max", "-1"], ["--p-max", "1"]])
+    def test_bad_ranges_fail_cleanly(self, runner, tmp_path, bad):
+        result = runner.invoke(main, ["verify", "-o", str(tmp_path / "r.jsonl")] + bad)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ")
+        assert not (tmp_path / "r.jsonl").exists()
 
 
 class TestTorus:
@@ -166,3 +210,25 @@ class TestTorus:
     def test_exact_mode_rejects_non_integer(self, runner):
         result = runner.invoke(main, ["torus", "--k", "0", "--r", "0.5", "--m", "6"])
         assert result.exit_code != 0
+
+    def test_no_columns_fails(self, runner):
+        result = runner.invoke(main, ["torus", "--k", "1", "--r", "2", "--M", "1"])
+        assert result.exit_code == 1
+        record = json.loads(result.output.splitlines()[-1])
+        assert record["point"]["columns"] == 0 and record["status"] == "fail"
+
+    def test_columns_checked_pass(self, runner):
+        result = run_ok(runner, ["torus", "--k", "1", "--r", "2", "--M", "8"])
+        record = json.loads(result.output.splitlines()[-1])
+        assert record["point"]["columns"] > 0 and record["status"] == "pass"
+
+    def test_exact_mode_demands_exact_zero(self, runner, monkeypatch):
+        from intertwinor import torus
+
+        def off_by_a_little(M, k, r, mode="exact", margin=2):
+            return torus.ResidualResult(k=k, r=r, M=M, mode=mode, residual=1e-12, columns=9)
+
+        monkeypatch.setattr(torus, "intertwining_residual", off_by_a_little)
+        result = runner.invoke(main, ["torus", "--k", "0", "--r", "1", "--M", "6"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["status"] == "fail"

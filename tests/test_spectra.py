@@ -16,6 +16,7 @@ from intertwinor.spectra import (
     NonexistentKTypeError,
     SpectralPoint,
     cross_type_quotient,
+    gamma_args,
     ktype_exists,
     mult1_eigenvalue,
     mult1_transition,
@@ -23,6 +24,7 @@ from intertwinor.spectra import (
     mult2_transition,
     normalized_eigenvalue,
     spectral_point,
+    transition_factors,
 )
 from intertwinor.arithmetic import IndeterminateError
 
@@ -164,6 +166,27 @@ class TestMult1Eigenvalue:
         exact = mult1_eigenvalue(point, 2)
         numeric = mult1_eigenvalue(point, 2.0)
         assert numeric.value == pytest.approx(float(exact.value), rel=1e-10)
+
+
+class TestDoubledLevelFormulas:
+    def test_transition_factors(self):
+        # x = J' + J + 1 = 5 at (3/2, 5/2): (x + r)/(x - r) on doubled values
+        assert transition_factors(False, 3, 5, 2, 1, 1) == ((12, 8),)
+        # mixed pair at y = J' - J = 2: factors at y and y + 2
+        assert transition_factors(True, 6, 2, 2, 1, -1) == ((6, 2), (10, 6))
+
+    def test_gamma_args_order(self):
+        assert gamma_args(False, 7, 3) == (12, 6)
+        assert gamma_args(True, 7, 3) == (10, 14, 4, 8)
+
+    def test_float_transition_keeps_its_rounding(self):
+        # same float operations as (x + r)/(x - r) and its two-factor mixed form
+        point, r = pt(Fraction(7, 2), Fraction(3, 2)), 0.3
+        x = float(point.Jp + point.J + 1)
+        assert mult1_transition(point, r, UP_RIGHT).value == (x + r) / (x - r)
+        y = float(point.Jp - point.J)
+        want = (y + r) / (y - r) * ((y + 2 + r) / (y + 2 - r))
+        assert mult2_transition(point, r, DOWN_RIGHT).value == want
 
 
 class TestCrossTypeQuotient:

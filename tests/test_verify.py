@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from intertwinor import blocks, spectra
+from intertwinor import arithmetic, blocks, spectra
 from intertwinor.spectra import Family, KTypeLabel
 from intertwinor.verify import (
     FAIL,
@@ -159,6 +159,47 @@ class TestNegativeControls:
 
         bad = failures(run_det_checks(TINY, det_fn=skewed))
         assert bad and bad[0].lhs is not None and bad[0].rhs is not None
+
+
+class TestLibraryEdits:
+    """The default diamond gate runs the library's own formulas, so edits there show."""
+
+    def test_edited_transition_is_flagged(self, monkeypatch):
+        real = spectra.transition_factors
+
+        def skewed(mixed, jp2, j2, r2, djp, dj):
+            # one extra unit in one numerator of the diamond
+            (num, den), *rest = real(mixed, jp2, j2, r2, djp, dj)
+            if djp == 1 and dj == 1:
+                num += 2
+            return ((num, den), *rest)
+
+        assert not failures(run_diamond_checks(TINY))
+        monkeypatch.setattr(spectra, "transition_factors", skewed)
+        bad = failures(run_diamond_checks(TINY))
+        assert bad and all(rep.lhs and rep.rhs for rep in bad)
+
+    def test_edited_gamma_product_is_flagged(self, monkeypatch):
+        real = arithmetic.gamma_product
+
+        def skewed(xs2, r):
+            num, den = real(xs2, r)
+            return num + den, den  # every product off by one
+
+        assert not failures(run_diamond_checks(TINY))
+        monkeypatch.setattr(arithmetic, "gamma_product", skewed)
+        assert failures(run_diamond_checks(TINY))
+
+    def test_public_functions_match_the_default_gate(self):
+        # an injected copy of each public function gives the default reports
+        default = [rep.to_json() for rep in run_diamond_checks(TINY)]
+        injected = run_diamond_checks(
+            TINY,
+            mult1_fn=lambda *args: spectra.mult1_transition(*args),
+            mult2_fn=lambda *args: spectra.mult2_transition(*args),
+            mult1_eig_fn=lambda *args: spectra.mult1_eigenvalue(*args),
+            mult2_det_fn=lambda *args: spectra.mult2_det(*args))
+        assert [rep.to_json() for rep in injected] == default
 
 
 class TestScalarReduction:
