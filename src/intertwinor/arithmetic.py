@@ -283,13 +283,15 @@ def gamma_ratio_numeric(x: float, r: float, eps_pole: float = EPS_POLE) -> Exten
     return ExtendedScalar.floating(sign * math.exp(math.lgamma(a) - math.lgamma(b)))
 
 
-def sqrt_exact(x: Rational) -> Fraction:
-    """Exact square root of a nonnegative rational that is a perfect square."""
-    x = Fraction(x)
+def sqrt_exact(x: Rational) -> Rational:
+    """Exact square root of a nonnegative rational that is a perfect square.
+
+    Type-generic: an int gives an int, a Fraction a Fraction.  Raises
+    ``ValueError`` when x is negative or not the square of a rational.
+    """
     if x < 0:
         raise ValueError(f"negative radicand {x}")
-    num = math.isqrt(x.numerator)
-    den = math.isqrt(x.denominator)
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
     if num * num != x.numerator or den * den != x.denominator:
         raise ValueError(f"{x} is not the square of a rational")
-    return Fraction(num, den)
+    return num if isinstance(x, int) else Fraction(num, den)

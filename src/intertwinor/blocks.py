@@ -12,18 +12,28 @@ value is ``h_co1 - J'^2`` (the split-signature eigenvalue), whose negative is
 the round-sphere one.  All square-root operators then act by J' and J
 exactly, which is checked by exact square-root extraction when the even-order
 products are assembled.
+
+Each formula is written once, on doubled levels 2J' = 2j' + p - 2,
+2J = 2j + q - 2, 2s and 2r, where every half-integer shift clears and
+lattice points give plain integers.  A quantity of degree d in the levels
+then comes out 2^d times too large, so every kernel returns its values with
+a fixed power-of-two scale, as an unreduced integer ``(value, scale)`` pair
+where a caller needs one.  The kernel bodies are type-generic (ints on the
+verification sweeps, Fractions in the public wrappers, polynomials for the
+leading symbol); the public functions taking a :class:`SpectralPoint` are
+thin Fraction-returning wrappers over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .arithmetic import (
     ExtendedScalar,
     Rational,
-    gamma_ratio,
+    gamma_product,
     is_integral,
     quotient,
     sqrt_exact,
@@ -35,6 +45,7 @@ from .spectra import (
     SpectralPoint,
     coexact_laplacian,
     exact_laplacian,
+    seed_gamma_args,
 )
 
 
@@ -67,6 +78,35 @@ def projection_constants(n: int, k: int, j: int) -> ProjectionConstants:
     )
 
 
+# -- per-bundle constants on doubled levels ----------------------------------------
+
+class Doubled(NamedTuple):
+    """The bundle's constants on doubled levels, computed once per bundle."""
+
+    params: BundleParams
+    s2: int         # 2s = p + q - 2 - 2k
+    w2: int         # 2w = q - p + 2k - 4a + 2, the weight of the diagonal entries
+    sign: int       # (-1)^(k-a+1), the parity sign of the off-diagonal coupling
+    root1: int      # 2((p-2)/2 - (k-a)), the centered degree on the first factor
+    root_mix2: int  # 2((q-2)/2 - (a-1)), the centered degree on the second factor
+
+
+def doubled(params: BundleParams) -> Doubled:
+    """The bundle's doubled-level constants."""
+    p, q, k, a = params.p, params.q, params.k, params.a
+    return Doubled(params, p + q - 2 - 2 * k, q - p + 2 * k - 4 * a + 2,
+                   -1 if (k - a) % 2 == 0 else 1, p - 2 - 2 * (k - a), q - 2 * a)
+
+
+def family_offsets(family: Family, b: Doubled) -> Tuple[int, int]:
+    """Doubled centered degrees whose squares enter the family's square-root operators."""
+    if family is Family.COEXACT:
+        return b.root1, b.root_mix2 - 2
+    if family is Family.EXACT:
+        return b.root1 + 2, b.root_mix2
+    return b.root1, b.root_mix2
+
+
 # -- per-block Laplacian data ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -88,29 +128,16 @@ class LaplaceData:
     h_mix2: Fraction
 
 
-def _root1(params: BundleParams) -> Fraction:
-    """Signed centered degree (p-2)/2 - (k-a) on the first factor."""
-    return params.shift1 - (params.k - params.a)
-
-
-def _root_mix2(params: BundleParams) -> Fraction:
-    """Signed centered degree (q-2)/2 - (a-1) on the second factor."""
-    return params.shift2 - (params.a - 1)
+def laplace_values(b: Doubled, jp2, j2):
+    """Four times (lap1, lap2) at doubled levels (2J', 2J)."""
+    return b.root1 * b.root1 - jp2 * jp2, j2 * j2 - b.root_mix2 * b.root_mix2
 
 
 def laplace_data(params: BundleParams, pt: SpectralPoint) -> LaplaceData:
-    v = params.shift2
-    a = params.a
-    h_co1 = _root1(params) ** 2
-    h_mix2 = _root_mix2(params) ** 2
-    return LaplaceData(
-        lap1=h_co1 - pt.Jp ** 2,
-        lap2=pt.J ** 2 - h_mix2,
-        h_co1=h_co1,
-        h_co2=(v - a) ** 2,
-        h_ex2=(v - (a - 2)) ** 2,
-        h_mix2=h_mix2,
-    )
+    b = doubled(params)
+    values = laplace_values(b, 2 * pt.Jp, 2 * pt.J) + (
+        b.root1 ** 2, (b.root_mix2 - 2) ** 2, (b.root_mix2 + 2) ** 2, b.root_mix2 ** 2)
+    return LaplaceData(*(Fraction(v, 4) for v in values))
 
 
 # -- Casimir-type shifts ---------------------------------------------------------
@@ -130,9 +157,14 @@ class CasimirShifts:
     n2: Fraction
 
 
+def shift_values(b: Doubled, j2):
+    """The shifts (n1, n2) at doubled level 2J; integers on the lattice."""
+    return -(b.root1 + j2), b.root1 - j2
+
+
 def interface_shifts(params: BundleParams, pt: SpectralPoint) -> CasimirShifts:
-    g1 = _root1(params)
-    return CasimirShifts(n1=-2 * (g1 + pt.J), n2=2 * (g1 - pt.J))
+    n1, n2 = shift_values(doubled(params), 2 * pt.J)
+    return CasimirShifts(n1=Fraction(n1), n2=Fraction(n2))
 
 
 def interface_constants(params: BundleParams, j: int) -> Tuple[Fraction, Fraction]:
@@ -171,24 +203,44 @@ class TwoByTwo:
     def det(self) -> Fraction:
         return self.e11 * self.e22 - self.e12 * self.e21
 
-    def scaled(self, c: Rational) -> "TwoByTwo":
-        c = Fraction(c)
-        return TwoByTwo(c * self.e11, c * self.e12, c * self.e21, c * self.e22)
+
+def _two_by_two(entries, scale) -> TwoByTwo:
+    return TwoByTwo(*(Fraction(e, scale) for e in entries))
 
 
-def _sign(params: BundleParams) -> int:
-    """(-1)^(k-a+1), the parity sign of the off-diagonal coupling."""
-    return -1 if (params.k - params.a) % 2 == 0 else 1
+def entry_sums(b: Doubled, lap1, lap2, r2):
+    """Eight times the diagonal entry cores (e11, e22) of the order-2r block.
+
+    ``lap1``, ``lap2`` are the doubled values of :func:`laplace_values`.
+    """
+    sp, sm = b.s2 + r2, b.s2 - r2
+    return (sp * lap1 + sm * lap2 + sp * sm * (b.w2 - r2),
+            sm * lap1 + sp * lap2 + sp * sm * (b.w2 + r2))
 
 
-def _entry_sums(params: BundleParams, pt: SpectralPoint, r: Rational) -> Tuple[Fraction, Fraction]:
-    """Diagonal entry cores of the order-2r block on a mixed pair."""
-    data = laplace_data(params, pt)
-    s = params.s
-    w = Fraction(params.q - params.p, 2) + params.k - 2 * params.a + 1
-    e11 = (s + r) * data.lap1 + (s - r) * data.lap2 + (s + r) * (s - r) * (w - r)
-    e22 = (s - r) * data.lap1 + (s + r) * data.lap2 + (s + r) * (s - r) * (w + r)
-    return e11, e22
+def core_pair(b: Doubled, jp2, j2, r2):
+    """The core block's entries (e11, e12, e21, e22) with their common scale 16."""
+    lap1, lap2 = laplace_values(b, jp2, j2)
+    e11, e22 = entry_sums(b, lap1, lap2, r2)
+    coupling = b.sign * r2
+    return (2 * e11, 16 * coupling, coupling * lap1 * lap2, 2 * e22), 16
+
+
+def block_pair(b: Doubled, jp2, j2, r2):
+    """The unit-seed intertwinor block as (entries, denominator).
+
+    Raises when a factor of the normalization denominator (J'+J+r),
+    (J'-J-r) or (s+r) vanishes, naming the factor.
+    """
+    for value, name in ((jp2 + j2 + r2, "J'+J+r"),
+                        (jp2 - j2 - r2, "J'-J-r"),
+                        (b.s2 + r2, "s+r")):
+        if value == 0:
+            raise DegenerateNormalizationError(f"normalization factor {name} vanishes")
+    # the core times -1/((J'+J+r)(J'-J-r)(s+r)); the core's scale 16 over
+    # the doubled factors' 8 leaves 2
+    entries, _ = core_pair(b, jp2, j2, r2)
+    return entries, -2 * (jp2 + j2 + r2) * (jp2 - j2 - r2) * (b.s2 + r2)
 
 
 def intertwinor_block(params: BundleParams, pt: SpectralPoint, r: Rational,
@@ -200,23 +252,9 @@ def intertwinor_block(params: BundleParams, pt: SpectralPoint, r: Rational,
     one in it.  Raises when a factor of the normalization denominator
     (J'+J+r), (J'-J-r) or (s+r) vanishes, naming the factor.
     """
-    r = Fraction(r)
-    s = params.s
-    for value, name in ((pt.Jp + pt.J + r, "J'+J+r"),
-                        (pt.Jp - pt.J - r, "J'-J-r"),
-                        (s + r, "s+r")):
-        if value == 0:
-            raise DegenerateNormalizationError(f"normalization factor {name} vanishes")
-    t = -Fraction(scale) / ((pt.Jp + pt.J + r) * (pt.Jp - pt.J - r) * (s + r))
-    e11, e22 = _entry_sums(params, pt, r)
-    sg = _sign(params)
-    data = laplace_data(params, pt)
-    return TwoByTwo(
-        e11=t * e11,
-        e12=t * sg * 2 * r,
-        e21=t * sg * 2 * r * data.lap1 * data.lap2,
-        e22=t * e22,
-    )
+    entries, den = block_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2 * Fraction(r))
+    scale = Fraction(scale)
+    return TwoByTwo(*(scale * e / den for e in entries))
 
 
 def block_scale_squared(params: BundleParams, pt: SpectralPoint, r: int) -> ExtendedScalar:
@@ -224,58 +262,47 @@ def block_scale_squared(params: BundleParams, pt: SpectralPoint, r: int) -> Exte
 
     A pole at s = r; a zero when the gamma part vanishes (operator kernel).
     """
-    gamma_part = gamma_ratio(pt.Jp + pt.J + 2, r) * gamma_ratio(pt.Jp - pt.J, r)
+    if not is_integral(r):
+        raise ValueError(f"the exact seed needs integer r, got {r!r}")
+    gamma_part = quotient(*gamma_product(seed_gamma_args(2 * pt.Jp, 2 * pt.J), int(r)))
     s = params.s
     return quotient(s + r, s - r) * gamma_part * gamma_part
 
 
 # -- square-root operator values --------------------------------------------------
 
-def _sqrt_value(lap_signed: Fraction, offset: Fraction) -> Fraction:
-    """Value of sqrt(-lap + offset) from a split-signature eigenvalue.
-
-    The combination is a perfect rational square exactly when the offset
-    matches the summand; extraction failure means inconsistent data.
-    """
-    return sqrt_exact(-lap_signed + offset)
-
-
-def factor_values(family: Family, params: BundleParams, jp: int, j: int) -> Tuple[Fraction, Fraction]:
-    """The constants by which the family's square-root operators act.
+def factor_roots(family: Family, b: Doubled, jp: int, j: int) -> Tuple[int, int]:
+    """Twice the constants by which the family's square-root operators act.
 
     Computed from the factor sphere spectra and the family's offsets, not
-    from (J', J) directly; both routes agreeing is part of the design.
+    from (J', J) directly; both routes agreeing is part of the design.  Each
+    is the exact integer square root of 4*lambda + o^2, with lambda the
+    factor sphere's Riemannian eigenvalue and o the doubled offset of
+    :func:`family_offsets`; the radicand is a perfect square exactly when the
+    offset matches the summand, so a failed extraction (``ValueError``) means
+    inconsistent data.
     """
-    d1, d2 = params.p - 1, params.q - 1
-    c1, c2 = params.k - params.a, params.a
-    if family is Family.COEXACT:
-        lap1 = -coexact_laplacian(d1, c1, jp)      # split signature flips factor one
-        off1 = _root1(params) ** 2
-        lap2 = coexact_laplacian(d2, c2, j)
-        off2 = (params.shift2 - params.a) ** 2
-        return _sqrt_value(lap1, off1), sqrt_exact(lap2 + off2)
-    if family is Family.EXACT:
-        lap1 = -exact_laplacian(d1, c1, jp)
-        off1 = (params.shift1 - (params.k - params.a) + 1) ** 2
-        lap2 = exact_laplacian(d2, c2, j)
-        off2 = _root_mix2(params) ** 2
-        return _sqrt_value(lap1, off1), sqrt_exact(lap2 + off2)
-    # mixed pair: same value on both summands of each factor
-    lap1 = -coexact_laplacian(d1, c1, jp)
-    off1 = _root1(params) ** 2
-    lap2 = exact_laplacian(d2, c2, j)
-    off2 = _root_mix2(params) ** 2
-    return _sqrt_value(lap1, off1), sqrt_exact(lap2 + off2)
+    params = b.params
+    first = exact_laplacian if family is Family.EXACT else coexact_laplacian
+    second = coexact_laplacian if family is Family.COEXACT else exact_laplacian
+    o1, o2 = family_offsets(family, b)
+    return (sqrt_exact(4 * first(params.p - 1, params.k - params.a, jp) + o1 * o1),
+            sqrt_exact(4 * second(params.q - 1, params.a, j) + o2 * o2))
 
 
 # -- order-2 and order-2r operators ------------------------------------------------
+
+def order2_pair(family: Family, b: Doubled, jp2, j2):
+    """The second-order eigenvalue (s -+ 1)(J+J')(J-J') as (value, scale 8)."""
+    factor = b.s2 + 2 if family is Family.COEXACT else b.s2 - 2
+    return factor * (j2 + jp2) * (j2 - jp2), 8
+
 
 def order2_eigenvalue(family: Family, params: BundleParams, pt: SpectralPoint) -> Fraction:
     """Second-order operator on a multiplicity-one family: (s -+ 1)(J+J')(J-J')."""
     if family is Family.MIXED:
         raise ValueError("mixed family carries a block; use order2_block")
-    factor = (params.s + 1) if family is Family.COEXACT else (params.s - 1)
-    return factor * (pt.J + pt.Jp) * (pt.J - pt.Jp)
+    return Fraction(*order2_pair(family, doubled(params), 2 * pt.Jp, 2 * pt.J))
 
 
 def order2_block(params: BundleParams, pt: SpectralPoint) -> TwoByTwo:
@@ -285,37 +312,48 @@ def order2_block(params: BundleParams, pt: SpectralPoint) -> TwoByTwo:
 
 def core_block(params: BundleParams, pt: SpectralPoint, r: int) -> TwoByTwo:
     """The polynomial 2x2 core of the order-2r operator on a mixed pair."""
-    e11, e22 = _entry_sums(params, pt, Fraction(r))
-    sg = _sign(params)
-    data = laplace_data(params, pt)
-    return TwoByTwo(e11, Fraction(sg * 2 * r), sg * 2 * r * data.lap1 * data.lap2, e22)
+    return _two_by_two(*core_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2 * r))
 
 
-def _even_product(sum_v: Fraction, diff_v: Fraction, offsets) -> Fraction:
-    out = Fraction(1)
-    for off in offsets:
-        out *= (sum_v ** 2 - off ** 2) * (diff_v ** 2 - off ** 2)
+def even_product(v1, v2, r: int):
+    """4^r times the family-independent product factor of the order-2r eigenvalues.
+
+    At doubled values (2v1, 2v2): (v2+v1)(v2-v1) times even-shifted squares
+    for odd r, odd-shifted squares for even r.  The multiplicity-one
+    eigenvalue is (s +- r) times the product, and the mixed block is the
+    order-2(r-1) product times the core block.  Type-generic, so it serves
+    integers and the leading-symbol polynomials alike.
+    """
+    sum_v, diff_v = v1 + v2, v1 - v2
+    out = (v2 + v1) * (v2 - v1) if r % 2 else 1
+    for off in range(1 + r % 2, r, 2):
+        off2 = 4 * off * off
+        out = out * (sum_v * sum_v - off2) * (diff_v * diff_v - off2)
     return out
 
 
-def even_order_product(pt: SpectralPoint, r: int) -> Fraction:
-    """The family-independent product factor of the order-2r eigenvalues.
-
-    (J+J')(J-J') times even-shifted squares for odd r, odd-shifted squares
-    for even r; the multiplicity-one eigenvalue is (s +- r) times this.
-    """
-    if r % 2 == 1:
-        return ((pt.J + pt.Jp) * (pt.J - pt.Jp)
-                * _even_product(pt.Jp + pt.J, pt.Jp - pt.J, range(2, r, 2)))
-    return _even_product(pt.Jp + pt.J, pt.Jp - pt.J, range(1, r, 2))
+def _order_prefactor(family: Family, b: Doubled, r: int) -> int:
+    """2(s+r) on the coexact family, 2(s-r) on the exact one."""
+    return b.s2 + 2 * r if family is Family.COEXACT else b.s2 - 2 * r
 
 
-def even_order_mixed_prefactor(pt: SpectralPoint, r: int) -> Fraction:
-    """Scalar multiplying the core block in the order-2r mixed operator."""
-    if r % 2 == 1:
-        return _even_product(pt.Jp + pt.J, pt.Jp - pt.J, range(1, r, 2))
-    return ((pt.J + pt.Jp) * (pt.J - pt.Jp)
-            * _even_product(pt.Jp + pt.J, pt.Jp - pt.J, range(2, r, 2)))
+def even_order_pair(family: Family, b: Doubled, jp: int, j: int, r: int):
+    """The order-2r eigenvalue at levels (j', j) as (value, scale 2 * 4^r)."""
+    v1, v2 = factor_roots(family, b, jp, j)
+    return _order_prefactor(family, b, r) * even_product(v1, v2, r), 2 * 4 ** r
+
+
+def even_block_pair(b: Doubled, jp: int, j: int, r: int):
+    """The order-2r mixed block at levels (j', j) as (entries, common scale)."""
+    v1, v2 = factor_roots(Family.MIXED, b, jp, j)
+    prefactor = even_product(v1, v2, r - 1)
+    entries, scale = core_pair(b, 2 * jp + b.params.p - 2, 2 * j + b.params.q - 2, 2 * r)
+    return tuple(prefactor * e for e in entries), scale * 4 ** (r - 1)
+
+
+def _check_order(r) -> None:
+    if not is_integral(r) or r < 1:
+        raise ValueError(f"even-order operators need integer r >= 1, got {r!r}")
 
 
 def even_order_eigenvalue(family: Family, params: BundleParams,
@@ -327,25 +365,16 @@ def even_order_eigenvalue(family: Family, params: BundleParams,
     coexact family and (s-r) on the exact one.  Normalized so that r = 1
     reproduces the second-order operator.
     """
-    if not is_integral(r) or r < 1:
-        raise ValueError(f"even-order operators need integer r >= 1, got {r!r}")
+    _check_order(r)
     if family is Family.MIXED:
         raise ValueError("mixed family carries a block; use even_order_block")
-    jp, j = _levels(params, pt)
-    v1, v2 = factor_values(family, params, jp, j)
-    s = params.s
-    prefactor = (s + r) if family is Family.COEXACT else (s - r)
-    return prefactor * even_order_product(SpectralPoint(v1, v2), r)
+    return Fraction(*even_order_pair(family, doubled(params), *_levels(params, pt), r))
 
 
 def even_order_block(params: BundleParams, pt: SpectralPoint, r: int) -> TwoByTwo:
     """Order-2r operator on a mixed pair, r >= 1: scalar product times the core block."""
-    if not is_integral(r) or r < 1:
-        raise ValueError(f"even-order operators need integer r >= 1, got {r!r}")
-    jp, j = _levels(params, pt)
-    v1, v2 = factor_values(Family.MIXED, params, jp, j)
-    return core_block(params, pt, r).scaled(
-        even_order_mixed_prefactor(SpectralPoint(v1, v2), r))
+    _check_order(r)
+    return _two_by_two(*even_block_pair(doubled(params), *_levels(params, pt), r))
 
 
 def _levels(params: BundleParams, pt: SpectralPoint) -> Tuple[int, int]:
@@ -359,51 +388,45 @@ def _levels(params: BundleParams, pt: SpectralPoint) -> Tuple[int, int]:
 # -- exact bivariate polynomials for the leading-symbol check ----------------------
 
 class BivariatePoly:
-    """Polynomial in the two shifted levels with exact rational coefficients."""
+    """Polynomial in two variables with exact (int or Fraction) coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                val = Fraction(val)
-                if val:
-                    self.coeffs[key] = val
+        self.coeffs = {key: val for key, val in (coeffs or {}).items() if val}
 
     @classmethod
     def const(cls, c) -> "BivariatePoly":
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def var1(cls) -> "BivariatePoly":
-        return cls({(1, 0): Fraction(1)})
+        return cls({(1, 0): 1})
 
     @classmethod
     def var2(cls) -> "BivariatePoly":
-        return cls({(0, 1): Fraction(1)})
+        return cls({(0, 1): 1})
 
     def __add__(self, other) -> "BivariatePoly":
         if not isinstance(other, BivariatePoly):
             other = BivariatePoly.const(other)
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + val
+            out[key] = out.get(key, 0) + val
         return BivariatePoly(out)
 
     def __sub__(self, other) -> "BivariatePoly":
         return self + (other * -1 if isinstance(other, BivariatePoly)
-                       else BivariatePoly.const(-Fraction(other)))
+                       else BivariatePoly.const(-other))
 
     def __mul__(self, other) -> "BivariatePoly":
         if not isinstance(other, BivariatePoly):
-            c = Fraction(other)
-            return BivariatePoly({k: c * v for k, v in self.coeffs.items()})
+            return BivariatePoly({k: other * v for k, v in self.coeffs.items()})
         out = {}
         for (i1, j1), v1 in self.coeffs.items():
             for (i2, j2), v2 in other.coeffs.items():
                 key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
+                out[key] = out.get(key, 0) + v1 * v2
         return BivariatePoly(out)
 
     __rmul__ = __mul__
@@ -433,16 +456,19 @@ class BivariatePoly:
         return "BivariatePoly(" + ", ".join(f"x^{i} y^{j}: {v}" for (i, j), v in terms) + ")"
 
 
-def proportional(p1: BivariatePoly, p2: BivariatePoly):
-    """(True, c) if p1 == c * p2 with a single nonzero rational c."""
-    if not p1.coeffs and not p2.coeffs:
-        return True, Fraction(1)
-    if set(p1.coeffs) != set(p2.coeffs):
-        return False, None
-    ratios = {p1.coeffs[k] / p2.coeffs[k] for k in p1.coeffs}
-    if len(ratios) == 1:
-        return True, next(iter(ratios))
-    return False, None
+def symbol_polynomials(family: Family, b: Doubled, r: int):
+    """The (operator, symbol) pair with integer coefficients in the doubled levels.
+
+    Both are 2 * 4^r times the polynomials of
+    :func:`leading_symbol_polynomials`, in the variables (2J', 2J).  The
+    operator polynomial is the order-2r eigenvalue, built by
+    :func:`even_product` itself.
+    """
+    x1, x2 = BivariatePoly.var1(), BivariatePoly.var2()
+    o1, o2 = family_offsets(family, b)
+    prefactor = _order_prefactor(family, b, r)
+    compressed = (x2 * x2 - x1 * x1) + (o1 * o1 - o2 * o2)
+    return even_product(x1, x2, r) * prefactor, compressed ** r * prefactor
 
 
 def leading_symbol_polynomials(family: Family, params: BundleParams, r: int):
@@ -451,38 +477,15 @@ def leading_symbol_polynomials(family: Family, params: BundleParams, r: int):
     The first polynomial is the order-2r eigenvalue on the family; the second
     is the compressed eigenvalue of (s+r)(delta d)^r + (s-r)(d delta)^r on
     the split-signature product, one of whose terms dies on each
-    multiplicity-one family.  Their top-degree parts are proportional, which
-    is the leading-term consistency check.
+    multiplicity-one family.  Their top-degree parts agree exactly, which is
+    the leading-term consistency check.
     """
     if family is Family.MIXED:
         raise ValueError("leading-symbol polynomials cover the multiplicity-one families")
     if r < 1:
         raise ValueError("need r >= 1")
-    x1, x2 = BivariatePoly.var1(), BivariatePoly.var2()
-    s = params.s
-    sum_p, diff_p = x1 + x2, x1 - x2
-
-    def even_prod(offsets):
-        out = BivariatePoly.const(1)
-        for off in offsets:
-            out = out * (sum_p * sum_p - BivariatePoly.const(off * off))
-            out = out * (diff_p * diff_p - BivariatePoly.const(off * off))
-        return out
-
-    if r % 2 == 1:
-        x_poly = (x2 + x1) * (x2 - x1) * even_prod(range(2, r, 2))
-    else:
-        x_poly = even_prod(range(1, r, 2))
-    p_op = x_poly * ((s + r) if family is Family.COEXACT else (s - r))
-
-    if family is Family.COEXACT:
-        h1 = _root1(params) ** 2
-        h2 = (params.shift2 - params.a) ** 2
-        compressed = (BivariatePoly.const(h1) - x1 * x1) + (x2 * x2 - BivariatePoly.const(h2))
-        p_sym = compressed ** r * (s + r)
-    else:
-        h1 = (params.shift1 - (params.k - params.a) + 1) ** 2
-        h2 = _root_mix2(params) ** 2
-        compressed = (BivariatePoly.const(h1) - x1 * x1) + (x2 * x2 - BivariatePoly.const(h2))
-        p_sym = compressed ** r * (s - r)
-    return p_op, p_sym
+    scale = 2 * 4 ** r
+    return tuple(
+        BivariatePoly({(i, j): Fraction(c * 2 ** (i + j), scale)
+                       for (i, j), c in poly.coeffs.items()})
+        for poly in symbol_polynomials(family, doubled(params), r))

@@ -144,14 +144,14 @@ DIRECTIONS = (UP_LEFT, UP_RIGHT, DOWN_LEFT, DOWN_RIGHT)
 
 # -- factor sphere spectra ----------------------------------------------------
 
-def coexact_laplacian(dim: int, c: int, j: int) -> Fraction:
+def coexact_laplacian(dim: int, c: int, j: int) -> int:
     """Riemannian (delta d)-eigenvalue on coexact c-forms of level j on S^dim."""
-    return Fraction((j + c) * (j + dim - 1 - c))
+    return (j + c) * (j + dim - 1 - c)
 
 
-def exact_laplacian(dim: int, c: int, j: int) -> Fraction:
+def exact_laplacian(dim: int, c: int, j: int) -> int:
     """Riemannian (d delta)-eigenvalue on exact c-forms of level j on S^dim."""
-    return Fraction((j + c - 1) * (j + dim - c))
+    return (j + c - 1) * (j + dim - c)
 
 
 def coexact_exists(dim: int, c: int, j: int) -> bool:
@@ -231,6 +231,15 @@ def gamma_args(mixed: bool, jp2, j2):
     if mixed:
         return (plus, plus + 4, minus, minus + 4)
     return (plus + 2, minus + 2)
+
+
+def seed_gamma_args(jp2, j2):
+    """Doubled gamma-quotient arguments of the mixed-pair normalization seed.
+
+    J' + J + 2 and J' - J: the seed's gamma part is the product of the two
+    quotients, and its square enters the seed's squared value.
+    """
+    return (jp2 + j2 + 4, jp2 - j2)
 
 
 def _ratio(num, den) -> ExtendedScalar:

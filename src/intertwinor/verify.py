@@ -6,26 +6,45 @@ quotient could degenerate), and failures carry both sides of the violated
 identity as witnesses.  Degenerate points (vanishing normalization factors,
 nonexistent labels) are skipped and counted, never silently dropped.
 
-The diamond suite runs on plain integers: it takes the library's own
-doubled-level formulas (levels 2J', 2J and order 2r, which clears every
-half-integer shift), so the gate checks the code that users run, and
-compares unreduced (numerator, denominator) pairs by cross-multiplication.
-Each suite accepts an injectable implementation of the quantity it checks;
-the diamond suite adapts one to the same integer pairs and the same loop.
-This is how test fixtures wire in deliberately perturbed versions (negative
+The suites run on the library's own formulas, so a gate checks the code
+that users run.  The diamond, interface, det and even-order suites take the
+integer kernels of :mod:`spectra`, :mod:`blocks` and :mod:`arithmetic`,
+written once on doubled levels (2J', 2J, 2s and 2r, which clears every
+half-integer shift), and compare unreduced integers by cross-multiplication;
+Fractions are built only for the witnesses of a failing record.  The scalar
+suite calls the public wrappers over the same kernels.  The identities, per
+suite:
+
+- diamond: path independence of the transition quotients
+  (``diamond-path``) and their compatibility with the eigenvalue or
+  determinant (``gamma-transition``);
+- interface: the four compressed interface equations of the mixed block;
+- det: the block determinant against the transition product, and the
+  gamma-quotient determinant against it times the squared seed
+  (``det-gamma``);
+- even-order: second-order reproduction at r = 1 (``order2-coexact``,
+  ``order2-exact``, ``order2-block``), ``family-ratio``,
+  ``eigenvalue-proportionality``, ``det-proportionality`` and
+  ``leading-symbol``;
+- scalar: the degree-zero degeneration.
+
+Each suite accepts an injectable implementation of the quantity it checks,
+which one adapter turns into the same integers for the same loop.  This is
+how test fixtures wire in deliberately perturbed versions (negative
 controls).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import arithmetic, blocks, spectra
-from .arithmetic import IndeterminateError, format_fraction, gamma_ratio
+from .arithmetic import IndeterminateError, format_fraction
 from .spectra import (
     DIRECTIONS,
     BundleParams,
@@ -61,6 +80,9 @@ class GridSpec:
             raise ValueError("empty grid ranges")
         if not self.r_values:
             raise ValueError("need at least one r value")
+        for r in self.r_values:
+            if r < 0:
+                raise ValueError(f"r values must be nonnegative, got r={r}")
 
 
 @dataclass
@@ -160,6 +182,19 @@ def _as_pair(fn, params: BundleParams, jp: int, j: int, r, *rest) -> Tuple[int, 
     return value.numerator, value.denominator
 
 
+def _gamma_pair(mixed: bool, fn, params: BundleParams):
+    """The eigenvalue (mixed: the determinant) as an integer pair of (j', j, r).
+
+    By default it is the library's gamma-quotient product; a function passed
+    in goes through :func:`_as_pair`.
+    """
+    if fn is None:
+        dp, dq = params.p - 2, params.q - 2
+        return lambda jp, j, r: arithmetic.gamma_product(
+            spectra.gamma_args(mixed, 2 * jp + dp, 2 * j + dq), r)
+    return lambda jp, j, r: _as_pair(fn, params, jp, j, r)
+
+
 def run_diamond_checks(
     grid: GridSpec,
     mult1_fn: Optional[Callable] = None,
@@ -195,14 +230,8 @@ def run_diamond_checks(
             else:
                 def transition(jp, j, r, d1, d2):
                     return _as_pair(trans_fn, params, jp, j, r, spectra.Direction(d1, d2))
-            if eig_fn is None:
-                def gamma(jp, j, r):
-                    return arithmetic.gamma_product(
-                        spectra.gamma_args(mixed, 2 * jp + dp, 2 * j + dq), r)
-            else:
-                def gamma(jp, j, r):
-                    return _as_pair(eig_fn, params, jp, j, r)
-            reports += _diamond_family(grid, params, family, transition, gamma)
+            reports += _diamond_family(grid, params, family, transition,
+                                       _gamma_pair(mixed, eig_fn, params))
     return reports
 
 
@@ -260,65 +289,97 @@ def _diamond_family(grid, params, family, transition, gamma) -> List[CheckReport
 
 # -- interface suite --------------------------------------------------------------
 
+def _ratio_text(num: int, den: int) -> str:
+    """A failure witness num/den in lowest terms; a zero denominator is a pole."""
+    return format_fraction(Fraction(num, den)) if den else "pole"
+
+
+def _block_as_pair(entries_fn, params: BundleParams, jp: int, j: int, r):
+    """Adapt a public block function to integer (entries, common denominator)."""
+    block = entries_fn(params, spectra.spectral_point(params, jp, j), Fraction(r), 1)
+    entries = [Fraction(e) for e in (block.e11, block.e12, block.e21, block.e22)]
+    den = math.lcm(*(e.denominator for e in entries))
+    return tuple(int(e * den) for e in entries), den
+
+
 def run_interface_checks(
     grid: GridSpec,
-    entries_fn: Callable = blocks.intertwinor_block,
+    entries_fn: Optional[Callable] = None,
 ) -> List[CheckReport]:
     """The four compressed interface equations, exactly, at unit seed scale.
 
     All terms are homogeneous of degree one in the seed eigenvalue, so the
     equations are checked with the seed set to 1; the seed's actual squared
-    value is covered by the determinant suite.
+    value is covered by the determinant suite.  By default the block comes
+    from :func:`blocks.block_pair`, the kernel of
+    :func:`blocks.intertwinor_block`; a function passed in replaces it
+    through the same integer (entries, denominator) interface.  Each
+    equation is cross-multiplied to integers.
     """
     reports: List[CheckReport] = []
     for params in iter_bundles(grid):
-        sg = -1 if (params.k - params.a) % 2 == 0 else 1
-        s = params.s
+        b = blocks.doubled(params)
+        s2, sg = b.s2, b.sign
+        dp, dq = params.p - 2, params.q - 2
+        if entries_fn is None:
+            def block(jp, j, r):
+                return blocks.block_pair(b, 2 * jp + dp, 2 * j + dq, 2 * r)
+        else:
+            def block(jp, j, r):
+                return _block_as_pair(entries_fn, params, jp, j, r)
+        # 1 - c1 and 1 - c2 as integer pairs per level j, or the reason they
+        # degenerate (the message only: a kept exception would hold this frame)
+        constants = {}
+        for j in range(grid.j_max + 1):
+            try:
+                c1, c2 = blocks.interface_constants(params, j)
+            except DegenerateNormalizationError as err:
+                constants[j] = str(err)
+            else:
+                constants[j] = ((1 - c1).numerator, (1 - c1).denominator,
+                                (1 - c2).numerator, (1 - c2).denominator)
         exists = _exists_set(params, Family.MIXED, grid.j_max)
         for jp, j in iter_levels(grid):
             if (jp, j) not in exists:
                 continue
-            pt = spectra.spectral_point(params, jp, j)
-            try:
-                c1, c2 = blocks.interface_constants(params, j)
-            except DegenerateNormalizationError as err:
+            if isinstance(constants[j], str):
                 for r in grid.r_values:
                     reports.append(CheckReport("interface", _point_dict(params, jp, j, r),
-                                               SKIP, lhs=str(err)))
+                                               SKIP, lhs=constants[j]))
                 continue
-            shifts = blocks.interface_shifts(params, pt)
-            half_n1, half_n2 = shifts.n1 / 2, shifts.n2 / 2
-            data = blocks.laplace_data(params, pt)
-            lap_prod = data.lap1 * data.lap2
-            t1 = Fraction(1)
+            u1, v1, u2, v2 = constants[j]  # 1 - c1 = u1/v1, 1 - c2 = u2/v2
+            jp2, j2 = 2 * jp + dp, 2 * j + dq
+            n1, n2 = blocks.shift_values(b, j2)  # the equations take n1/2, n2/2
+            lap1, lap2 = blocks.laplace_values(b, jp2, j2)
+            lap = lap1 * lap2  # 16 times the product of the factor Laplacians
             for r in grid.r_values:
                 point = _point_dict(params, jp, j, r)
                 try:
-                    block = entries_fn(params, pt, Fraction(r), 1)
+                    (e11, e12, e21, e22), den = block(jp, j, r)
                 except DegenerateNormalizationError as err:
                     reports.append(CheckReport("interface", point, SKIP, lhs=str(err)))
                     continue
-                t2 = (s - r) / (s + r) * t1
+                r2 = 2 * r
+                t2n, t2d = s2 - r2, s2 + r2  # t2 = (s-r)/(s+r), the exact partner's seed
+                m2 = 8 * (n2 - r2) * v2 * t2d
+                coupling = sg * u2 * lap * t2d
+                # (name, left, right, common denominator of both sides)
                 eqs = (
-                    ("coexact-into-pair",
-                     sg * (1 - c1) * block.e11 + (half_n1 - r) * block.e12,
-                     sg * (1 - c1) * t1),
-                    ("coexact-onto-partner",
-                     sg * (1 - c1) * block.e21 + (half_n1 - r) * block.e22,
-                     (half_n1 + r) * t1),
-                    ("exact-onto-partner",
-                     (half_n2 - r) / lap_prod * block.e21 - sg * (1 - c2) * block.e22,
-                     -sg * (1 - c2) * t2),
-                    ("exact-into-pair",
-                     (half_n2 - r) * block.e11 - sg * (1 - c2) * lap_prod * block.e12,
-                     (half_n2 + r) * t2),
+                    ("coexact-into-pair", 2 * sg * u1 * e11 + (n1 - r2) * v1 * e12,
+                     2 * sg * u1 * den, 2 * v1 * den),
+                    ("coexact-onto-partner", 2 * sg * u1 * e21 + (n1 - r2) * v1 * e22,
+                     (n1 + r2) * v1 * den, 2 * v1 * den),
+                    ("exact-onto-partner", m2 * e21 - coupling * e22,
+                     -sg * u2 * lap * den * t2n, lap * v2 * den * t2d),
+                    ("exact-into-pair", m2 * e11 - coupling * e12,
+                     8 * (n2 + r2) * v2 * den * t2n, 16 * v2 * den * t2d),
                 )
                 status, lhs, rhs = PASS, None, None
-                for name, left, right in eqs:
+                for name, left, right, scale in eqs:
                     if left != right:
                         status = FAIL
                         point["equation"] = name
-                        lhs, rhs = format_fraction(left), format_fraction(right)
+                        lhs, rhs = _ratio_text(left, scale), _ratio_text(right, scale)
                         break
                 reports.append(CheckReport("interface", point, status, lhs=lhs, rhs=rhs))
     return reports
@@ -328,47 +389,54 @@ def run_interface_checks(
 
 def run_det_checks(
     grid: GridSpec,
-    det_fn: Callable = spectra.mult2_det,
+    det_fn: Optional[Callable] = None,
 ) -> List[CheckReport]:
     """Determinant factorization of the mixed block, in two exact forms.
 
     First the block determinant at unit seed against the displayed transition
     product; then the gamma-quotient determinant against the same product
     times the squared seed (cross-multiplied, so that s = r and lattice zeros
-    are not spurious degeneracies).
+    are not spurious degeneracies).  The block, the determinant and the
+    seed's gamma part (:func:`spectra.seed_gamma_args`) are the library's
+    integer kernels; ``det_fn`` replaces the determinant.
     """
     reports: List[CheckReport] = []
-    default_det = det_fn is spectra.mult2_det
     for params in iter_bundles(grid):
-        s = params.s
+        b = blocks.doubled(params)
+        s2 = b.s2
+        dp, dq = params.p - 2, params.q - 2
+        det = _gamma_pair(True, det_fn, params)
         exists = _exists_set(params, Family.MIXED, grid.j_max)
         for jp, j in iter_levels(grid):
             if (jp, j) not in exists:
                 continue
-            pt = spectra.spectral_point(params, jp, j)
-            sum_l, diff_l = pt.Jp + pt.J, pt.Jp - pt.J
+            jp2, j2 = 2 * jp + dp, 2 * j + dq
+            plus, minus = jp2 + j2, jp2 - j2
             for r in grid.r_values:
                 point = _point_dict(params, jp, j, r)
+                r2 = 2 * r
                 try:
-                    block = blocks.intertwinor_block(params, pt, Fraction(r), 1)
+                    (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
                 except DegenerateNormalizationError as err:
                     reports.append(CheckReport("det", point, SKIP, lhs=str(err)))
                     continue
-                num = (sum_l - r) * (diff_l + r) * (s - r)
-                den = (sum_l + r) * (diff_l - r) * (s + r)
-                if block.det * den != num:
+                # the transition product, each side 8 times (J'+-J+-r)(J'-+J-+r)(s-+r)
+                num = (plus - r2) * (minus + r2) * (s2 - r2)
+                lhs = (e11 * e22 - e12 * e21) * (plus + r2) * (minus - r2) * (s2 + r2)
+                if lhs != num * den * den:
                     reports.append(CheckReport("det", point, FAIL,
-                                               lhs=format_fraction(block.det * den),
-                                               rhs=format_fraction(num)))
+                                               lhs=_ratio_text(lhs, 8 * den * den),
+                                               rhs=_ratio_text(num, 8)))
                     continue
-                gamma_part = (gamma_ratio(sum_l + 2, r) * gamma_ratio(diff_l, r)).value
-                lhs = det_fn(pt, r).value * (sum_l + r) * (diff_l - r)
-                rhs = gamma_part ** 2 * (sum_l - r) * (diff_l + r)
-                if lhs != rhs:
+                det_n, det_d = det(jp, j, r)
+                seed_n, seed_d = arithmetic.gamma_product(spectra.seed_gamma_args(jp2, j2), r)
+                lhs = det_n * (plus + r2) * (minus - r2)
+                rhs = seed_n * seed_n * (plus - r2) * (minus + r2)
+                if lhs * seed_d * seed_d != rhs * det_d:
                     point["identity"] = "det-gamma"
                     reports.append(CheckReport("det", point, FAIL,
-                                               lhs=format_fraction(lhs),
-                                               rhs=format_fraction(rhs)))
+                                               lhs=_ratio_text(lhs, 4 * det_d),
+                                               rhs=_ratio_text(rhs, 4 * seed_d * seed_d)))
                     continue
                 reports.append(CheckReport("det", point, PASS))
     return reports
@@ -376,63 +444,105 @@ def run_det_checks(
 
 # -- even-order operator suite -------------------------------------------------------
 
+def _same_ratio(seen: dict, key, num: int, den: int):
+    """Record num/den as the ratio under ``key``, or a witness pair if it differs."""
+    seen_num, seen_den = seen.setdefault(key, (num, den))
+    if num * seen_den != seen_num * den:
+        return _ratio_text(num, den), _ratio_text(seen_num, seen_den)
+    return None
+
+
 def run_even_order_checks(
     grid: GridSpec,
-    eigenvalue_fn: Callable = blocks.even_order_eigenvalue,
+    eigenvalue_fn: Optional[Callable] = None,
 ) -> List[CheckReport]:
     """Even-order operator consistency over the grid.
 
     Checks, per point: the r = 1 operator reproduces the second-order one
     exactly (values and block entries); the two multiplicity-one families
-    differ exactly by (s+r)/(s-r); the block determinant is one fixed multiple
-    of the gamma-quotient determinant across all levels (proportionality,
-    per bundle and r); and the exact leading-symbol identity holds.
+    differ exactly by (s+r)/(s-r); each multiplicity-one eigenvalue is one
+    fixed multiple of the gamma-quotient eigenvalue across all levels, and
+    vanishes where it does (eigenvalue proportionality, per bundle, family
+    and r); the block determinant is one fixed multiple of the
+    gamma-quotient determinant across all levels (det proportionality, per
+    bundle and r).  Per bundle and r, the top-degree parts of the operator
+    and symbol polynomials agree exactly (leading symbol).  Every value is
+    an integer pair from the library's kernels; ``eigenvalue_fn`` replaces
+    the multiplicity-one eigenvalue through the same pairs.
     """
     reports: List[CheckReport] = []
+    orders = tuple(r for r in grid.r_values if r >= 1)  # operators start at order 2
     for params in iter_bundles(grid):
-        s = params.s
+        b = blocks.doubled(params)
+        s2 = b.s2
+        dp, dq = params.p - 2, params.q - 2
+        if eigenvalue_fn is None:
+            def value(family, jp, j, r):
+                return blocks.even_order_pair(family, b, jp, j, r)
+        else:
+            def value(family, jp, j, r):
+                v = Fraction(eigenvalue_fn(family, params,
+                                           spectra.spectral_point(params, jp, j), r))
+                return v.numerator, v.denominator
         ex_m = _exists_set(params, Family.MIXED, grid.j_max)
         ex_co = _exists_set(params, Family.COEXACT, grid.j_max)
         ex_ex = _exists_set(params, Family.EXACT, grid.j_max)
-        orders = tuple(r for r in grid.r_values if r >= 1)  # operators start at order 2
-        ratio_seen: Dict[int, Fraction] = {}
+        det_seen: Dict[int, Tuple[int, int]] = {}
+        eig_seen: Dict[Tuple[str, int], Tuple[int, int]] = {}
         for jp, j in iter_levels(grid):
             here_m, here_co, here_ex = ((jp, j) in ex_m, (jp, j) in ex_co, (jp, j) in ex_ex)
             if not (here_m or here_co or here_ex):
                 continue
-            pt = spectra.spectral_point(params, jp, j)
+            jp2, j2 = 2 * jp + dp, 2 * j + dq
             for r in orders:
                 point = _point_dict(params, jp, j, r)
+                r2 = 2 * r
                 bad = None
-                ev_co = eigenvalue_fn(Family.COEXACT, params, pt, r) if here_co else None
-                ev_ex = eigenvalue_fn(Family.EXACT, params, pt, r) if here_ex else None
-                if r == 1 and here_co:
-                    want = blocks.order2_eigenvalue(Family.COEXACT, params, pt)
-                    if ev_co != want:
-                        bad = ("order2-coexact", format_fraction(ev_co), format_fraction(want))
-                if bad is None and r == 1 and here_ex:
-                    want = blocks.order2_eigenvalue(Family.EXACT, params, pt)
-                    if ev_ex != want:
-                        bad = ("order2-exact", format_fraction(ev_ex), format_fraction(want))
-                if bad is None and here_co and here_ex:
-                    if ev_co * (s - r) != ev_ex * (s + r):
-                        bad = ("family-ratio", format_fraction(ev_co * (s - r)),
-                               format_fraction(ev_ex * (s + r)))
+                evs = [(family, value(family, jp, j, r))
+                       for family, here in ((Family.COEXACT, here_co), (Family.EXACT, here_ex))
+                       if here]
+                if r == 1:
+                    for family, (ev_n, ev_d) in evs:
+                        want_n, want_d = blocks.order2_pair(family, b, jp2, j2)
+                        if ev_n * want_d != want_n * ev_d:
+                            bad = ("order2-" + family.value, _ratio_text(ev_n, ev_d),
+                                   _ratio_text(want_n, want_d))
+                            break
+                if bad is None and len(evs) == 2:
+                    (_, (co_n, co_d)), (_, (ex_n, ex_d)) = evs
+                    lhs, rhs = co_n * (s2 - r2), ex_n * (s2 + r2)
+                    if lhs * ex_d != rhs * co_d:
+                        bad = ("family-ratio", _ratio_text(lhs, 2 * co_d),
+                               _ratio_text(rhs, 2 * ex_d))
+                if bad is None and evs:
+                    g_n, g_d = arithmetic.gamma_product(spectra.gamma_args(False, jp2, j2), r)
+                    for family, (ev_n, ev_d) in evs:
+                        if g_n == 0:
+                            witness = (_ratio_text(ev_n, ev_d), "0") if ev_n else None
+                        else:
+                            witness = _same_ratio(eig_seen, (family.value, r),
+                                                  ev_n * g_d, ev_d * g_n)
+                        if witness:
+                            bad = ("eigenvalue-proportionality",) + witness
+                            break
                 if bad is None and here_m:
-                    block = blocks.even_order_block(params, pt, r)
-                    if r == 1 and block != blocks.order2_block(params, pt):
-                        bad = ("order2-block", repr(block),
-                               repr(blocks.order2_block(params, pt)))
-                    else:
-                        det_gamma = spectra.mult2_det(pt, r).value
-                        if det_gamma != 0:
-                            ratio = block.det / det_gamma
-                            seen = ratio_seen.get(r)
-                            if seen is None:
-                                ratio_seen[r] = ratio
-                            elif ratio != seen:
-                                bad = ("det-proportionality", format_fraction(ratio),
-                                       format_fraction(seen))
+                    entries, den = blocks.even_block_pair(b, jp, j, r)
+                    if r == 1:
+                        order2, den2 = blocks.core_pair(b, jp2, j2, 2)
+                        if any(e * den2 != o * den for e, o in zip(entries, order2)):
+                            pt = spectra.spectral_point(params, jp, j)
+                            bad = ("order2-block",
+                                   repr(blocks.even_order_block(params, pt, r)),
+                                   repr(blocks.order2_block(params, pt)))
+                    if bad is None:
+                        det_n, det_d = arithmetic.gamma_product(
+                            spectra.gamma_args(True, jp2, j2), r)
+                        if det_n != 0:
+                            e11, e12, e21, e22 = entries
+                            witness = _same_ratio(det_seen, r, (e11 * e22 - e12 * e21) * det_d,
+                                                  den * den * det_n)
+                            if witness:
+                                bad = ("det-proportionality",) + witness
                 if bad is None:
                     reports.append(CheckReport("even-order", point, PASS))
                 else:
@@ -443,12 +553,14 @@ def run_even_order_checks(
             for family in (Family.COEXACT, Family.EXACT):
                 point = _point_dict(params, -1, -1, r, {"family": family.value,
                                                         "identity": "leading-symbol"})
-                p_op, p_sym = blocks.leading_symbol_polynomials(family, params, r)
-                signed = p_sym * Fraction((-1) ** r)
-                ok, _ = blocks.proportional(p_op.top_part(), signed.top_part())
-                reports.append(CheckReport("even-order", point, PASS if ok else FAIL,
-                                           lhs=None if ok else repr(p_op.top_part()),
-                                           rhs=None if ok else repr(signed.top_part())))
+                p_op, p_sym = blocks.symbol_polynomials(family, b, r)
+                if p_op.top_part() == p_sym.top_part():
+                    reports.append(CheckReport("even-order", point, PASS))
+                else:
+                    p_op, p_sym = blocks.leading_symbol_polynomials(family, params, r)
+                    reports.append(CheckReport("even-order", point, FAIL,
+                                               lhs=repr(p_op.top_part()),
+                                               rhs=repr(p_sym.top_part())))
     return reports
 
 

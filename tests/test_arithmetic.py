@@ -218,7 +218,10 @@ def test_is_integral():
 def test_sqrt_exact():
     assert sqrt_exact(Fraction(9, 16)) == Fraction(3, 4)
     assert sqrt_exact(0) == 0
+    assert sqrt_exact(49) == 7 and isinstance(sqrt_exact(49), int)
     with pytest.raises(ValueError):
         sqrt_exact(Fraction(2))
+    with pytest.raises(ValueError):
+        sqrt_exact(48)
     with pytest.raises(ValueError):
         sqrt_exact(Fraction(-1))

@@ -12,9 +12,9 @@ from intertwinor.blocks import (
     core_block,
     even_order_block,
     even_order_eigenvalue,
-    even_order_mixed_prefactor,
-    even_order_product,
-    factor_values,
+    doubled,
+    even_product,
+    factor_roots,
     interface_constants,
     interface_shifts,
     intertwinor_block,
@@ -23,7 +23,6 @@ from intertwinor.blocks import (
     order2_block,
     order2_eigenvalue,
     projection_constants,
-    proportional,
 )
 from intertwinor.spectra import (
     BundleParams,
@@ -119,7 +118,7 @@ class TestBlockEntries:
         pt = spectral_point(PARAMS, 2, 3)
         one = intertwinor_block(PARAMS, pt, 1, 1)
         five = intertwinor_block(PARAMS, pt, 1, 5)
-        assert five == one.scaled(5)
+        assert five == TwoByTwo(5 * one.e11, 5 * one.e12, 5 * one.e21, 5 * one.e22)
 
     def test_det_factorization(self):
         s = PARAMS.s
@@ -242,13 +241,13 @@ class TestEvenOrder:
     def test_order_four_product_value(self):
         # (s + r) times the odd-offset product at (5/2, 1/2): 4 * (4*2*3*1)
         pt = SpectralPoint(Fraction(5, 2), Fraction(1, 2))
-        assert (PARAMS.s + 2) * even_order_product(pt, 2) == 96
+        assert (PARAMS.s + 2) * Fraction(even_product(2 * pt.Jp, 2 * pt.J, 2), 4 ** 2) == 96
 
     def test_odd_orders_vanish_on_diagonal(self):
         pt = SpectralPoint(Fraction(7, 2), Fraction(7, 2))
         for r in (1, 3):
-            assert even_order_product(pt, r) == 0
-        assert even_order_product(pt, 2) != 0
+            assert even_product(2 * pt.Jp, 2 * pt.J, r) == 0
+        assert even_product(2 * pt.Jp, 2 * pt.J, 2) != 0
 
     def test_family_ratio(self):
         s = PARAMS.s
@@ -275,13 +274,15 @@ class TestEvenOrder:
                 if not ktype_exists(PARAMS, KTypeLabel(family, jp, j)):
                     continue
                 pt = spectral_point(PARAMS, jp, j)
-                assert factor_values(family, PARAMS, jp, j) == (pt.Jp, pt.J)
+                assert factor_roots(family, doubled(PARAMS), jp, j) == (2 * pt.Jp, 2 * pt.J)
 
     def test_block_prefactor_structure(self):
         pt = spectral_point(PARAMS, 2, 3)
         for r in (2, 3, 4):
-            pref = even_order_mixed_prefactor(pt, r)
-            assert even_order_block(PARAMS, pt, r) == core_block(PARAMS, pt, r).scaled(pref)
+            pref = Fraction(even_product(2 * pt.Jp, 2 * pt.J, r - 1), 4 ** (r - 1))
+            core = core_block(PARAMS, pt, r)
+            assert even_order_block(PARAMS, pt, r) == TwoByTwo(
+                pref * core.e11, pref * core.e12, pref * core.e21, pref * core.e22)
 
     def test_requires_positive_integer_order(self):
         pt = spectral_point(PARAMS, 1, 1)
@@ -310,15 +311,6 @@ class TestBivariatePoly:
         assert p.top_part() == x * x
         del y
 
-    def test_proportional(self):
-        x, y = BivariatePoly.var1(), BivariatePoly.var2()
-        ok, c = proportional(2 * (x * y), x * y)
-        assert ok and c == 2
-        ok, _ = proportional(x * y, x * x)
-        assert not ok
-        ok, c = proportional(BivariatePoly(), BivariatePoly())
-        assert ok
-
 
 class TestLeadingSymbol:
     def test_order_one_coexact(self):
@@ -327,8 +319,7 @@ class TestLeadingSymbol:
         s = PARAMS.s
         want_top = (y * y - x * x) * (s + 1)
         assert p_op.top_part() == want_top
-        ok, c = proportional(p_op.top_part(), (p_sym * Fraction(-1)).top_part())
-        assert ok and c == -1
+        assert p_sym.top_part() == want_top
 
     def test_degree_counts(self):
         for r in (1, 2, 3, 4):
@@ -348,6 +339,4 @@ class TestLeadingSymbol:
         for family in (Family.COEXACT, Family.EXACT):
             for r in (1, 2, 3, 4):
                 p_op, p_sym = leading_symbol_polynomials(family, PARAMS, r)
-                signed = p_sym * Fraction((-1) ** r)
-                ok, _ = proportional(p_op.top_part(), signed.top_part())
-                assert ok
+                assert p_op.top_part() == p_sym.top_part()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -180,6 +181,16 @@ class TestVerify:
         for name in ("diamond", "interface", "det", "even-order", "scalar"):
             assert f"{name}:" in result.output
 
+    def test_report_bytes_are_pinned(self, runner, tmp_path):
+        # sha256 of the report written by the Fraction-based suites before the
+        # integer kernels; the report must not change by one byte
+        report = tmp_path / "report.jsonl"
+        run_ok(runner, ["verify", "--suite", "all", "--p-max", "4", "--q-max", "4",
+                        "--j-max", "3", "--r-max", "3", "-o", str(report)])
+        data = report.read_bytes()
+        assert data.count(b"\n") == 4974
+        assert hashlib.sha256(data).hexdigest() == \
+            "4c9b802c8f7e619520da5e80ffabe4d6fc2c765322e5eacc3fac394235440cb4"
 
     @pytest.mark.parametrize("bad", [["--r-max", "0"], ["--j-max", "-1"], ["--p-max", "1"]])
     def test_bad_ranges_fail_cleanly(self, runner, tmp_path, bad):

@@ -33,6 +33,10 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(r_values=())
 
+    def test_rejects_negative_orders(self):
+        with pytest.raises(ValueError, match="r=-1"):
+            GridSpec(p_max=3, q_max=3, j_max=3, r_values=(2, -1))
+
     def test_bundle_iteration_respects_caps(self):
         for params in iter_bundles(SMALL):
             assert 2 <= params.p <= 4 and 2 <= params.q <= 4
@@ -190,6 +194,41 @@ class TestLibraryEdits:
         monkeypatch.setattr(arithmetic, "gamma_product", skewed)
         assert failures(run_diamond_checks(TINY))
 
+    def test_edited_even_order_product_is_flagged(self, monkeypatch):
+        real = blocks.even_product
+
+        def skewed(v1, v2, r):
+            return real(v1, v2, r) + 1  # one unit off at every order
+
+        assert not failures(run_even_order_checks(TINY))
+        monkeypatch.setattr(blocks, "even_product", skewed)
+        bad = failures(run_even_order_checks(TINY))
+        assert bad and all(rep.lhs and rep.rhs for rep in bad)
+
+    def test_edited_entry_sums_are_flagged(self, monkeypatch):
+        real = blocks.entry_sums
+
+        def skewed(b, lap1, lap2, r2):
+            e11, e22 = real(b, lap1, lap2, r2)
+            return e11 + 1, e22
+
+        assert not failures(run_interface_checks(TINY))
+        assert not failures(run_det_checks(TINY))
+        monkeypatch.setattr(blocks, "entry_sums", skewed)
+        bad = failures(run_interface_checks(TINY))
+        assert bad and all(rep.point.get("equation") for rep in bad)
+        assert failures(run_det_checks(TINY))
+
+    def test_edited_factor_root_is_flagged(self, monkeypatch):
+        real = blocks.sqrt_exact
+
+        def skewed(x):
+            return real(x) + 2  # each factor value one unit too large
+
+        assert not failures(run_even_order_checks(TINY))
+        monkeypatch.setattr(blocks, "sqrt_exact", skewed)
+        assert failures(run_even_order_checks(TINY))
+
     def test_public_functions_match_the_default_gate(self):
         # an injected copy of each public function gives the default reports
         default = [rep.to_json() for rep in run_diamond_checks(TINY)]
@@ -200,6 +239,17 @@ class TestLibraryEdits:
             mult1_eig_fn=lambda *args: spectra.mult1_eigenvalue(*args),
             mult2_det_fn=lambda *args: spectra.mult2_det(*args))
         assert [rep.to_json() for rep in injected] == default
+
+    def test_public_blocks_match_the_default_gates(self):
+        # the public Fraction wrappers, injected, give the default reports
+        for suite, kwargs in (
+                (run_interface_checks,
+                 {"entries_fn": lambda *args: blocks.intertwinor_block(*args)}),
+                (run_det_checks, {"det_fn": lambda *args: spectra.mult2_det(*args)}),
+                (run_even_order_checks,
+                 {"eigenvalue_fn": lambda *args: blocks.even_order_eigenvalue(*args)})):
+            default = [rep.to_json() for rep in suite(SMALL)]
+            assert [rep.to_json() for rep in suite(SMALL, **kwargs)] == default
 
 
 class TestScalarReduction:
