@@ -15,25 +15,30 @@ consistently by the assembler:
     contraction:        iota(dtau) dtau = -1,  iota(drho) drho = +1
     auxiliary Bochner:  N = -(d/dtau)^2 - (d/drho)^2 componentwise (round metric)
 
-Operators that shift modes drop contributions outside the truncation; the
-residual is therefore evaluated on interior modes with a margin of two, where
-no truncation error can enter.
+``assemble`` builds each operator as exact sparse columns over the truncated
+basis, and ``OperatorMatrix`` composes them.  The intertwining check does
+not: every operator in A (C - r phi) = (C + r phi) A, with
+C = [N, phi]/2 - P, is local.  N and A act inside one mode, through the
+per-mode block ``_mode_block`` that ``spectral_operator`` also fills its
+columns from, while phi and P move a mode by one of the four shifts
+(+-1, +-1).  The residual on an interior mode x is therefore four small
+matrix identities, one per shift s, with C_s composed from the same shift
+tables ``assemble`` reads.  Exact mode compares cross-multiplied integers;
+float mode runs the same loop on floats.  Only modes with x + s inside the
+interior cut (margin two by default) are compared, so no truncated
+contribution enters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import truediv
+from typing import Dict, Iterator, Optional, Tuple
 
-import numpy as np
-
-from .arithmetic import (
-    gamma_ratio,
-    gamma_ratio_numeric,
-    is_integral,
-)
-from .spectra import SpectralPoint, mult1_eigenvalue
+from .arithmetic import gamma_product, gamma_ratio_numeric, is_integral
+from .spectra import gamma_args, seed_gamma_args
 
 Mode = Tuple[int, int, str]
 Column = Dict[Mode, object]
@@ -153,8 +158,8 @@ class OperatorMatrix:
     """An operator between truncated bases, stored by exact columns.
 
     Columns are indexed by domain basis keys; values live in the Gaussian
-    rationals (or plain Fractions for real operators).  ``dense`` materializes
-    the full complex matrix; composition and arithmetic stay exact.
+    rationals (or plain Fractions for real operators), and composition and
+    arithmetic stay exact.
     """
 
     def __init__(self, name: str, domain: TorusBasis, codomain: TorusBasis,
@@ -212,21 +217,6 @@ class OperatorMatrix:
                 for key, col in self.columns.items()}
         return OperatorMatrix(name or f"{c}*{self.name}", self.domain, self.codomain, cols)
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.codomain.dim, self.domain.dim), dtype=complex)
-        for key, col in self.columns.items():
-            ci = self.domain.index(key)
-            for row, val in col.items():
-                out[self.codomain.index(row), ci] = complex(val) \
-                    if isinstance(val, ExactComplex) else complex(float(val), 0.0)
-        return out
-
-    def float_columns(self) -> Dict[Mode, Dict[Mode, complex]]:
-        return {key: {row: (complex(val) if isinstance(val, ExactComplex)
-                            else complex(float(val), 0.0))
-                      for row, val in col.items()}
-                for key, col in self.columns.items()}
-
 
 # -- assembly -----------------------------------------------------------------------
 
@@ -281,6 +271,11 @@ _NABLA_T_TERMS = [
 ]
 
 
+def _bochner(m: int, n: int) -> int:
+    """The eigenvalue of N on the mode (m, n), the same on every component."""
+    return m * m + n * n
+
+
 def assemble(name: str, basis: TorusBasis) -> OperatorMatrix:
     """Assemble a named operator over the truncated basis, exactly.
 
@@ -293,7 +288,7 @@ def assemble(name: str, basis: TorusBasis) -> OperatorMatrix:
     if name == "phi-mult":
         return OperatorMatrix(name, basis, basis, _shift_columns(basis, basis, _PHI_TERMS))
     if name == "N":
-        cols = {key: {key: Fraction(key[0] ** 2 + key[1] ** 2)} for key in basis.keys()}
+        cols = {key: {key: Fraction(_bochner(key[0], key[1]))} for key in basis.keys()}
         return OperatorMatrix(name, basis, basis, cols)
     if name == "nabla_T":
         return OperatorMatrix(name, basis, basis, _shift_columns(basis, basis, _NABLA_T_TERMS))
@@ -386,17 +381,51 @@ def half_commutator_with_phi(basis: TorusBasis) -> OperatorMatrix:
 
 # -- the spectrally defined operator ----------------------------------------------------
 
-def _seed_t_exact(jp: int, jn: int, r: int) -> Fraction:
-    """The block normalization -seed/((J'+J+r)(J'-J-r)(s+r)) at p=q=2, k=1.
+def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
+    """The intertwinor of order 2r on the Fourier mode (m, n), as (entries, denominator).
 
-    The seed gamma quotient carries a factor (J'-J-r)/2 that cancels the
-    matching normalization factor, so the value is finite on every mode.
+    ``entries`` is the block in row-major order over the k-frame: 1x1 for
+    k = 0 and k = 2, the 2x2 mixed block in the (dtau, drho) frame for k = 1.
+    An int r gives int entries over one positive int denominator; a float r
+    gives floats over 1, where an integer-valued float takes the exact values.
+    r = 0 is the identity.  A pole on the mode raises :class:`PoleOnModeError`.
+
+    ``t`` is the gamma-quotient eigenvalue for k = 0, 2 and the scale of the
+    mixed block for k = 1.
     """
-    rest = Fraction(1, 2)
-    for i in range(1, r):
-        rest *= Fraction(jp - jn - r, 2) + i
-    head = gamma_ratio(jp + jn + 2, r).value
-    return -head * rest / ((jp + jn + r) * r)
+    if isinstance(r, float) and r.is_integer():
+        entries, den = _mode_block(k, m, n, int(r))
+        return tuple(e / den for e in entries), 1
+    if r == 0:
+        return ((1, 0, 0, 1) if k == 1 else (1,)), 1
+    jp, jn = abs(m), abs(n)
+    args = seed_gamma_args(2 * jp, 2 * jn) if k == 1 else gamma_args(False, 2 * jp, 2 * jn)
+    if isinstance(r, int):
+        if k == 1:
+            # t = -seed / ((J'+J+r)(J'-J-r) r), and the seed's quotient at J'-J
+            # is (J'-J-r)/2 times the order-(r-1) quotient at J'-J+1
+            n1, d1 = gamma_product(args[:1], r)
+            n2, d2 = gamma_product((args[1] + 2,), r - 1)
+            t, den = -n1 * n2, 2 * r * (jp + jn + r) * d1 * d2
+        else:
+            t, den = gamma_product(args, r)
+        if den == 0:
+            raise PoleOnModeError((m, n, _COMPONENTS[k][0]))
+        if den < 0:
+            t, den = -t, -den
+    else:
+        g1, g2 = (gamma_ratio_numeric(x2 / 2, r) for x2 in args)
+        if g1.is_pole or g2.is_pole:
+            raise PoleOnModeError((m, n, _COMPONENTS[k][0]))
+        t, den = g1.value * g2.value, 1
+        if k == 1:
+            t = -t / ((jp + jn + r) * (jp - jn - r) * r)
+    if k != 1:
+        return (t,), den
+    lap1, lap2 = -m * m, n * n
+    e11 = r * (lap1 - lap2 + r * r)
+    off = 2 * r * t * m * n
+    return (t * -e11, -off, off, t * e11), den
 
 
 def spectral_operator(basis: TorusBasis, r, normalization: str = "gamma") -> OperatorMatrix:
@@ -408,60 +437,28 @@ def spectral_operator(basis: TorusBasis, r, normalization: str = "gamma") -> Ope
     modes.  The only implemented normalization ('gamma') drops the family
     radical, a single overall scale, so that all entries are rational for
     integer r.  r = 0 gives the identity.  Floating r uses the log-gamma
-    path and reports poles on retained modes.
+    path.  A pole on a retained mode raises :class:`PoleOnModeError`.
     """
     if normalization != "gamma":
         raise ValueError(f"unknown normalization {normalization!r}")
     if isinstance(r, float) and r.is_integer():
         r = int(r)  # integer orders always take the exact path
     exact = is_integral(r)
-    if (exact and int(r) == 0) or (isinstance(r, float) and r == 0.0):
-        cols = {key: {key: Fraction(1)} for key in basis.keys()}
-        return OperatorMatrix("A[r=0]", basis, basis, cols)
-    k = basis.k
+    order = int(r) if exact else float(r)
+    comps = basis.components
     cols: Dict[Mode, Column] = {}
-    if k in (0, 2):
-        comp = basis.components[0]
-        for m in range(-basis.M, basis.M + 1):
-            for n in range(-basis.M, basis.M + 1):
-                jp, jn = abs(m), abs(n)
-                if exact:
-                    val = mult1_eigenvalue(SpectralPoint(jp, jn), int(r)).value
-                else:
-                    g1 = gamma_ratio_numeric(jp + jn + 1, float(r))
-                    g2 = gamma_ratio_numeric(jp - jn + 1, float(r))
-                    if g1.is_pole or g2.is_pole:
-                        raise PoleOnModeError((m, n, comp))
-                    val = g1.value * g2.value
-                cols[(m, n, comp)] = {(m, n, comp): val} if val else {}
-        return OperatorMatrix(f"A[k={k},r={r}]", basis, basis, cols)
     for m in range(-basis.M, basis.M + 1):
         for n in range(-basis.M, basis.M + 1):
-            jp, jn = abs(m), abs(n)
-            lap1, lap2 = -m * m, n * n
-            if exact:
-                ri = int(r)
-                t = _seed_t_exact(jp, jn, ri)
-                e11 = ri * (lap1 - lap2 + ri * ri)
-                off = 2 * ri * t * m * n
-            else:
-                rf = float(r)
-                g1 = gamma_ratio_numeric(jp + jn + 2, rf)
-                g2 = gamma_ratio_numeric(jp - jn, rf)
-                if g1.is_pole or g2.is_pole:
-                    raise PoleOnModeError((m, n, "dt"))
-                t = -g1.value * g2.value / ((jp + jn + rf) * (jp - jn - rf) * rf)
-                e11 = rf * (lap1 - lap2 + rf * rf)
-                off = 2 * rf * t * m * n
-            e22 = -e11
-            col_t: Column = {(m, n, "dt"): t * e22}
-            col_r: Column = {(m, n, "dr"): t * e11}
-            if off:
-                col_t[(m, n, "dr")] = off
-                col_r[(m, n, "dt")] = -off
-            cols[(m, n, "dt")] = {kk: vv for kk, vv in col_t.items() if vv}
-            cols[(m, n, "dr")] = {kk: vv for kk, vv in col_r.items() if vv}
-    return OperatorMatrix(f"A[k=1,r={r}]", basis, basis, cols)
+            entries, den = _mode_block(basis.k, m, n, order)
+            for j, col_comp in enumerate(comps):
+                col: Column = {}
+                for i, row_comp in enumerate(comps):
+                    val = entries[i * len(comps) + j]
+                    if val:
+                        col[(m, n, row_comp)] = Fraction(val, den) if exact else val
+                cols[(m, n, col_comp)] = col
+    name = "A[r=0]" if order == 0 else f"A[k={basis.k},r={r}]"
+    return OperatorMatrix(name, basis, basis, cols)
 
 
 # -- residual of the intertwining relation ----------------------------------------------
@@ -483,9 +480,18 @@ class ResidualResult:
         return self.mode == "exact" and self.residual == 0.0
 
 
-def _interior(basis: TorusBasis, margin: int) -> List[Mode]:
-    cut = basis.M - margin
-    return [key for key in basis.keys() if abs(key[0]) <= cut and abs(key[1]) <= cut]
+def _scaled_shifts(k: int):
+    """The shift tables of [N, phi]/2, phi and -P over one common denominator.
+
+    Returns (scale, rows): each row is (dm, dn, half, phi, off), where
+    scale * [N, phi]/2 sends mode x to x + (dm, dn) with weight
+    half * (N(x + (dm, dn)) - N(x)), scale * phi with weight phi, and
+    scale * (-P) with weight off into the swapped component.
+    """
+    p_terms = {(dm, dn): coeff for dm, dn, coeff in _SIN_T_SIN_R} if k == 1 else {}
+    rows = [(dm, dn, phi / 2, phi, -p_terms.get((dm, dn), 0)) for dm, dn, phi in _PHI_TERMS]
+    scale = math.lcm(*(Fraction(v).denominator for row in rows for v in row[2:]))
+    return scale, [row[:2] + tuple(int(scale * v) for v in row[2:]) for row in rows]
 
 
 def intertwining_residual(M: int, k: int, r, mode: str = "exact",
@@ -493,61 +499,51 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact",
     """Max-norm of (A (C - r phi) - (C + r phi) A) e over interior basis vectors e,
     where C = [N, phi]/2 - P, projected back onto the interior modes.
 
-    With margin >= 2 neither side loses truncated contributions on interior
-    columns, so in exact mode the residual of a correct spectral assignment
-    is exactly zero.
+    Every operator is local, so the check runs per interior mode x and shift
+    s with x + s interior: A(x+s) (C_s - r phi_s) = (C_s + r phi_s) A(x) on
+    the mode blocks.  Exact mode compares integers cross-multiplied by the
+    block denominators and the common denominator of C and phi; float mode
+    runs the same loop on floats.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     if mode == "exact" and not is_integral(r):
         raise ValueError(f"exact mode needs integer r, got {r!r}")
     basis = TorusBasis(M, k)
-    half_comm = half_commutator_with_phi(basis)
-    p_op = assemble("P", basis)
-    phi = assemble("phi-mult", basis)
-    core = half_comm - p_op
-    a_op = spectral_operator(basis, r if mode == "exact" else float(r))
-
-    if mode == "float":
-        core_cols = core.float_columns()
-        phi_cols = phi.float_columns()
-        a_cols = a_op.float_columns()
-        r_val = float(r)
-        zero = 0.0
-    else:
-        core_cols = core.columns
-        phi_cols = phi.columns
-        a_cols = a_op.columns
-        r_val = Fraction(int(r))
-        zero = Fraction(0)
-
-    def apply_cols(cols, vec):
-        out = {}
-        for key, val in vec.items():
-            for row, coef in cols.get(key, {}).items():
-                out[row] = out.get(row, zero) + coef * val
-        return out
-
-    interior = _interior(basis, margin)
-    cut = basis.M - margin
-    worst = zero
-    for key in interior:
-        e = {key: Fraction(1) if mode == "exact" else 1.0 + 0.0j}
-        minus = {}
-        for row, val in core_cols.get(key, {}).items():
-            minus[row] = minus.get(row, zero) + val
-        for row, val in phi_cols.get(key, {}).items():
-            minus[row] = minus.get(row, zero) - r_val * val
-        lhs = apply_cols(a_cols, minus)
-        a_e = apply_cols(a_cols, e)
-        rhs = apply_cols(core_cols, a_e)
-        for row, val in apply_cols(phi_cols, a_e).items():
-            rhs[row] = rhs.get(row, zero) + r_val * val
-        for row in set(lhs) | set(rhs):
-            if abs(row[0]) > cut or abs(row[1]) > cut:
-                continue
-            mag = abs(lhs.get(row, zero) - rhs.get(row, zero))
-            if mag > worst:
-                worst = mag
+    exact = mode == "exact"
+    order = int(r) if exact else float(r)
+    span = range(-M, M + 1)
+    # every retained mode, in spectral_operator's order, so a pole raises as there
+    blocks = {(m, n): _mode_block(k, m, n, order) for m in span for n in span}
+    scale, shifts = _scaled_shifts(k)
+    cut = M - max(margin, 0)
+    inner = range(-cut, cut + 1)
+    cells = range(len(basis.components) ** 2)
+    ratio = Fraction if exact else truediv
+    # lhs applies A(x+s) to C - r phi formed first; rhs adds r phi A(x) to
+    # C A(x) last.  The scale is a power of two and changes no rounding, so
+    # float mode gives the unscaled products bit for bit.
+    worst = 0
+    for m in inner:
+        for n in inner:
+            ax, dx = blocks[m, n]
+            nx = _bochner(m, n)
+            for dm, dn, half, phi, off in shifts:
+                mm, nn = m + dm, n + dn
+                if abs(mm) > cut or abs(nn) > cut:
+                    continue
+                ay, dy = blocks[mm, nn]
+                diag = half * (_bochner(mm, nn) - nx)
+                minus = diag - order * phi
+                for e in cells:
+                    # cell e = (i, j) of the 2x2 block: e ^ 1 is (i, 1-j), e ^ 2 is (1-i, j)
+                    lhs = ay[e] * minus
+                    rhs = diag * ax[e]
+                    if off:
+                        lhs += ay[e ^ 1] * off
+                        rhs += off * ax[e ^ 2]
+                    diff = lhs * dx - (rhs + order * (phi * ax[e])) * dy
+                    if diff:
+                        worst = max(worst, abs(ratio(diff, scale * dx * dy)))
     return ResidualResult(k=k, r=r, M=M, mode=mode, residual=float(worst),
-                          columns=len(interior), margin=margin)
+                          columns=len(inner) ** 2 * len(basis.components), margin=margin)

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import intertwinor
 from intertwinor.cli import main
 
 
@@ -222,6 +227,14 @@ class TestTorus:
         result = runner.invoke(main, ["torus", "--k", "0", "--r", "0.5", "--m", "6"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("k", ["0", "1", "2"])
+    def test_pole_fails_cleanly(self, runner, k):
+        result = runner.invoke(main, ["torus", "--k", k, "--r", "-1", "--M", "4"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ") and "pole" in result.output
+        assert "Traceback" not in result.output
+
     def test_no_columns_fails(self, runner):
         result = runner.invoke(main, ["torus", "--k", "1", "--r", "2", "--M", "1"])
         assert result.exit_code == 1
@@ -243,3 +256,13 @@ class TestTorus:
         result = runner.invoke(main, ["torus", "--k", "0", "--r", "1", "--M", "6"])
         assert result.exit_code == 1
         assert json.loads(result.output)["status"] == "fail"
+
+
+def test_cli_import_leaves_numpy_out():
+    src_dir = str(Path(intertwinor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, intertwinor.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

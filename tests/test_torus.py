@@ -1,8 +1,8 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from intertwinor import torus
 from intertwinor.blocks import intertwinor_block, order2_block
 from intertwinor.spectra import BundleParams, SpectralPoint
 from intertwinor.torus import (
@@ -19,6 +19,23 @@ from intertwinor.torus import (
 
 def operator_is_zero(op: OperatorMatrix) -> bool:
     return all(not val for col in op.columns.values() for val in col.values())
+
+
+def reference_residual(M, k, r, margin):
+    """Max-norm of A (C - r phi) - (C + r phi) A on interior rows and columns,
+    with C = [N, phi]/2 - P, composed through the public operator algebra."""
+    basis = TorusBasis(M, k)
+    core = half_commutator_with_phi(basis) - assemble("P", basis)
+    r_phi = assemble("phi-mult", basis).scaled(r)
+    a_op = spectral_operator(basis, r)
+    diff = a_op.compose(core - r_phi) - (core + r_phi).compose(a_op)
+    cut = M - margin
+
+    def inside(key):
+        return abs(key[0]) <= cut and abs(key[1]) <= cut
+
+    return max((abs(val) for key, col in diff.columns.items() if inside(key)
+                for row, val in col.items() if inside(row)), default=0)
 
 
 class TestExactComplex:
@@ -118,13 +135,6 @@ class TestAssembly:
             lhs = assemble("L_T", basis) - assemble("nabla_T", basis)
             rhs = assemble("phi-mult", basis).scaled(k) - assemble("P", basis)
             assert operator_is_zero(lhs - rhs)
-
-    def test_dense_conversion(self):
-        basis = TorusBasis(2, 0)
-        dense = assemble("N", basis).dense()
-        assert dense.shape == (basis.dim, basis.dim)
-        assert np.allclose(dense, np.diag(np.diag(dense)))
-        assert dense[basis.index((1, 2, "1")), basis.index((1, 2, "1"))] == 5.0
 
 
 class TestSpectralOperator:
@@ -243,3 +253,50 @@ class TestIntertwiningResidual:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             intertwining_residual(6, 0, 1, mode="symbolic")
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_matches_operator_algebra(self, k, r):
+        for margin in (0, 1, 2, 3):
+            result = intertwining_residual(5, k, r, mode="exact", margin=margin)
+            assert result.residual == float(reference_residual(5, k, r, margin))
+
+    @pytest.mark.parametrize("k, r, want", [
+        (0, 1, Fraction(5, 12)), (0, 2, Fraction(1, 2)), (0, 3, Fraction(7, 12)),
+        (2, 1, Fraction(5, 12)), (2, 2, Fraction(1, 2)), (2, 3, Fraction(7, 12)),
+        (1, 1, Fraction(6)), (1, 2, Fraction(25, 2)), (1, 3, Fraction(18)),
+    ])
+    def test_perturbed_block_is_flagged(self, monkeypatch, k, r, want):
+        # add 1/3 to the eigenvalue, or 1 to the mixed block's scale t, at
+        # (|m|, |n|) = (2, 1); both the per-mode check and the operator
+        # algebra must see the same nonzero residual
+        block = torus._mode_block
+
+        def perturbed(k, m, n, r):
+            entries, den = block(k, m, n, r)
+            if (abs(m), abs(n)) != (2, 1):
+                return entries, den
+            if k != 1:
+                return (3 * entries[0] + den,), 3 * den
+            e11, off = r * (r * r - m * m - n * n), 2 * r * m * n
+            return tuple(e + den * s for e, s in zip(entries, (-e11, -off, off, e11))), den
+
+        monkeypatch.setattr(torus, "_mode_block", perturbed)
+        assert intertwining_residual(6, k, r, mode="exact").residual == float(want)
+        assert reference_residual(6, k, r, 2) == want
+
+    @pytest.mark.parametrize("M, k, r, want", [
+        (6, 0, 1.5, "3.1086244689504383e-15"),
+        (6, 1, 1.5, "8.881784197001252e-15"),
+        (6, 1, 2.5, "5.329070518200751e-15"),
+        (10, 0, 2.5, "1.5916157281026244e-12"),
+        (10, 1, 1.5, "5.115907697472721e-13"),
+        (10, 1, 2.5, "2.2737367544323206e-12"),
+    ])
+    def test_float_residual_pinned(self, M, k, r, want):
+        assert repr(intertwining_residual(M, k, r, mode="float").residual) == want
+
+    def test_larger_grid(self):
+        result = intertwining_residual(96, 1, 2, mode="exact")
+        assert result.exact_zero
+        assert result.columns == 2 * 189 ** 2
