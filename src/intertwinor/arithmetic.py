@@ -22,7 +22,7 @@ from typing import Tuple, Union
 Rational = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, float]
 
-#: default proximity radius around nonpositive integers treated as a gamma pole
+#: proximity radius around nonpositive integers treated as a gamma pole
 EPS_POLE = 1e-8
 
 
@@ -253,25 +253,25 @@ def _gamma_sign(v: float) -> int:
     return 1 if math.floor(v) % 2 == 0 else -1
 
 
-def _near_nonpositive_integer(v: float, eps: float) -> bool:
+def _near_nonpositive_integer(v: float) -> bool:
     n = round(v)
-    return n <= 0 and abs(v - n) < eps
+    return n <= 0 and abs(v - n) < EPS_POLE
 
 
-def gamma_ratio_numeric(x: float, r: float, eps_pole: float = EPS_POLE) -> ExtendedScalar:
+def gamma_ratio_numeric(x: float, r: float) -> ExtendedScalar:
     """G((x+r)/2) / G((x-r)/2) in floating point.
 
     Negative arguments are handled through log-gamma of the absolute value
     with the reflection sign tracked explicitly.  Arguments within
-    ``eps_pole`` of a nonpositive integer are treated as gamma poles: a pole
+    ``EPS_POLE`` of a nonpositive integer are treated as gamma poles: a pole
     in the numerator gives a pole result, one in the denominator gives 0.0,
     and one on both sides raises :class:`IndeterminateError` naming the
     offending arguments.
     """
     a = (float(x) + float(r)) / 2.0
     b = (float(x) - float(r)) / 2.0
-    a_pole = _near_nonpositive_integer(a, eps_pole)
-    b_pole = _near_nonpositive_integer(b, eps_pole)
+    a_pole = _near_nonpositive_integer(a)
+    b_pole = _near_nonpositive_integer(b)
     if a_pole and b_pole:
         raise IndeterminateError(
             f"both gamma arguments at poles: (x+r)/2={a!r}, (x-r)/2={b!r}")

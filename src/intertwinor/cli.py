@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -59,7 +60,7 @@ def _json_line(record: dict) -> str:
 
 
 def _parse_r(text: str, mode: str):
-    """Exact mode accepts integers only; float mode accepts any real.
+    """Exact mode accepts integers only; float mode accepts any finite real.
 
     Integral orders always route to the exact evaluation path, even in float
     mode, where the separate numeric gammas would sit on spurious poles.
@@ -75,8 +76,10 @@ def _parse_r(text: str, mode: str):
         return int(value)
     try:
         value = float(Fraction(text)) if "/" in text else float(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise click.BadParameter(f"could not parse r={text!r}")
+    if not math.isfinite(value):
+        raise click.BadParameter(f"r must be finite, got r={text!r}")
     return int(value) if value.is_integer() else value
 
 
@@ -91,6 +94,18 @@ def _fmt_float(x: float, precision: int) -> str:
     return repr(x) if precision >= 17 else format(x, f".{precision}g")
 
 
+def _record_head(params: BundleParams, jp: int, j: int, r, family: Family,
+                 operator: str, mode: str, pt: spectra.SpectralPoint) -> dict:
+    """The inputs and the spectral point that every eval and table record starts with."""
+    return {
+        "p": params.p, "q": params.q, "k": params.k, "a": params.a,
+        "jp": jp, "j": j, "r": str(r), "family": family.value,
+        "operator": operator, "mode": mode,
+        "s": format_fraction(params.s),
+        "Jp": format_fraction(pt.Jp), "J": format_fraction(pt.J),
+    }
+
+
 def _eval_record(params: BundleParams, jp: int, j: int, r, family: Family,
                  operator: str, mode: str, precision: int = 17) -> dict:
     label = KTypeLabel(family, jp, j)
@@ -98,13 +113,7 @@ def _eval_record(params: BundleParams, jp: int, j: int, r, family: Family,
         raise NonexistentKTypeError(
             f"{family.value} type at (j'={jp}, j={j}) is empty for these parameters")
     pt = spectra.spectral_point(params, jp, j)
-    record = {
-        "p": params.p, "q": params.q, "k": params.k, "a": params.a,
-        "jp": jp, "j": j, "r": str(r), "family": family.value,
-        "operator": operator, "mode": mode,
-        "s": format_fraction(params.s),
-        "Jp": format_fraction(pt.Jp), "J": format_fraction(pt.J),
-    }
+    record = _record_head(params, jp, j, r, family, operator, mode, pt)
     if operator == "even-order":
         if family is Family.MIXED:
             block = blocks.even_order_block(params, pt, int(r))
@@ -190,14 +199,8 @@ def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision=17):
                 rec = _eval_record(params, jp, j, r, family, operator, mode, precision)
             except DegenerateNormalizationError:
                 pt = spectra.spectral_point(params, jp, j)
-                rec = {
-                    "p": params.p, "q": params.q, "k": params.k, "a": params.a,
-                    "jp": jp, "j": j, "r": str(r), "family": family.value,
-                    "operator": operator, "mode": mode,
-                    "s": format_fraction(params.s),
-                    "Jp": format_fraction(pt.Jp), "J": format_fraction(pt.J),
-                    "value": "degenerate",
-                }
+                rec = dict(_record_head(params, jp, j, r, family, operator, mode, pt),
+                           value="degenerate")
             yield rec
 
 

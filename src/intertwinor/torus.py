@@ -6,27 +6,36 @@ operators entering the intertwining relation have exact entries there, so the
 relation can be checked in exact rational arithmetic; the float path of the
 same computation is available for non-integer orders.
 
-Sign conventions, fixed once for the split metric -dtau^2 + drho^2 and used
-consistently by the assembler:
+``assemble`` writes each operator as one table of rows
+(dm, dn, source -> target, coefficient) on the mode (m, n), with a constant
+coefficient or one that depends on (m, n); one builder turns the rows into
+exact sparse columns.  L_T (Cartan's formula) and [N, phi]/2 stay
+compositions in ``OperatorMatrix``, so [N, phi]/2 = nabla_T + phi and
+L_T - nabla_T = k phi - P compare independent constructions.  Sign
+conventions, fixed once for the split metric -dtau^2 + drho^2, each one
+table row:
 
     component metric:   <dtau, dtau> = -1,  <drho, drho> = +1
     coderivative:       delta(u dtau + v drho) = +du/dtau - dv/drho
+                            (0, 0, dt -> 1, i m),  (0, 0, dr -> 1, -i n)
                         delta(w dtau^drho)     = (dw/drho) dtau + (dw/dtau) drho
+                            (0, 0, dtdr -> dt, i n),  (0, 0, dtdr -> dr, i m)
     contraction:        iota(dtau) dtau = -1,  iota(drho) drho = +1
+                        iota_T dtau = cos rho sin tau,  iota_T drho = cos tau sin rho
+                            (+-1, +-1, dt -> 1, -i dm/4),  (+-1, +-1, dr -> 1, -i dn/4)
     auxiliary Bochner:  N = -(d/dtau)^2 - (d/drho)^2 componentwise (round metric)
+                            (0, 0, c -> c, m^2 + n^2)
 
-``assemble`` builds each operator as exact sparse columns over the truncated
-basis, and ``OperatorMatrix`` composes them.  The intertwining check does
-not: every operator in A (C - r phi) = (C + r phi) A, with
-C = [N, phi]/2 - P, is local.  N and A act inside one mode, through the
-per-mode block ``_mode_block`` that ``spectral_operator`` also fills its
-columns from, while phi and P move a mode by one of the four shifts
-(+-1, +-1).  The residual on an interior mode x is therefore four small
-matrix identities, one per shift s, with C_s composed from the same shift
-tables ``assemble`` reads.  Exact mode compares cross-multiplied integers;
-float mode runs the same loop on floats.  Only modes with x + s inside the
-interior cut (margin two by default) are compared, so no truncated
-contribution enters.
+The intertwining check A (C - r phi) = (C + r phi) A, with
+C = [N, phi]/2 - P, assembles nothing: every operator in it is local.  N and
+A act inside one mode, through the per-mode block ``_mode_block`` that
+``spectral_operator`` also fills its columns from, while phi and P move a
+mode along the four shifts.  The residual on an interior mode x is therefore
+four small matrix identities, one per shift s, with C_s composed from the
+phi and P rows of the same tables.  Exact mode compares cross-multiplied
+integers; float mode runs the same loop on floats.  Only modes with x + s
+inside the interior cut (margin two by default) are compared, so no
+truncated contribution enters.
 """
 
 from __future__ import annotations
@@ -97,9 +106,6 @@ class ExactComplex:
     def __bool__(self):
         return bool(self.re or self.im)
 
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         return f"ExactComplex({self.re}, {self.im})"
 
@@ -143,12 +149,6 @@ class TorusBasis:
             for n in range(-self.M, self.M + 1):
                 for comp in self.components:
                     yield (m, n, comp)
-
-    def index(self, key: Mode) -> int:
-        m, n, comp = key
-        side = 2 * self.M + 1
-        ci = self.components.index(comp)
-        return ((m + self.M) * side + (n + self.M)) * len(self.components) + ci
 
     def contains(self, m: int, n: int) -> bool:
         return abs(m) <= self.M and abs(n) <= self.M
@@ -220,55 +220,23 @@ class OperatorMatrix:
 
 # -- assembly -----------------------------------------------------------------------
 
-def _shift_columns(basis: TorusBasis, codomain: TorusBasis,
-                   terms, comp_map=None) -> Dict[Mode, Column]:
-    """Columns of a componentwise shift operator.
-
-    ``terms`` is a list of (dm, dn, coeff(m, n)); ``comp_map`` optionally sends
-    a domain component to a codomain component (identity by default).
-    Contributions falling outside the truncation are dropped.
-    """
-    cols: Dict[Mode, Column] = {}
-    for key in basis.keys():
-        m, n, comp = key
-        target_comp = comp if comp_map is None else comp_map[comp]
-        col: Column = {}
-        for dm, dn, coeff in terms:
-            mm, nn = m + dm, n + dn
-            if not codomain.contains(mm, nn):
-                continue
-            val = coeff(m, n) if callable(coeff) else coeff
-            if val:
-                col[(mm, nn, target_comp)] = val
-        cols[key] = col
-    return cols
+# On e^(i m tau), cos tau moves m by dm = +-1 with weight 1/2 and sin tau with
+# weight -i dm/2, likewise in rho: multiplying by phi = cos tau cos rho, by a
+# component of T or by sin tau sin rho moves a mode along the four diagonal shifts.
+_DIAGONAL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _quarter(sign: int) -> Fraction:
-    return Fraction(sign, 4)
+def _shifted(pairs, weight) -> list:
+    """Rows sending each (src, tgt) of pairs along the four shifts, with weight(dm, dn)."""
+    return [(dm, dn, src, tgt, weight(dm, dn)) for src, tgt in pairs for dm, dn in _DIAGONAL]
 
 
-_PHI_TERMS = [(1, 1, _quarter(1)), (1, -1, _quarter(1)),
-              (-1, 1, _quarter(1)), (-1, -1, _quarter(1))]
+def _t_tau(dm, dn):  # dtau(T) = cos rho sin tau
+    return ExactComplex(0, Fraction(-dm, 4))
 
-# dtau(T) = cos rho sin tau and drho(T) = cos tau sin rho as shift tables
-_COS_R_SIN_T = [(1, 1, ExactComplex(0, Fraction(-1, 4))),
-                (1, -1, ExactComplex(0, Fraction(-1, 4))),
-                (-1, 1, ExactComplex(0, Fraction(1, 4))),
-                (-1, -1, ExactComplex(0, Fraction(1, 4)))]
-_COS_T_SIN_R = [(1, 1, ExactComplex(0, Fraction(-1, 4))),
-                (-1, 1, ExactComplex(0, Fraction(-1, 4))),
-                (1, -1, ExactComplex(0, Fraction(1, 4))),
-                (-1, -1, ExactComplex(0, Fraction(1, 4)))]
-_SIN_T_SIN_R = [(1, 1, _quarter(-1)), (1, -1, _quarter(1)),
-                (-1, 1, _quarter(1)), (-1, -1, _quarter(-1))]
 
-_NABLA_T_TERMS = [
-    (1, 1, lambda m, n: Fraction(m + n, 4)),
-    (1, -1, lambda m, n: Fraction(m - n, 4)),
-    (-1, 1, lambda m, n: Fraction(n - m, 4)),
-    (-1, -1, lambda m, n: Fraction(-m - n, 4)),
-]
+def _t_rho(dm, dn):  # drho(T) = cos tau sin rho
+    return ExactComplex(0, Fraction(-dn, 4))
 
 
 def _bochner(m: int, n: int) -> int:
@@ -276,91 +244,77 @@ def _bochner(m: int, n: int) -> int:
     return m * m + n * n
 
 
+def _tables() -> dict:
+    """(name, k) -> (codomain degree, rows) for every operator built from rows.
+
+    A row (dm, dn, src, tgt, coeff) sends the mode (m, n) of component src to
+    the mode (m + dm, n + dn) of component tgt with weight coeff, a constant
+    or a function of the source mode (m, n).
+    """
+    tables = {}
+    for k, comps in _COMPONENTS.items():
+        same = [(c, c) for c in comps]
+        tables["phi-mult", k] = k, _shifted(same, lambda dm, dn: Fraction(1, 4))
+        # nabla_T = dtau(T) d/dtau + drho(T) d/drho, componentwise
+        tables["nabla_T", k] = k, _shifted(
+            same, lambda dm, dn: lambda m, n: Fraction(dm * m + dn * n, 4))
+        tables["N", k] = k, [(0, 0, c, c, lambda m, n: Fraction(_bochner(m, n)))
+                             for c in comps]
+        tables["P", k] = k, []
+    tables.update({
+        # P multiplies by sin tau sin rho and swaps dt and dr
+        ("P", 1): (1, _shifted([("dt", "dr"), ("dr", "dt")],
+                               lambda dm, dn: Fraction(-dm * dn, 4))),
+        # d f = f_tau dt + f_rho dr;  d(u dt + v dr) = (v_tau - u_rho) dt^dr
+        ("d", 0): (1, [(0, 0, "1", "dt", lambda m, n: ExactComplex(0, m)),
+                       (0, 0, "1", "dr", lambda m, n: ExactComplex(0, n))]),
+        ("d", 1): (2, [(0, 0, "dt", "dtdr", lambda m, n: ExactComplex(0, -n)),
+                       (0, 0, "dr", "dtdr", lambda m, n: ExactComplex(0, m))]),
+        ("delta", 1): (0, [(0, 0, "dt", "1", lambda m, n: ExactComplex(0, m)),
+                           (0, 0, "dr", "1", lambda m, n: ExactComplex(0, -n))]),
+        ("delta", 2): (1, [(0, 0, "dtdr", "dt", lambda m, n: ExactComplex(0, n)),
+                           (0, 0, "dtdr", "dr", lambda m, n: ExactComplex(0, m))]),
+        # iota_T(u dt + v dr) = u dtau(T) + v drho(T);  iota_T dt^dr = dtau(T) dr - drho(T) dt
+        ("iota_T", 1): (0, _shifted([("dt", "1")], _t_tau) + _shifted([("dr", "1")], _t_rho)),
+        ("iota_T", 2): (1, _shifted([("dtdr", "dr")], _t_tau)
+                        + _shifted([("dtdr", "dt")], lambda dm, dn: -_t_rho(dm, dn))),
+    })
+    return tables
+
+
+_TABLES = _tables()
+_UNSUPPORTED = {("d", 2): "d is unsupported on top-degree forms",
+                ("delta", 0): "delta is unsupported on functions",
+                ("iota_T", 0): "iota_T is zero on functions"}
+
+
+def _columns(rows, basis: TorusBasis, codomain: TorusBasis) -> Dict[Mode, Column]:
+    """Columns of a table over the truncated basis, without targets outside the
+    truncation and without zero entries."""
+    by_src = {c: [row for row in rows if row[2] == c] for c in basis.components}
+    cols: Dict[Mode, Column] = {}
+    for key in basis.keys():
+        m, n, comp = key
+        col: Column = {}
+        for dm, dn, _, tgt, coeff in by_src[comp]:
+            if not codomain.contains(m + dm, n + dn):
+                continue
+            val = coeff(m, n) if callable(coeff) else coeff
+            if val:
+                col[(m + dm, n + dn, tgt)] = val
+        cols[key] = col
+    return cols
+
+
 def assemble(name: str, basis: TorusBasis) -> OperatorMatrix:
     """Assemble a named operator over the truncated basis, exactly.
 
     Supported names: 'phi-mult', 'N', 'nabla_T', 'P', 'd', 'delta', 'iota_T'
     and 'L_T' (the Lie derivative along the conformal field, built from
-    Cartan's formula).  'd' needs k <= 1, 'delta', 'iota_T', 'L_T' any k;
+    Cartan's formula).  'd' needs k <= 1, 'delta' and 'iota_T' k >= 1;
     'P' is the zero operator away from k = 1.
     """
     k, M = basis.k, basis.M
-    if name == "phi-mult":
-        return OperatorMatrix(name, basis, basis, _shift_columns(basis, basis, _PHI_TERMS))
-    if name == "N":
-        cols = {key: {key: Fraction(_bochner(key[0], key[1]))} for key in basis.keys()}
-        return OperatorMatrix(name, basis, basis, cols)
-    if name == "nabla_T":
-        return OperatorMatrix(name, basis, basis, _shift_columns(basis, basis, _NABLA_T_TERMS))
-    if name == "P":
-        if k != 1:
-            return OperatorMatrix(name, basis, basis, {key: {} for key in basis.keys()})
-        swap = {"dt": "dr", "dr": "dt"}
-        return OperatorMatrix(name, basis, basis,
-                              _shift_columns(basis, basis, _SIN_T_SIN_R, comp_map=swap))
-    if name == "d":
-        if k == 2:
-            raise ValueError("d is unsupported on top-degree forms")
-        codomain = TorusBasis(M, k + 1)
-        cols: Dict[Mode, Column] = {}
-        for m, n, comp in basis.keys():
-            if k == 0:
-                col: Column = {}
-                if m:
-                    col[(m, n, "dt")] = ExactComplex(0, m)
-                if n:
-                    col[(m, n, "dr")] = ExactComplex(0, n)
-            else:
-                # d(u dt + v dr) = (dv/dtau - du/drho) dt^dr
-                col = {}
-                val = ExactComplex(0, -n) if comp == "dt" else ExactComplex(0, m)
-                if val:
-                    col[(m, n, "dtdr")] = val
-            cols[(m, n, comp)] = col
-        return OperatorMatrix(name, basis, codomain, cols)
-    if name == "delta":
-        if k == 0:
-            raise ValueError("delta is unsupported on functions")
-        codomain = TorusBasis(M, k - 1)
-        cols = {}
-        for m, n, comp in basis.keys():
-            if k == 1:
-                val = ExactComplex(0, m) if comp == "dt" else ExactComplex(0, -n)
-                cols[(m, n, comp)] = {(m, n, "1"): val} if val else {}
-            else:
-                col = {}
-                if n:
-                    col[(m, n, "dt")] = ExactComplex(0, n)
-                if m:
-                    col[(m, n, "dr")] = ExactComplex(0, m)
-                cols[(m, n, comp)] = col
-        return OperatorMatrix(name, basis, codomain, cols)
-    if name == "iota_T":
-        if k == 0:
-            raise ValueError("iota_T is zero on functions")
-        codomain = TorusBasis(M, k - 1)
-        if k == 1:
-            cols = {}
-            for m, n, comp in basis.keys():
-                terms = _COS_R_SIN_T if comp == "dt" else _COS_T_SIN_R
-                col: Column = {}
-                for dm, dn, coeff in terms:
-                    if codomain.contains(m + dm, n + dn):
-                        col[(m + dm, n + dn, "1")] = coeff
-                cols[(m, n, comp)] = col
-            return OperatorMatrix(name, basis, codomain, cols)
-        cols = {}
-        for m, n, comp in basis.keys():
-            col = {}
-            for dm, dn, coeff in _COS_R_SIN_T:
-                if codomain.contains(m + dm, n + dn):
-                    col[(m + dm, n + dn, "dr")] = coeff
-            for dm, dn, coeff in _COS_T_SIN_R:
-                if codomain.contains(m + dm, n + dn):
-                    key = (m + dm, n + dn, "dt")
-                    col[key] = col.get(key, ExactComplex()) - coeff
-            cols[(m, n, comp)] = {kk: vv for kk, vv in col.items() if vv}
-        return OperatorMatrix(name, basis, codomain, cols)
     if name == "L_T":
         if k == 0:
             return assemble("iota_T", TorusBasis(M, 1)).compose(assemble("d", basis), name)
@@ -369,7 +323,12 @@ def assemble(name: str, basis: TorusBasis) -> OperatorMatrix:
             part2 = assemble("iota_T", TorusBasis(M, 2)).compose(assemble("d", basis))
             return (part1 + part2).scaled(1, name)
         return assemble("d", TorusBasis(M, 1)).compose(assemble("iota_T", basis), name)
-    raise ValueError(f"unknown operator {name!r}")
+    try:
+        k_out, rows = _TABLES[name, k]
+    except KeyError:
+        raise ValueError(_UNSUPPORTED.get((name, k), f"unknown operator {name!r}")) from None
+    codomain = TorusBasis(M, k_out)
+    return OperatorMatrix(name, basis, codomain, _columns(rows, basis, codomain))
 
 
 def half_commutator_with_phi(basis: TorusBasis) -> OperatorMatrix:
@@ -428,19 +387,17 @@ def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
     return (t * -e11, -off, off, t * e11), den
 
 
-def spectral_operator(basis: TorusBasis, r, normalization: str = "gamma") -> OperatorMatrix:
+def spectral_operator(basis: TorusBasis, r) -> OperatorMatrix:
     """The intertwinor of order 2r on the truncated basis, block by block.
 
     Diagonal with the multiplicity-one gamma quotient for k = 0 and k = 2;
     for k = 1 each Fourier character carries the 2x2 mixed block, written in
     the (dtau, drho) frame where it extends continuously to the boundary
-    modes.  The only implemented normalization ('gamma') drops the family
-    radical, a single overall scale, so that all entries are rational for
-    integer r.  r = 0 gives the identity.  Floating r uses the log-gamma
-    path.  A pole on a retained mode raises :class:`PoleOnModeError`.
+    modes.  The gamma normalization drops the family radical, a single
+    overall scale, so that all entries are rational for integer r.  r = 0
+    gives the identity.  Floating r uses the log-gamma path.  A pole on a
+    retained mode raises :class:`PoleOnModeError`.
     """
-    if normalization != "gamma":
-        raise ValueError(f"unknown normalization {normalization!r}")
     if isinstance(r, float) and r.is_integer():
         r = int(r)  # integer orders always take the exact path
     exact = is_integral(r)
@@ -486,12 +443,18 @@ def _scaled_shifts(k: int):
     Returns (scale, rows): each row is (dm, dn, half, phi, off), where
     scale * [N, phi]/2 sends mode x to x + (dm, dn) with weight
     half * (N(x + (dm, dn)) - N(x)), scale * phi with weight phi, and
-    scale * (-P) with weight off into the swapped component.
+    scale * (-P) with weight off into the swapped component.  phi and P are
+    read from the rows ``assemble`` builds them from.
     """
-    p_terms = {(dm, dn): coeff for dm, dn, coeff in _SIN_T_SIN_R} if k == 1 else {}
-    rows = [(dm, dn, phi / 2, phi, -p_terms.get((dm, dn), 0)) for dm, dn, phi in _PHI_TERMS]
+    comp = _COMPONENTS[k][0]
+    phi, p_op = ({(dm, dn): c for dm, dn, src, _, c in _TABLES[name, k][1] if src == comp}
+                 for name in ("phi-mult", "P"))
+    rows = [(dm, dn, c / 2, c, -p_op.get((dm, dn), 0)) for (dm, dn), c in phi.items()]
     scale = math.lcm(*(Fraction(v).denominator for row in rows for v in row[2:]))
     return scale, [row[:2] + tuple(int(scale * v) for v in row[2:]) for row in rows]
+
+
+_SHIFTS = {k: _scaled_shifts(k) for k in _COMPONENTS}
 
 
 def intertwining_residual(M: int, k: int, r, mode: str = "exact",
@@ -515,7 +478,7 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact",
     span = range(-M, M + 1)
     # every retained mode, in spectral_operator's order, so a pole raises as there
     blocks = {(m, n): _mode_block(k, m, n, order) for m in span for n in span}
-    scale, shifts = _scaled_shifts(k)
+    scale, shifts = _SHIFTS[k]
     cut = M - max(margin, 0)
     inner = range(-cut, cut + 1)
     cells = range(len(basis.components) ** 2)

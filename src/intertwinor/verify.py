@@ -3,8 +3,9 @@
 Every identity checked here is exact: grid points are swept in a fixed
 lexicographic order, each check compares rationals (cross-multiplied where a
 quotient could degenerate), and failures carry both sides of the violated
-identity as witnesses.  Degenerate points (vanishing normalization factors,
-nonexistent labels) are skipped and counted, never silently dropped.
+identity as witnesses.  Degenerate points (vanishing normalization factors)
+are skipped and counted, never silently dropped; labels whose K-type is
+empty are not grid points and are passed over.
 
 The suites run on the library's own formulas, so a gate checks the code
 that users run.  The diamond, interface, det and even-order suites take the
@@ -60,12 +61,7 @@ SKIP = "skipped-degenerate"
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Finite sweep ranges; k is additionally capped at min(p, q) - 1.
-
-    With ``skip_nonexistent`` (the default) empty labels are passed over
-    silently; switched off, they are still never evaluated but each one
-    leaves a counted skip record in the report.
-    """
+    """Finite sweep ranges; k is additionally capped at min(p, q) - 1."""
 
     p_max: int = 7
     q_max: int = 7
@@ -73,7 +69,6 @@ class GridSpec:
     r_values: Tuple[int, ...] = (1, 2, 3, 4)
     p_min: int = 2
     q_min: int = 2
-    skip_nonexistent: bool = True
 
     def __post_init__(self):
         if self.p_max < self.p_min or self.q_max < self.q_min or self.j_max < 0:
@@ -596,16 +591,16 @@ def run_scalar_reduction(
                     reports.append(CheckReport("scalar-reduction", point, FAIL,
                                                lhs="function family empty", rhs=""))
                     continue
-                value = spectra.mult1_eigenvalue(pt, r)
-                if value.is_pole:
-                    reports.append(CheckReport("scalar-reduction", point, FAIL,
-                                               lhs="pole in function spectrum", rhs=""))
-                    continue
-                if params.s == r or params.s == -r:
+                try:
+                    value = spectra.normalized_eigenvalue(Family.COEXACT, params, pt, r)
+                except DegenerateNormalizationError:
                     reports.append(CheckReport("scalar-reduction", point, SKIP,
                                                lhs="normalization degenerates at s=+-r"))
                     continue
-                spectra.normalized_eigenvalue(Family.COEXACT, params, pt, r)
+                if value.coeff.is_pole:
+                    reports.append(CheckReport("scalar-reduction", point, FAIL,
+                                               lhs="pole in function spectrum", rhs=""))
+                    continue
                 reports.append(CheckReport("scalar-reduction", point, PASS))
     return reports
 
@@ -618,7 +613,3 @@ SUITES = {
     "scalar": run_scalar_reduction,
 }
 
-
-def run_all(grid: GridSpec) -> dict:
-    """Run every suite on the grid; returns {name: reports}."""
-    return {name: fn(grid) for name, fn in SUITES.items()}

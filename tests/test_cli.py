@@ -266,3 +266,19 @@ def test_cli_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("r", ["1/0", "inf", "-inf", "1e400", "nan"])
+@pytest.mark.parametrize("args", [
+    ["eval", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp", "1", "--j", "2",
+     "--family", "coexact"],
+    ["table", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp-max", "2",
+     "--j-max", "2", "--family", "coexact"],
+    ["torus", "--k", "1", "--M", "6"],
+], ids=["eval", "table", "torus"])
+def test_non_finite_float_order_fails_cleanly(runner, args, r):
+    result = runner.invoke(main, args + ["--r", r, "--mode", "float"])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)  # no uncaught exception
+    assert any(line.startswith("Error") for line in result.output.splitlines())
+    assert "Traceback" not in result.output

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -44,7 +45,6 @@ class TestExactComplex:
         assert i * i == ExactComplex(-1)
         assert (ExactComplex(1, 2) * ExactComplex(3, -1)) == ExactComplex(5, 5)
         assert Fraction(1, 2) * i == ExactComplex(0, Fraction(1, 2))
-        assert complex(ExactComplex(Fraction(1, 2), -1)) == 0.5 - 1j
 
     def test_truthiness(self):
         assert not ExactComplex(0, 0)
@@ -56,12 +56,8 @@ class TestTorusBasis:
         assert TorusBasis(4, 0).dim == 81
         assert TorusBasis(4, 1).dim == 162
         assert TorusBasis(4, 2).dim == 81
-
-    def test_index_round_trip(self):
         basis = TorusBasis(3, 1)
-        keys = list(basis.keys())
-        assert len(keys) == basis.dim
-        assert [basis.index(key) for key in keys] == list(range(basis.dim))
+        assert len(list(basis.keys())) == basis.dim
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -98,7 +94,26 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble("delta", TorusBasis(3, 0))
         with pytest.raises(ValueError):
+            assemble("iota_T", TorusBasis(3, 0))
+        with pytest.raises(ValueError):
             assemble("no-such-op", TorusBasis(3, 0))
+
+    def test_assembled_columns_are_pinned(self):
+        # every name and degree at M = 3: codomain, entries and their exact
+        # types (Fraction for real, ExactComplex for imaginary), or ValueError
+        lines = []
+        for name in ("phi-mult", "N", "nabla_T", "P", "d", "delta", "iota_T", "L_T"):
+            for k in (0, 1, 2):
+                try:
+                    op = assemble(name, TorusBasis(3, k))
+                except ValueError:
+                    lines.append(f"{name} {k} ValueError")
+                    continue
+                cols = sorted((key, sorted((row, repr(v)) for row, v in col.items() if v))
+                              for key, col in op.columns.items())
+                lines.append(f"{name} {k} {op.codomain.k} {cols}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "de280ae628354ca55b98724e6a4011d5df7202430c0593d2eaa87678fae185e9"
 
     def test_d_squares_to_zero(self):
         basis = TorusBasis(3, 0)
@@ -210,10 +225,6 @@ class TestSpectralOperator:
         with pytest.raises(PoleOnModeError) as err:
             spectral_operator(TorusBasis(3, 0), -(3.0 + 1e-13))
         assert err.value.mode is not None
-
-    def test_unknown_normalization(self):
-        with pytest.raises(ValueError):
-            spectral_operator(TorusBasis(3, 0), 1, normalization="unit")
 
 
 class TestIntertwiningResidual:
