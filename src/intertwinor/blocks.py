@@ -456,19 +456,20 @@ class BivariatePoly:
         return "BivariatePoly(" + ", ".join(f"x^{i} y^{j}: {v}" for (i, j), v in terms) + ")"
 
 
-def symbol_polynomials(family: Family, b: Doubled, r: int):
+def symbol_polynomials(family: Family, b: Doubled, r: int, product: BivariatePoly):
     """The (operator, symbol) pair with integer coefficients in the doubled levels.
 
     Both are 2 * 4^r times the polynomials of
     :func:`leading_symbol_polynomials`, in the variables (2J', 2J).  The
-    operator polynomial is the order-2r eigenvalue, built by
-    :func:`even_product` itself.
+    operator polynomial is the order-2r eigenvalue: the family's prefactor
+    times ``product``, which is :func:`even_product` of the two variables at
+    order r and the same for every bundle.
     """
     x1, x2 = BivariatePoly.var1(), BivariatePoly.var2()
     o1, o2 = family_offsets(family, b)
     prefactor = _order_prefactor(family, b, r)
     compressed = (x2 * x2 - x1 * x1) + (o1 * o1 - o2 * o2)
-    return even_product(x1, x2, r) * prefactor, compressed ** r * prefactor
+    return product * prefactor, compressed ** r * prefactor
 
 
 def leading_symbol_polynomials(family: Family, params: BundleParams, r: int):
@@ -485,7 +486,8 @@ def leading_symbol_polynomials(family: Family, params: BundleParams, r: int):
     if r < 1:
         raise ValueError("need r >= 1")
     scale = 2 * 4 ** r
+    product = even_product(BivariatePoly.var1(), BivariatePoly.var2(), r)
     return tuple(
         BivariatePoly({(i, j): Fraction(c * 2 ** (i + j), scale)
                        for (i, j), c in poly.coeffs.items()})
-        for poly in symbol_polynomials(family, doubled(params), r))
+        for poly in symbol_polynomials(family, doubled(params), r, product))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -35,6 +34,11 @@ from .spectra import (
 FAMILY_CHOICES = ("coexact", "exact", "mixed", "m1-delta", "m1-d", "m2")
 TABLE_HEADER = ("p", "q", "k", "a", "jp", "j", "r", "family", "operator",
                 "s", "Jp", "J", "value", "coeff", "radicand", "trace", "det")
+#: the largest |r| on the exact path, whose cost grows with |r|
+MAX_EXACT_ORDER = 256
+#: what evaluating a bad point or order raises (nonexistent labels and degenerate
+#: normalizations are ValueErrors); each becomes an ``Error:`` line
+_EVAL_ERRORS = (ValueError, OverflowError)
 
 
 def _resolve_out(path: Optional[str]) -> Optional[Path]:
@@ -56,14 +60,15 @@ def _emit(text: str, out: Optional[Path]) -> None:
 
 
 def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return verify.ENCODER.encode(record) + "\n"
 
 
 def _parse_r(text: str, mode: str):
     """Exact mode accepts integers only; float mode accepts any finite real.
 
     Integral orders always route to the exact evaluation path, even in float
-    mode, where the separate numeric gammas would sit on spurious poles.
+    mode, where the separate numeric gammas would sit on spurious poles.  The
+    exact path accepts |r| <= MAX_EXACT_ORDER.
     """
     if mode == "exact":
         try:
@@ -73,14 +78,19 @@ def _parse_r(text: str, mode: str):
         if value.denominator != 1:
             raise click.BadParameter(
                 f"exact mode requires integer r, got {text}; use --mode float")
-        return int(value)
-    try:
-        value = float(Fraction(text)) if "/" in text else float(text)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise click.BadParameter(f"could not parse r={text!r}")
-    if not math.isfinite(value):
-        raise click.BadParameter(f"r must be finite, got r={text!r}")
-    return int(value) if value.is_integer() else value
+    else:
+        try:
+            value = float(Fraction(text)) if "/" in text else float(text)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise click.BadParameter(f"could not parse r={text!r}")
+        if not math.isfinite(value):
+            raise click.BadParameter(f"r must be finite, got r={text!r}")
+        if not value.is_integer():
+            return value
+    if abs(value) > MAX_EXACT_ORDER:
+        raise click.BadParameter(
+            f"integer orders need |r| <= {MAX_EXACT_ORDER}, got r={text}")
+    return int(value)
 
 
 def _bundle(p: int, q: int, k: int, a: int) -> BundleParams:
@@ -183,7 +193,7 @@ def cmd_eval(p, q, k, a, jp, j, r_text, family, operator, mode, precision, outpu
     try:
         record = _eval_record(params, jp, j, r, Family.parse(family), operator, mode,
                               precision)
-    except (NonexistentKTypeError, DegenerateNormalizationError, ValueError) as err:
+    except _EVAL_ERRORS as err:
         raise click.ClickException(str(err))
     if record.get("value_float") == "pole":  # kept as a table row, an error on its own
         raise click.ClickException("pole has no finite value")
@@ -227,8 +237,11 @@ def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
     """Tabulate spectral values over a level grid in lexicographic row order."""
     params = _bundle(p, q, k, a)
     r = _parse_r(r_text, mode if operator == "normalized" else "exact")
-    rows = list(_table_rows(params, jp_max, j_max, r, Family.parse(family),
-                            operator, mode, precision))
+    try:
+        rows = list(_table_rows(params, jp_max, j_max, r, Family.parse(family),
+                                operator, mode, precision))
+    except _EVAL_ERRORS as err:
+        raise click.ClickException(str(err))
     if fmt == "jsonl":
         _emit("".join(_json_line(rec) for rec in rows), _resolve_out(output))
         return
@@ -292,7 +305,7 @@ def cmd_torus(k, r_text, m_trunc, tol, mode, output):
     r = _parse_r(r_text, mode)
     try:
         result = torus.intertwining_residual(m_trunc, k, r, mode=mode)
-    except (torus.PoleOnModeError, ValueError) as err:
+    except (torus.PoleOnModeError, ValueError, OverflowError) as err:
         raise click.ClickException(str(err))
     # a run that checked no column proves nothing; exact mode demands exact zero
     passed = result.columns > 0 and (

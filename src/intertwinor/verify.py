@@ -13,8 +13,14 @@ integer kernels of :mod:`spectra`, :mod:`blocks` and :mod:`arithmetic`,
 written once on doubled levels (2J', 2J, 2s and 2r, which clears every
 half-integer shift), and compare unreduced integers by cross-multiplication;
 Fractions are built only for the witnesses of a failing record.  The scalar
-suite calls the public wrappers over the same kernels.  The identities, per
-suite:
+suite calls the public wrappers over the same kernels.
+
+Transition and gamma quotients depend on the shifted levels and r alone, not
+on the bundle's (k, a).  The diamond, det and even-order suites therefore
+compute them once per (p, q) slice, in tables that live for that slice, and
+each bundle reads them through its existence set; the diamond table holds
+the failing comparisons themselves, each with the labels it needs.  The
+identities, per suite:
 
 - diamond: path independence of the transition quotients
   (``diamond-path``) and their compatibility with the eigenvalue or
@@ -37,10 +43,11 @@ controls).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -57,6 +64,9 @@ from .spectra import (
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skipped-degenerate"
+
+#: the one JSON encoder for report and CLI records: sorted keys, no spaces
+ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -96,7 +106,7 @@ class CheckReport:
             payload["lhs"] = self.lhs
         if self.rhs is not None:
             payload["rhs"] = self.rhs
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return ENCODER.encode(payload)
 
 
 def write_report(reports: Sequence[CheckReport], path) -> None:
@@ -142,6 +152,12 @@ def _point_dict(params: BundleParams, jp: int, j: int, r, extra: Optional[dict] 
     if extra:
         out.update(extra)
     return out
+
+
+def _slices(grid: GridSpec) -> Iterator[List[BundleParams]]:
+    """The grid's bundles in sweep order, one (p, q) slice at a time."""
+    for _, group in itertools.groupby(iter_bundles(grid), key=lambda b: (b.p, b.q)):
+        yield list(group)
 
 
 def _exists_set(params: BundleParams, family: Family, j_hi: int) -> Set[Tuple[int, int]]:
@@ -206,80 +222,90 @@ def run_diamond_checks(
     casing.  By default both sides come from the library's doubled-level
     formulas (:func:`spectra.transition_factors`, :func:`spectra.gamma_args`
     and :func:`arithmetic.gamma_product`) as integer pairs; a function passed
-    in replaces its formula through the same integer-pair interface.
+    in replaces its formula through the same integer-pair interface.  Each
+    (p, q) slice builds one table of failing comparisons per kind, shared by
+    the coexact and exact families; a record is the first of them whose
+    labels all exist in its bundle and family.
     """
     reports: List[CheckReport] = []
-    for params in iter_bundles(grid):
-        dp, dq = params.p - 2, params.q - 2
-        # the pair functions below are used up within their own iteration
-        for family in (Family.COEXACT, Family.EXACT, Family.MIXED):
-            mixed = family is Family.MIXED
-            trans_fn, eig_fn = (mult2_fn, mult2_det_fn) if mixed else (mult1_fn, mult1_eig_fn)
-            if trans_fn is None:
-                def transition(jp, j, r, d1, d2):
-                    num = den = 1
-                    for n, d in spectra.transition_factors(
-                            mixed, 2 * jp + dp, 2 * j + dq, 2 * r, d1, d2):
-                        num, den = num * n, den * d
-                    return num, den
-            else:
-                def transition(jp, j, r, d1, d2):
-                    return _as_pair(trans_fn, params, jp, j, r, spectra.Direction(d1, d2))
-            reports += _diamond_family(grid, params, family, transition,
-                                       _gamma_pair(mixed, eig_fn, params))
+    for bundles in _slices(grid):
+        tables = {False: _diamond_table(bundles[0], False, mult1_fn, mult1_eig_fn),
+                  True: _diamond_table(bundles[0], True, mult2_fn, mult2_det_fn)}
+        for params in bundles:
+            for family in (Family.COEXACT, Family.EXACT, Family.MIXED):
+                fails = tables[family is Family.MIXED]
+                exists = _exists_set(params, family, grid.j_max + 2)
+                fam_pt = {"family": family.value}
+                for jp, j in iter_levels(grid):
+                    if (jp, j) not in exists:
+                        continue
+                    for r in grid.r_values:
+                        point = _point_dict(params, jp, j, r, fam_pt)
+                        for labels, fail in fails(jp, j, r):
+                            if exists.issuperset(labels):
+                                point["identity"], lhs, rhs = fail
+                                reports.append(CheckReport("diamond", point, FAIL, lhs, rhs))
+                                break
+                        else:
+                            reports.append(CheckReport("diamond", point, PASS))
     return reports
 
 
-def _diamond_family(grid, params, family, transition, gamma) -> List[CheckReport]:
-    exists = _exists_set(params, family, grid.j_max + 2)
-    fam_pt = {"family": family.value}
-    value = lru_cache(maxsize=None)(gamma)
+def _diamond_table(params: BundleParams, mixed: bool, trans_fn, eig_fn):
+    """The failing diamond comparisons at (j', j, r) in gate order, with their labels.
 
-    @lru_cache(maxsize=None)
+    Corner routes first, then gamma-transition per direction; a corner needs
+    both midpoints and the corner, a gamma comparison the neighbor.  The
+    values depend on the kind and the slice (p, q) alone, so ``params`` may
+    be any bundle of the slice.  A label with a negative level never exists,
+    and a route with a vanishing step is undefined in every bundle.
+    """
+    dp, dq = params.p - 2, params.q - 2
+    if trans_fn is None:
+        def transition(jp, j, r, d1, d2):
+            num = den = 1
+            for n, d in spectra.transition_factors(
+                    mixed, 2 * jp + dp, 2 * j + dq, 2 * r, d1, d2):
+                num, den = num * n, den * d
+            return num, den
+    else:
+        def transition(jp, j, r, d1, d2):
+            return _as_pair(trans_fn, params, jp, j, r, spectra.Direction(d1, d2))
+    value = cache(_gamma_pair(mixed, eig_fn, params))
+
+    @cache
     def steps(jp, j, r) -> dict:
-        # transition pairs from (jp, j) to each existing neighbor, by direction
+        # transition pairs from (jp, j) to each neighbor on the lattice, by direction
         return {(d1, d2): transition(jp, j, r, d1, d2)
-                for d1, d2 in _STEPS if (jp + d1, j + d2) in exists}
+                for d1, d2 in _STEPS if jp + d1 >= 0 and j + d2 >= 0}
 
-    reports: List[CheckReport] = []
-    for jp, j in iter_levels(grid):
-        if (jp, j) not in exists:
-            continue
-        for r in grid.r_values:
-            here = steps(jp, j, r)
-            onward = {d: steps(jp + d[0], j + d[1], r) for d in here}
-            fail = None
-            # each corner's two routes; a route is undefined when a step
-            # leaves the existing labels or has a vanishing factor
-            for routes in _CORNER_PATHS:
-                prods = []
-                for first, second in routes:
-                    one = here.get(first)
-                    two = one and onward[first].get(second)
-                    if not two or 0 in one or 0 in two:
-                        break
-                    prods.append((one[0] * two[0], one[1] * two[1]))
-                else:
-                    (num_a, den_a), (num_b, den_b) = prods
-                    if num_a * den_b != num_b * den_a:
-                        fail = ("diamond-path", format_fraction(Fraction(num_a, den_a)),
-                                format_fraction(Fraction(num_b, den_b)))
-                        break
-            if fail is None:
-                src_n, src_d = value(jp, j, r)
-                for (d1, d2), (n, d) in here.items():
-                    tgt_n, tgt_d = value(jp + d1, j + d2, r)
-                    lhs, rhs = tgt_n * src_d * d, src_n * tgt_d * n
-                    if lhs != rhs:
-                        fail = ("gamma-transition", str(lhs), str(rhs))
-                        break
-            point = _point_dict(params, jp, j, r, fam_pt)
-            if fail is None:
-                reports.append(CheckReport("diamond", point, PASS))
+    @cache
+    def fails(jp, j, r) -> list:
+        here = steps(jp, j, r)
+        out = []
+        for routes in _CORNER_PATHS:
+            prods, labels = [], []
+            for first, second in routes:
+                mid = (jp + first[0], j + first[1])
+                one = here.get(first)
+                two = one and steps(*mid, r).get(second)
+                if not two or 0 in one or 0 in two:
+                    break
+                prods.append((one[0] * two[0], one[1] * two[1]))
+                labels += (mid, (mid[0] + second[0], mid[1] + second[1]))
             else:
-                point["identity"], lhs, rhs = fail
-                reports.append(CheckReport("diamond", point, FAIL, lhs, rhs))
-    return reports
+                (num_a, den_a), (num_b, den_b) = prods
+                if num_a * den_b != num_b * den_a:
+                    out.append((labels, ("diamond-path", format_fraction(Fraction(num_a, den_a)),
+                                         format_fraction(Fraction(num_b, den_b)))))
+        src_n, src_d = value(jp, j, r)
+        for (d1, d2), (n, d) in here.items():
+            tgt_n, tgt_d = value(jp + d1, j + d2, r)
+            lhs, rhs = tgt_n * src_d * d, src_n * tgt_d * n
+            if lhs != rhs:
+                out.append((((jp + d1, j + d2),), ("gamma-transition", str(lhs), str(rhs))))
+        return out
+    return fails
 
 
 # -- interface suite --------------------------------------------------------------
@@ -396,44 +422,47 @@ def run_det_checks(
     integer kernels; ``det_fn`` replaces the determinant.
     """
     reports: List[CheckReport] = []
-    for params in iter_bundles(grid):
-        b = blocks.doubled(params)
-        s2 = b.s2
-        dp, dq = params.p - 2, params.q - 2
-        det = _gamma_pair(True, det_fn, params)
-        exists = _exists_set(params, Family.MIXED, grid.j_max)
-        for jp, j in iter_levels(grid):
-            if (jp, j) not in exists:
-                continue
-            jp2, j2 = 2 * jp + dp, 2 * j + dq
-            plus, minus = jp2 + j2, jp2 - j2
-            for r in grid.r_values:
-                point = _point_dict(params, jp, j, r)
-                r2 = 2 * r
-                try:
-                    (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
-                except DegenerateNormalizationError as err:
-                    reports.append(CheckReport("det", point, SKIP, lhs=str(err)))
+    for bundles in _slices(grid):
+        dp, dq = bundles[0].p - 2, bundles[0].q - 2
+        det = _gamma_pair(True, det_fn, bundles[0])
+        # the determinant and seed gamma pairs at (2J', 2J, r), shared by the slice
+        gammas = cache(lambda jp, j, r: (det(jp, j, r), arithmetic.gamma_product(
+            spectra.seed_gamma_args(2 * jp + dp, 2 * j + dq), r)))
+        for params in bundles:
+            b = blocks.doubled(params)
+            s2 = b.s2
+            exists = _exists_set(params, Family.MIXED, grid.j_max)
+            for jp, j in iter_levels(grid):
+                if (jp, j) not in exists:
                     continue
-                # the transition product, each side 8 times (J'+-J+-r)(J'-+J-+r)(s-+r)
-                num = (plus - r2) * (minus + r2) * (s2 - r2)
-                lhs = (e11 * e22 - e12 * e21) * (plus + r2) * (minus - r2) * (s2 + r2)
-                if lhs != num * den * den:
-                    reports.append(CheckReport("det", point, FAIL,
-                                               lhs=_ratio_text(lhs, 8 * den * den),
-                                               rhs=_ratio_text(num, 8)))
-                    continue
-                det_n, det_d = det(jp, j, r)
-                seed_n, seed_d = arithmetic.gamma_product(spectra.seed_gamma_args(jp2, j2), r)
-                lhs = det_n * (plus + r2) * (minus - r2)
-                rhs = seed_n * seed_n * (plus - r2) * (minus + r2)
-                if lhs * seed_d * seed_d != rhs * det_d:
-                    point["identity"] = "det-gamma"
-                    reports.append(CheckReport("det", point, FAIL,
-                                               lhs=_ratio_text(lhs, 4 * det_d),
-                                               rhs=_ratio_text(rhs, 4 * seed_d * seed_d)))
-                    continue
-                reports.append(CheckReport("det", point, PASS))
+                jp2, j2 = 2 * jp + dp, 2 * j + dq
+                plus, minus = jp2 + j2, jp2 - j2
+                for r in grid.r_values:
+                    point = _point_dict(params, jp, j, r)
+                    r2 = 2 * r
+                    try:
+                        (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
+                    except DegenerateNormalizationError as err:
+                        reports.append(CheckReport("det", point, SKIP, lhs=str(err)))
+                        continue
+                    # the transition product, each side 8 times (J'+-J+-r)(J'-+J-+r)(s-+r)
+                    num = (plus - r2) * (minus + r2) * (s2 - r2)
+                    lhs = (e11 * e22 - e12 * e21) * (plus + r2) * (minus - r2) * (s2 + r2)
+                    if lhs != num * den * den:
+                        reports.append(CheckReport("det", point, FAIL,
+                                                   lhs=_ratio_text(lhs, 8 * den * den),
+                                                   rhs=_ratio_text(num, 8)))
+                        continue
+                    (det_n, det_d), (seed_n, seed_d) = gammas(jp, j, r)
+                    lhs = det_n * (plus + r2) * (minus - r2)
+                    rhs = seed_n * seed_n * (plus - r2) * (minus + r2)
+                    if lhs * seed_d * seed_d != rhs * det_d:
+                        point["identity"] = "det-gamma"
+                        reports.append(CheckReport("det", point, FAIL,
+                                                   lhs=_ratio_text(lhs, 4 * det_d),
+                                                   rhs=_ratio_text(rhs, 4 * seed_d * seed_d)))
+                        continue
+                    reports.append(CheckReport("det", point, PASS))
     return reports
 
 
@@ -467,95 +496,100 @@ def run_even_order_checks(
     """
     reports: List[CheckReport] = []
     orders = tuple(r for r in grid.r_values if r >= 1)  # operators start at order 2
-    for params in iter_bundles(grid):
-        b = blocks.doubled(params)
-        s2 = b.s2
-        dp, dq = params.p - 2, params.q - 2
-        if eigenvalue_fn is None:
-            def value(family, jp, j, r):
-                return blocks.even_order_pair(family, b, jp, j, r)
-        else:
-            def value(family, jp, j, r):
-                v = Fraction(eigenvalue_fn(family, params,
-                                           spectra.spectral_point(params, jp, j), r))
-                return v.numerator, v.denominator
-        ex_m = _exists_set(params, Family.MIXED, grid.j_max)
-        ex_co = _exists_set(params, Family.COEXACT, grid.j_max)
-        ex_ex = _exists_set(params, Family.EXACT, grid.j_max)
-        det_seen: Dict[int, Tuple[int, int]] = {}
-        eig_seen: Dict[Tuple[str, int], Tuple[int, int]] = {}
-        for jp, j in iter_levels(grid):
-            here_m, here_co, here_ex = ((jp, j) in ex_m, (jp, j) in ex_co, (jp, j) in ex_ex)
-            if not (here_m or here_co or here_ex):
-                continue
-            jp2, j2 = 2 * jp + dp, 2 * j + dq
-            for r in orders:
-                point = _point_dict(params, jp, j, r)
-                r2 = 2 * r
-                bad = None
-                evs = [(family, value(family, jp, j, r))
-                       for family, here in ((Family.COEXACT, here_co), (Family.EXACT, here_ex))
-                       if here]
-                if r == 1:
-                    for family, (ev_n, ev_d) in evs:
-                        want_n, want_d = blocks.order2_pair(family, b, jp2, j2)
-                        if ev_n * want_d != want_n * ev_d:
-                            bad = ("order2-" + family.value, _ratio_text(ev_n, ev_d),
-                                   _ratio_text(want_n, want_d))
-                            break
-                if bad is None and len(evs) == 2:
-                    (_, (co_n, co_d)), (_, (ex_n, ex_d)) = evs
-                    lhs, rhs = co_n * (s2 - r2), ex_n * (s2 + r2)
-                    if lhs * ex_d != rhs * co_d:
-                        bad = ("family-ratio", _ratio_text(lhs, 2 * co_d),
-                               _ratio_text(rhs, 2 * ex_d))
-                if bad is None and evs:
-                    g_n, g_d = arithmetic.gamma_product(spectra.gamma_args(False, jp2, j2), r)
-                    for family, (ev_n, ev_d) in evs:
-                        if g_n == 0:
-                            witness = (_ratio_text(ev_n, ev_d), "0") if ev_n else None
-                        else:
-                            witness = _same_ratio(eig_seen, (family.value, r),
-                                                  ev_n * g_d, ev_d * g_n)
-                        if witness:
-                            bad = ("eigenvalue-proportionality",) + witness
-                            break
-                if bad is None and here_m:
-                    entries, den = blocks.even_block_pair(b, jp, j, r)
+    x1, x2 = blocks.BivariatePoly.var1(), blocks.BivariatePoly.var2()
+    products = {r: blocks.even_product(x1, x2, r) for r in orders}  # the same for every bundle
+    for bundles in _slices(grid):
+        dp, dq = bundles[0].p - 2, bundles[0].q - 2
+        # the gamma-quotient pair at (2J', 2J, r) of either kind, shared by the slice
+        gamma = cache(lambda mixed, jp2, j2, r: arithmetic.gamma_product(
+            spectra.gamma_args(mixed, jp2, j2), r))
+        for params in bundles:
+            b = blocks.doubled(params)
+            s2 = b.s2
+            if eigenvalue_fn is None:
+                def value(family, jp, j, r):
+                    return blocks.even_order_pair(family, b, jp, j, r)
+            else:
+                def value(family, jp, j, r):
+                    v = Fraction(eigenvalue_fn(family, params,
+                                               spectra.spectral_point(params, jp, j), r))
+                    return v.numerator, v.denominator
+            ex_m = _exists_set(params, Family.MIXED, grid.j_max)
+            ex_co = _exists_set(params, Family.COEXACT, grid.j_max)
+            ex_ex = _exists_set(params, Family.EXACT, grid.j_max)
+            det_seen: Dict[int, Tuple[int, int]] = {}
+            eig_seen: Dict[Tuple[str, int], Tuple[int, int]] = {}
+            for jp, j in iter_levels(grid):
+                here_m, here_co, here_ex = ((jp, j) in ex_m, (jp, j) in ex_co, (jp, j) in ex_ex)
+                if not (here_m or here_co or here_ex):
+                    continue
+                jp2, j2 = 2 * jp + dp, 2 * j + dq
+                for r in orders:
+                    point = _point_dict(params, jp, j, r)
+                    r2 = 2 * r
+                    bad = None
+                    evs = [(family, value(family, jp, j, r))
+                           for family, here in ((Family.COEXACT, here_co), (Family.EXACT, here_ex))
+                           if here]
                     if r == 1:
-                        order2, den2 = blocks.core_pair(b, jp2, j2, 2)
-                        if any(e * den2 != o * den for e, o in zip(entries, order2)):
-                            pt = spectra.spectral_point(params, jp, j)
-                            bad = ("order2-block",
-                                   repr(blocks.even_order_block(params, pt, r)),
-                                   repr(blocks.order2_block(params, pt)))
-                    if bad is None:
-                        det_n, det_d = arithmetic.gamma_product(
-                            spectra.gamma_args(True, jp2, j2), r)
-                        if det_n != 0:
-                            e11, e12, e21, e22 = entries
-                            witness = _same_ratio(det_seen, r, (e11 * e22 - e12 * e21) * det_d,
-                                                  den * den * det_n)
+                        for family, (ev_n, ev_d) in evs:
+                            want_n, want_d = blocks.order2_pair(family, b, jp2, j2)
+                            if ev_n * want_d != want_n * ev_d:
+                                bad = ("order2-" + family.value, _ratio_text(ev_n, ev_d),
+                                       _ratio_text(want_n, want_d))
+                                break
+                    if bad is None and len(evs) == 2:
+                        (_, (co_n, co_d)), (_, (ex_n, ex_d)) = evs
+                        lhs, rhs = co_n * (s2 - r2), ex_n * (s2 + r2)
+                        if lhs * ex_d != rhs * co_d:
+                            bad = ("family-ratio", _ratio_text(lhs, 2 * co_d),
+                                   _ratio_text(rhs, 2 * ex_d))
+                    if bad is None and evs:
+                        g_n, g_d = gamma(False, jp2, j2, r)
+                        for family, (ev_n, ev_d) in evs:
+                            if g_n == 0:
+                                witness = (_ratio_text(ev_n, ev_d), "0") if ev_n else None
+                            else:
+                                witness = _same_ratio(eig_seen, (family.value, r),
+                                                      ev_n * g_d, ev_d * g_n)
                             if witness:
-                                bad = ("det-proportionality",) + witness
-                if bad is None:
-                    reports.append(CheckReport("even-order", point, PASS))
-                else:
-                    name, lhs, rhs = bad
-                    point["identity"] = name
-                    reports.append(CheckReport("even-order", point, FAIL, lhs=lhs, rhs=rhs))
-        for r in orders:
-            for family in (Family.COEXACT, Family.EXACT):
-                point = _point_dict(params, -1, -1, r, {"family": family.value,
-                                                        "identity": "leading-symbol"})
-                p_op, p_sym = blocks.symbol_polynomials(family, b, r)
-                if p_op.top_part() == p_sym.top_part():
-                    reports.append(CheckReport("even-order", point, PASS))
-                else:
-                    p_op, p_sym = blocks.leading_symbol_polynomials(family, params, r)
-                    reports.append(CheckReport("even-order", point, FAIL,
-                                               lhs=repr(p_op.top_part()),
-                                               rhs=repr(p_sym.top_part())))
+                                bad = ("eigenvalue-proportionality",) + witness
+                                break
+                    if bad is None and here_m:
+                        entries, den = blocks.even_block_pair(b, jp, j, r)
+                        if r == 1:
+                            order2, den2 = blocks.core_pair(b, jp2, j2, 2)
+                            if any(e * den2 != o * den for e, o in zip(entries, order2)):
+                                pt = spectra.spectral_point(params, jp, j)
+                                bad = ("order2-block",
+                                       repr(blocks.even_order_block(params, pt, r)),
+                                       repr(blocks.order2_block(params, pt)))
+                        if bad is None:
+                            det_n, det_d = gamma(True, jp2, j2, r)
+                            if det_n != 0:
+                                e11, e12, e21, e22 = entries
+                                witness = _same_ratio(det_seen, r, (e11 * e22 - e12 * e21) * det_d,
+                                                      den * den * det_n)
+                                if witness:
+                                    bad = ("det-proportionality",) + witness
+                    if bad is None:
+                        reports.append(CheckReport("even-order", point, PASS))
+                    else:
+                        name, lhs, rhs = bad
+                        point["identity"] = name
+                        reports.append(CheckReport("even-order", point, FAIL, lhs=lhs, rhs=rhs))
+            for r in orders:
+                for family in (Family.COEXACT, Family.EXACT):
+                    point = _point_dict(params, -1, -1, r, {"family": family.value,
+                                                            "identity": "leading-symbol"})
+                    p_op, p_sym = blocks.symbol_polynomials(family, b, r, products[r])
+                    if p_op.top_part() == p_sym.top_part():
+                        reports.append(CheckReport("even-order", point, PASS))
+                    else:
+                        p_op, p_sym = blocks.leading_symbol_polynomials(family, params, r)
+                        reports.append(CheckReport("even-order", point, FAIL,
+                                                   lhs=repr(p_op.top_part()),
+                                                   rhs=repr(p_sym.top_part())))
     return reports
 
 
@@ -577,19 +611,19 @@ def run_scalar_reduction(
             continue
         for jp, j in iter_levels(grid):
             pt = spectra.spectral_point(params, jp, j)
+            # the existence verdicts do not depend on r
+            if exists_fn(params, KTypeLabel(Family.EXACT, jp, j)):
+                bad = "exact family nonempty at k=0"
+            elif exists_fn(params, KTypeLabel(Family.MIXED, jp, j)):
+                bad = "mixed family nonempty at k=0"
+            elif not exists_fn(params, KTypeLabel(Family.COEXACT, jp, j)):
+                bad = "function family empty"
+            else:
+                bad = None
             for r in grid.r_values:
                 point = _point_dict(params, jp, j, r)
-                if exists_fn(params, KTypeLabel(Family.EXACT, jp, j)):
-                    reports.append(CheckReport("scalar-reduction", point, FAIL,
-                                               lhs="exact family nonempty at k=0", rhs=""))
-                    continue
-                if exists_fn(params, KTypeLabel(Family.MIXED, jp, j)):
-                    reports.append(CheckReport("scalar-reduction", point, FAIL,
-                                               lhs="mixed family nonempty at k=0", rhs=""))
-                    continue
-                if not exists_fn(params, KTypeLabel(Family.COEXACT, jp, j)):
-                    reports.append(CheckReport("scalar-reduction", point, FAIL,
-                                               lhs="function family empty", rhs=""))
+                if bad:
+                    reports.append(CheckReport("scalar-reduction", point, FAIL, lhs=bad, rhs=""))
                     continue
                 try:
                     value = spectra.normalized_eigenvalue(Family.COEXACT, params, pt, r)

@@ -140,12 +140,12 @@ def test_criterion_6_leading_symbol(timed_suites):
 
 def test_criterion_7_torus_realization():
     start = time.perf_counter()
-    worst = 0.0
+    columns = []
     for k in (0, 1, 2):
         for r in (1, 2, 3):
             result = torus.intertwining_residual(24, k, r, mode="exact")
-            assert result.residual < 1e-9, (k, r, result.residual)
-            worst = max(worst, result.residual)
+            assert result.exact_zero and result.columns > 0, (k, r, result)
+            columns.append(result.columns)
     # assembly identities, exact, every degree
     for k in (0, 1, 2):
         basis = torus.TorusBasis(6, k)
@@ -156,10 +156,11 @@ def test_criterion_7_torus_realization():
         for op in (comm, lie):
             assert all(not v for col in op.columns.values() for v in col.values())
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-9 and elapsed < 120.0
+    ok = elapsed < 120.0
     _verdict(7, "torus realization", ok,
-             f"max residual {worst} < 1e-9 over k in {{0,1,2}}, r in {{1,2,3}}, "
-             f"M=24; assembly identities exact; {elapsed:.1f}s < 120s")
+             f"residual exactly zero over k in {{0,1,2}}, r in {{1,2,3}}, M=24, "
+             f"at least {min(columns)} columns each; assembly identities exact; "
+             f"{elapsed:.1f}s < 120s")
 
 
 def test_criterion_8_negative_controls():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -268,17 +269,58 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("r", ["1/0", "inf", "-inf", "1e400", "nan"])
-@pytest.mark.parametrize("args", [
+ORDER_COMMANDS = [
     ["eval", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp", "1", "--j", "2",
      "--family", "coexact"],
     ["table", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp-max", "2",
      "--j-max", "2", "--family", "coexact"],
     ["torus", "--k", "1", "--M", "6"],
-], ids=["eval", "table", "torus"])
-def test_non_finite_float_order_fails_cleanly(runner, args, r):
-    result = runner.invoke(main, args + ["--r", r, "--mode", "float"])
-    assert result.exit_code != 0
+]
+
+
+def assert_clean_error(result):
     assert isinstance(result.exception, SystemExit)  # no uncaught exception
     assert any(line.startswith("Error") for line in result.output.splitlines())
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("r", ["1/0", "inf", "-inf", "1e400", "nan"])
+@pytest.mark.parametrize("args", ORDER_COMMANDS, ids=["eval", "table", "torus"])
+def test_non_finite_float_order_fails_cleanly(runner, args, r):
+    result = runner.invoke(main, args + ["--r", r, "--mode", "float"])
+    assert result.exit_code != 0
+    assert_clean_error(result)
+
+
+@pytest.mark.parametrize("extra, exit_code", [
+    (["--mode", "float", "--r", "300.5"], 1),  # the float gamma quotient overflows
+    (["--mode", "float", "--r", "1e15"], 2),   # integral, so on the exact path
+    (["--r", "257"], 2),
+    (["--r", "-257"], 2),
+    (["--r", "1e400"], 2),
+], ids=["overflow", "integral-float", "above-cap", "below-cap", "huge"])
+@pytest.mark.parametrize("args", ORDER_COMMANDS, ids=["eval", "table", "torus"])
+def test_bad_orders_fail_fast_and_cleanly(runner, args, extra, exit_code):
+    start = time.perf_counter()
+    result = runner.invoke(main, args + extra)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == exit_code, result.output
+    assert_clean_error(result)
+
+
+@pytest.mark.parametrize("args", [
+    ["table", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp-max", "3",
+     "--j-max", "3", "--family", "exact", "--r", "1000"],
+    ["torus", "--k", "0", "--r", "20000", "--M", "4"],
+], ids=["table", "torus"])
+def test_orders_above_the_cap_are_usage_errors(runner, args):
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert "|r| <= 256" in result.output
+    assert_clean_error(result)
+
+
+def test_order_at_the_cap_is_evaluated(runner):
+    run_ok(runner, ORDER_COMMANDS[0] + ["--r", "-256"])

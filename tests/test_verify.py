@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -250,6 +251,78 @@ class TestLibraryEdits:
                  {"eigenvalue_fn": lambda *args: blocks.even_order_eigenvalue(*args)})):
             default = [rep.to_json() for rep in suite(SMALL)]
             assert [rep.to_json() for rep in suite(SMALL, **kwargs)] == default
+
+
+def _edit_transition(real):
+    def skewed(mixed, jp2, j2, r2, djp, dj):
+        (num, den), *rest = real(mixed, jp2, j2, r2, djp, dj)
+        return ((num + 2, den), *rest) if (djp, dj) == (1, 1) else ((num, den), *rest)
+    return skewed
+
+
+def _edit_gamma_product(real):
+    def skewed(xs2, r):
+        num, den = real(xs2, r)
+        return num + den, den
+    return skewed
+
+
+def _edit_even_product_plus_one(real):
+    return lambda v1, v2, r: real(v1, v2, r) + 1
+
+
+def _edit_even_product_doubled_at_3(real):
+    return lambda v1, v2, r: real(v1, v2, r) * 2 if r == 3 else real(v1, v2, r)
+
+
+PIN_GRID = GridSpec(p_max=4, q_max=4, j_max=3, r_values=(1, 2, 3))
+
+
+class TestPinnedReports:
+    """Report bytes, clean and under library edits, pinned to the per-bundle suites' output."""
+
+    @pytest.mark.parametrize("module, name, edit, suite, digest, failed", [
+        (None, None, None, run_diamond_checks,
+         "10a18eed8f6e29bdbf187483854578368d27dafdd4b17aef38ef2db033002111", 0),
+        (None, None, None, run_det_checks,
+         "1af9fd5cbea276b1892bfbcef744349e9875cbdeaf391d97f9e49e4b230d5f75", 0),
+        (None, None, None, run_even_order_checks,
+         "0bb9b0ea2b46722293555ba01eb6891cd8ad889ebb02866fdcf8ec573d7c2a5c", 0),
+        (spectra, "transition_factors", _edit_transition, run_diamond_checks,
+         "1fae0f7e29f1c2b854ca3d6c69ab8a94d7a4cef229057ed1cf4bb06b4befacb4", 1420),
+        (arithmetic, "gamma_product", _edit_gamma_product, run_diamond_checks,
+         "39670011b5b52e7aff54e2e4fe3109ed1ada5b77d6721060dda951d1e02818a5", 1872),
+        (arithmetic, "gamma_product", _edit_gamma_product, run_det_checks,
+         "b4ffbdb81a1177047525da1235400c98ad853126b0698c02e7873be34a8ecc3a", 503),
+        (arithmetic, "gamma_product", _edit_gamma_product, run_even_order_checks,
+         "4d82a9e5a8bf508ffef10de279bbdee441c03044ef30aed04f5907da7fa5f4a5", 1104),
+        (blocks, "even_product", _edit_even_product_plus_one, run_even_order_checks,
+         "b61e934f5b1e2885997401f53a88e3f7bed0314be10d7fd6a76eac3d948f99b6", 1219),
+        (blocks, "even_product", _edit_even_product_doubled_at_3, run_even_order_checks,
+         "0e6be2a37b8c7e2c3e3eaf3225b09678631c0653946df88e33ddd84f4258bd68", 85),
+    ], ids=["diamond", "det", "even-order", "transition-diamond", "gamma-diamond",
+            "gamma-det", "gamma-even-order", "even-product-plus-one",
+            "even-product-doubled-at-3"])
+    def test_report_digest(self, monkeypatch, module, name, edit, suite, digest, failed):
+        if module is not None:
+            monkeypatch.setattr(module, name, edit(getattr(module, name)))
+        reports = suite(PIN_GRID)
+        data = "".join(rep.to_json() + "\n" for rep in reports).encode()
+        assert len(failures(reports)) == failed
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_corners_need_both_midpoints(self):
+        # with no vanishing step anywhere, every corner route is defined on
+        # the lattice, so a bundle must skip a corner by its missing labels
+        def nowhere_zero(pt, r, direction):
+            return arithmetic.ExtendedScalar.exact(Fraction(
+                2 * pt.Jp + 3 * pt.J + direction.djp + 7 + r, 5 + direction.dj))
+
+        reports = run_diamond_checks(PIN_GRID, mult1_fn=nowhere_zero, mult2_fn=nowhere_zero)
+        data = "".join(rep.to_json() + "\n" for rep in reports).encode()
+        assert len(failures(reports)) == 1826
+        assert hashlib.sha256(data).hexdigest() == \
+            "2d20f254c486b45b6094c630f334ed4ef8518f29dd0fc820f91b693faec94ef3"
 
 
 class TestScalarReduction:
