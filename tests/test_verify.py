@@ -279,7 +279,7 @@ PIN_GRID = GridSpec(p_max=4, q_max=4, j_max=3, r_values=(1, 2, 3))
 
 
 class TestPinnedReports:
-    """Report bytes, clean and under library edits, pinned to the per-bundle suites' output."""
+    """Report bytes of the diamond, det and even-order suites, clean and under library edits."""
 
     @pytest.mark.parametrize("module, name, edit, suite, digest, failed", [
         (None, None, None, run_diamond_checks,
