@@ -280,18 +280,10 @@ def gamma_ratio_numeric(x: float, r: float) -> ExtendedScalar:
     if b_pole:
         return ExtendedScalar.floating(0.0)
     sign = _gamma_sign(a) * _gamma_sign(b)
-    return ExtendedScalar.floating(sign * math.exp(math.lgamma(a) - math.lgamma(b)))
-
-
-def sqrt_exact(x: Rational) -> Rational:
-    """Exact square root of a nonnegative rational that is a perfect square.
-
-    Type-generic: an int gives an int, a Fraction a Fraction.  Raises
-    ``ValueError`` when x is negative or not the square of a rational.
-    """
-    if x < 0:
-        raise ValueError(f"negative radicand {x}")
-    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if num * num != x.numerator or den * den != x.denominator:
-        raise ValueError(f"{x} is not the square of a rational")
-    return num if isinstance(x, int) else Fraction(num, den)
+    try:
+        magnitude = math.exp(math.lgamma(a) - math.lgamma(b))
+    except OverflowError:
+        raise OverflowError(
+            f"gamma quotient G((x+r)/2)/G((x-r)/2) at x={x!r}, r={r!r} "
+            "exceeds the float range") from None
+    return ExtendedScalar.floating(sign * magnitude)

@@ -10,8 +10,9 @@ The first factor sphere carries the negative-definite metric, so its
 second-order quantities enter with a flipped sign: the stored first-factor
 value is ``h_co1 - J'^2`` (the split-signature eigenvalue), whose negative is
 the round-sphere one.  All square-root operators then act by J' and J
-exactly, which is checked by exact square-root extraction when the even-order
-products are assembled.
+exactly: with lambda a factor sphere's eigenvalue and o the family's doubled
+offset (:func:`family_offsets`), 4*lambda + o^2 is the square of 2J' or 2J
+at every level, so the even-order products take the doubled levels directly.
 
 Each formula is written once, on doubled levels 2J' = 2j' + p - 2,
 2J = 2j + q - 2, 2s and 2r, where every half-integer shift clears and
@@ -36,15 +37,12 @@ from .arithmetic import (
     gamma_product,
     is_integral,
     quotient,
-    sqrt_exact,
 )
 from .spectra import (
     BundleParams,
     DegenerateNormalizationError,
     Family,
     SpectralPoint,
-    coexact_laplacian,
-    exact_laplacian,
     seed_gamma_args,
 )
 
@@ -83,7 +81,6 @@ def projection_constants(n: int, k: int, j: int) -> ProjectionConstants:
 class Doubled(NamedTuple):
     """The bundle's constants on doubled levels, computed once per bundle."""
 
-    params: BundleParams
     s2: int         # 2s = p + q - 2 - 2k
     w2: int         # 2w = q - p + 2k - 4a + 2, the weight of the diagonal entries
     sign: int       # (-1)^(k-a+1), the parity sign of the off-diagonal coupling
@@ -94,7 +91,7 @@ class Doubled(NamedTuple):
 def doubled(params: BundleParams) -> Doubled:
     """The bundle's doubled-level constants."""
     p, q, k, a = params.p, params.q, params.k, params.a
-    return Doubled(params, p + q - 2 - 2 * k, q - p + 2 * k - 4 * a + 2,
+    return Doubled(p + q - 2 - 2 * k, q - p + 2 * k - 4 * a + 2,
                    -1 if (k - a) % 2 == 0 else 1, p - 2 - 2 * (k - a), q - 2 * a)
 
 
@@ -269,40 +266,12 @@ def block_scale_squared(params: BundleParams, pt: SpectralPoint, r: int) -> Exte
     return quotient(s + r, s - r) * gamma_part * gamma_part
 
 
-# -- square-root operator values --------------------------------------------------
-
-def factor_roots(family: Family, b: Doubled, jp: int, j: int) -> Tuple[int, int]:
-    """Twice the constants by which the family's square-root operators act.
-
-    Computed from the factor sphere spectra and the family's offsets, not
-    from (J', J) directly; both routes agreeing is part of the design.  Each
-    is the exact integer square root of 4*lambda + o^2, with lambda the
-    factor sphere's Riemannian eigenvalue and o the doubled offset of
-    :func:`family_offsets`; the radicand is a perfect square exactly when the
-    offset matches the summand, so a failed extraction (``ValueError``) means
-    inconsistent data.
-    """
-    params = b.params
-    first = exact_laplacian if family is Family.EXACT else coexact_laplacian
-    second = coexact_laplacian if family is Family.COEXACT else exact_laplacian
-    o1, o2 = family_offsets(family, b)
-    return (sqrt_exact(4 * first(params.p - 1, params.k - params.a, jp) + o1 * o1),
-            sqrt_exact(4 * second(params.q - 1, params.a, j) + o2 * o2))
-
-
 # -- order-2 and order-2r operators ------------------------------------------------
 
 def order2_pair(family: Family, b: Doubled, jp2, j2):
     """The second-order eigenvalue (s -+ 1)(J+J')(J-J') as (value, scale 8)."""
     factor = b.s2 + 2 if family is Family.COEXACT else b.s2 - 2
     return factor * (j2 + jp2) * (j2 - jp2), 8
-
-
-def order2_eigenvalue(family: Family, params: BundleParams, pt: SpectralPoint) -> Fraction:
-    """Second-order operator on a multiplicity-one family: (s -+ 1)(J+J')(J-J')."""
-    if family is Family.MIXED:
-        raise ValueError("mixed family carries a block; use order2_block")
-    return Fraction(*order2_pair(family, doubled(params), 2 * pt.Jp, 2 * pt.J))
 
 
 def order2_block(params: BundleParams, pt: SpectralPoint) -> TwoByTwo:
@@ -337,17 +306,15 @@ def _order_prefactor(family: Family, b: Doubled, r: int) -> int:
     return b.s2 + 2 * r if family is Family.COEXACT else b.s2 - 2 * r
 
 
-def even_order_pair(family: Family, b: Doubled, jp: int, j: int, r: int):
-    """The order-2r eigenvalue at levels (j', j) as (value, scale 2 * 4^r)."""
-    v1, v2 = factor_roots(family, b, jp, j)
-    return _order_prefactor(family, b, r) * even_product(v1, v2, r), 2 * 4 ** r
+def even_order_pair(family: Family, b: Doubled, jp2, j2, r: int):
+    """The order-2r eigenvalue at doubled levels (2J', 2J) as (value, scale 2 * 4^r)."""
+    return _order_prefactor(family, b, r) * even_product(jp2, j2, r), 2 * 4 ** r
 
 
-def even_block_pair(b: Doubled, jp: int, j: int, r: int):
-    """The order-2r mixed block at levels (j', j) as (entries, common scale)."""
-    v1, v2 = factor_roots(Family.MIXED, b, jp, j)
-    prefactor = even_product(v1, v2, r - 1)
-    entries, scale = core_pair(b, 2 * jp + b.params.p - 2, 2 * j + b.params.q - 2, 2 * r)
+def even_block_pair(b: Doubled, jp2, j2, r: int):
+    """The order-2r mixed block at doubled levels (2J', 2J) as (entries, common scale)."""
+    prefactor = even_product(jp2, j2, r - 1)
+    entries, scale = core_pair(b, jp2, j2, 2 * r)
     return tuple(prefactor * e for e in entries), scale * 4 ** (r - 1)
 
 
@@ -360,29 +327,29 @@ def even_order_eigenvalue(family: Family, params: BundleParams,
                           pt: SpectralPoint, r: int) -> Fraction:
     """Order-2r operator eigenvalue on a multiplicity-one family, r >= 1.
 
-    Assembled from the square-root operator constants of the family (values
-    extracted exactly from the factor sphere spectra), times (s+r) on the
-    coexact family and (s-r) on the exact one.  Normalized so that r = 1
-    reproduces the second-order operator.
+    Assembled from the square-root operator constants of the family, which
+    are J' and J, times (s+r) on the coexact family and (s-r) on the exact
+    one.  Normalized so that r = 1 reproduces the second-order operator.
     """
     _check_order(r)
     if family is Family.MIXED:
         raise ValueError("mixed family carries a block; use even_order_block")
-    return Fraction(*even_order_pair(family, doubled(params), *_levels(params, pt), r))
+    return Fraction(*even_order_pair(family, doubled(params), *_doubled_levels(params, pt), r))
 
 
 def even_order_block(params: BundleParams, pt: SpectralPoint, r: int) -> TwoByTwo:
     """Order-2r operator on a mixed pair, r >= 1: scalar product times the core block."""
     _check_order(r)
-    return _two_by_two(*even_block_pair(doubled(params), *_levels(params, pt), r))
+    return _two_by_two(*even_block_pair(doubled(params), *_doubled_levels(params, pt), r))
 
 
-def _levels(params: BundleParams, pt: SpectralPoint) -> Tuple[int, int]:
+def _doubled_levels(params: BundleParams, pt: SpectralPoint) -> Tuple[int, int]:
+    """The integers (2J', 2J) of a point on the bundle's level lattice."""
     jp = pt.Jp - params.shift1
     j = pt.J - params.shift2
     if jp.denominator != 1 or j.denominator != 1 or jp < 0 or j < 0:
         raise ValueError(f"point {pt} is not on the level lattice of {params}")
-    return int(jp), int(j)
+    return int(2 * pt.Jp), int(2 * pt.J)
 
 
 # -- exact bivariate polynomials for the leading-symbol check ----------------------

@@ -7,9 +7,10 @@ pair of harmonic levels (j', j); the spectral formulas are functions of the
 shifted levels J' = j' + (p-2)/2 and J = j + (q-2)/2.
 
 Conventions: every transition quantity is oriented target over source, with
-the four neighbor directions given by unit steps in (j', j).  The degree range
-predicate :func:`ktype_exists` centralizes which Hodge summands are nonempty;
-adjust there if a different boundary convention is needed.
+the four neighbor directions given by unit steps in (j', j).  Each family's
+K-types fill a quadrant j' >= lo1, j >= lo2 of levels; :func:`level_floor`
+states that floor in closed form and centralizes which Hodge summands are
+nonempty, so adjust there if a different boundary convention is needed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import cmath
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .arithmetic import (
     POLE,
@@ -142,47 +143,47 @@ DOWN_RIGHT = Direction(+1, -1)
 DIRECTIONS = (UP_LEFT, UP_RIGHT, DOWN_LEFT, DOWN_RIGHT)
 
 
-# -- factor sphere spectra ----------------------------------------------------
+# -- existence floors ----------------------------------------------------------
 
-def coexact_laplacian(dim: int, c: int, j: int) -> int:
-    """Riemannian (delta d)-eigenvalue on coexact c-forms of level j on S^dim."""
-    return (j + c) * (j + dim - 1 - c)
-
-
-def exact_laplacian(dim: int, c: int, j: int) -> int:
-    """Riemannian (d delta)-eigenvalue on exact c-forms of level j on S^dim."""
-    return (j + c - 1) * (j + dim - c)
-
-
-def coexact_exists(dim: int, c: int, j: int) -> bool:
-    """Nonemptiness of the coexact summand; c = 0, j = 0 are the constants."""
+def coexact_floor(dim: int, c: int) -> Optional[int]:
+    """Least level of the coexact c-forms on S^dim; the constants sit at c = 0, j = 0."""
     if c == 0:
-        return j >= 0
-    return 1 <= c <= dim - 1 and j >= 1
+        return 0
+    return 1 if 1 <= c <= dim - 1 else None
 
 
-def exact_exists(dim: int, c: int, j: int) -> bool:
-    return 1 <= c <= dim and j >= 1
+def exact_floor(dim: int, c: int) -> Optional[int]:
+    """Least level of the exact c-forms on S^dim."""
+    return 1 if 1 <= c <= dim else None
 
 
-def ktype_exists(params: BundleParams, label: KTypeLabel) -> bool:
-    """Whether (family, j', j) labels a nonempty module for these parameters.
+def level_floor(params: BundleParams, family: Family) -> Optional[Tuple[int, int]]:
+    """The least levels (j', j) of the family's K-types, or None if it has none.
 
-    Mixed labels require both constituents of the pair, so the 2x2 machinery
-    applies; single-summand boundary degenerations are treated as nonexistent
-    here and handled separately where they matter (the torus realization).
+    Each factor summand exists from its floor level on, so the family's
+    labels are exactly the quadrant j' >= lo1, j >= lo2.  Mixed labels
+    require both constituents of the pair, so the 2x2 machinery applies;
+    single-summand boundary degenerations are treated as nonexistent here
+    and handled separately where they matter (the torus realization).
     """
     p1, p2 = params.p - 1, params.q - 1
     c1, c2 = params.k - params.a, params.a
-    jp, j = label.jp, label.j
-    if jp < 0 or j < 0:
-        return False
-    if label.family is Family.COEXACT:
-        return coexact_exists(p1, c1, jp) and coexact_exists(p2, c2, j)
-    if label.family is Family.EXACT:
-        return exact_exists(p1, c1, jp) and exact_exists(p2, c2, j)
-    return (coexact_exists(p1, c1, jp) and exact_exists(p2, c2, j)
-            and exact_exists(p1, c1 + 1, jp) and coexact_exists(p2, c2 - 1, j))
+    if family is Family.COEXACT:
+        first, second = (coexact_floor(p1, c1),), (coexact_floor(p2, c2),)
+    elif family is Family.EXACT:
+        first, second = (exact_floor(p1, c1),), (exact_floor(p2, c2),)
+    else:
+        first = (coexact_floor(p1, c1), exact_floor(p1, c1 + 1))
+        second = (exact_floor(p2, c2), coexact_floor(p2, c2 - 1))
+    if None in first or None in second:
+        return None
+    return max(first), max(second)
+
+
+def ktype_exists(params: BundleParams, label: KTypeLabel) -> bool:
+    """Whether (family, j', j) labels a nonempty module for these parameters."""
+    floor = level_floor(params, label.family)
+    return floor is not None and label.jp >= floor[0] and label.j >= floor[1]
 
 
 def spectral_point(params: BundleParams, jp: int, j: int,

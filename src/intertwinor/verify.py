@@ -18,9 +18,10 @@ suite calls the public wrappers over the same kernels.
 Transition and gamma quotients depend on the shifted levels and r alone, not
 on the bundle's (k, a).  The diamond, det and even-order suites therefore
 compute them once per (p, q) slice, in tables that live for that slice, and
-each bundle reads them through its existence set; the diamond table holds
-the failing comparisons themselves, each with the labels it needs.  The
-identities, per suite:
+each bundle reads them over its own levels.  A family's K-types fill the
+quadrant above its :func:`spectra.level_floor`, so the diamond table holds
+the failing comparisons themselves, each with the least levels its labels
+need.  The identities, per suite:
 
 - diamond: path independence of the transition quotients
   (``diamond-path``) and their compatibility with the eigenvalue or
@@ -49,7 +50,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import arithmetic, blocks, spectra
 from .arithmetic import IndeterminateError, format_fraction
@@ -160,9 +161,9 @@ def _slices(grid: GridSpec) -> Iterator[List[BundleParams]]:
         yield list(group)
 
 
-def _exists_set(params: BundleParams, family: Family, j_hi: int) -> Set[Tuple[int, int]]:
-    return {(jp, j) for jp in range(j_hi + 1) for j in range(j_hi + 1)
-            if spectra.ktype_exists(params, KTypeLabel(family, jp, j))}
+def _quadrant(floor: Tuple[int, int], j_max: int) -> Iterator[Tuple[int, int]]:
+    """The levels (j', j) <= j_max at or above ``floor``, in sweep order."""
+    return itertools.product(range(floor[0], j_max + 1), range(floor[1], j_max + 1))
 
 
 # -- diamond suite ---------------------------------------------------------------
@@ -225,7 +226,7 @@ def run_diamond_checks(
     in replaces its formula through the same integer-pair interface.  Each
     (p, q) slice builds one table of failing comparisons per kind, shared by
     the coexact and exact families; a record is the first of them whose
-    labels all exist in its bundle and family.
+    least levels lie at or above its family's :func:`spectra.level_floor`.
     """
     reports: List[CheckReport] = []
     for bundles in _slices(grid):
@@ -233,16 +234,17 @@ def run_diamond_checks(
                   True: _diamond_table(bundles[0], True, mult2_fn, mult2_det_fn)}
         for params in bundles:
             for family in (Family.COEXACT, Family.EXACT, Family.MIXED):
+                floor = spectra.level_floor(params, family)
+                if floor is None:
+                    continue
+                lo1, lo2 = floor
                 fails = tables[family is Family.MIXED]
-                exists = _exists_set(params, family, grid.j_max + 2)
                 fam_pt = {"family": family.value}
-                for jp, j in iter_levels(grid):
-                    if (jp, j) not in exists:
-                        continue
+                for jp, j in _quadrant(floor, grid.j_max):
                     for r in grid.r_values:
                         point = _point_dict(params, jp, j, r, fam_pt)
-                        for labels, fail in fails(jp, j, r):
-                            if exists.issuperset(labels):
+                        for need_jp, need_j, fail in fails(jp, j, r):
+                            if need_jp >= lo1 and need_j >= lo2:
                                 point["identity"], lhs, rhs = fail
                                 reports.append(CheckReport("diamond", point, FAIL, lhs, rhs))
                                 break
@@ -252,13 +254,16 @@ def run_diamond_checks(
 
 
 def _diamond_table(params: BundleParams, mixed: bool, trans_fn, eig_fn):
-    """The failing diamond comparisons at (j', j, r) in gate order, with their labels.
+    """The failing diamond comparisons at (j', j, r) in gate order, with the levels they need.
 
-    Corner routes first, then gamma-transition per direction; a corner needs
-    both midpoints and the corner, a gamma comparison the neighbor.  The
-    values depend on the kind and the slice (p, q) alone, so ``params`` may
-    be any bundle of the slice.  A label with a negative level never exists,
-    and a route with a vanishing step is undefined in every bundle.
+    Corner routes first, then gamma-transition per direction; a corner's
+    labels are both midpoints and the corner, a gamma comparison's the
+    neighbor.  Each comparison carries the least j' and the least j over its
+    labels, which all exist exactly when those do, as every family's labels
+    fill a quadrant.  The values depend on the kind and the slice (p, q)
+    alone, so ``params`` may be any bundle of the slice.  A label with a
+    negative level never exists, and a route with a vanishing step is
+    undefined in every bundle.
     """
     dp, dq = params.p - 2, params.q - 2
     if trans_fn is None:
@@ -296,14 +301,16 @@ def _diamond_table(params: BundleParams, mixed: bool, trans_fn, eig_fn):
             else:
                 (num_a, den_a), (num_b, den_b) = prods
                 if num_a * den_b != num_b * den_a:
-                    out.append((labels, ("diamond-path", format_fraction(Fraction(num_a, den_a)),
-                                         format_fraction(Fraction(num_b, den_b)))))
+                    need_jp, need_j = map(min, zip(*labels))
+                    out.append((need_jp, need_j, (
+                        "diamond-path", format_fraction(Fraction(num_a, den_a)),
+                        format_fraction(Fraction(num_b, den_b)))))
         src_n, src_d = value(jp, j, r)
         for (d1, d2), (n, d) in here.items():
             tgt_n, tgt_d = value(jp + d1, j + d2, r)
             lhs, rhs = tgt_n * src_d * d, src_n * tgt_d * n
             if lhs != rhs:
-                out.append((((jp + d1, j + d2),), ("gamma-transition", str(lhs), str(rhs))))
+                out.append((jp + d1, j + d2, ("gamma-transition", str(lhs), str(rhs))))
         return out
     return fails
 
@@ -339,6 +346,9 @@ def run_interface_checks(
     """
     reports: List[CheckReport] = []
     for params in iter_bundles(grid):
+        floor = spectra.level_floor(params, Family.MIXED)
+        if floor is None:
+            continue
         b = blocks.doubled(params)
         s2, sg = b.s2, b.sign
         dp, dq = params.p - 2, params.q - 2
@@ -359,10 +369,7 @@ def run_interface_checks(
             else:
                 constants[j] = ((1 - c1).numerator, (1 - c1).denominator,
                                 (1 - c2).numerator, (1 - c2).denominator)
-        exists = _exists_set(params, Family.MIXED, grid.j_max)
-        for jp, j in iter_levels(grid):
-            if (jp, j) not in exists:
-                continue
+        for jp, j in _quadrant(floor, grid.j_max):
             if isinstance(constants[j], str):
                 for r in grid.r_values:
                     reports.append(CheckReport("interface", _point_dict(params, jp, j, r),
@@ -429,12 +436,12 @@ def run_det_checks(
         gammas = cache(lambda jp, j, r: (det(jp, j, r), arithmetic.gamma_product(
             spectra.seed_gamma_args(2 * jp + dp, 2 * j + dq), r)))
         for params in bundles:
+            floor = spectra.level_floor(params, Family.MIXED)
+            if floor is None:
+                continue
             b = blocks.doubled(params)
             s2 = b.s2
-            exists = _exists_set(params, Family.MIXED, grid.j_max)
-            for jp, j in iter_levels(grid):
-                if (jp, j) not in exists:
-                    continue
+            for jp, j in _quadrant(floor, grid.j_max):
                 jp2, j2 = 2 * jp + dp, 2 * j + dq
                 plus, minus = jp2 + j2, jp2 - j2
                 for r in grid.r_values:
@@ -508,19 +515,19 @@ def run_even_order_checks(
             s2 = b.s2
             if eigenvalue_fn is None:
                 def value(family, jp, j, r):
-                    return blocks.even_order_pair(family, b, jp, j, r)
+                    return blocks.even_order_pair(family, b, 2 * jp + dp, 2 * j + dq, r)
             else:
                 def value(family, jp, j, r):
                     v = Fraction(eigenvalue_fn(family, params,
                                                spectra.spectral_point(params, jp, j), r))
                     return v.numerator, v.denominator
-            ex_m = _exists_set(params, Family.MIXED, grid.j_max)
-            ex_co = _exists_set(params, Family.COEXACT, grid.j_max)
-            ex_ex = _exists_set(params, Family.EXACT, grid.j_max)
+            floors = [spectra.level_floor(params, family)
+                      for family in (Family.MIXED, Family.COEXACT, Family.EXACT)]
             det_seen: Dict[int, Tuple[int, int]] = {}
             eig_seen: Dict[Tuple[str, int], Tuple[int, int]] = {}
             for jp, j in iter_levels(grid):
-                here_m, here_co, here_ex = ((jp, j) in ex_m, (jp, j) in ex_co, (jp, j) in ex_ex)
+                here_m, here_co, here_ex = (floor is not None and jp >= floor[0] and j >= floor[1]
+                                            for floor in floors)
                 if not (here_m or here_co or here_ex):
                     continue
                 jp2, j2 = 2 * jp + dp, 2 * j + dq
@@ -556,7 +563,7 @@ def run_even_order_checks(
                                 bad = ("eigenvalue-proportionality",) + witness
                                 break
                     if bad is None and here_m:
-                        entries, den = blocks.even_block_pair(b, jp, j, r)
+                        entries, den = blocks.even_block_pair(b, jp2, j2, r)
                         if r == 1:
                             order2, den2 = blocks.core_pair(b, jp2, j2, 2)
                             if any(e * den2 != o * den for e, o in zip(entries, order2)):

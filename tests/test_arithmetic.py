@@ -17,7 +17,6 @@ from intertwinor.arithmetic import (
     quotient,
     rising_factorial,
     rising_product,
-    sqrt_exact,
 )
 
 
@@ -213,15 +212,3 @@ def test_format_fraction():
 def test_is_integral():
     assert is_integral(4) and is_integral(Fraction(8, 2))
     assert not is_integral(Fraction(1, 2)) and not is_integral(2.0)
-
-
-def test_sqrt_exact():
-    assert sqrt_exact(Fraction(9, 16)) == Fraction(3, 4)
-    assert sqrt_exact(0) == 0
-    assert sqrt_exact(49) == 7 and isinstance(sqrt_exact(49), int)
-    with pytest.raises(ValueError):
-        sqrt_exact(Fraction(2))
-    with pytest.raises(ValueError):
-        sqrt_exact(48)
-    with pytest.raises(ValueError):
-        sqrt_exact(Fraction(-1))

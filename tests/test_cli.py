@@ -306,6 +306,9 @@ def test_bad_orders_fail_fast_and_cleanly(runner, args, extra, exit_code):
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == exit_code, result.output
     assert_clean_error(result)
+    if exit_code == 1:
+        assert "gamma quotient G((x+r)/2)/G((x-r)/2) at x=" in result.output
+        assert "r=300.5 exceeds the float range" in result.output
 
 
 @pytest.mark.parametrize("args", [

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from intertwinor.spectra import (
     cross_type_quotient,
     gamma_args,
     ktype_exists,
+    level_floor,
     mult1_eigenvalue,
     mult1_transition,
     mult2_det,
@@ -79,6 +82,7 @@ class TestKTypeExists:
         assert ktype_exists(params, KTypeLabel(Family.COEXACT, 3, 7))
         assert not ktype_exists(params, KTypeLabel(Family.EXACT, 3, 7))
         assert not ktype_exists(params, KTypeLabel(Family.MIXED, 3, 7))
+        assert not ktype_exists(params, KTypeLabel(Family.COEXACT, -1, 0))
 
     def test_exact_needs_positive_level_and_degree(self):
         params = BundleParams(4, 6, 2, 1)
@@ -104,6 +108,20 @@ class TestKTypeExists:
         params = BundleParams(2, 2, 2, 1)
         assert ktype_exists(params, KTypeLabel(Family.EXACT, 1, 1))
         assert not ktype_exists(params, KTypeLabel(Family.COEXACT, 1, 1))
+
+    def test_floors_pinned(self):
+        # every bundle with p, q <= 12; the digest was computed from an
+        # independent per-level existence test on j', j <= 14, whose sets were
+        # each exactly the quadrant above the floor listed here
+        lines = []
+        for p, q in itertools.product(range(2, 13), repeat=2):
+            for c1, a in itertools.product(range(p), range(q)):
+                params = BundleParams(p, q, c1 + a, a)
+                for family in Family:
+                    lines.append(f"{p} {q} {c1 + a} {a} {family.value} "
+                                 f"{level_floor(params, family)}\n")
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == \
+            "13f59573c5fc45e2e7d05f8945c5ac4f390dff725a49fa0a06d6d305317841bd"
 
 
 class TestMult1Transition:

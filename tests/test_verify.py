@@ -220,16 +220,6 @@ class TestLibraryEdits:
         assert bad and all(rep.point.get("equation") for rep in bad)
         assert failures(run_det_checks(TINY))
 
-    def test_edited_factor_root_is_flagged(self, monkeypatch):
-        real = blocks.sqrt_exact
-
-        def skewed(x):
-            return real(x) + 2  # each factor value one unit too large
-
-        assert not failures(run_even_order_checks(TINY))
-        monkeypatch.setattr(blocks, "sqrt_exact", skewed)
-        assert failures(run_even_order_checks(TINY))
-
     def test_public_functions_match_the_default_gate(self):
         # an injected copy of each public function gives the default reports
         default = [rep.to_json() for rep in run_diamond_checks(TINY)]
