@@ -47,35 +47,6 @@ from .spectra import (
 )
 
 
-# -- projection commutation constants --------------------------------------------
-
-@dataclass(frozen=True)
-class ProjectionConstants:
-    """Scaling constants for conformal-factor projections on a round sphere.
-
-    For degree-k level-j harmonic forms on S^n, multiplying by a first-order
-    conformal factor and projecting to a neighboring level commutes with d
-    and delta up to these ratios.
-    """
-
-    mu: Fraction
-    nu: Fraction
-    alpha: Fraction
-    beta: Fraction
-
-
-def projection_constants(n: int, k: int, j: int) -> ProjectionConstants:
-    """The four constants mu, nu, alpha, beta for S^n, degree k, level j."""
-    if n < 1 or j < 0:
-        raise ValueError(f"need sphere dimension >= 1 and level >= 0, got n={n}, j={j}")
-    return ProjectionConstants(
-        mu=Fraction(j + k),
-        nu=Fraction(n - 1 - k + j),
-        alpha=Fraction(j - 1 + k),
-        beta=Fraction(n - k + j),
-    )
-
-
 # -- per-bundle constants on doubled levels ----------------------------------------
 
 class Doubled(NamedTuple):
@@ -168,17 +139,16 @@ def interface_constants(params: BundleParams, j: int) -> Tuple[Fraction, Fractio
     """The two commutation constants c1, c2 of the level-lowering projections.
 
     c1 = nu/(nu-1) on coexact (a-1)-forms at level j+1, c2 = alpha/(alpha-1)
-    on exact a-forms at level j+1, both on the second factor sphere.  Each
-    degenerates when its denominator vanishes.
+    on exact a-forms at level j+1, both on the second factor sphere, where
+    nu = q - a + j and alpha = j + a.  Each degenerates when its denominator
+    vanishes.
     """
-    n = params.q - 1
-    nu = projection_constants(n, params.a - 1, j + 1).nu
-    alpha = projection_constants(n, params.a, j + 1).alpha
+    nu, alpha = params.q - params.a + j, j + params.a
     if nu == 1:
         raise DegenerateNormalizationError("c1 degenerates: nu = 1")
     if alpha == 1:
         raise DegenerateNormalizationError("c2 degenerates: alpha = 1")
-    return nu / (nu - 1), alpha / (alpha - 1)
+    return Fraction(nu, nu - 1), Fraction(alpha, alpha - 1)
 
 
 # -- 2x2 blocks ------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .spectra import (
     DegenerateNormalizationError,
     Family,
     KTypeLabel,
-    NonexistentKTypeError,
 )
 
 FAMILY_CHOICES = ("coexact", "exact", "mixed", "m1-delta", "m1-d", "m2")
@@ -118,11 +117,7 @@ def _record_head(params: BundleParams, jp: int, j: int, r, family: Family,
 
 def _eval_record(params: BundleParams, jp: int, j: int, r, family: Family,
                  operator: str, mode: str, precision: int = 17) -> dict:
-    label = KTypeLabel(family, jp, j)
-    if not spectra.ktype_exists(params, label):
-        raise NonexistentKTypeError(
-            f"{family.value} type at (j'={jp}, j={j}) is empty for these parameters")
-    pt = spectra.spectral_point(params, jp, j)
+    pt = spectra.spectral_point(params, jp, j, family)
     record = _record_head(params, jp, j, r, family, operator, mode, pt)
     if operator == "even-order":
         if family is Family.MIXED:

@@ -8,12 +8,12 @@ are skipped and counted, never silently dropped; labels whose K-type is
 empty are not grid points and are passed over.
 
 The suites run on the library's own formulas, so a gate checks the code
-that users run.  The diamond, interface, det and even-order suites take the
-integer kernels of :mod:`spectra`, :mod:`blocks` and :mod:`arithmetic`,
-written once on doubled levels (2J', 2J, 2s and 2r, which clears every
-half-integer shift), and compare unreduced integers by cross-multiplication;
-Fractions are built only for the witnesses of a failing record.  The scalar
-suite calls the public wrappers over the same kernels.
+that users run.  Every suite takes the integer kernels of :mod:`spectra`,
+:mod:`blocks` and :mod:`arithmetic`, written once on doubled levels (2J',
+2J, 2s and 2r, which clears every half-integer shift), and compares
+unreduced integers by cross-multiplication; Fractions are built only for
+the witnesses of a failing record.  The public functions are thin wrappers
+over the same kernels.
 
 Transition and gamma quotients depend on the shifted levels and r alone, not
 on the bundle's (k, a).  The diamond, det and even-order suites therefore
@@ -36,9 +36,8 @@ need.  The identities, per suite:
   ``leading-symbol``;
 - scalar: the degree-zero degeneration.
 
-Each suite accepts an injectable implementation of the quantity it checks,
-which one adapter turns into the same integers for the same loop.  This is
-how test fixtures wire in deliberately perturbed versions (negative
+A suite takes only the grid and reads each kernel through its module, so
+tests perturb a gate by editing the library function it calls (negative
 controls).
 """
 
@@ -46,20 +45,18 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import arithmetic, blocks, spectra
-from .arithmetic import IndeterminateError, format_fraction
+from .arithmetic import format_fraction
 from .spectra import (
     DIRECTIONS,
     BundleParams,
     DegenerateNormalizationError,
     Family,
-    KTypeLabel,
 )
 
 PASS = "pass"
@@ -178,60 +175,23 @@ _CORNER_PATHS = (
 _STEPS = tuple((d.djp, d.dj) for d in DIRECTIONS)
 
 
-def _as_pair(fn, params: BundleParams, jp: int, j: int, r, *rest) -> Tuple[int, int]:
-    """Adapt a public extended-scalar function to an integer (numerator, denominator).
-
-    A pole is (1, 0); an indeterminate value is (0, 0), which every
-    comparison passes over, as it does a route with a vanishing step.
-    """
-    try:
-        value = fn(spectra.spectral_point(params, jp, j), r, *rest)
-    except IndeterminateError:
-        return 0, 0
-    if value.is_pole:
-        return 1, 0
-    value = Fraction(value.value)
-    return value.numerator, value.denominator
-
-
-def _gamma_pair(mixed: bool, fn, params: BundleParams):
-    """The eigenvalue (mixed: the determinant) as an integer pair of (j', j, r).
-
-    By default it is the library's gamma-quotient product; a function passed
-    in goes through :func:`_as_pair`.
-    """
-    if fn is None:
-        dp, dq = params.p - 2, params.q - 2
-        return lambda jp, j, r: arithmetic.gamma_product(
-            spectra.gamma_args(mixed, 2 * jp + dp, 2 * j + dq), r)
-    return lambda jp, j, r: _as_pair(fn, params, jp, j, r)
-
-
-def run_diamond_checks(
-    grid: GridSpec,
-    mult1_fn: Optional[Callable] = None,
-    mult2_fn: Optional[Callable] = None,
-    mult1_eig_fn: Optional[Callable] = None,
-    mult2_det_fn: Optional[Callable] = None,
-) -> List[CheckReport]:
+def run_diamond_checks(grid: GridSpec) -> List[CheckReport]:
     """Path independence of the transition quantities plus gamma compatibility.
 
     One report per (bundle, family, j', j, r).  Path products compare the two
     two-step routes to each distance-two neighbor; gamma compatibility
     cross-multiplies eigenvalue (or determinant) ratios against the one-step
     transition quantities, so zeros of the spectral function need no special
-    casing.  By default both sides come from the library's doubled-level
-    formulas (:func:`spectra.transition_factors`, :func:`spectra.gamma_args`
-    and :func:`arithmetic.gamma_product`) as integer pairs; a function passed
-    in replaces its formula through the same integer-pair interface.  Each
-    (p, q) slice builds one table of failing comparisons per kind, shared by
-    the coexact and exact families; a record is the first of them whose
-    least levels lie at or above its family's :func:`spectra.level_floor`.
+    casing.  Both sides come from the library's doubled-level formulas
+    (:func:`spectra.transition_factors`, :func:`spectra.gamma_args` and
+    :func:`arithmetic.gamma_product`) as integer pairs.  Each (p, q) slice
+    builds one table of failing comparisons per kind, shared by the coexact
+    and exact families; a record is the first of them whose least levels lie
+    at or above its family's :func:`spectra.level_floor`.
     """
     reports: List[CheckReport] = []
     for bundles in _slices(grid):
-        tables = {False: _diamond_table(bundles[0], False, mult1_fn, mult1_eig_fn),
-                  True: _diamond_table(bundles[0], True, mult2_fn, mult2_det_fn)}
+        tables = {mixed: _diamond_table(bundles[0], mixed) for mixed in (False, True)}
         for params in bundles:
             for family in (Family.COEXACT, Family.EXACT, Family.MIXED):
                 floor = spectra.level_floor(params, family)
@@ -253,7 +213,7 @@ def run_diamond_checks(
     return reports
 
 
-def _diamond_table(params: BundleParams, mixed: bool, trans_fn, eig_fn):
+def _diamond_table(params: BundleParams, mixed: bool):
     """The failing diamond comparisons at (j', j, r) in gate order, with the levels they need.
 
     Corner routes first, then gamma-transition per direction; a corner's
@@ -266,17 +226,16 @@ def _diamond_table(params: BundleParams, mixed: bool, trans_fn, eig_fn):
     undefined in every bundle.
     """
     dp, dq = params.p - 2, params.q - 2
-    if trans_fn is None:
-        def transition(jp, j, r, d1, d2):
-            num = den = 1
-            for n, d in spectra.transition_factors(
-                    mixed, 2 * jp + dp, 2 * j + dq, 2 * r, d1, d2):
-                num, den = num * n, den * d
-            return num, den
-    else:
-        def transition(jp, j, r, d1, d2):
-            return _as_pair(trans_fn, params, jp, j, r, spectra.Direction(d1, d2))
-    value = cache(_gamma_pair(mixed, eig_fn, params))
+
+    def transition(jp, j, r, d1, d2):
+        num = den = 1
+        for n, d in spectra.transition_factors(mixed, 2 * jp + dp, 2 * j + dq, 2 * r, d1, d2):
+            num, den = num * n, den * d
+        return num, den
+
+    @cache
+    def value(jp, j, r):
+        return arithmetic.gamma_product(spectra.gamma_args(mixed, 2 * jp + dp, 2 * j + dq), r)
 
     @cache
     def steps(jp, j, r) -> dict:
@@ -322,27 +281,15 @@ def _ratio_text(num: int, den: int) -> str:
     return format_fraction(Fraction(num, den)) if den else "pole"
 
 
-def _block_as_pair(entries_fn, params: BundleParams, jp: int, j: int, r):
-    """Adapt a public block function to integer (entries, common denominator)."""
-    block = entries_fn(params, spectra.spectral_point(params, jp, j), Fraction(r), 1)
-    entries = [Fraction(e) for e in (block.e11, block.e12, block.e21, block.e22)]
-    den = math.lcm(*(e.denominator for e in entries))
-    return tuple(int(e * den) for e in entries), den
-
-
-def run_interface_checks(
-    grid: GridSpec,
-    entries_fn: Optional[Callable] = None,
-) -> List[CheckReport]:
+def run_interface_checks(grid: GridSpec) -> List[CheckReport]:
     """The four compressed interface equations, exactly, at unit seed scale.
 
     All terms are homogeneous of degree one in the seed eigenvalue, so the
     equations are checked with the seed set to 1; the seed's actual squared
-    value is covered by the determinant suite.  By default the block comes
-    from :func:`blocks.block_pair`, the kernel of
-    :func:`blocks.intertwinor_block`; a function passed in replaces it
-    through the same integer (entries, denominator) interface.  Each
-    equation is cross-multiplied to integers.
+    value is covered by the determinant suite.  The block comes from
+    :func:`blocks.block_pair`, the kernel of :func:`blocks.intertwinor_block`,
+    as integer (entries, denominator); each equation is cross-multiplied to
+    integers.
     """
     reports: List[CheckReport] = []
     for params in iter_bundles(grid):
@@ -352,12 +299,6 @@ def run_interface_checks(
         b = blocks.doubled(params)
         s2, sg = b.s2, b.sign
         dp, dq = params.p - 2, params.q - 2
-        if entries_fn is None:
-            def block(jp, j, r):
-                return blocks.block_pair(b, 2 * jp + dp, 2 * j + dq, 2 * r)
-        else:
-            def block(jp, j, r):
-                return _block_as_pair(entries_fn, params, jp, j, r)
         # 1 - c1 and 1 - c2 as integer pairs per level j, or the reason they
         # degenerate (the message only: a kept exception would hold this frame)
         constants = {}
@@ -382,12 +323,12 @@ def run_interface_checks(
             lap = lap1 * lap2  # 16 times the product of the factor Laplacians
             for r in grid.r_values:
                 point = _point_dict(params, jp, j, r)
+                r2 = 2 * r
                 try:
-                    (e11, e12, e21, e22), den = block(jp, j, r)
+                    (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
                 except DegenerateNormalizationError as err:
                     reports.append(CheckReport("interface", point, SKIP, lhs=str(err)))
                     continue
-                r2 = 2 * r
                 t2n, t2d = s2 - r2, s2 + r2  # t2 = (s-r)/(s+r), the exact partner's seed
                 m2 = 8 * (n2 - r2) * v2 * t2d
                 coupling = sg * u2 * lap * t2d
@@ -415,26 +356,26 @@ def run_interface_checks(
 
 # -- determinant suite -------------------------------------------------------------
 
-def run_det_checks(
-    grid: GridSpec,
-    det_fn: Optional[Callable] = None,
-) -> List[CheckReport]:
+def run_det_checks(grid: GridSpec) -> List[CheckReport]:
     """Determinant factorization of the mixed block, in two exact forms.
 
     First the block determinant at unit seed against the displayed transition
     product; then the gamma-quotient determinant against the same product
     times the squared seed (cross-multiplied, so that s = r and lattice zeros
-    are not spurious degeneracies).  The block, the determinant and the
-    seed's gamma part (:func:`spectra.seed_gamma_args`) are the library's
-    integer kernels; ``det_fn`` replaces the determinant.
+    are not spurious degeneracies).  The block, the determinant
+    (:func:`spectra.gamma_args`) and the seed's gamma part
+    (:func:`spectra.seed_gamma_args`) are the library's integer kernels.
     """
     reports: List[CheckReport] = []
     for bundles in _slices(grid):
         dp, dq = bundles[0].p - 2, bundles[0].q - 2
-        det = _gamma_pair(True, det_fn, bundles[0])
-        # the determinant and seed gamma pairs at (2J', 2J, r), shared by the slice
-        gammas = cache(lambda jp, j, r: (det(jp, j, r), arithmetic.gamma_product(
-            spectra.seed_gamma_args(2 * jp + dp, 2 * j + dq), r)))
+
+        @cache
+        def gammas(jp2, j2, r):
+            # the determinant and seed gamma pairs, shared by the slice
+            return (arithmetic.gamma_product(spectra.gamma_args(True, jp2, j2), r),
+                    arithmetic.gamma_product(spectra.seed_gamma_args(jp2, j2), r))
+
         for params in bundles:
             floor = spectra.level_floor(params, Family.MIXED)
             if floor is None:
@@ -460,7 +401,7 @@ def run_det_checks(
                                                    lhs=_ratio_text(lhs, 8 * den * den),
                                                    rhs=_ratio_text(num, 8)))
                         continue
-                    (det_n, det_d), (seed_n, seed_d) = gammas(jp, j, r)
+                    (det_n, det_d), (seed_n, seed_d) = gammas(jp2, j2, r)
                     lhs = det_n * (plus + r2) * (minus - r2)
                     rhs = seed_n * seed_n * (plus - r2) * (minus + r2)
                     if lhs * seed_d * seed_d != rhs * det_d:
@@ -483,10 +424,7 @@ def _same_ratio(seen: dict, key, num: int, den: int):
     return None
 
 
-def run_even_order_checks(
-    grid: GridSpec,
-    eigenvalue_fn: Optional[Callable] = None,
-) -> List[CheckReport]:
+def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
     """Even-order operator consistency over the grid.
 
     Checks, per point: the r = 1 operator reproduces the second-order one
@@ -498,8 +436,7 @@ def run_even_order_checks(
     gamma-quotient determinant across all levels (det proportionality, per
     bundle and r).  Per bundle and r, the top-degree parts of the operator
     and symbol polynomials agree exactly (leading symbol).  Every value is
-    an integer pair from the library's kernels; ``eigenvalue_fn`` replaces
-    the multiplicity-one eigenvalue through the same pairs.
+    an integer pair from the library's kernels.
     """
     reports: List[CheckReport] = []
     orders = tuple(r for r in grid.r_values if r >= 1)  # operators start at order 2
@@ -513,14 +450,6 @@ def run_even_order_checks(
         for params in bundles:
             b = blocks.doubled(params)
             s2 = b.s2
-            if eigenvalue_fn is None:
-                def value(family, jp, j, r):
-                    return blocks.even_order_pair(family, b, 2 * jp + dp, 2 * j + dq, r)
-            else:
-                def value(family, jp, j, r):
-                    v = Fraction(eigenvalue_fn(family, params,
-                                               spectra.spectral_point(params, jp, j), r))
-                    return v.numerator, v.denominator
             floors = [spectra.level_floor(params, family)
                       for family in (Family.MIXED, Family.COEXACT, Family.EXACT)]
             det_seen: Dict[int, Tuple[int, int]] = {}
@@ -535,7 +464,7 @@ def run_even_order_checks(
                     point = _point_dict(params, jp, j, r)
                     r2 = 2 * r
                     bad = None
-                    evs = [(family, value(family, jp, j, r))
+                    evs = [(family, blocks.even_order_pair(family, b, jp2, j2, r))
                            for family, here in ((Family.COEXACT, here_co), (Family.EXACT, here_ex))
                            if here]
                     if r == 1:
@@ -602,47 +531,47 @@ def run_even_order_checks(
 
 # -- scalar reduction suite ------------------------------------------------------------
 
-def run_scalar_reduction(
-    grid: GridSpec,
-    exists_fn: Callable = spectra.ktype_exists,
-) -> List[CheckReport]:
+def run_scalar_reduction(grid: GridSpec) -> List[CheckReport]:
     """Degree-zero degeneration: only the coexact function family survives.
 
     For k = 0 the exact and mixed labels must be empty at every level and the
-    multiplicity-one gamma-quotient eigenvalue is the whole spectrum; the
+    multiplicity-one gamma-quotient eigenvalue (the kernel of
+    :func:`spectra.normalized_eigenvalue`) is the whole spectrum; the
     normalization radical degenerates only at s = +-r, which is counted.
     """
     reports: List[CheckReport] = []
     for params in iter_bundles(grid):
         if params.k != 0:
             continue
+        floors = [spectra.level_floor(params, family)
+                  for family in (Family.EXACT, Family.MIXED, Family.COEXACT)]
+        s = params.s
+        dp, dq = params.p - 2, params.q - 2
         for jp, j in iter_levels(grid):
-            pt = spectra.spectral_point(params, jp, j)
             # the existence verdicts do not depend on r
-            if exists_fn(params, KTypeLabel(Family.EXACT, jp, j)):
+            exact, mixed, coexact = (floor is not None and jp >= floor[0] and j >= floor[1]
+                                     for floor in floors)
+            if exact:
                 bad = "exact family nonempty at k=0"
-            elif exists_fn(params, KTypeLabel(Family.MIXED, jp, j)):
+            elif mixed:
                 bad = "mixed family nonempty at k=0"
-            elif not exists_fn(params, KTypeLabel(Family.COEXACT, jp, j)):
+            elif not coexact:
                 bad = "function family empty"
             else:
                 bad = None
+            xs2 = spectra.gamma_args(False, 2 * jp + dp, 2 * j + dq)
             for r in grid.r_values:
                 point = _point_dict(params, jp, j, r)
                 if bad:
                     reports.append(CheckReport("scalar-reduction", point, FAIL, lhs=bad, rhs=""))
-                    continue
-                try:
-                    value = spectra.normalized_eigenvalue(Family.COEXACT, params, pt, r)
-                except DegenerateNormalizationError:
+                elif s in (r, -r):
                     reports.append(CheckReport("scalar-reduction", point, SKIP,
                                                lhs="normalization degenerates at s=+-r"))
-                    continue
-                if value.coeff.is_pole:
+                elif arithmetic.gamma_product(xs2, r)[1] == 0:
                     reports.append(CheckReport("scalar-reduction", point, FAIL,
                                                lhs="pole in function spectrum", rhs=""))
-                    continue
-                reports.append(CheckReport("scalar-reduction", point, PASS))
+                else:
+                    reports.append(CheckReport("scalar-reduction", point, PASS))
     return reports
 
 

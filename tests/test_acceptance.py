@@ -9,13 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from intertwinor import blocks, spectra, torus, verify
+from intertwinor import arithmetic, blocks, spectra, torus, verify
 from intertwinor.arithmetic import (
     IndeterminateError,
     gamma_ratio,
     gamma_ratio_numeric,
 )
-from intertwinor.spectra import Family, KTypeLabel
+from intertwinor.spectra import Family
 
 DEFAULT_GRID = verify.GridSpec(p_max=7, q_max=7, j_max=8, r_values=(1, 2, 3, 4))
 TINY_GRID = verify.GridSpec(p_max=3, q_max=3, j_max=3, r_values=(1, 2))
@@ -163,48 +163,59 @@ def test_criterion_7_torus_realization():
              f"{elapsed:.1f}s < 120s")
 
 
-def test_criterion_8_negative_controls():
-    from intertwinor.arithmetic import quotient
+def _skew_transition(real):
+    def skewed(mixed, jp2, j2, r2, djp, dj):
+        (num, den), *rest = real(mixed, jp2, j2, r2, djp, dj)
+        return ((num + 2, den), *rest) if (djp, dj) == (1, 1) else ((num, den), *rest)
+    return skewed
 
+
+def _skew_entries(real):
+    def skewed(b, jp2, j2, r2):
+        (e11, e12, e21, e22), den = real(b, jp2, j2, r2)
+        return (e11 + den, e12, e21, e22), den
+    return skewed
+
+
+def _skew_det(real):
+    def skewed(xs2, r):
+        num, den = real(xs2, r)
+        return (7 * num, den) if len(xs2) == 4 else (num, den)
+    return skewed
+
+
+def _skew_even(real):
+    def skewed(family, b, jp2, j2, r):
+        value, scale = real(family, b, jp2, j2, r)
+        return (value + scale, scale) if family is Family.COEXACT else (value, scale)
+    return skewed
+
+
+def _skew_floor(real):
+    def skewed(params, family):
+        if params.k == 0 and family is Family.MIXED:
+            return 1, 1
+        return real(params, family)
+    return skewed
+
+
+def test_criterion_8_negative_controls(monkeypatch):
+    # per suite: the library function it calls, and an edit built from the real one
+    edits = {
+        "diamond": (spectra, "transition_factors", _skew_transition),
+        "interface": (blocks, "block_pair", _skew_entries),
+        "det": (arithmetic, "gamma_product", _skew_det),
+        "even-order": (blocks, "even_order_pair", _skew_even),
+        "scalar": (spectra, "level_floor", _skew_floor),
+    }
     flagged = {}
-
-    def skew_transition(pt, r, direction):
-        if direction.djp == 1 and direction.dj == 1:
-            x = pt.Jp + pt.J + 1
-            return quotient(Fraction(x + r + 1), Fraction(x - r))
-        return spectra.mult1_transition(pt, r, direction)
-
-    flagged["diamond"] = bool(verify.failures(
-        verify.run_diamond_checks(TINY_GRID, mult1_fn=skew_transition)))
-
-    def skew_entries(params, pt, r, scale):
-        block = blocks.intertwinor_block(params, pt, r, scale)
-        return blocks.TwoByTwo(block.e11 + 1, block.e12, block.e21, block.e22)
-
-    flagged["interface"] = bool(verify.failures(
-        verify.run_interface_checks(TINY_GRID, entries_fn=skew_entries)))
-
-    flagged["det"] = bool(verify.failures(
-        verify.run_det_checks(TINY_GRID,
-                              det_fn=lambda pt, r: spectra.mult2_det(pt, r) * 7)))
-
-    def skew_even(family, params, pt, r):
-        value = blocks.even_order_eigenvalue(family, params, pt, r)
-        return value + 1 if family is Family.COEXACT else value
-
-    flagged["even-order"] = bool(verify.failures(
-        verify.run_even_order_checks(TINY_GRID, eigenvalue_fn=skew_even)))
-
-    def skew_exists(params, label):
-        if params.k == 0 and label.family is Family.MIXED:
-            return label.jp >= 1 and label.j >= 1
-        return spectra.ktype_exists(params, label)
-
-    flagged["scalar"] = bool(verify.failures(
-        verify.run_scalar_reduction(TINY_GRID, exists_fn=skew_exists)))
+    for name, (module, attr, skew) in edits.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(module, attr, skew(getattr(module, attr)))
+            flagged[name] = bool(verify.failures(verify.SUITES[name](TINY_GRID)))
 
     ok = all(flagged.values())
     _verdict(8, "negative controls", ok,
-             "perturbed fixtures flagged per suite: "
+             "library edits flagged per suite: "
              + ", ".join(f"{name}={'yes' if hit else 'NO'}"
                          for name, hit in flagged.items()))

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from intertwinor.blocks import (
     leading_symbol_polynomials,
     order2_block,
     order2_pair,
-    projection_constants,
 )
 from intertwinor.spectra import (
     BundleParams,
@@ -48,6 +48,26 @@ def coexact_laplacian(dim: int, c: int, j: int) -> int:
 def exact_laplacian(dim: int, c: int, j: int) -> int:
     """Riemannian (d delta)-eigenvalue on exact c-forms of level j on S^dim."""
     return (j + c - 1) * (j + dim - c)
+
+
+@dataclass(frozen=True)
+class ProjectionConstants:
+    """Scaling constants for conformal-factor projections on a round sphere.
+
+    For degree-k level-j harmonic forms on S^n, multiplying by a first-order
+    conformal factor and projecting to a neighboring level commutes with d
+    and delta up to these ratios.
+    """
+
+    mu: int
+    nu: int
+    alpha: int
+    beta: int
+
+
+def projection_constants(n: int, k: int, j: int) -> ProjectionConstants:
+    """The reference constants mu, nu, alpha, beta for S^n, degree k, level j."""
+    return ProjectionConstants(mu=j + k, nu=n - 1 - k + j, alpha=j - 1 + k, beta=n - k + j)
 
 
 def order2(family, params, pt):
@@ -204,12 +224,27 @@ class TestInterfaceEquations:
                 assert (n2 - r) * b.e11 - sg * (1 - c2) * lap * b.e12 == (n2 + r) * t2
 
     def test_constants_are_projection_ratios(self):
-        params = BundleParams(4, 6, 2, 1)
-        c1, c2 = interface_constants(params, 3)
-        nu = projection_constants(params.q - 1, params.a - 1, 4).nu
-        alpha = projection_constants(params.q - 1, params.a, 4).alpha
-        assert c1 == nu / (nu - 1)
-        assert c2 == alpha / (alpha - 1)
+        # c1 on coexact (a-1)-forms and c2 on exact a-forms at level j+1 on S^(q-1)
+        messages = set()
+        for p, q in itertools.product(range(2, 13), repeat=2):
+            for k in range(min(p, q)):
+                for a in range(max(0, k - (p - 1)), min(k, q - 1) + 1):
+                    params = BundleParams(p, q, k, a)
+                    for j in range(15):
+                        nu = projection_constants(q - 1, a - 1, j + 1).nu
+                        alpha = projection_constants(q - 1, a, j + 1).alpha
+                        if nu == 1 or alpha == 1:
+                            message = "c1 degenerates: nu = 1" if nu == 1 \
+                                else "c2 degenerates: alpha = 1"
+                            with pytest.raises(DegenerateNormalizationError) as err:
+                                interface_constants(params, j)
+                            assert str(err.value) == message
+                            messages.add(message)
+                            continue
+                        c1, c2 = interface_constants(params, j)
+                        assert c1 == Fraction(nu, nu - 1)
+                        assert c2 == Fraction(alpha, alpha - 1)
+        assert messages == {"c1 degenerates: nu = 1", "c2 degenerates: alpha = 1"}
 
 
 class TestOrderTwo:

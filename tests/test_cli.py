@@ -62,6 +62,15 @@ class TestEval:
         assert result.exit_code != 0
         assert "empty" in result.output
 
+    def test_empty_label_names_the_bundle(self, runner):
+        result = runner.invoke(main, ["eval", "--p", "4", "--q", "6", "--k", "0", "--a", "0",
+                                      "--jp", "1", "--j", "1", "--r", "1",
+                                      "--family", "exact"])
+        assert result.exit_code == 1
+        assert_clean_error(result)
+        assert result.output == \
+            "Error: exact type at (j'=1, j=1) is empty for p=4, q=6, k=0, a=0\n"
+
     def test_exact_mode_rejects_non_integer_r(self, runner):
         result = runner.invoke(main, ["eval", "--p", "4", "--q", "6", "--k", "2", "--a", "1",
                                       "--jp", "1", "--j", "2", "--r", "1/2",

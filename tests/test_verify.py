@@ -1,19 +1,24 @@
 import hashlib
+import inspect
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from intertwinor import arithmetic, blocks, spectra
-from intertwinor.spectra import Family, KTypeLabel
+from intertwinor.arithmetic import IndeterminateError
+from intertwinor.spectra import DegenerateNormalizationError, Family
 from intertwinor.verify import (
     FAIL,
     PASS,
     SKIP,
+    SUITES,
     CheckReport,
     GridSpec,
     failures,
     iter_bundles,
+    iter_levels,
     run_even_order_checks,
     run_det_checks,
     run_diamond_checks,
@@ -56,6 +61,11 @@ class TestSuitesPass:
         assert counts[FAIL] == 0
         assert counts[PASS] > 0
 
+    def test_suites_take_only_the_grid(self):
+        # bench/ and the CLI call every suite as SUITES[name](grid)
+        for name, suite in SUITES.items():
+            assert list(inspect.signature(suite).parameters) == ["grid"], name
+
     def test_diamond_covers_all_families(self):
         reports = run_diamond_checks(TINY)
         families = {rep.point["family"] for rep in reports}
@@ -94,76 +104,72 @@ class TestDeterminism:
 
 
 class TestNegativeControls:
-    def test_perturbed_transition_is_flagged(self):
-        from intertwinor.arithmetic import quotient
+    """Each suite flags an edit of the library kernel it calls."""
 
-        def skewed(pt, r, direction):
-            # one extra unit in one numerator of the diamond
-            if direction.djp == 1 and direction.dj == 1:
-                x = pt.Jp + pt.J + 1
-                return quotient(Fraction(x + r + 1), Fraction(x - r))
-            return spectra.mult1_transition(pt, r, direction)
+    def test_perturbed_eigenvalue_is_flagged(self, monkeypatch):
+        real = arithmetic.gamma_product
 
-        reports = run_diamond_checks(TINY, mult1_fn=skewed)
-        bad = failures(reports)
-        assert bad
-        assert all(rep.lhs and rep.rhs for rep in bad)
+        def skewed(xs2, r):
+            # the multiplicity-one eigenvalue doubled where 2J' = 2J
+            num, den = real(xs2, r)
+            return (2 * num, den) if len(xs2) == 2 and xs2[1] == 2 else (num, den)
 
-    def test_perturbed_eigenvalue_is_flagged(self):
-        def skewed(pt, r):
-            value = spectra.mult1_eigenvalue(pt, r)
-            if pt.Jp == pt.J:
-                return value * 2
-            return value
+        monkeypatch.setattr(arithmetic, "gamma_product", skewed)
+        assert failures(run_diamond_checks(TINY))
 
-        reports = run_diamond_checks(TINY, mult1_eig_fn=skewed)
-        assert failures(reports)
+    def test_perturbed_entries_are_flagged(self, monkeypatch):
+        real = blocks.block_pair
 
-    def test_perturbed_entries_are_flagged(self):
-        def skewed(params, pt, r, scale):
-            block = blocks.intertwinor_block(params, pt, r, scale)
-            return blocks.TwoByTwo(block.e11 + 1, block.e12, block.e21, block.e22)
+        def skewed(b, jp2, j2, r2):
+            (e11, e12, e21, e22), den = real(b, jp2, j2, r2)
+            return (e11 + den, e12, e21, e22), den
 
-        reports = run_interface_checks(TINY, entries_fn=skewed)
-        bad = failures(reports)
+        monkeypatch.setattr(blocks, "block_pair", skewed)
+        bad = failures(run_interface_checks(TINY))
         assert bad
         assert all(rep.point.get("equation") for rep in bad)
 
-    def test_perturbed_det_is_flagged(self):
-        def skewed(pt, r):
-            value = spectra.mult2_det(pt, r)
-            return value * Fraction(5, 4)
+    def test_perturbed_det_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(arithmetic, "gamma_product", _scale_determinant(5, 4))
+        assert failures(run_det_checks(TINY))
 
-        reports = run_det_checks(TINY, det_fn=skewed)
-        assert failures(reports)
+    def test_perturbed_even_order_is_flagged(self, monkeypatch):
+        real = blocks.even_order_pair
 
-    def test_perturbed_even_order_is_flagged(self):
-        def skewed(family, params, pt, r):
-            value = blocks.even_order_eigenvalue(family, params, pt, r)
-            if family is Family.COEXACT:
-                return value + 1
-            return value
+        def skewed(family, b, jp2, j2, r):
+            value, scale = real(family, b, jp2, j2, r)
+            return (value + scale, scale) if family is Family.COEXACT else (value, scale)
 
-        reports = run_even_order_checks(TINY, eigenvalue_fn=skewed)
-        assert failures(reports)
+        monkeypatch.setattr(blocks, "even_order_pair", skewed)
+        assert failures(run_even_order_checks(TINY))
 
-    def test_perturbed_existence_is_flagged(self):
-        def skewed(params, label):
-            if params.k == 0 and label.family is Family.EXACT:
-                return label.jp >= 1 and label.j >= 1  # wrongly claims exact types at k=0
-            return spectra.ktype_exists(params, label)
+    def test_perturbed_existence_is_flagged(self, monkeypatch):
+        real = spectra.level_floor
 
-        reports = run_scalar_reduction(TINY, exists_fn=skewed)
-        bad = failures(reports)
+        def skewed(params, family):
+            if params.k == 0 and family is Family.EXACT:
+                return 1, 1  # wrongly claims exact types at k=0
+            return real(params, family)
+
+        monkeypatch.setattr(spectra, "level_floor", skewed)
+        bad = failures(run_scalar_reduction(TINY))
         assert bad
         assert any("exact family nonempty" in rep.lhs for rep in bad)
 
-    def test_witnesses_carry_both_sides(self):
-        def skewed(pt, r):
-            return spectra.mult2_det(pt, r) * 7
-
-        bad = failures(run_det_checks(TINY, det_fn=skewed))
+    def test_witnesses_carry_both_sides(self, monkeypatch):
+        monkeypatch.setattr(arithmetic, "gamma_product", _scale_determinant(7, 1))
+        bad = failures(run_det_checks(TINY))
         assert bad and bad[0].lhs is not None and bad[0].rhs is not None
+
+
+def _scale_determinant(num_factor, den_factor):
+    """An edit of gamma_product scaling the four-argument (determinant) products."""
+    real = arithmetic.gamma_product
+
+    def skewed(xs2, r):
+        num, den = real(xs2, r)
+        return (num_factor * num, den_factor * den) if len(xs2) == 4 else (num, den)
+    return skewed
 
 
 class TestLibraryEdits:
@@ -220,27 +226,64 @@ class TestLibraryEdits:
         assert bad and all(rep.point.get("equation") for rep in bad)
         assert failures(run_det_checks(TINY))
 
-    def test_public_functions_match_the_default_gate(self):
-        # an injected copy of each public function gives the default reports
-        default = [rep.to_json() for rep in run_diamond_checks(TINY)]
-        injected = run_diamond_checks(
-            TINY,
-            mult1_fn=lambda *args: spectra.mult1_transition(*args),
-            mult2_fn=lambda *args: spectra.mult2_transition(*args),
-            mult1_eig_fn=lambda *args: spectra.mult1_eigenvalue(*args),
-            mult2_det_fn=lambda *args: spectra.mult2_det(*args))
-        assert [rep.to_json() for rep in injected] == default
 
-    def test_public_blocks_match_the_default_gates(self):
-        # the public Fraction wrappers, injected, give the default reports
-        for suite, kwargs in (
-                (run_interface_checks,
-                 {"entries_fn": lambda *args: blocks.intertwinor_block(*args)}),
-                (run_det_checks, {"det_fn": lambda *args: spectra.mult2_det(*args)}),
-                (run_even_order_checks,
-                 {"eigenvalue_fn": lambda *args: blocks.even_order_eigenvalue(*args)})):
-            default = [rep.to_json() for rep in suite(SMALL)]
-            assert [rep.to_json() for rep in suite(SMALL, **kwargs)] == default
+
+def _assert_same_value(call, num, den):
+    """A public extended scalar against its kernel's integer pair; returns the case.
+
+    A zero denominator is a pole, and (0, 0) is indeterminate.
+    """
+    if num == 0 and den == 0:
+        with pytest.raises(IndeterminateError):
+            call()
+        return "indeterminate"
+    value = call()
+    if den == 0:
+        assert value.is_pole
+        return "pole"
+    assert not value.is_pole and value.value == Fraction(num, den)
+    return "value"
+
+
+class TestPublicWrappers:
+    """What users call equals the integer kernels that the gates check."""
+
+    def test_public_functions_match_the_kernels(self):
+        orders = (-1, 0) + SMALL.r_values  # a negative order reaches the gamma poles
+        cases = set()
+        for params in iter_bundles(SMALL):
+            b = blocks.doubled(params)
+            for jp, j in iter_levels(SMALL):
+                pt = spectra.spectral_point(params, jp, j)
+                jp2, j2 = 2 * jp + params.p - 2, 2 * j + params.q - 2
+                for r in orders:
+                    for mixed, transition, gamma in (
+                            (False, spectra.mult1_transition, spectra.mult1_eigenvalue),
+                            (True, spectra.mult2_transition, spectra.mult2_det)):
+                        for d in spectra.DIRECTIONS:
+                            num = den = 1
+                            for n, m in spectra.transition_factors(
+                                    mixed, jp2, j2, 2 * r, d.djp, d.dj):
+                                num, den = num * n, den * m
+                            cases.add(_assert_same_value(
+                                lambda: transition(pt, r, d), num, den))
+                        cases.add(_assert_same_value(
+                            lambda: gamma(pt, r),
+                            *arithmetic.gamma_product(spectra.gamma_args(mixed, jp2, j2), r)))
+                    try:
+                        entries, den = blocks.block_pair(b, jp2, j2, 2 * r)
+                    except DegenerateNormalizationError as err:
+                        with pytest.raises(DegenerateNormalizationError, match=re.escape(str(err))):
+                            blocks.intertwinor_block(params, pt, r)
+                    else:
+                        block = blocks.intertwinor_block(params, pt, r)
+                        assert (block.e11, block.e12, block.e21, block.e22) == \
+                            tuple(Fraction(e, den) for e in entries)
+                    if r >= 1:
+                        for family in (Family.COEXACT, Family.EXACT):
+                            assert blocks.even_order_eigenvalue(family, params, pt, r) == \
+                                Fraction(*blocks.even_order_pair(family, b, jp2, j2, r))
+        assert cases == {"value", "pole", "indeterminate"}
 
 
 def _edit_transition(real):
@@ -301,14 +344,17 @@ class TestPinnedReports:
         assert len(failures(reports)) == failed
         assert hashlib.sha256(data).hexdigest() == digest
 
-    def test_corners_need_both_midpoints(self):
+    def test_corners_need_both_midpoints(self, monkeypatch):
         # with no vanishing step anywhere, every corner route is defined on
         # the lattice, so a bundle must skip a corner by its missing labels
-        def nowhere_zero(pt, r, direction):
-            return arithmetic.ExtendedScalar.exact(Fraction(
-                2 * pt.Jp + 3 * pt.J + direction.djp + 7 + r, 5 + direction.dj))
+        def nowhere_zero(mixed, jp2, j2, r2, djp, dj):
+            # (2J' + 3J + djp + 7 + r) / (5 + dj) as one factor in lowest terms,
+            # since gamma-transition witnesses print the integers unreduced
+            step = Fraction(2 * jp2 + 3 * j2 + 2 * djp + 14 + r2, 2 * (5 + dj))
+            return ((step.numerator, step.denominator),)
 
-        reports = run_diamond_checks(PIN_GRID, mult1_fn=nowhere_zero, mult2_fn=nowhere_zero)
+        monkeypatch.setattr(spectra, "transition_factors", nowhere_zero)
+        reports = run_diamond_checks(PIN_GRID)
         data = "".join(rep.to_json() + "\n" for rep in reports).encode()
         assert len(failures(reports)) == 1826
         assert hashlib.sha256(data).hexdigest() == \
@@ -326,6 +372,20 @@ class TestScalarReduction:
     def test_report_points_are_k0(self):
         for rep in run_scalar_reduction(TINY):
             assert rep.point["k"] == 0
+
+    def test_floors_are_read_once_per_bundle(self, monkeypatch):
+        real = spectra.level_floor
+        calls = []
+
+        def counted(params, family):
+            calls.append((params, family))
+            return real(params, family)
+
+        monkeypatch.setattr(spectra, "level_floor", counted)
+        run_scalar_reduction(SMALL)
+        bundles = [params for params in iter_bundles(SMALL) if params.k == 0]
+        assert sorted(calls, key=repr) == sorted(
+            ((params, family) for params in bundles for family in Family), key=repr)
 
 
 def test_check_report_json_shape():
