@@ -172,8 +172,26 @@ def _scale_determinant(num_factor, den_factor):
     return skewed
 
 
+def _assert_same_value(call, num, den):
+    """A public extended scalar against its kernel's integer pair; returns the case.
+
+    A zero denominator is a pole, and (0, 0) is indeterminate.
+    """
+    if num == 0 and den == 0:
+        with pytest.raises(IndeterminateError):
+            call()
+        return "indeterminate"
+    value = call()
+    if den == 0:
+        assert value.is_pole
+        return "pole"
+    assert not value.is_pole and value.value == Fraction(num, den)
+    return "value"
+
+
 class TestLibraryEdits:
-    """The default diamond gate runs the library's own formulas, so edits there show."""
+    """The default gates run the library's own kernels, so edits there show,
+    and the public wrappers that users call equal those kernels."""
 
     def test_edited_transition_is_flagged(self, monkeypatch):
         real = spectra.transition_factors
@@ -226,33 +244,10 @@ class TestLibraryEdits:
         assert bad and all(rep.point.get("equation") for rep in bad)
         assert failures(run_det_checks(TINY))
 
-
-
-def _assert_same_value(call, num, den):
-    """A public extended scalar against its kernel's integer pair; returns the case.
-
-    A zero denominator is a pole, and (0, 0) is indeterminate.
-    """
-    if num == 0 and den == 0:
-        with pytest.raises(IndeterminateError):
-            call()
-        return "indeterminate"
-    value = call()
-    if den == 0:
-        assert value.is_pole
-        return "pole"
-    assert not value.is_pole and value.value == Fraction(num, den)
-    return "value"
-
-
-class TestPublicWrappers:
-    """What users call equals the integer kernels that the gates check."""
-
-    def test_public_functions_match_the_kernels(self):
+    def test_public_functions_match_the_default_gate(self):
         orders = (-1, 0) + SMALL.r_values  # a negative order reaches the gamma poles
         cases = set()
         for params in iter_bundles(SMALL):
-            b = blocks.doubled(params)
             for jp, j in iter_levels(SMALL):
                 pt = spectra.spectral_point(params, jp, j)
                 jp2, j2 = 2 * jp + params.p - 2, 2 * j + params.q - 2
@@ -270,6 +265,16 @@ class TestPublicWrappers:
                         cases.add(_assert_same_value(
                             lambda: gamma(pt, r),
                             *arithmetic.gamma_product(spectra.gamma_args(mixed, jp2, j2), r)))
+        assert cases == {"value", "pole", "indeterminate"}
+
+    def test_public_blocks_match_the_default_gates(self):
+        orders = (-1, 0) + SMALL.r_values
+        for params in iter_bundles(SMALL):
+            b = blocks.doubled(params)
+            for jp, j in iter_levels(SMALL):
+                pt = spectra.spectral_point(params, jp, j)
+                jp2, j2 = 2 * jp + params.p - 2, 2 * j + params.q - 2
+                for r in orders:
                     try:
                         entries, den = blocks.block_pair(b, jp2, j2, 2 * r)
                     except DegenerateNormalizationError as err:
@@ -283,7 +288,6 @@ class TestPublicWrappers:
                         for family in (Family.COEXACT, Family.EXACT):
                             assert blocks.even_order_eigenvalue(family, params, pt, r) == \
                                 Fraction(*blocks.even_order_pair(family, b, jp2, j2, r))
-        assert cases == {"value", "pole", "indeterminate"}
 
 
 def _edit_transition(real):
