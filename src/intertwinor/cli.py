@@ -15,6 +15,7 @@ import io
 import math
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -35,6 +36,8 @@ TABLE_HEADER = ("p", "q", "k", "a", "jp", "j", "r", "family", "operator",
                 "s", "Jp", "J", "value", "coeff", "radicand", "trace", "det")
 #: the largest |r| on the exact path, whose cost grows with |r|
 MAX_EXACT_ORDER = 256
+#: integer options span the signed 64-bit range that records can encode
+INT64 = click.IntRange(-2**63, 2**63 - 1)
 #: what evaluating a bad point or order raises (nonexistent labels and degenerate
 #: normalizations are ValueErrors); each becomes an ``Error:`` line
 _EVAL_ERRORS = (ValueError, OverflowError)
@@ -59,7 +62,7 @@ def _emit(text: str, out: Optional[Path]) -> None:
 
 
 def _json_line(record: dict) -> str:
-    return verify.ENCODER.encode(record) + "\n"
+    return verify.encode(record).decode() + "\n"
 
 
 def _parse_r(text: str, mode: str):
@@ -166,12 +169,12 @@ def main():
 
 
 @main.command("eval")
-@click.option("--p", type=int, required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--a", type=int, required=True)
-@click.option("--jp", type=int, required=True, help="first-factor harmonic level j'")
-@click.option("--j", type=int, required=True, help="second-factor harmonic level j")
+@click.option("--p", type=INT64, required=True)
+@click.option("--q", type=INT64, required=True)
+@click.option("--k", type=INT64, required=True)
+@click.option("--a", type=INT64, required=True)
+@click.option("--jp", type=INT64, required=True, help="first-factor harmonic level j'")
+@click.option("--j", type=INT64, required=True, help="second-factor harmonic level j")
 @click.option("--r", "r_text", type=str, required=True, help="order parameter")
 @click.option("--family", type=click.Choice(FAMILY_CHOICES), required=True)
 @click.option("--operator", type=click.Choice(("normalized", "even-order")),
@@ -210,12 +213,12 @@ def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision=17):
 
 
 @main.command("table")
-@click.option("--p", type=int, required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--a", type=int, required=True)
-@click.option("--jp-max", type=int, required=True)
-@click.option("--j-max", type=int, required=True)
+@click.option("--p", type=INT64, required=True)
+@click.option("--q", type=INT64, required=True)
+@click.option("--k", type=INT64, required=True)
+@click.option("--a", type=INT64, required=True)
+@click.option("--jp-max", type=INT64, required=True)
+@click.option("--j-max", type=INT64, required=True)
 @click.option("--r", "r_text", type=str, required=True)
 @click.option("--family", type=click.Choice(FAMILY_CHOICES), required=True)
 @click.option("--operator", type=click.Choice(("normalized", "even-order")),
@@ -266,18 +269,20 @@ def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
     except ValueError as err:
         raise click.ClickException(str(err))
     names = tuple(verify.SUITES) if suite == "all" else (suite,)
-    all_reports = []
-    failed = 0
-    for name in names:
-        reports = verify.SUITES[name](grid)
-        counts = verify.summarize(reports)
-        failed += counts[verify.FAIL]
-        click.echo(f"{name}: total={counts['total']} pass={counts[verify.PASS]} "
-                   f"fail={counts[verify.FAIL]} skipped={counts[verify.SKIP]}")
-        all_reports.extend(reports)
     out = _resolve_out(output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    verify.write_report(all_reports, out)
+    failed = 0
+    with open(out, "wb") as fh:
+        # one (p, q) slice at a time, so that only one slice's reports are held
+        for name in names:
+            counts = Counter()
+            for part in verify.slice_grids(grid):
+                reports = verify.SUITES[name](part)
+                counts.update(verify.summarize(reports))
+                verify.append_report(reports, fh)
+            failed += counts[verify.FAIL]
+            click.echo(f"{name}: total={counts['total']} pass={counts[verify.PASS]} "
+                       f"fail={counts[verify.FAIL]} skipped={counts[verify.SKIP]}")
     click.echo(f"report: {out}")
     sys.exit(0 if failed == 0 else 1)
 
@@ -285,7 +290,7 @@ def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
 @main.command("torus")
 @click.option("--k", type=click.IntRange(0, 2), required=True)
 @click.option("--r", "r_text", type=str, required=True)
-@click.option("--m", "--M", "m_trunc", type=int, default=24, show_default=True,
+@click.option("--m", "--M", "m_trunc", type=INT64, default=24, show_default=True,
               help="Fourier truncation")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="float-mode pass threshold; exact mode demands an exact zero")

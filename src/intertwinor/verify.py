@@ -44,11 +44,12 @@ controls).
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import orjson
 
 from . import arithmetic, blocks, spectra
 from .arithmetic import format_fraction
@@ -63,8 +64,15 @@ PASS = "pass"
 FAIL = "fail"
 SKIP = "skipped-degenerate"
 
-#: the one JSON encoder for report and CLI records: sorted keys, no spaces
-ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+def encode(record: dict) -> bytes:
+    """The one JSON encoding of report and CLI records: sorted keys, no spaces.
+
+    Records hold only ASCII strings, bools, dicts and integers in the signed
+    64-bit range, so the bytes are those of ``json.dumps(record,
+    sort_keys=True, separators=(",", ":"))``.
+    """
+    return orjson.dumps(record, option=orjson.OPT_SORT_KEYS)
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,7 @@ class GridSpec:
                 raise ValueError(f"r values must be nonnegative, got r={r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     """Outcome of one identity at one grid point; failures carry witnesses."""
 
@@ -98,20 +106,26 @@ class CheckReport:
     lhs: Optional[str] = None
     rhs: Optional[str] = None
 
-    def to_json(self) -> str:
-        payload = {"check": self.check, "point": self.point, "status": self.status}
+    def record(self) -> dict:
+        out = {"check": self.check, "point": self.point, "status": self.status}
         if self.lhs is not None:
-            payload["lhs"] = self.lhs
+            out["lhs"] = self.lhs
         if self.rhs is not None:
-            payload["rhs"] = self.rhs
-        return ENCODER.encode(payload)
+            out["rhs"] = self.rhs
+        return out
+
+    def to_json(self) -> str:
+        return encode(self.record()).decode()
+
+
+def append_report(reports: Sequence[CheckReport], fh) -> None:
+    """Append the reports to a file open for binary writing, one JSON line each."""
+    fh.writelines(encode(rep.record()) + b"\n" for rep in reports)
 
 
 def write_report(reports: Sequence[CheckReport], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rep in reports:
-            fh.write(rep.to_json())
-            fh.write("\n")
+    with open(path, "wb") as fh:
+        append_report(reports, fh)
 
 
 def summarize(reports: Sequence[CheckReport]) -> dict:
@@ -150,6 +164,17 @@ def _point_dict(params: BundleParams, jp: int, j: int, r, extra: Optional[dict] 
     if extra:
         out.update(extra)
     return out
+
+
+def slice_grids(grid: GridSpec) -> Iterator[GridSpec]:
+    """The grid cut into its (p, q) slices, in sweep order.
+
+    A suite's reports on the whole grid are its reports on these slices,
+    joined in order, so a caller can run and write one slice at a time.
+    """
+    for p in range(grid.p_min, grid.p_max + 1):
+        for q in range(grid.q_min, grid.q_max + 1):
+            yield replace(grid, p_min=p, p_max=p, q_min=q, q_max=q)
 
 
 def _slices(grid: GridSpec) -> Iterator[List[BundleParams]]:

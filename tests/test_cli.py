@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import intertwinor
+from intertwinor import verify
 from intertwinor.cli import main
 
 
@@ -207,6 +208,31 @@ class TestVerify:
         assert hashlib.sha256(data).hexdigest() == \
             "4c9b802c8f7e619520da5e80ffabe4d6fc2c765322e5eacc3fac394235440cb4"
 
+    def test_suites_run_one_slice_at_a_time(self, runner, tmp_path, monkeypatch):
+        calls = []
+        for name, suite in verify.SUITES.items():
+            def recorded(grid, name=name, suite=suite):
+                calls.append((name, grid))
+                return suite(grid)
+            monkeypatch.setitem(verify.SUITES, name, recorded)
+        report = tmp_path / "report.jsonl"
+        result = run_ok(runner, ["verify", "--suite", "all", "--p-max", "4", "--q-max", "4",
+                                 "--j-max", "3", "--r-max", "3", "-o", str(report)])
+        assert result.output.splitlines()[:-1] == [
+            "diamond: total=1872 pass=1872 fail=0 skipped=0",
+            "interface: total=540 pass=503 fail=0 skipped=37",
+            "det: total=540 pass=503 fail=0 skipped=37",
+            "even-order: total=1590 pass=1590 fail=0 skipped=0",
+            "scalar: total=432 pass=352 fail=0 skipped=80",
+        ]
+        # suite-major, then p, then q: the order of the whole-grid report
+        assert [(name, grid.p_min, grid.p_max, grid.q_min, grid.q_max) for name, grid in calls] \
+            == [(name, p, p, q, q) for name in verify.SUITES
+                for p in range(2, 5) for q in range(2, 5)]
+        assert all(grid.j_max == 3 and grid.r_values == (1, 2, 3) for _, grid in calls)
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+            "4c9b802c8f7e619520da5e80ffabe4d6fc2c765322e5eacc3fac394235440cb4"
+
     @pytest.mark.parametrize("bad", [["--r-max", "0"], ["--j-max", "-1"], ["--p-max", "1"]])
     def test_bad_ranges_fail_cleanly(self, runner, tmp_path, bad):
         result = runner.invoke(main, ["verify", "-o", str(tmp_path / "r.jsonl")] + bad)
@@ -318,6 +344,36 @@ def test_bad_orders_fail_fast_and_cleanly(runner, args, extra, exit_code):
     if exit_code == 1:
         assert "gamma quotient G((x+r)/2)/G((x-r)/2) at x=" in result.output
         assert "r=300.5 exceeds the float range" in result.output
+
+
+INT64_OPTIONS = ([(0, option) for option in ("--p", "--q", "--k", "--a", "--jp", "--j")]
+                 + [(1, option) for option in ("--p", "--q", "--k", "--a", "--jp-max", "--j-max")]
+                 + [(2, "--M")])
+
+
+@pytest.mark.parametrize("value", ["9223372036854775808", "-9223372036854775809",
+                                   "100000000000000000000"])
+@pytest.mark.parametrize("command, option", INT64_OPTIONS,
+                         ids=[ORDER_COMMANDS[c][0] + option for c, option in INT64_OPTIONS])
+def test_integers_beyond_64_bits_are_usage_errors(runner, command, option, value):
+    # records carry these integers, and the encoder takes signed 64-bit ones
+    args = ORDER_COMMANDS[command] + ["--r", "1"]
+    args[args.index(option) + 1] = value
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert_clean_error(result)
+    assert f"{value} is not in the range -9223372036854775808<=x<=9223372036854775807" \
+        in result.output
+
+
+def test_integers_at_the_64_bit_bounds_are_evaluated(runner):
+    result = run_ok(runner, ["eval", "--p", "9223372036854775807", "--q", "6", "--k", "1",
+                             "--a", "1", "--jp", "1", "--j", "1", "--r", "2",
+                             "--family", "coexact"])
+    assert json.loads(result.output)["p"] == 2**63 - 1
+    args = ORDER_COMMANDS[1] + ["--r", "1", "--format", "jsonl"]
+    args[args.index("--jp-max") + 1] = "-9223372036854775808"
+    assert run_ok(runner, args).output == ""
 
 
 @pytest.mark.parametrize("args", [
