@@ -118,11 +118,7 @@ class ExtendedScalar:
             return POLE
         if other.is_pole:
             return ExtendedScalar(0 * self._value)  # finite / pole = 0, keeps exactness
-        if other.is_zero:
-            if self.is_zero:
-                raise IndeterminateError("0 / 0 is indeterminate")
-            return POLE
-        return ExtendedScalar(self._value / other._value)
+        return quotient(self._value, other._value)
 
     def __neg__(self) -> "ExtendedScalar":
         if self.is_pole:
@@ -222,12 +218,18 @@ def gamma_product(xs2, r: int) -> Tuple[int, int]:
     return (num, den) if r >= 0 else (den, num)
 
 
-def quotient(num: Rational, den: Rational) -> ExtendedScalar:
-    """num/den as an extended scalar: pole at den == 0, error at 0/0."""
+def quotient(num: ScalarLike, den: ScalarLike) -> ExtendedScalar:
+    """num/den as an extended scalar: pole at den == 0, error at 0/0.
+
+    The value is a Fraction for exact operands and a float as soon as either
+    operand is a float.
+    """
     if den == 0:
         if num == 0:
             raise IndeterminateError("0 / 0 is indeterminate")
         return POLE
+    if isinstance(num, float) or isinstance(den, float):
+        return ExtendedScalar(num / den)
     return ExtendedScalar(Fraction(num, den))
 
 

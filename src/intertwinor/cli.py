@@ -53,12 +53,25 @@ def _resolve_out(path: Optional[str]) -> Optional[Path]:
     return p
 
 
+def _open_out(out: Path):
+    """Open an output path for binary writing, creating its directory.
+
+    A path that cannot be written (a directory, or a file where a directory
+    is needed) is an ``Error:`` line that names it.
+    """
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        return open(out, "wb")
+    except OSError as err:
+        raise click.ClickException(f"cannot write {out}: {err}") from None
+
+
 def _emit(text: str, out: Optional[Path]) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+        with _open_out(out) as fh:
+            fh.write(text.encode())
 
 
 def _json_line(record: dict) -> str:
@@ -124,11 +137,11 @@ def _eval_record(params: BundleParams, jp: int, j: int, r, family: Family,
     record = _record_head(params, jp, j, r, family, operator, mode, pt)
     if operator == "even-order":
         if family is Family.MIXED:
-            block = blocks.even_order_block(params, pt, int(r))
+            block = blocks.even_order_block(params, pt, r)
             record.update(trace=format_fraction(block.trace),
                           det=format_fraction(block.det))
         else:
-            value = blocks.even_order_eigenvalue(family, params, pt, int(r))
+            value = blocks.even_order_eigenvalue(family, params, pt, r)
             record.update(value=format_fraction(value), zero=value == 0)
         return record
     if family is Family.MIXED:
@@ -137,18 +150,17 @@ def _eval_record(params: BundleParams, jp: int, j: int, r, family: Family,
         record["pole"] = det.is_pole
         if mode == "exact":
             try:
-                block = blocks.intertwinor_block(params, pt, Fraction(r), 1)
+                block = blocks.intertwinor_block(params, pt, r, 1)
                 record["trace_unit_seed"] = format_fraction(block.trace)
             except DegenerateNormalizationError as err:
                 record["trace_unit_seed"] = f"degenerate: {err}"
             try:
-                seed_squared = blocks.block_scale_squared(params, pt, int(r)).serialize()
+                seed_squared = blocks.block_scale_squared(params, pt, r).serialize()
             except IndeterminateError:  # the s = r pole meets a vanishing gamma part
                 seed_squared = "indeterminate"
             record["seed_squared"] = seed_squared
         return record
-    value = spectra.normalized_eigenvalue(
-        family, params, pt, r if mode == "float" else int(r))
+    value = spectra.normalized_eigenvalue(family, params, pt, r)
     record["coeff"] = value.coeff.serialize()
     record["radicand"] = format_fraction(value.radicand) \
         if isinstance(value.radicand, Fraction) else _fmt_float(value.radicand, precision)
@@ -255,14 +267,18 @@ def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
 @main.command("verify")
 @click.option("--suite", type=click.Choice(tuple(verify.SUITES) + ("all",)),
               default="all", show_default=True)
-@click.option("--p-max", type=int, default=7, show_default=True)
-@click.option("--q-max", type=int, default=7, show_default=True)
-@click.option("--j-max", type=int, default=8, show_default=True)
-@click.option("--r-max", type=int, default=4, show_default=True)
+@click.option("--p-max", type=INT64, default=7, show_default=True)
+@click.option("--q-max", type=INT64, default=7, show_default=True)
+@click.option("--j-max", type=INT64, default=8, show_default=True)
+@click.option("--r-max", type=INT64, default=4, show_default=True)
 @click.option("-o", "--output", type=str, default="verify_report.jsonl",
               show_default=True)
 def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
     """Run the exact consistency suites; exit 0 only with zero failures."""
+    if r_max > MAX_EXACT_ORDER:
+        raise click.BadParameter(
+            f"integer orders need |r| <= {MAX_EXACT_ORDER}, got r={r_max}",
+            param_hint="'--r-max'")
     try:
         grid = verify.GridSpec(p_max=p_max, q_max=q_max, j_max=j_max,
                                r_values=tuple(range(1, r_max + 1)))
@@ -270,9 +286,8 @@ def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
         raise click.ClickException(str(err))
     names = tuple(verify.SUITES) if suite == "all" else (suite,)
     out = _resolve_out(output)
-    out.parent.mkdir(parents=True, exist_ok=True)
     failed = 0
-    with open(out, "wb") as fh:
+    with _open_out(out) as fh:
         # one (p, q) slice at a time, so that only one slice's reports are held
         for name in names:
             counts = Counter()

@@ -22,9 +22,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .arithmetic import (
-    POLE,
     ExtendedScalar,
-    IndeterminateError,
     ScalarLike,
     format_fraction,
     gamma_product,
@@ -243,24 +241,14 @@ def seed_gamma_args(jp2, j2):
     return (jp2 + j2 + 4, jp2 - j2)
 
 
-def _ratio(num, den) -> ExtendedScalar:
-    if isinstance(num, float) or isinstance(den, float):
-        if den == 0.0:
-            if num == 0.0:
-                raise IndeterminateError("0 / 0 in transition quantity")
-            return POLE
-        return ExtendedScalar.floating(num / den)
-    return quotient(num, den)
-
-
 def _transition(mixed: bool, pt: SpectralPoint, r: ScalarLike,
                 direction: Direction) -> ExtendedScalar:
     """The transition quotient as the product of its factors' extended-scalar ratios."""
     factors = transition_factors(mixed, 2 * pt.Jp, 2 * pt.J, 2 * r,
                                  direction.djp, direction.dj)
-    out = _ratio(*factors[0])
+    out = quotient(*factors[0])
     for num, den in factors[1:]:
-        out = out * _ratio(num, den)
+        out = out * quotient(num, den)
     return out
 
 
@@ -296,10 +284,7 @@ def mult1_eigenvalue(pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
 
 def cross_type_quotient(params: BundleParams, r: ScalarLike) -> ExtendedScalar:
     """Quotient from the coexact family to the exact family: (s - r)/(s + r)."""
-    s = params.s
-    if isinstance(r, float):
-        return _ratio(float(s) - r, float(s) + r)
-    return _ratio(s - r, s + r)
+    return quotient(params.s - r, params.s + r)
 
 
 def mult2_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> ExtendedScalar:
@@ -339,11 +324,6 @@ class RadicalValue:
             raise ValueError(f"value {self} is not real")
         return z.real
 
-    def serialize(self) -> dict:
-        radicand = format_fraction(self.radicand) \
-            if isinstance(self.radicand, Fraction) else repr(self.radicand)
-        return {"coeff": self.coeff.serialize(), "radicand": radicand}
-
 
 def normalized_eigenvalue(family: Family, params: BundleParams,
                           pt: SpectralPoint, r: ScalarLike) -> RadicalValue:
@@ -359,11 +339,6 @@ def normalized_eigenvalue(family: Family, params: BundleParams,
     if s == r or s == -r:
         raise DegenerateNormalizationError(
             f"normalization breaks at s = {format_fraction(s)} with r = {r}")
-    if isinstance(r, float):
-        ratio = (float(s) + r) / (float(s) - r)
-        radicand = ratio if family is Family.COEXACT else 1.0 / ratio
-    elif family is Family.COEXACT:
-        radicand = Fraction(s + r) / Fraction(s - r)
-    else:
-        radicand = Fraction(s - r) / Fraction(s + r)
+    ratio = (s + r) / (s - r)
+    radicand = ratio if family is Family.COEXACT else 1 / ratio
     return RadicalValue(mult1_eigenvalue(pt, r), radicand)

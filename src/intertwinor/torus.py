@@ -34,8 +34,8 @@ mode along the four shifts.  The residual on an interior mode x is therefore
 four small matrix identities, one per shift s, with C_s composed from the
 phi and P rows of the same tables.  Exact mode compares cross-multiplied
 integers; float mode runs the same loop on floats.  Only modes with x + s
-inside the interior cut (margin two by default) are compared, so no
-truncated contribution enters.
+inside the interior cut, ``MARGIN`` modes in from the truncation, are
+compared, so no truncated contribution enters.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import truediv
 from typing import Dict, Iterator, Optional, Tuple
 
 from .arithmetic import gamma_product, gamma_ratio_numeric, is_integral
@@ -420,6 +419,10 @@ def spectral_operator(basis: TorusBasis, r) -> OperatorMatrix:
 
 # -- residual of the intertwining relation ----------------------------------------------
 
+#: modes between the truncation and the interior cut of the residual check
+MARGIN = 2
+
+
 @dataclass
 class ResidualResult:
     """Max-norm residual of the compressed relation over interior columns."""
@@ -430,7 +433,7 @@ class ResidualResult:
     mode: str
     residual: float
     columns: int
-    margin: int = 2
+    margin: int = MARGIN
 
     @property
     def exact_zero(self) -> bool:
@@ -457,8 +460,7 @@ def _scaled_shifts(k: int):
 _SHIFTS = {k: _scaled_shifts(k) for k in _COMPONENTS}
 
 
-def intertwining_residual(M: int, k: int, r, mode: str = "exact",
-                          margin: int = 2) -> ResidualResult:
+def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualResult:
     """Max-norm of (A (C - r phi) - (C + r phi) A) e over interior basis vectors e,
     where C = [N, phi]/2 - P, projected back onto the interior modes.
 
@@ -473,19 +475,18 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact",
     if mode == "exact" and not is_integral(r):
         raise ValueError(f"exact mode needs integer r, got {r!r}")
     basis = TorusBasis(M, k)
-    exact = mode == "exact"
-    order = int(r) if exact else float(r)
+    order = int(r) if mode == "exact" else float(r)
     span = range(-M, M + 1)
     # every retained mode, in spectral_operator's order, so a pole raises as there
     blocks = {(m, n): _mode_block(k, m, n, order) for m in span for n in span}
     scale, shifts = _SHIFTS[k]
-    cut = M - max(margin, 0)
+    cut = M - MARGIN
     inner = range(-cut, cut + 1)
     cells = range(len(basis.components) ** 2)
-    ratio = Fraction if exact else truediv
     # lhs applies A(x+s) to C - r phi formed first; rhs adds r phi A(x) to
     # C A(x) last.  The scale is a power of two and changes no rounding, so
-    # float mode gives the unscaled products bit for bit.
+    # float mode gives the unscaled products bit for bit; exact mode's int
+    # division rounds correctly, so its maximum is the exact maximum rounded.
     worst = 0
     for m in inner:
         for n in inner:
@@ -507,6 +508,6 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact",
                         rhs += off * ax[e ^ 2]
                     diff = lhs * dx - (rhs + order * (phi * ax[e])) * dy
                     if diff:
-                        worst = max(worst, abs(ratio(diff, scale * dx * dy)))
+                        worst = max(worst, abs(diff / (scale * dx * dy)))
     return ResidualResult(k=k, r=r, M=M, mode=mode, residual=float(worst),
-                          columns=len(inner) ** 2 * len(basis.components), margin=margin)
+                          columns=len(inner) ** 2 * len(basis.components))

@@ -114,9 +114,6 @@ class CheckReport:
             out["rhs"] = self.rhs
         return out
 
-    def to_json(self) -> str:
-        return encode(self.record()).decode()
-
 
 def append_report(reports: Sequence[CheckReport], fh) -> None:
     """Append the reports to a file open for binary writing, one JSON line each."""

@@ -192,6 +192,16 @@ class TestExtendedScalar:
         assert quotient(3, 0).is_pole
         with pytest.raises(IndeterminateError):
             quotient(0, 0)
+        # a float operand gives the float quotient, with the same pole rules
+        assert quotient(Fraction(1, 2), 0.25).value == 2.0
+        assert isinstance(quotient(1, 3.0).value, float)
+        assert quotient(1, 3.0).value == 1 / 3.0
+        assert quotient(-1.5, 0.0).is_pole
+        with pytest.raises(IndeterminateError, match="0 / 0 is indeterminate"):
+            quotient(0.0, 0)
+        with pytest.raises(IndeterminateError):
+            ExtendedScalar.floating(0.0) / ExtendedScalar.floating(0.0)
+        assert (ExtendedScalar.floating(1.0) / ExtendedScalar.exact(0)).is_pole
 
     def test_serialize(self):
         assert ExtendedScalar.exact(Fraction(-3, 4)).serialize() == "-3/4"

@@ -285,7 +285,7 @@ class TestTorus:
     def test_exact_mode_demands_exact_zero(self, runner, monkeypatch):
         from intertwinor import torus
 
-        def off_by_a_little(M, k, r, mode="exact", margin=2):
+        def off_by_a_little(M, k, r, mode="exact"):
             return torus.ResidualResult(k=k, r=r, M=M, mode=mode, residual=1e-12, columns=9)
 
         monkeypatch.setattr(torus, "intertwining_residual", off_by_a_little)
@@ -346,18 +346,24 @@ def test_bad_orders_fail_fast_and_cleanly(runner, args, extra, exit_code):
         assert "r=300.5 exceeds the float range" in result.output
 
 
+#: each command with all its options set; tests swap one value for a rejected
+#: one, never for a huge accepted one, on which verify would not finish
+OPTION_COMMANDS = [args + ["--r", "1"] for args in ORDER_COMMANDS] + [
+    ["verify", "--suite", "scalar", "--p-max", "2", "--q-max", "2", "--j-max", "1",
+     "--r-max", "1"]]
 INT64_OPTIONS = ([(0, option) for option in ("--p", "--q", "--k", "--a", "--jp", "--j")]
                  + [(1, option) for option in ("--p", "--q", "--k", "--a", "--jp-max", "--j-max")]
-                 + [(2, "--M")])
+                 + [(2, "--M")]
+                 + [(3, option) for option in ("--p-max", "--q-max", "--j-max", "--r-max")])
 
 
 @pytest.mark.parametrize("value", ["9223372036854775808", "-9223372036854775809",
                                    "100000000000000000000"])
 @pytest.mark.parametrize("command, option", INT64_OPTIONS,
-                         ids=[ORDER_COMMANDS[c][0] + option for c, option in INT64_OPTIONS])
+                         ids=[OPTION_COMMANDS[c][0] + option for c, option in INT64_OPTIONS])
 def test_integers_beyond_64_bits_are_usage_errors(runner, command, option, value):
     # records carry these integers, and the encoder takes signed 64-bit ones
-    args = ORDER_COMMANDS[command] + ["--r", "1"]
+    args = OPTION_COMMANDS[command].copy()
     args[args.index(option) + 1] = value
     result = runner.invoke(main, args)
     assert result.exit_code == 2
@@ -380,15 +386,37 @@ def test_integers_at_the_64_bit_bounds_are_evaluated(runner):
     ["table", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp-max", "3",
      "--j-max", "3", "--family", "exact", "--r", "1000"],
     ["torus", "--k", "0", "--r", "20000", "--M", "4"],
-], ids=["table", "torus"])
-def test_orders_above_the_cap_are_usage_errors(runner, args):
+    ["verify", "--r-max", "257"],
+], ids=["table", "torus", "verify"])
+def test_orders_above_the_cap_are_usage_errors(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)  # where verify's default report would go
     start = time.perf_counter()
     result = runner.invoke(main, args)
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2
     assert "|r| <= 256" in result.output
     assert_clean_error(result)
+    assert not any(tmp_path.iterdir())
 
 
 def test_order_at_the_cap_is_evaluated(runner):
     run_ok(runner, ORDER_COMMANDS[0] + ["--r", "-256"])
+
+
+@pytest.mark.parametrize("case", ["directory", "outdir-is-a-file"])
+@pytest.mark.parametrize("args", OPTION_COMMANDS, ids=["eval", "table", "torus", "verify"])
+def test_unwritable_outputs_fail_cleanly(runner, tmp_path, monkeypatch, args, case):
+    if case == "directory":
+        target = tmp_path / "out"
+        target.mkdir()
+        output = f"{target}/"
+    else:
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("INTERTWINOR_OUTDIR", str(blocker))
+        output = "record.json"
+        target = blocker / output
+    result = runner.invoke(main, args + ["-o", output])
+    assert result.exit_code == 1
+    assert_clean_error(result)
+    assert f"Error: cannot write {target}: " in result.output

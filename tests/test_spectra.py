@@ -207,6 +207,37 @@ class TestDoubledLevelFormulas:
         assert mult2_transition(point, r, DOWN_RIGHT).value == want
 
 
+class TestPublicValuesPinned:
+    @staticmethod
+    def _outcome(f):
+        try:
+            return repr(f())
+        except Exception as err:
+            return type(err).__name__
+
+    def test_float_and_exact_values_are_pinned(self):
+        # every bundle with p, q <= 5 and levels j', j <= 2, at float, Fraction
+        # and int orders: the repr keeps both the value bits and its type, so
+        # a float branch that changes its rounding changes the digest
+        orders = (0.5, 1.5, 2.0, -0.5, 0.0, Fraction(1, 3), 3)
+        lines = []
+        for p, q in itertools.product(range(2, 6), repeat=2):
+            for c1, a in itertools.product(range(p), range(q)):
+                params = BundleParams(p, q, c1 + a, a)
+                for r in orders:
+                    lines.append(self._outcome(lambda: cross_type_quotient(params, r)))
+                    for jp, j in itertools.product(range(3), repeat=2):
+                        point = spectral_point(params, jp, j)
+                        for family in (Family.COEXACT, Family.EXACT):
+                            lines.append(self._outcome(lambda: normalized_eigenvalue(
+                                family, params, point, r).radicand))
+                        for d in DIRECTIONS:
+                            lines.append(self._outcome(lambda: mult1_transition(point, r, d)))
+                            lines.append(self._outcome(lambda: mult2_transition(point, r, d)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "61c7d7c3bdc783400a70d795cef8bef238dcfa2e92ff6cb606909834f1450edc"
+
+
 class TestCrossTypeQuotient:
     def test_contract_values(self):
         assert cross_type_quotient(BundleParams(4, 6, 2, 1), 1) == Fraction(1, 3)

@@ -22,7 +22,7 @@ def operator_is_zero(op: OperatorMatrix) -> bool:
     return all(not val for col in op.columns.values() for val in col.values())
 
 
-def reference_residual(M, k, r, margin):
+def reference_residual(M, k, r):
     """Max-norm of A (C - r phi) - (C + r phi) A on interior rows and columns,
     with C = [N, phi]/2 - P, composed through the public operator algebra."""
     basis = TorusBasis(M, k)
@@ -30,7 +30,7 @@ def reference_residual(M, k, r, margin):
     r_phi = assemble("phi-mult", basis).scaled(r)
     a_op = spectral_operator(basis, r)
     diff = a_op.compose(core - r_phi) - (core + r_phi).compose(a_op)
-    cut = M - margin
+    cut = M - torus.MARGIN
 
     def inside(key):
         return abs(key[0]) <= cut and abs(key[1]) <= cut
@@ -268,9 +268,8 @@ class TestIntertwiningResidual:
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_matches_operator_algebra(self, k, r):
-        for margin in (0, 1, 2, 3):
-            result = intertwining_residual(5, k, r, mode="exact", margin=margin)
-            assert result.residual == float(reference_residual(5, k, r, margin))
+        result = intertwining_residual(5, k, r, mode="exact")
+        assert result.residual == float(reference_residual(5, k, r))
 
     @pytest.mark.parametrize("k, r, want", [
         (0, 1, Fraction(5, 12)), (0, 2, Fraction(1, 2)), (0, 3, Fraction(7, 12)),
@@ -294,7 +293,7 @@ class TestIntertwiningResidual:
 
         monkeypatch.setattr(torus, "_mode_block", perturbed)
         assert intertwining_residual(6, k, r, mode="exact").residual == float(want)
-        assert reference_residual(6, k, r, 2) == want
+        assert reference_residual(6, k, r) == want
 
     @pytest.mark.parametrize("M, k, r, want", [
         (6, 0, 1.5, "3.1086244689504383e-15"),

@@ -16,6 +16,7 @@ from intertwinor.verify import (
     SUITES,
     CheckReport,
     GridSpec,
+    encode,
     failures,
     iter_bundles,
     iter_levels,
@@ -88,8 +89,8 @@ class TestSuitesPass:
 
 class TestDeterminism:
     def test_identical_runs(self):
-        first = [rep.to_json() for rep in run_diamond_checks(TINY)]
-        second = [rep.to_json() for rep in run_diamond_checks(TINY)]
+        first = [encode(rep.record()).decode() for rep in run_diamond_checks(TINY)]
+        second = [encode(rep.record()).decode() for rep in run_diamond_checks(TINY)]
         assert first == second
 
     def test_reports_serialize_to_json_lines(self, tmp_path):
@@ -344,7 +345,7 @@ class TestPinnedReports:
         if module is not None:
             monkeypatch.setattr(module, name, edit(getattr(module, name)))
         reports = suite(PIN_GRID)
-        data = "".join(rep.to_json() + "\n" for rep in reports).encode()
+        data = "".join(encode(rep.record()).decode() + "\n" for rep in reports).encode()
         assert len(failures(reports)) == failed
         assert hashlib.sha256(data).hexdigest() == digest
 
@@ -359,7 +360,7 @@ class TestPinnedReports:
 
         monkeypatch.setattr(spectra, "transition_factors", nowhere_zero)
         reports = run_diamond_checks(PIN_GRID)
-        data = "".join(rep.to_json() + "\n" for rep in reports).encode()
+        data = "".join(encode(rep.record()).decode() + "\n" for rep in reports).encode()
         assert len(failures(reports)) == 1826
         assert hashlib.sha256(data).hexdigest() == \
             "2d20f254c486b45b6094c630f334ed4ef8518f29dd0fc820f91b693faec94ef3"
@@ -394,6 +395,6 @@ class TestScalarReduction:
 
 def test_check_report_json_shape():
     rep = CheckReport("demo", {"p": 2}, FAIL, lhs="1", rhs="2")
-    record = json.loads(rep.to_json())
+    record = json.loads(encode(rep.record()).decode())
     assert record == {"check": "demo", "point": {"p": 2}, "status": "fail",
                       "lhs": "1", "rhs": "2"}
