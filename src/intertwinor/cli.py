@@ -4,8 +4,10 @@ Output is deterministic: records echo their full inputs, exact values are
 serialized as num/den strings (never floats), poles as "pole", and float-mode
 values in the shortest round-trip form (or at a requested precision).  The
 ``verify`` and ``torus`` commands exit 0 exactly when everything passes, so
-they double as CI gates.  The only environment variable honored is
-INTERTWINOR_OUTDIR, which prefixes relative output paths.
+they double as CI gates; neither passes vacuously, as ``verify`` fails a
+suite with no passing record and ``torus`` a run that checked no column.
+The only environment variable honored is INTERTWINOR_OUTDIR, which prefixes
+relative output paths.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ TABLE_HEADER = ("p", "q", "k", "a", "jp", "j", "r", "family", "operator",
 MAX_EXACT_ORDER = 256
 #: integer options span the signed 64-bit range that records can encode
 INT64 = click.IntRange(-2**63, 2**63 - 1)
-#: what evaluating a bad point or order raises (nonexistent labels and degenerate
-#: normalizations are ValueErrors); each becomes an ``Error:`` line
-_EVAL_ERRORS = (ValueError, OverflowError)
+#: what evaluating a bad point or order raises (ValueErrors for nonexistent labels
+#: and degenerate normalizations, ArithmeticErrors for overflows, torus poles and
+#: 0/0); each becomes an ``Error:`` line
+_EVAL_ERRORS = (ValueError, ArithmeticError)
 
 
 def _resolve_out(path: Optional[str]) -> Optional[Path]:
@@ -79,20 +82,22 @@ def _json_line(record: dict) -> str:
 
 
 def _parse_r(text: str, mode: str):
-    """Exact mode accepts integers only; float mode accepts any finite real.
+    """Float mode accepts any finite real; exact mode and the even-order
+    operator (``mode="even-order"``) accept integers only.
 
     Integral orders always route to the exact evaluation path, even in float
     mode, where the separate numeric gammas would sit on spurious poles.  The
     exact path accepts |r| <= MAX_EXACT_ORDER.
     """
-    if mode == "exact":
+    if mode != "float":
         try:
             value = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise click.BadParameter(f"could not parse r={text!r}")
         if value.denominator != 1:
             raise click.BadParameter(
-                f"exact mode requires integer r, got {text}; use --mode float")
+                f"even-order operators need an integer r, got {text}" if mode == "even-order"
+                else f"exact mode requires integer r, got {text}; use --mode float")
     else:
         try:
             value = float(Fraction(text)) if "/" in text else float(text)
@@ -199,7 +204,7 @@ def main():
 def cmd_eval(p, q, k, a, jp, j, r_text, family, operator, mode, precision, output):
     """Evaluate one spectral quantity at a single parameter point."""
     params = _bundle(p, q, k, a)
-    r = _parse_r(r_text, mode if operator == "normalized" else "exact")
+    r = _parse_r(r_text, mode if operator == "normalized" else operator)
     try:
         record = _eval_record(params, jp, j, r, Family.parse(family), operator, mode,
                               precision)
@@ -246,7 +251,7 @@ def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
               precision, output):
     """Tabulate spectral values over a level grid in lexicographic row order."""
     params = _bundle(p, q, k, a)
-    r = _parse_r(r_text, mode if operator == "normalized" else "exact")
+    r = _parse_r(r_text, mode if operator == "normalized" else operator)
     try:
         rows = list(_table_rows(params, jp_max, j_max, r, Family.parse(family),
                                 operator, mode, precision))
@@ -274,7 +279,8 @@ def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
 @click.option("-o", "--output", type=str, default="verify_report.jsonl",
               show_default=True)
 def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
-    """Run the exact consistency suites; exit 0 only with zero failures."""
+    """Run the exact consistency suites; exit 0 only with zero failures and
+    at least one passing record in every selected suite."""
     if r_max > MAX_EXACT_ORDER:
         raise click.BadParameter(
             f"integer orders need |r| <= {MAX_EXACT_ORDER}, got r={r_max}",
@@ -298,6 +304,9 @@ def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
             failed += counts[verify.FAIL]
             click.echo(f"{name}: total={counts['total']} pass={counts[verify.PASS]} "
                        f"fail={counts[verify.FAIL]} skipped={counts[verify.SKIP]}")
+            if not counts[verify.PASS]:  # a suite that checked nothing proves nothing
+                click.echo(f"{name}: no record passed")
+                failed += 1
     click.echo(f"report: {out}")
     sys.exit(0 if failed == 0 else 1)
 
@@ -320,20 +329,16 @@ def cmd_torus(k, r_text, m_trunc, tol, mode, output):
     r = _parse_r(r_text, mode)
     try:
         result = torus.intertwining_residual(m_trunc, k, r, mode=mode)
-    except (torus.PoleOnModeError, ValueError, OverflowError) as err:
+    except _EVAL_ERRORS as err:
         raise click.ClickException(str(err))
     # a run that checked no column proves nothing; exact mode demands exact zero
     passed = result.columns > 0 and (
         result.exact_zero if mode == "exact" else result.residual < tol)
-    record = {
-        "check": "intertwining-residual",
-        "point": {"k": k, "r": str(r), "M": m_trunc, "mode": mode,
-                  "margin": result.margin, "columns": result.columns},
-        "status": "pass" if passed else "fail",
-        "lhs": repr(result.residual),
-        "rhs": f"tol {tol!r}",
-    }
-    line = _json_line(record)
+    point = {"k": k, "r": str(r), "M": m_trunc, "mode": mode,
+             "margin": result.margin, "columns": result.columns}
+    line = _json_line(verify.CheckReport(
+        "intertwining-residual", point, verify.PASS if passed else verify.FAIL,
+        repr(result.residual), f"tol {tol!r}").record())
     click.echo(line, nl=False)
     out = _resolve_out(output)
     if out is not None:

@@ -17,11 +17,11 @@ over the same kernels.
 
 Transition and gamma quotients depend on the shifted levels and r alone, not
 on the bundle's (k, a).  The diamond, det and even-order suites therefore
-compute them once per (p, q) slice, in tables that live for that slice, and
-each bundle reads them over its own levels.  A family's K-types fill the
-quadrant above its :func:`spectra.level_floor`, so the diamond table holds
-the failing comparisons themselves, each with the least levels its labels
-need.  The identities, per suite:
+compute them in tables that live for one suite call, and each bundle reads
+them over its own levels.  A family's K-types fill the quadrant above its
+:func:`spectra.level_floor`, so the diamond table holds the failing
+comparisons themselves, each with the constant offset of the least levels
+its labels need.  The identities, per suite:
 
 - diamond: path independence of the transition quotients
   (``diamond-path``) and their compatibility with the eigenvalue or
@@ -174,12 +174,6 @@ def slice_grids(grid: GridSpec) -> Iterator[GridSpec]:
             yield replace(grid, p_min=p, p_max=p, q_min=q, q_max=q)
 
 
-def _slices(grid: GridSpec) -> Iterator[List[BundleParams]]:
-    """The grid's bundles in sweep order, one (p, q) slice at a time."""
-    for _, group in itertools.groupby(iter_bundles(grid), key=lambda b: (b.p, b.q)):
-        yield list(group)
-
-
 def _quadrant(floor: Tuple[int, int], j_max: int) -> Iterator[Tuple[int, int]]:
     """The levels (j', j) <= j_max at or above ``floor``, in sweep order."""
     return itertools.product(range(floor[0], j_max + 1), range(floor[1], j_max + 1))
@@ -187,12 +181,13 @@ def _quadrant(floor: Tuple[int, int], j_max: int) -> Iterator[Tuple[int, int]]:
 
 # -- diamond suite ---------------------------------------------------------------
 
-# two-step paths to the four distance-two destinations, as (djp, dj) pairs
+# the least (djp, dj) offset over each corner's labels (both midpoints and
+# the corner), then its two-step paths, as (djp, dj) pairs
 _CORNER_PATHS = (
-    (((+1, +1), (+1, -1)), ((+1, -1), (+1, +1))),
-    (((-1, +1), (-1, -1)), ((-1, -1), (-1, +1))),
-    (((-1, +1), (+1, +1)), ((+1, +1), (-1, +1))),
-    (((-1, -1), (+1, -1)), ((+1, -1), (-1, -1))),
+    ((+1, -1), (((+1, +1), (+1, -1)), ((+1, -1), (+1, +1)))),
+    ((-2, -1), (((-1, +1), (-1, -1)), ((-1, -1), (-1, +1)))),
+    ((-1, +1), (((-1, +1), (+1, +1)), ((+1, +1), (-1, +1)))),
+    ((-1, -2), (((-1, -1), (+1, -1)), ((+1, -1), (-1, -1)))),
 )
 _STEPS = tuple((d.djp, d.dj) for d in DIRECTIONS)
 
@@ -206,92 +201,88 @@ def run_diamond_checks(grid: GridSpec) -> List[CheckReport]:
     transition quantities, so zeros of the spectral function need no special
     casing.  Both sides come from the library's doubled-level formulas
     (:func:`spectra.transition_factors`, :func:`spectra.gamma_args` and
-    :func:`arithmetic.gamma_product`) as integer pairs.  Each (p, q) slice
-    builds one table of failing comparisons per kind, shared by the coexact
-    and exact families; a record is the first of them whose least levels lie
-    at or above its family's :func:`spectra.level_floor`.
+    :func:`arithmetic.gamma_product`) as integer pairs.  The call builds one
+    table of failing comparisons per kind, shared by the coexact and exact
+    families; a record is the first of them whose labels lie at or above its
+    family's :func:`spectra.level_floor`.
     """
     reports: List[CheckReport] = []
-    for bundles in _slices(grid):
-        tables = {mixed: _diamond_table(bundles[0], mixed) for mixed in (False, True)}
-        for params in bundles:
-            for family in (Family.COEXACT, Family.EXACT, Family.MIXED):
-                floor = spectra.level_floor(params, family)
-                if floor is None:
-                    continue
-                lo1, lo2 = floor
-                fails = tables[family is Family.MIXED]
-                fam_pt = {"family": family.value}
-                for jp, j in _quadrant(floor, grid.j_max):
-                    for r in grid.r_values:
-                        point = _point_dict(params, jp, j, r, fam_pt)
-                        for need_jp, need_j, fail in fails(jp, j, r):
-                            if need_jp >= lo1 and need_j >= lo2:
-                                point["identity"], lhs, rhs = fail
-                                reports.append(CheckReport("diamond", point, FAIL, lhs, rhs))
-                                break
-                        else:
-                            reports.append(CheckReport("diamond", point, PASS))
+    tables = {mixed: _diamond_table(mixed) for mixed in (False, True)}
+    for params in iter_bundles(grid):
+        dp, dq = params.p - 2, params.q - 2
+        for family in (Family.COEXACT, Family.EXACT, Family.MIXED):
+            floor = spectra.level_floor(params, family)
+            if floor is None:
+                continue
+            lo1, lo2 = floor
+            fails = tables[family is Family.MIXED]
+            fam_pt = {"family": family.value}
+            for jp, j in _quadrant(floor, grid.j_max):
+                for r in grid.r_values:
+                    point = _point_dict(params, jp, j, r, fam_pt)
+                    for djp, dj, fail in fails(dp, dq, jp, j, r):
+                        if jp + djp >= lo1 and j + dj >= lo2:
+                            point["identity"], lhs, rhs = fail
+                            reports.append(CheckReport("diamond", point, FAIL, lhs, rhs))
+                            break
+                    else:
+                        reports.append(CheckReport("diamond", point, PASS))
     return reports
 
 
-def _diamond_table(params: BundleParams, mixed: bool):
-    """The failing diamond comparisons at (j', j, r) in gate order, with the levels they need.
+def _diamond_table(mixed: bool):
+    """The failing diamond comparisons at (p - 2, q - 2, j', j, r) in gate order.
 
-    Corner routes first, then gamma-transition per direction; a corner's
-    labels are both midpoints and the corner, a gamma comparison's the
-    neighbor.  Each comparison carries the least j' and the least j over its
-    labels, which all exist exactly when those do, as every family's labels
-    fill a quadrant.  The values depend on the kind and the slice (p, q)
-    alone, so ``params`` may be any bundle of the slice.  A label with a
-    negative level never exists, and a route with a vanishing step is
-    undefined in every bundle.
+    Corner routes first, then gamma-transition per direction.  Each
+    comparison carries the least (j', j) offset over its labels: a corner's
+    from :data:`_CORNER_PATHS`, a gamma comparison's its direction.  Every
+    family's labels fill a quadrant, so they all exist exactly when the
+    levels at that offset lie in it.  A label with a negative level never
+    exists, so no route is built through one; that guard needs the levels
+    themselves, which is why entries are keyed by them and not by the
+    doubled levels alone.  A route with a vanishing step is undefined in
+    every bundle.
     """
-    dp, dq = params.p - 2, params.q - 2
-
-    def transition(jp, j, r, d1, d2):
+    def transition(dp, dq, jp, j, r, d1, d2):
         num = den = 1
         for n, d in spectra.transition_factors(mixed, 2 * jp + dp, 2 * j + dq, 2 * r, d1, d2):
             num, den = num * n, den * d
         return num, den
 
     @cache
-    def value(jp, j, r):
+    def value(dp, dq, jp, j, r):
         return arithmetic.gamma_product(spectra.gamma_args(mixed, 2 * jp + dp, 2 * j + dq), r)
 
     @cache
-    def steps(jp, j, r) -> dict:
+    def steps(dp, dq, jp, j, r) -> dict:
         # transition pairs from (jp, j) to each neighbor on the lattice, by direction
-        return {(d1, d2): transition(jp, j, r, d1, d2)
+        return {(d1, d2): transition(dp, dq, jp, j, r, d1, d2)
                 for d1, d2 in _STEPS if jp + d1 >= 0 and j + d2 >= 0}
 
     @cache
-    def fails(jp, j, r) -> list:
-        here = steps(jp, j, r)
+    def fails(dp, dq, jp, j, r) -> list:
+        here = steps(dp, dq, jp, j, r)
         out = []
-        for routes in _CORNER_PATHS:
-            prods, labels = [], []
+        for (djp, dj), routes in _CORNER_PATHS:
+            prods = []
             for first, second in routes:
-                mid = (jp + first[0], j + first[1])
                 one = here.get(first)
-                two = one and steps(*mid, r).get(second)
+                two = one and steps(dp, dq, jp + first[0], j + first[1], r).get(second)
                 if not two or 0 in one or 0 in two:
                     break
                 prods.append((one[0] * two[0], one[1] * two[1]))
-                labels += (mid, (mid[0] + second[0], mid[1] + second[1]))
             else:
                 (num_a, den_a), (num_b, den_b) = prods
                 if num_a * den_b != num_b * den_a:
-                    need_jp, need_j = map(min, zip(*labels))
-                    out.append((need_jp, need_j, (
+                    out.append((djp, dj, (
                         "diamond-path", format_fraction(Fraction(num_a, den_a)),
                         format_fraction(Fraction(num_b, den_b)))))
-        src_n, src_d = value(jp, j, r)
+        src_n, src_d = value(dp, dq, jp, j, r)
         for (d1, d2), (n, d) in here.items():
-            tgt_n, tgt_d = value(jp + d1, j + d2, r)
+            tgt_n, tgt_d = value(dp, dq, jp + d1, j + d2, r)
             lhs, rhs = tgt_n * src_d * d, src_n * tgt_d * n
             if lhs != rhs:
-                out.append((jp + d1, j + d2, ("gamma-transition", str(lhs), str(rhs))))
+                out.append((d1, d2, ("gamma-transition", str(lhs), str(rhs))))
         return out
     return fails
 
@@ -389,50 +380,49 @@ def run_det_checks(grid: GridSpec) -> List[CheckReport]:
     (:func:`spectra.seed_gamma_args`) are the library's integer kernels.
     """
     reports: List[CheckReport] = []
-    for bundles in _slices(grid):
-        dp, dq = bundles[0].p - 2, bundles[0].q - 2
 
-        @cache
-        def gammas(jp2, j2, r):
-            # the determinant and seed gamma pairs, shared by the slice
-            return (arithmetic.gamma_product(spectra.gamma_args(True, jp2, j2), r),
-                    arithmetic.gamma_product(spectra.seed_gamma_args(jp2, j2), r))
+    @cache
+    def gammas(jp2, j2, r):
+        # the determinant and seed gamma pairs, shared by every bundle of the call
+        return (arithmetic.gamma_product(spectra.gamma_args(True, jp2, j2), r),
+                arithmetic.gamma_product(spectra.seed_gamma_args(jp2, j2), r))
 
-        for params in bundles:
-            floor = spectra.level_floor(params, Family.MIXED)
-            if floor is None:
-                continue
-            b = blocks.doubled(params)
-            s2 = b.s2
-            for jp, j in _quadrant(floor, grid.j_max):
-                jp2, j2 = 2 * jp + dp, 2 * j + dq
-                plus, minus = jp2 + j2, jp2 - j2
-                for r in grid.r_values:
-                    point = _point_dict(params, jp, j, r)
-                    r2 = 2 * r
-                    try:
-                        (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
-                    except DegenerateNormalizationError as err:
-                        reports.append(CheckReport("det", point, SKIP, lhs=str(err)))
-                        continue
-                    # the transition product, each side 8 times (J'+-J+-r)(J'-+J-+r)(s-+r)
-                    num = (plus - r2) * (minus + r2) * (s2 - r2)
-                    lhs = (e11 * e22 - e12 * e21) * (plus + r2) * (minus - r2) * (s2 + r2)
-                    if lhs != num * den * den:
-                        reports.append(CheckReport("det", point, FAIL,
-                                                   lhs=_ratio_text(lhs, 8 * den * den),
-                                                   rhs=_ratio_text(num, 8)))
-                        continue
-                    (det_n, det_d), (seed_n, seed_d) = gammas(jp2, j2, r)
-                    lhs = det_n * (plus + r2) * (minus - r2)
-                    rhs = seed_n * seed_n * (plus - r2) * (minus + r2)
-                    if lhs * seed_d * seed_d != rhs * det_d:
-                        point["identity"] = "det-gamma"
-                        reports.append(CheckReport("det", point, FAIL,
-                                                   lhs=_ratio_text(lhs, 4 * det_d),
-                                                   rhs=_ratio_text(rhs, 4 * seed_d * seed_d)))
-                        continue
-                    reports.append(CheckReport("det", point, PASS))
+    for params in iter_bundles(grid):
+        floor = spectra.level_floor(params, Family.MIXED)
+        if floor is None:
+            continue
+        b = blocks.doubled(params)
+        s2 = b.s2
+        dp, dq = params.p - 2, params.q - 2
+        for jp, j in _quadrant(floor, grid.j_max):
+            jp2, j2 = 2 * jp + dp, 2 * j + dq
+            plus, minus = jp2 + j2, jp2 - j2
+            for r in grid.r_values:
+                point = _point_dict(params, jp, j, r)
+                r2 = 2 * r
+                try:
+                    (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
+                except DegenerateNormalizationError as err:
+                    reports.append(CheckReport("det", point, SKIP, lhs=str(err)))
+                    continue
+                # the transition product, each side 8 times (J'+-J+-r)(J'-+J-+r)(s-+r)
+                num = (plus - r2) * (minus + r2) * (s2 - r2)
+                lhs = (e11 * e22 - e12 * e21) * (plus + r2) * (minus - r2) * (s2 + r2)
+                if lhs != num * den * den:
+                    reports.append(CheckReport("det", point, FAIL,
+                                               lhs=_ratio_text(lhs, 8 * den * den),
+                                               rhs=_ratio_text(num, 8)))
+                    continue
+                (det_n, det_d), (seed_n, seed_d) = gammas(jp2, j2, r)
+                lhs = det_n * (plus + r2) * (minus - r2)
+                rhs = seed_n * seed_n * (plus - r2) * (minus + r2)
+                if lhs * seed_d * seed_d != rhs * det_d:
+                    point["identity"] = "det-gamma"
+                    reports.append(CheckReport("det", point, FAIL,
+                                               lhs=_ratio_text(lhs, 4 * det_d),
+                                               rhs=_ratio_text(rhs, 4 * seed_d * seed_d)))
+                    continue
+                reports.append(CheckReport("det", point, PASS))
     return reports
 
 
@@ -464,90 +454,92 @@ def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
     orders = tuple(r for r in grid.r_values if r >= 1)  # operators start at order 2
     x1, x2 = blocks.BivariatePoly.var1(), blocks.BivariatePoly.var2()
     products = {r: blocks.even_product(x1, x2, r) for r in orders}  # the same for every bundle
-    for bundles in _slices(grid):
-        dp, dq = bundles[0].p - 2, bundles[0].q - 2
-        # the gamma-quotient pair at (2J', 2J, r) of either kind, shared by the slice
-        gamma = cache(lambda mixed, jp2, j2, r: arithmetic.gamma_product(
-            spectra.gamma_args(mixed, jp2, j2), r))
-        for params in bundles:
-            b = blocks.doubled(params)
-            s2 = b.s2
-            floors = [spectra.level_floor(params, family)
-                      for family in (Family.MIXED, Family.COEXACT, Family.EXACT)]
-            det_seen: Dict[int, Tuple[int, int]] = {}
-            eig_seen: Dict[Tuple[str, int], Tuple[int, int]] = {}
-            for jp, j in iter_levels(grid):
-                here_m, here_co, here_ex = (floor is not None and jp >= floor[0] and j >= floor[1]
-                                            for floor in floors)
-                if not (here_m or here_co or here_ex):
-                    continue
-                jp2, j2 = 2 * jp + dp, 2 * j + dq
-                for r in orders:
-                    point = _point_dict(params, jp, j, r)
-                    r2 = 2 * r
-                    bad = None
-                    evs = [(family, blocks.even_order_pair(family, b, jp2, j2, r))
-                           for family, here in ((Family.COEXACT, here_co), (Family.EXACT, here_ex))
-                           if here]
-                    if r == 1:
-                        for family, (ev_n, ev_d) in evs:
-                            want_n, want_d = blocks.order2_pair(family, b, jp2, j2)
-                            if ev_n * want_d != want_n * ev_d:
-                                bad = ("order2-" + family.value, _ratio_text(ev_n, ev_d),
-                                       _ratio_text(want_n, want_d))
-                                break
-                    if bad is None and len(evs) == 2:
-                        (_, (co_n, co_d)), (_, (ex_n, ex_d)) = evs
-                        lhs, rhs = co_n * (s2 - r2), ex_n * (s2 + r2)
-                        if lhs * ex_d != rhs * co_d:
-                            bad = ("family-ratio", _ratio_text(lhs, 2 * co_d),
-                                   _ratio_text(rhs, 2 * ex_d))
-                    if bad is None and evs:
-                        g_n, g_d = gamma(False, jp2, j2, r)
-                        for family, (ev_n, ev_d) in evs:
-                            if g_n == 0:
-                                witness = (_ratio_text(ev_n, ev_d), "0") if ev_n else None
-                            else:
-                                witness = _same_ratio(eig_seen, (family.value, r),
-                                                      ev_n * g_d, ev_d * g_n)
-                            if witness:
-                                bad = ("eigenvalue-proportionality",) + witness
-                                break
-                    if bad is None and here_m:
-                        entries, den = blocks.even_block_pair(b, jp2, j2, r)
-                        if r == 1:
-                            order2, den2 = blocks.core_pair(b, jp2, j2, 2)
-                            if any(e * den2 != o * den for e, o in zip(entries, order2)):
-                                pt = spectra.spectral_point(params, jp, j)
-                                bad = ("order2-block",
-                                       repr(blocks.even_order_block(params, pt, r)),
-                                       repr(blocks.order2_block(params, pt)))
-                        if bad is None:
-                            det_n, det_d = gamma(True, jp2, j2, r)
-                            if det_n != 0:
-                                e11, e12, e21, e22 = entries
-                                witness = _same_ratio(det_seen, r, (e11 * e22 - e12 * e21) * det_d,
-                                                      den * den * det_n)
-                                if witness:
-                                    bad = ("det-proportionality",) + witness
-                    if bad is None:
-                        reports.append(CheckReport("even-order", point, PASS))
-                    else:
-                        name, lhs, rhs = bad
-                        point["identity"] = name
-                        reports.append(CheckReport("even-order", point, FAIL, lhs=lhs, rhs=rhs))
+
+    @cache
+    def gamma(mixed, jp2, j2, r):
+        # the gamma-quotient pair at (2J', 2J, r) of either kind, shared by the call
+        return arithmetic.gamma_product(spectra.gamma_args(mixed, jp2, j2), r)
+
+    for params in iter_bundles(grid):
+        dp, dq = params.p - 2, params.q - 2
+        b = blocks.doubled(params)
+        s2 = b.s2
+        floors = [spectra.level_floor(params, family)
+                  for family in (Family.MIXED, Family.COEXACT, Family.EXACT)]
+        det_seen: Dict[int, Tuple[int, int]] = {}
+        eig_seen: Dict[Tuple[str, int], Tuple[int, int]] = {}
+        for jp, j in iter_levels(grid):
+            here_m, here_co, here_ex = (floor is not None and jp >= floor[0] and j >= floor[1]
+                                        for floor in floors)
+            if not (here_m or here_co or here_ex):
+                continue
+            jp2, j2 = 2 * jp + dp, 2 * j + dq
             for r in orders:
-                for family in (Family.COEXACT, Family.EXACT):
-                    point = _point_dict(params, -1, -1, r, {"family": family.value,
-                                                            "identity": "leading-symbol"})
-                    p_op, p_sym = blocks.symbol_polynomials(family, b, r, products[r])
-                    if p_op.top_part() == p_sym.top_part():
-                        reports.append(CheckReport("even-order", point, PASS))
-                    else:
-                        p_op, p_sym = blocks.leading_symbol_polynomials(family, params, r)
-                        reports.append(CheckReport("even-order", point, FAIL,
-                                                   lhs=repr(p_op.top_part()),
-                                                   rhs=repr(p_sym.top_part())))
+                point = _point_dict(params, jp, j, r)
+                r2 = 2 * r
+                bad = None
+                evs = [(family, blocks.even_order_pair(family, b, jp2, j2, r))
+                       for family, here in ((Family.COEXACT, here_co), (Family.EXACT, here_ex))
+                       if here]
+                if r == 1:
+                    for family, (ev_n, ev_d) in evs:
+                        want_n, want_d = blocks.order2_pair(family, b, jp2, j2)
+                        if ev_n * want_d != want_n * ev_d:
+                            bad = ("order2-" + family.value, _ratio_text(ev_n, ev_d),
+                                   _ratio_text(want_n, want_d))
+                            break
+                if bad is None and len(evs) == 2:
+                    (_, (co_n, co_d)), (_, (ex_n, ex_d)) = evs
+                    lhs, rhs = co_n * (s2 - r2), ex_n * (s2 + r2)
+                    if lhs * ex_d != rhs * co_d:
+                        bad = ("family-ratio", _ratio_text(lhs, 2 * co_d),
+                               _ratio_text(rhs, 2 * ex_d))
+                if bad is None and evs:
+                    g_n, g_d = gamma(False, jp2, j2, r)
+                    for family, (ev_n, ev_d) in evs:
+                        if g_n == 0:
+                            witness = (_ratio_text(ev_n, ev_d), "0") if ev_n else None
+                        else:
+                            witness = _same_ratio(eig_seen, (family.value, r),
+                                                  ev_n * g_d, ev_d * g_n)
+                        if witness:
+                            bad = ("eigenvalue-proportionality",) + witness
+                            break
+                if bad is None and here_m:
+                    entries, den = blocks.even_block_pair(b, jp2, j2, r)
+                    if r == 1:
+                        order2, den2 = blocks.core_pair(b, jp2, j2, 2)
+                        if any(e * den2 != o * den for e, o in zip(entries, order2)):
+                            pt = spectra.spectral_point(params, jp, j)
+                            bad = ("order2-block",
+                                   repr(blocks.even_order_block(params, pt, r)),
+                                   repr(blocks.order2_block(params, pt)))
+                    if bad is None:
+                        det_n, det_d = gamma(True, jp2, j2, r)
+                        if det_n != 0:
+                            e11, e12, e21, e22 = entries
+                            witness = _same_ratio(det_seen, r, (e11 * e22 - e12 * e21) * det_d,
+                                                  den * den * det_n)
+                            if witness:
+                                bad = ("det-proportionality",) + witness
+                if bad is None:
+                    reports.append(CheckReport("even-order", point, PASS))
+                else:
+                    name, lhs, rhs = bad
+                    point["identity"] = name
+                    reports.append(CheckReport("even-order", point, FAIL, lhs=lhs, rhs=rhs))
+        for r in orders:
+            for family in (Family.COEXACT, Family.EXACT):
+                point = _point_dict(params, -1, -1, r, {"family": family.value,
+                                                        "identity": "leading-symbol"})
+                p_op, p_sym = blocks.symbol_polynomials(family, b, r, products[r])
+                if p_op.top_part() == p_sym.top_part():
+                    reports.append(CheckReport("even-order", point, PASS))
+                else:
+                    p_op, p_sym = blocks.leading_symbol_polynomials(family, params, r)
+                    reports.append(CheckReport("even-order", point, FAIL,
+                                               lhs=repr(p_op.top_part()),
+                                               rhs=repr(p_sym.top_part())))
     return reports
 
 

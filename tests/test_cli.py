@@ -233,6 +233,19 @@ class TestVerify:
         assert hashlib.sha256(report.read_bytes()).hexdigest() == \
             "4c9b802c8f7e619520da5e80ffabe4d6fc2c765322e5eacc3fac394235440cb4"
 
+    @pytest.mark.parametrize("args, line", [
+        (["--suite", "scalar", "--p-max", "2", "--q-max", "2", "--j-max", "0", "--r-max", "1"],
+         "scalar: total=1 pass=0 fail=0 skipped=1"),
+        (["--suite", "interface", "--p-max", "2", "--q-max", "3", "--j-max", "0",
+          "--r-max", "1"], "interface: total=0 pass=0 fail=0 skipped=0"),
+    ], ids=["all-skipped", "empty"])
+    def test_no_vacuous_pass(self, runner, tmp_path, args, line):
+        # a suite with no passing record proves nothing, so the gate fails
+        result = runner.invoke(main, ["verify", "-o", str(tmp_path / "r.jsonl")] + args)
+        assert result.exit_code == 1
+        suite = args[1]
+        assert result.output.splitlines()[:2] == [line, f"{suite}: no record passed"]
+
     @pytest.mark.parametrize("bad", [["--r-max", "0"], ["--j-max", "-1"], ["--p-max", "1"]])
     def test_bad_ranges_fail_cleanly(self, runner, tmp_path, bad):
         result = runner.invoke(main, ["verify", "-o", str(tmp_path / "r.jsonl")] + bad)
@@ -325,6 +338,33 @@ def test_non_finite_float_order_fails_cleanly(runner, args, r):
     result = runner.invoke(main, args + ["--r", r, "--mode", "float"])
     assert result.exit_code != 0
     assert_clean_error(result)
+
+
+@pytest.mark.parametrize("args", ORDER_COMMANDS[:2], ids=["eval", "table"])
+def test_even_order_rejects_non_integer_r(runner, args):
+    # the even-order operators take integer orders in either mode
+    result = runner.invoke(main, args + ["--operator", "even-order", "--mode", "float",
+                                         "--r", "1.5"])
+    assert result.exit_code == 2
+    assert_clean_error(result)
+    assert "even-order operators need an integer r, got 1.5" in result.output
+    assert "--mode float" not in result.output.splitlines()[-1]
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--p", "2", "--q", "6", "--k", "0", "--a", "0", "--jp", "0", "--j", "3",
+     "--family", "coexact"],
+    ["table", "--p", "2", "--q", "6", "--k", "0", "--a", "0", "--jp-max", "1", "--j-max", "4",
+     "--family", "coexact"],
+    ["torus", "--k", "0", "--M", "4"],
+], ids=["eval", "table", "torus"])
+@pytest.mark.parametrize("r", ["2.000000001", "0.000000001"])
+def test_indeterminate_float_orders_fail_cleanly(runner, args, r):
+    # within EPS_POLE of an integer, both gamma arguments sit on poles
+    result = runner.invoke(main, args + ["--r", r, "--mode", "float"])
+    assert result.exit_code == 1
+    assert_clean_error(result)
+    assert "both gamma arguments at poles" in result.output
 
 
 @pytest.mark.parametrize("extra, exit_code", [

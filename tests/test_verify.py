@@ -25,6 +25,7 @@ from intertwinor.verify import (
     run_diamond_checks,
     run_interface_checks,
     run_scalar_reduction,
+    slice_grids,
     summarize,
     write_report,
 )
@@ -156,6 +157,18 @@ class TestNegativeControls:
         bad = failures(run_scalar_reduction(TINY))
         assert bad
         assert any("exact family nonempty" in rep.lhs for rep in bad)
+
+    def test_pole_in_function_spectrum_is_flagged(self, monkeypatch):
+        real = arithmetic.gamma_product
+
+        def pole(xs2, r):
+            num, _ = real(xs2, r)
+            return num, 0  # a zero denominator: the eigenvalue is a pole
+
+        assert not failures(run_scalar_reduction(TINY))
+        monkeypatch.setattr(arithmetic, "gamma_product", pole)
+        bad = failures(run_scalar_reduction(TINY))
+        assert bad and all(rep.lhs == "pole in function spectrum" for rep in bad)
 
     def test_witnesses_carry_both_sides(self, monkeypatch):
         monkeypatch.setattr(arithmetic, "gamma_product", _scale_determinant(7, 1))
@@ -313,6 +326,20 @@ def _edit_even_product_doubled_at_3(real):
     return lambda v1, v2, r: real(v1, v2, r) * 2 if r == 3 else real(v1, v2, r)
 
 
+def _edit_direction(d0):
+    # one direction's transitions scaled by a level-dependent factor, which
+    # breaks the two corners that step along it and leaves the other two, so
+    # the bytes pin each corner's least label offset
+    def edit(real):
+        def skewed(mixed, jp2, j2, r2, djp, dj):
+            (num, den), *rest = real(mixed, jp2, j2, r2, djp, dj)
+            if (djp, dj) == d0:
+                num *= jp2 + 2 * j2 + 3
+            return ((num, den), *rest)
+        return skewed
+    return edit
+
+
 PIN_GRID = GridSpec(p_max=4, q_max=4, j_max=3, r_values=(1, 2, 3))
 
 
@@ -338,9 +365,18 @@ class TestPinnedReports:
          "b61e934f5b1e2885997401f53a88e3f7bed0314be10d7fd6a76eac3d948f99b6", 1219),
         (blocks, "even_product", _edit_even_product_doubled_at_3, run_even_order_checks,
          "0e6be2a37b8c7e2c3e3eaf3225b09678631c0653946df88e33ddd84f4258bd68", 85),
+        (spectra, "transition_factors", _edit_direction((-1, 1)), run_diamond_checks,
+         "8aa02a6ac28e55a5770ef74a62ae7771f4996bbf6d49e62a8c52df641a015cc4", 1087),
+        (spectra, "transition_factors", _edit_direction((1, 1)), run_diamond_checks,
+         "630abfff949b57ef1af8021cb528313067743330d5ca7350722f2f65b9834e77", 1656),
+        (spectra, "transition_factors", _edit_direction((-1, -1)), run_diamond_checks,
+         "90e2498b62fd49941e23c62954ea093f91c9447632a74f36e60dce079f9b79ec", 780),
+        (spectra, "transition_factors", _edit_direction((1, -1)), run_diamond_checks,
+         "036569c58489b0a3ca1655322d5ae628a54c73a40009a53186880fe61b62273e", 1087),
     ], ids=["diamond", "det", "even-order", "transition-diamond", "gamma-diamond",
             "gamma-det", "gamma-even-order", "even-product-plus-one",
-            "even-product-doubled-at-3"])
+            "even-product-doubled-at-3", "direction-(-1,+1)", "direction-(+1,+1)",
+            "direction-(-1,-1)", "direction-(+1,-1)"])
     def test_report_digest(self, monkeypatch, module, name, edit, suite, digest, failed):
         if module is not None:
             monkeypatch.setattr(module, name, edit(getattr(module, name)))
@@ -364,6 +400,34 @@ class TestPinnedReports:
         assert len(failures(reports)) == 1826
         assert hashlib.sha256(data).hexdigest() == \
             "2d20f254c486b45b6094c630f334ed4ef8518f29dd0fc820f91b693faec94ef3"
+
+
+def _nowhere_zero(real):
+    # the transition edit of test_corners_need_both_midpoints
+    def step(mixed, jp2, j2, r2, djp, dj):
+        value = Fraction(2 * jp2 + 3 * j2 + 2 * djp + 14 + r2, 2 * (5 + dj))
+        return ((value.numerator, value.denominator),)
+    return step
+
+
+@pytest.mark.parametrize("module, name, edit", [
+    (None, None, None),
+    (spectra, "transition_factors", _edit_transition),
+    (arithmetic, "gamma_product", _edit_gamma_product),
+    (spectra, "transition_factors", _nowhere_zero),
+], ids=["clean", "transition", "gamma-product", "nowhere-zero"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_whole_grid_is_its_slices_joined(monkeypatch, suite, module, name, edit):
+    # a suite's tables live for one call, so one call over the whole grid and
+    # one call per (p, q) slice write the same bytes
+    if module is not None:
+        monkeypatch.setattr(module, name, edit(getattr(module, name)))
+
+    def encoded(reports):
+        return b"".join(encode(rep.record()) + b"\n" for rep in reports)
+
+    whole = encoded(SUITES[suite](PIN_GRID))
+    assert whole == b"".join(encoded(SUITES[suite](part)) for part in slice_grids(PIN_GRID))
 
 
 class TestScalarReduction:
