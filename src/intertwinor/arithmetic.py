@@ -57,10 +57,6 @@ class ExtendedScalar:
     def floating(cls, value: float) -> "ExtendedScalar":
         return cls(float(value))
 
-    @classmethod
-    def pole(cls) -> "ExtendedScalar":
-        return cls(None)
-
     # -- predicates ----------------------------------------------------------
 
     @property

@@ -245,13 +245,9 @@ def order2_pair(family: Family, b: Doubled, jp2, j2):
 
 
 def order2_block(params: BundleParams, pt: SpectralPoint) -> TwoByTwo:
-    """Second-order operator block on a mixed pair (off-diagonals in the 2r convention)."""
-    return core_block(params, pt, 1)
-
-
-def core_block(params: BundleParams, pt: SpectralPoint, r: int) -> TwoByTwo:
-    """The polynomial 2x2 core of the order-2r operator on a mixed pair."""
-    return _two_by_two(*core_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2 * r))
+    """Second-order operator block on a mixed pair (off-diagonals in the 2r convention):
+    the polynomial core of the order-2r block at r = 1."""
+    return _two_by_two(*core_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2))
 
 
 def even_product(v1, v2, r: int):

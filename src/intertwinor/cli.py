@@ -250,6 +250,10 @@ def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision=17):
 def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
               precision, output):
     """Tabulate spectral values over a level grid in lexicographic row order."""
+    for option, value in (("--jp-max", jp_max), ("--j-max", j_max)):
+        if value < 0:
+            raise click.BadParameter(f"level maxima must be >= 0, got {value}",
+                                     param_hint=f"'{option}'")
     params = _bundle(p, q, k, a)
     r = _parse_r(r_text, mode if operator == "normalized" else operator)
     try:

@@ -87,11 +87,6 @@ class BundleParams:
             raise ValueError(f"second factor degree {self.a} exceeds dim {self.q - 1}")
 
     @property
-    def n(self) -> int:
-        """Total dimension p + q - 2."""
-        return self.p + self.q - 2
-
-    @property
     def s(self) -> Fraction:
         """Half of n - 2k; the conformal weight parameter of the bundle."""
         return Fraction(self.p + self.q - 2 - 2 * self.k, 2)

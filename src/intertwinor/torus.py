@@ -3,15 +3,17 @@
 Forms on S^1 x S^1 are expanded over complex Fourier modes e^(i m tau)
 e^(i n rho) times a component frame {1}, {dtau, drho}, {dtau^drho}.  All the
 operators entering the intertwining relation have exact entries there, so the
-relation can be checked in exact rational arithmetic; the float path of the
-same computation is available for non-integer orders.
+relation can be checked in exact rational arithmetic; ``intertwining_residual``
+runs the same check in floats for non-integer orders.
 
 ``assemble`` writes each operator as one table of rows
 (dm, dn, source -> target, coefficient) on the mode (m, n), with a constant
 coefficient or one that depends on (m, n); one builder turns the rows into
-exact sparse columns.  L_T (Cartan's formula) and [N, phi]/2 stay
-compositions in ``OperatorMatrix``, so [N, phi]/2 = nabla_T + phi and
-L_T - nabla_T = k phi - P compare independent constructions.  Sign
+exact sparse columns, which are all an ``OperatorMatrix`` holds (their target
+components name the degree it lands in).  L_T (Cartan's formula) and
+[N, phi]/2 stay compositions in ``OperatorMatrix``, so [N, phi]/2 =
+nabla_T + phi and L_T - nabla_T = k phi - P compare independent
+constructions.  Sign
 conventions, fixed once for the split metric -dtau^2 + drho^2, each one
 table row:
 
@@ -35,7 +37,8 @@ four small matrix identities, one per shift s, with C_s composed from the
 phi and P rows of the same tables.  Exact mode compares cross-multiplied
 integers; float mode runs the same loop on floats.  Only modes with x + s
 inside the interior cut, ``MARGIN`` modes in from the truncation, are
-compared, so no truncated contribution enters.
+compared, so no truncated contribution enters; a column counts as checked
+only when at least one shift identity was compared on it, which needs M >= 3.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .arithmetic import gamma_product, gamma_ratio_numeric, is_integral
 from .spectra import gamma_args, seed_gamma_args
@@ -122,8 +125,7 @@ _COMPONENTS = {0: ("1",), 1: ("dt", "dr"), 2: ("dtdr",)}
 class TorusBasis:
     """Truncated Fourier form basis: modes |m|, |n| <= M times the k-frame.
 
-    Basis order is lexicographic in (m, n, component index); the dimension is
-    (2M+1)^2 times the number of components.
+    Basis order is lexicographic in (m, n, component index).
     """
 
     M: int
@@ -139,10 +141,6 @@ class TorusBasis:
     def components(self) -> Tuple[str, ...]:
         return _COMPONENTS[self.k]
 
-    @property
-    def dim(self) -> int:
-        return (2 * self.M + 1) ** 2 * len(self.components)
-
     def keys(self) -> Iterator[Mode]:
         for m in range(-self.M, self.M + 1):
             for n in range(-self.M, self.M + 1):
@@ -153,68 +151,52 @@ class TorusBasis:
         return abs(m) <= self.M and abs(n) <= self.M
 
 
-class OperatorMatrix:
-    """An operator between truncated bases, stored by exact columns.
+def _add(out: Column, col: Column, c) -> Column:
+    """out += c * col, dropping the entries that cancel; returns out."""
+    for row, val in col.items():
+        cur = out.get(row)
+        new = c * val if cur is None else cur + c * val
+        if new:
+            out[row] = new
+        elif cur is not None:
+            del out[row]
+    return out
 
-    Columns are indexed by domain basis keys; values live in the Gaussian
-    rationals (or plain Fractions for real operators), and composition and
-    arithmetic stay exact.
+
+class OperatorMatrix:
+    """An operator on the truncated basis, stored as its sparse exact columns.
+
+    ``columns`` maps a source key (m, n, component) to its column, a dict
+    from target keys to nonzero entries in the Gaussian rationals (or plain
+    Fractions for real operators); composition and arithmetic stay exact.
     """
 
-    def __init__(self, name: str, domain: TorusBasis, codomain: TorusBasis,
-                 columns: Dict[Mode, Column]):
-        self.name = name
-        self.domain = domain
-        self.codomain = codomain
+    def __init__(self, columns: Dict[Mode, Column]):
         self.columns = columns
 
-    def column(self, key: Mode) -> Column:
-        return self.columns.get(key, {})
-
-    def apply(self, vec: Column) -> Column:
-        out: Column = {}
-        for key, val in vec.items():
-            for row, coef in self.columns.get(key, {}).items():
-                cur = out.get(row)
-                new = coef * val if cur is None else cur + coef * val
-                if new:
-                    out[row] = new
-                elif cur is not None:
-                    del out[row]
-        return out
-
-    def compose(self, inner: "OperatorMatrix", name: Optional[str] = None) -> "OperatorMatrix":
+    def compose(self, inner: "OperatorMatrix") -> "OperatorMatrix":
         """self after inner."""
-        cols = {key: self.apply(col) for key, col in inner.columns.items()}
-        return OperatorMatrix(name or f"{self.name}*{inner.name}",
-                              inner.domain, self.codomain, cols)
-
-    def _combine(self, other: "OperatorMatrix", c_self, c_other, name: str) -> "OperatorMatrix":
         cols: Dict[Mode, Column] = {}
-        for key in set(self.columns) | set(other.columns):
-            col: Column = {}
-            for row, val in self.columns.get(key, {}).items():
-                col[row] = c_self * val
-            for row, val in other.columns.get(key, {}).items():
-                cur = col.get(row)
-                new = c_other * val if cur is None else cur + c_other * val
-                if new:
-                    col[row] = new
-                elif cur is not None:
-                    del col[row]
-            cols[key] = {row: val for row, val in col.items() if val}
-        return OperatorMatrix(name, self.domain, self.codomain, cols)
+        for key, vec in inner.columns.items():
+            out: Column = {}
+            for mid, val in vec.items():
+                _add(out, self.columns.get(mid, {}), val)
+            cols[key] = out
+        return OperatorMatrix(cols)
+
+    def _combine(self, other: "OperatorMatrix", c_self, c_other) -> "OperatorMatrix":
+        return OperatorMatrix({key: _add(_add({}, self.columns.get(key, {}), c_self),
+                                         other.columns.get(key, {}), c_other)
+                               for key in set(self.columns) | set(other.columns)})
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(other, 1, 1, f"{self.name}+{other.name}")
+        return self._combine(other, 1, 1)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(other, 1, -1, f"{self.name}-{other.name}")
+        return self._combine(other, 1, -1)
 
-    def scaled(self, c, name: Optional[str] = None) -> "OperatorMatrix":
-        cols = {key: {row: c * val for row, val in col.items() if c * val}
-                for key, col in self.columns.items()}
-        return OperatorMatrix(name or f"{c}*{self.name}", self.domain, self.codomain, cols)
+    def scaled(self, c) -> "OperatorMatrix":
+        return OperatorMatrix({key: _add({}, col, c) for key, col in self.columns.items()})
 
 
 # -- assembly -----------------------------------------------------------------------
@@ -244,7 +226,7 @@ def _bochner(m: int, n: int) -> int:
 
 
 def _tables() -> dict:
-    """(name, k) -> (codomain degree, rows) for every operator built from rows.
+    """(name, k) -> rows for every operator built from rows.
 
     A row (dm, dn, src, tgt, coeff) sends the mode (m, n) of component src to
     the mode (m + dm, n + dn) of component tgt with weight coeff, a constant
@@ -253,29 +235,27 @@ def _tables() -> dict:
     tables = {}
     for k, comps in _COMPONENTS.items():
         same = [(c, c) for c in comps]
-        tables["phi-mult", k] = k, _shifted(same, lambda dm, dn: Fraction(1, 4))
+        tables["phi-mult", k] = _shifted(same, lambda dm, dn: Fraction(1, 4))
         # nabla_T = dtau(T) d/dtau + drho(T) d/drho, componentwise
-        tables["nabla_T", k] = k, _shifted(
+        tables["nabla_T", k] = _shifted(
             same, lambda dm, dn: lambda m, n: Fraction(dm * m + dn * n, 4))
-        tables["N", k] = k, [(0, 0, c, c, lambda m, n: Fraction(_bochner(m, n)))
-                             for c in comps]
-        tables["P", k] = k, []
+        tables["N", k] = [(0, 0, c, c, lambda m, n: Fraction(_bochner(m, n))) for c in comps]
+        tables["P", k] = []
     tables.update({
         # P multiplies by sin tau sin rho and swaps dt and dr
-        ("P", 1): (1, _shifted([("dt", "dr"), ("dr", "dt")],
-                               lambda dm, dn: Fraction(-dm * dn, 4))),
+        ("P", 1): _shifted([("dt", "dr"), ("dr", "dt")], lambda dm, dn: Fraction(-dm * dn, 4)),
         # d f = f_tau dt + f_rho dr;  d(u dt + v dr) = (v_tau - u_rho) dt^dr
-        ("d", 0): (1, [(0, 0, "1", "dt", lambda m, n: ExactComplex(0, m)),
-                       (0, 0, "1", "dr", lambda m, n: ExactComplex(0, n))]),
-        ("d", 1): (2, [(0, 0, "dt", "dtdr", lambda m, n: ExactComplex(0, -n)),
-                       (0, 0, "dr", "dtdr", lambda m, n: ExactComplex(0, m))]),
-        ("delta", 1): (0, [(0, 0, "dt", "1", lambda m, n: ExactComplex(0, m)),
-                           (0, 0, "dr", "1", lambda m, n: ExactComplex(0, -n))]),
-        ("delta", 2): (1, [(0, 0, "dtdr", "dt", lambda m, n: ExactComplex(0, n)),
-                           (0, 0, "dtdr", "dr", lambda m, n: ExactComplex(0, m))]),
+        ("d", 0): [(0, 0, "1", "dt", lambda m, n: ExactComplex(0, m)),
+                   (0, 0, "1", "dr", lambda m, n: ExactComplex(0, n))],
+        ("d", 1): [(0, 0, "dt", "dtdr", lambda m, n: ExactComplex(0, -n)),
+                   (0, 0, "dr", "dtdr", lambda m, n: ExactComplex(0, m))],
+        ("delta", 1): [(0, 0, "dt", "1", lambda m, n: ExactComplex(0, m)),
+                       (0, 0, "dr", "1", lambda m, n: ExactComplex(0, -n))],
+        ("delta", 2): [(0, 0, "dtdr", "dt", lambda m, n: ExactComplex(0, n)),
+                       (0, 0, "dtdr", "dr", lambda m, n: ExactComplex(0, m))],
         # iota_T(u dt + v dr) = u dtau(T) + v drho(T);  iota_T dt^dr = dtau(T) dr - drho(T) dt
-        ("iota_T", 1): (0, _shifted([("dt", "1")], _t_tau) + _shifted([("dr", "1")], _t_rho)),
-        ("iota_T", 2): (1, _shifted([("dtdr", "dr")], _t_tau)
+        ("iota_T", 1): _shifted([("dt", "1")], _t_tau) + _shifted([("dr", "1")], _t_rho),
+        ("iota_T", 2): (_shifted([("dtdr", "dr")], _t_tau)
                         + _shifted([("dtdr", "dt")], lambda dm, dn: -_t_rho(dm, dn))),
     })
     return tables
@@ -287,7 +267,7 @@ _UNSUPPORTED = {("d", 2): "d is unsupported on top-degree forms",
                 ("iota_T", 0): "iota_T is zero on functions"}
 
 
-def _columns(rows, basis: TorusBasis, codomain: TorusBasis) -> Dict[Mode, Column]:
+def _columns(rows, basis: TorusBasis) -> Dict[Mode, Column]:
     """Columns of a table over the truncated basis, without targets outside the
     truncation and without zero entries."""
     by_src = {c: [row for row in rows if row[2] == c] for c in basis.components}
@@ -296,7 +276,7 @@ def _columns(rows, basis: TorusBasis, codomain: TorusBasis) -> Dict[Mode, Column
         m, n, comp = key
         col: Column = {}
         for dm, dn, _, tgt, coeff in by_src[comp]:
-            if not codomain.contains(m + dm, n + dn):
+            if not basis.contains(m + dm, n + dn):
                 continue
             val = coeff(m, n) if callable(coeff) else coeff
             if val:
@@ -316,25 +296,24 @@ def assemble(name: str, basis: TorusBasis) -> OperatorMatrix:
     k, M = basis.k, basis.M
     if name == "L_T":
         if k == 0:
-            return assemble("iota_T", TorusBasis(M, 1)).compose(assemble("d", basis), name)
+            return assemble("iota_T", TorusBasis(M, 1)).compose(assemble("d", basis))
         if k == 1:
             part1 = assemble("d", TorusBasis(M, 0)).compose(assemble("iota_T", basis))
             part2 = assemble("iota_T", TorusBasis(M, 2)).compose(assemble("d", basis))
-            return (part1 + part2).scaled(1, name)
-        return assemble("d", TorusBasis(M, 1)).compose(assemble("iota_T", basis), name)
+            return part1 + part2
+        return assemble("d", TorusBasis(M, 1)).compose(assemble("iota_T", basis))
     try:
-        k_out, rows = _TABLES[name, k]
+        rows = _TABLES[name, k]
     except KeyError:
         raise ValueError(_UNSUPPORTED.get((name, k), f"unknown operator {name!r}")) from None
-    codomain = TorusBasis(M, k_out)
-    return OperatorMatrix(name, basis, codomain, _columns(rows, basis, codomain))
+    return OperatorMatrix(_columns(rows, basis))
 
 
 def half_commutator_with_phi(basis: TorusBasis) -> OperatorMatrix:
     """(1/2)[N, phi-mult] on the truncated basis."""
     n_op = assemble("N", basis)
     phi = assemble("phi-mult", basis)
-    return (n_op.compose(phi) - phi.compose(n_op)).scaled(Fraction(1, 2), "[N,phi]/2")
+    return (n_op.compose(phi) - phi.compose(n_op)).scaled(Fraction(1, 2))
 
 
 # -- the spectrally defined operator ----------------------------------------------------
@@ -386,35 +365,34 @@ def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
     return (t * -e11, -off, off, t * e11), den
 
 
-def spectral_operator(basis: TorusBasis, r) -> OperatorMatrix:
-    """The intertwinor of order 2r on the truncated basis, block by block.
+def spectral_operator(basis: TorusBasis, r: int) -> OperatorMatrix:
+    """The intertwinor of integer order 2r on the truncated basis, block by block.
 
     Diagonal with the multiplicity-one gamma quotient for k = 0 and k = 2;
     for k = 1 each Fourier character carries the 2x2 mixed block, written in
     the (dtau, drho) frame where it extends continuously to the boundary
     modes.  The gamma normalization drops the family radical, a single
-    overall scale, so that all entries are rational for integer r.  r = 0
-    gives the identity.  Floating r uses the log-gamma path.  A pole on a
-    retained mode raises :class:`PoleOnModeError`.
+    overall scale, so that all entries are rational.  r = 0 gives the
+    identity.  A non-integer r raises ValueError (the float path is
+    :func:`intertwining_residual`'s); a pole on a retained mode raises
+    :class:`PoleOnModeError`.
     """
-    if isinstance(r, float) and r.is_integer():
-        r = int(r)  # integer orders always take the exact path
-    exact = is_integral(r)
-    order = int(r) if exact else float(r)
+    if not is_integral(r):
+        raise ValueError(f"spectral_operator needs integer r, got {r!r}")
+    r = int(r)
     comps = basis.components
     cols: Dict[Mode, Column] = {}
     for m in range(-basis.M, basis.M + 1):
         for n in range(-basis.M, basis.M + 1):
-            entries, den = _mode_block(basis.k, m, n, order)
+            entries, den = _mode_block(basis.k, m, n, r)
             for j, col_comp in enumerate(comps):
                 col: Column = {}
                 for i, row_comp in enumerate(comps):
                     val = entries[i * len(comps) + j]
                     if val:
-                        col[(m, n, row_comp)] = Fraction(val, den) if exact else val
+                        col[(m, n, row_comp)] = Fraction(val, den)
                 cols[(m, n, col_comp)] = col
-    name = "A[r=0]" if order == 0 else f"A[k={basis.k},r={r}]"
-    return OperatorMatrix(name, basis, basis, cols)
+    return OperatorMatrix(cols)
 
 
 # -- residual of the intertwining relation ----------------------------------------------
@@ -450,7 +428,7 @@ def _scaled_shifts(k: int):
     read from the rows ``assemble`` builds them from.
     """
     comp = _COMPONENTS[k][0]
-    phi, p_op = ({(dm, dn): c for dm, dn, src, _, c in _TABLES[name, k][1] if src == comp}
+    phi, p_op = ({(dm, dn): c for dm, dn, src, _, c in _TABLES[name, k] if src == comp}
                  for name in ("phi-mult", "P"))
     rows = [(dm, dn, c / 2, c, -p_op.get((dm, dn), 0)) for (dm, dn), c in phi.items()]
     scale = math.lcm(*(Fraction(v).denominator for row in rows for v in row[2:]))
@@ -468,7 +446,9 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     s with x + s interior: A(x+s) (C_s - r phi_s) = (C_s + r phi_s) A(x) on
     the mode blocks.  Exact mode compares integers cross-multiplied by the
     block denominators and the common denominator of C and phi; float mode
-    runs the same loop on floats.
+    runs the same loop on floats.  ``columns`` counts the interior basis
+    vectors on which at least one shift identity was compared, so it is 0
+    when no mode has an interior neighbor (M <= 2).
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
@@ -487,15 +467,17 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     # C A(x) last.  The scale is a power of two and changes no rounding, so
     # float mode gives the unscaled products bit for bit; exact mode's int
     # division rounds correctly, so its maximum is the exact maximum rounded.
-    worst = 0
+    worst, checked = 0, 0
     for m in inner:
         for n in inner:
             ax, dx = blocks[m, n]
             nx = _bochner(m, n)
+            compared = False
             for dm, dn, half, phi, off in shifts:
                 mm, nn = m + dm, n + dn
                 if abs(mm) > cut or abs(nn) > cut:
                     continue
+                compared = True
                 ay, dy = blocks[mm, nn]
                 diag = half * (_bochner(mm, nn) - nx)
                 minus = diag - order * phi
@@ -509,5 +491,6 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
                     diff = lhs * dx - (rhs + order * (phi * ax[e])) * dy
                     if diff:
                         worst = max(worst, abs(diff / (scale * dx * dy)))
+            checked += compared
     return ResidualResult(k=k, r=r, M=M, mode=mode, residual=float(worst),
-                          columns=len(inner) ** 2 * len(basis.components))
+                          columns=checked * len(basis.components))

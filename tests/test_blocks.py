@@ -10,7 +10,7 @@ from intertwinor.blocks import (
     CasimirShifts,
     TwoByTwo,
     block_scale_squared,
-    core_block,
+    core_pair,
     even_order_block,
     even_order_eigenvalue,
     doubled,
@@ -335,9 +335,9 @@ class TestEvenOrder:
         pt = spectral_point(PARAMS, 2, 3)
         for r in (2, 3, 4):
             pref = Fraction(even_product(2 * pt.Jp, 2 * pt.J, r - 1), 4 ** (r - 1))
-            core = core_block(PARAMS, pt, r)
+            entries, scale = core_pair(doubled(PARAMS), 2 * pt.Jp, 2 * pt.J, 2 * r)
             assert even_order_block(PARAMS, pt, r) == TwoByTwo(
-                pref * core.e11, pref * core.e12, pref * core.e21, pref * core.e22)
+                *(pref * Fraction(e, scale) for e in entries))
 
     def test_requires_positive_integer_order(self):
         pt = spectral_point(PARAMS, 1, 1)

@@ -137,8 +137,10 @@ class TestTable:
         assert keys == sorted(keys)
 
     def test_empty_grid(self, runner):
+        # the m1-delta family has no type at levels (0, 0) of this bundle
         args = self.ARGS.copy()
-        args[args.index("--jp-max") + 1] = "-1"
+        args[args.index("--jp-max") + 1] = "0"
+        args[args.index("--j-max") + 1] = "0"
         out = run_ok(runner, args).output
         assert out.splitlines()[1:] == []
 
@@ -290,6 +292,16 @@ class TestTorus:
         record = json.loads(result.output.splitlines()[-1])
         assert record["point"]["columns"] == 0 and record["status"] == "fail"
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    @pytest.mark.parametrize("r, mode", [("1", "exact"), ("0.5", "float")])
+    def test_no_interior_neighbor_fails(self, runner, k, r, mode):
+        # at M = 2 every shift from the one interior mode leaves the interior
+        result = runner.invoke(main, ["torus", "--k", k, "--r", r, "--M", "2",
+                                      "--mode", mode])
+        assert result.exit_code == 1
+        record = json.loads(result.output.splitlines()[-1])
+        assert record["point"]["columns"] == 0 and record["status"] == "fail"
+
     def test_columns_checked_pass(self, runner):
         result = run_ok(runner, ["torus", "--k", "1", "--r", "2", "--M", "8"])
         record = json.loads(result.output.splitlines()[-1])
@@ -418,8 +430,22 @@ def test_integers_at_the_64_bit_bounds_are_evaluated(runner):
                              "--family", "coexact"])
     assert json.loads(result.output)["p"] == 2**63 - 1
     args = ORDER_COMMANDS[1] + ["--r", "1", "--format", "jsonl"]
-    args[args.index("--jp-max") + 1] = "-9223372036854775808"
-    assert run_ok(runner, args).output == ""
+    args[args.index("--p") + 1] = "9223372036854775807"
+    records = [json.loads(line) for line in run_ok(runner, args).output.splitlines()]
+    assert records and all(rec["p"] == 2**63 - 1 for rec in records)
+
+
+@pytest.mark.parametrize("value", ["-1", "-9223372036854775808"])
+@pytest.mark.parametrize("option", ["--jp-max", "--j-max"])
+def test_negative_level_maxima_are_usage_errors(runner, option, value):
+    # an empty level range is a mistyped grid, not an empty table
+    args = OPTION_COMMANDS[1].copy()
+    args[args.index(option) + 1] = value
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert_clean_error(result)
+    assert f"Invalid value for '{option}': level maxima must be >= 0, got {value}" \
+        in result.output
 
 
 @pytest.mark.parametrize("args", [

@@ -53,11 +53,10 @@ class TestExactComplex:
 
 class TestTorusBasis:
     def test_dimensions(self):
-        assert TorusBasis(4, 0).dim == 81
-        assert TorusBasis(4, 1).dim == 162
-        assert TorusBasis(4, 2).dim == 81
-        basis = TorusBasis(3, 1)
-        assert len(list(basis.keys())) == basis.dim
+        # (2M + 1)^2 modes times the k-frame
+        assert len(list(TorusBasis(4, 0).keys())) == 81
+        assert len(list(TorusBasis(4, 1).keys())) == 162
+        assert len(list(TorusBasis(4, 2).keys())) == 81
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,18 +68,18 @@ class TestTorusBasis:
 class TestAssembly:
     def test_bochner_is_diagonal(self):
         basis = TorusBasis(4, 0)
-        col = assemble("N", basis).column((2, 3, "1"))
+        col = assemble("N", basis).columns[2, 3, "1"]
         assert col == {(2, 3, "1"): Fraction(13)}
 
     def test_conformal_factor_shifts(self):
         basis = TorusBasis(4, 0)
-        col = assemble("phi-mult", basis).column((1, 1, "1"))
+        col = assemble("phi-mult", basis).columns[1, 1, "1"]
         assert col == {(2, 2, "1"): Fraction(1, 4), (2, 0, "1"): Fraction(1, 4),
                        (0, 2, "1"): Fraction(1, 4), (0, 0, "1"): Fraction(1, 4)}
 
     def test_truncation_drops_outside_modes(self):
         basis = TorusBasis(2, 0)
-        col = assemble("phi-mult", basis).column((2, 2, "1"))
+        col = assemble("phi-mult", basis).columns[2, 2, "1"]
         assert col == {(1, 1, "1"): Fraction(1, 4)}
 
     def test_p_vanishes_away_from_middle_degree(self):
@@ -99,8 +98,10 @@ class TestAssembly:
             assemble("no-such-op", TorusBasis(3, 0))
 
     def test_assembled_columns_are_pinned(self):
-        # every name and degree at M = 3: codomain, entries and their exact
-        # types (Fraction for real, ExactComplex for imaginary), or ValueError
+        # every name and degree at M = 3: codomain degree (read from the target
+        # components; k for an operator with no entries), entries and their
+        # exact types (Fraction for real, ExactComplex for imaginary), or ValueError
+        degree = {comp: k for k, comps in torus._COMPONENTS.items() for comp in comps}
         lines = []
         for name in ("phi-mult", "N", "nabla_T", "P", "d", "delta", "iota_T", "L_T"):
             for k in (0, 1, 2):
@@ -111,7 +112,8 @@ class TestAssembly:
                     continue
                 cols = sorted((key, sorted((row, repr(v)) for row, v in col.items() if v))
                               for key, col in op.columns.items())
-                lines.append(f"{name} {k} {op.codomain.k} {cols}")
+                k_out = next((degree[row[2]] for col in op.columns.values() for row in col), k)
+                lines.append(f"{name} {k} {k_out} {cols}")
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "de280ae628354ca55b98724e6a4011d5df7202430c0593d2eaa87678fae185e9"
 
@@ -131,7 +133,7 @@ class TestAssembly:
         basis = TorusBasis(3, 0)
         lap = assemble("delta", TorusBasis(3, 1)).compose(assemble("d", basis))
         for m, n in ((2, 3), (1, 0), (0, 2)):
-            col = lap.column((m, n, "1"))
+            col = lap.columns[m, n, "1"]
             got = col.get((m, n, "1"), ExactComplex())
             assert got == ExactComplex(n * n - m * m)
 
@@ -155,13 +157,13 @@ class TestAssembly:
 class TestSpectralOperator:
     def test_identity_at_order_zero(self):
         op = spectral_operator(TorusBasis(3, 0), 0)
-        assert all(op.column(key) == {key: Fraction(1)} for key in op.domain.keys())
+        assert all(op.columns[key] == {key: Fraction(1)} for key in TorusBasis(3, 0).keys())
 
     def test_function_values_order_one(self):
         op = spectral_operator(TorusBasis(4, 0), 1)
         for m in range(-4, 5):
             for n in range(-4, 5):
-                col = op.column((m, n, "1"))
+                col = op.columns[m, n, "1"]
                 expect = Fraction(m * m - n * n, 4)
                 assert col.get((m, n, "1"), Fraction(0)) == expect
 
@@ -171,8 +173,8 @@ class TestSpectralOperator:
         a2 = spectral_operator(TorusBasis(3, 2), 2)
         for m in range(-3, 4):
             for n in range(-3, 4):
-                v0 = a0.column((m, n, "1")).get((m, n, "1"), Fraction(0))
-                v2 = a2.column((m, n, "dtdr")).get((m, n, "dtdr"), Fraction(0))
+                v0 = a0.columns[m, n, "1"].get((m, n, "1"), Fraction(0))
+                v2 = a2.columns[m, n, "dtdr"].get((m, n, "dtdr"), Fraction(0))
                 assert v0 == v2
 
     def test_middle_degree_block_invariants(self):
@@ -187,8 +189,8 @@ class TestSpectralOperator:
             from intertwinor.arithmetic import gamma_ratio
             seed = (gamma_ratio(pt.Jp + pt.J + 2, 1) * gamma_ratio(pt.Jp - pt.J, 1)).value
             block = intertwinor_block(params, pt, 1, seed)
-            col_t = op.column((m, n, "dt"))
-            col_r = op.column((m, n, "dr"))
+            col_t = op.columns[m, n, "dt"]
+            col_r = op.columns[m, n, "dr"]
             trace = col_t.get((m, n, "dt"), Fraction(0)) + col_r.get((m, n, "dr"), Fraction(0))
             det = (col_t.get((m, n, "dt"), Fraction(0)) * col_r.get((m, n, "dr"), Fraction(0))
                    - col_t.get((m, n, "dr"), Fraction(0)) * col_r.get((m, n, "dt"), Fraction(0)))
@@ -203,8 +205,8 @@ class TestSpectralOperator:
         for m, n in ((2, 1), (3, 2), (4, 1), (3, 1)):
             pt = SpectralPoint(Fraction(m), Fraction(n))
             want = order2_block(params, pt)
-            col_t = op.column((m, n, "dt"))
-            col_r = op.column((m, n, "dr"))
+            col_t = op.columns[m, n, "dt"]
+            col_r = op.columns[m, n, "dr"]
             det = (col_t.get((m, n, "dt"), Fraction(0)) * col_r.get((m, n, "dr"), Fraction(0))
                    - col_t.get((m, n, "dr"), Fraction(0)) * col_r.get((m, n, "dt"), Fraction(0)))
             if want.det == 0:
@@ -215,15 +217,20 @@ class TestSpectralOperator:
 
     def test_boundary_modes_are_diagonal(self):
         op = spectral_operator(TorusBasis(4, 1), 2)
-        col = op.column((0, 3, "dt"))
+        col = op.columns[0, 3, "dt"]
         assert set(col) <= {(0, 3, "dt")}
-        col = op.column((2, 0, "dr"))
+        col = op.columns[2, 0, "dr"]
         assert set(col) <= {(2, 0, "dr")}
 
-    def test_float_pole_reported_with_mode(self):
-        # negative non-integer order with a numerator gamma argument near 0
+    @pytest.mark.parametrize("r", [1.5, 2.0, Fraction(1, 2)])
+    def test_integer_orders_only(self, r):
+        # the float path is intertwining_residual's
+        with pytest.raises(ValueError):
+            spectral_operator(TorusBasis(3, 0), r)
+
+    def test_exact_pole_reported_with_mode(self):
         with pytest.raises(PoleOnModeError) as err:
-            spectral_operator(TorusBasis(3, 0), -(3.0 + 1e-13))
+            spectral_operator(TorusBasis(3, 0), -1)
         assert err.value.mode is not None
 
 
@@ -243,6 +250,12 @@ class TestIntertwiningResidual:
         result = intertwining_residual(8, 0, 1.5, mode="float")
         assert result.residual < 1e-9
 
+    def test_float_pole_reported_with_mode(self):
+        # negative non-integer order with a numerator gamma argument near 0
+        with pytest.raises(PoleOnModeError) as err:
+            intertwining_residual(3, 0, -(3.0 + 1e-13), mode="float")
+        assert err.value.mode is not None
+
     def test_exact_mode_needs_integer_order(self):
         with pytest.raises(ValueError):
             intertwining_residual(8, 0, 1.5, mode="exact")
@@ -260,6 +273,22 @@ class TestIntertwiningResidual:
     def test_interior_column_count(self):
         result = intertwining_residual(6, 1, 1, mode="exact")
         assert result.columns == 2 * (2 * 4 + 1) ** 2
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("M, r, mode", [
+        (1, 1, "exact"), (2, 1, "exact"), (2, 0, "exact"), (2, 0.5, "float"), (2, 1.5, "float"),
+    ])
+    def test_no_column_checked_without_an_interior_neighbor(self, k, M, r, mode):
+        # at M = 2 the interior is the mode (0, 0) alone, and every shift
+        # leaves it, so no identity is compared and no column counts
+        assert intertwining_residual(M, k, r, mode=mode).columns == 0
+
+    @pytest.mark.parametrize("mode, r", [("exact", 1), ("float", 0.5)])
+    def test_every_interior_column_is_checked_from_m_three(self, mode, r):
+        for M in (3, 4, 8):
+            for k in (0, 1, 2):
+                result = intertwining_residual(M, k, r, mode=mode)
+                assert result.columns == (2 * (M - torus.MARGIN) + 1) ** 2 * (1 + (k == 1))
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
