@@ -16,6 +16,7 @@ silently resolved.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -135,7 +136,7 @@ class ExtendedScalar:
 
     def __repr__(self) -> str:
         if self.is_pole:
-            return "ExtendedScalar.pole()"
+            return "POLE"
         return f"ExtendedScalar({self._value!r})"
 
     def serialize(self) -> str:
@@ -152,11 +153,19 @@ POLE = ExtendedScalar(None)
 
 
 def format_fraction(x: Rational) -> str:
-    """Serialize a rational as ``num`` or ``num/den`` (den > 0, lowest terms)."""
+    """Serialize a rational as ``num`` or ``num/den`` (den > 0, lowest terms).
+
+    A part longer than the interpreter's integer-string limit (4300 digits
+    by default, left as it is) raises a ValueError that names the limit.
+    """
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise ValueError(f"the exact value has more than {sys.get_int_max_str_digits()} "
+                         "digits and cannot be written as a record") from None
 
 
 def is_integral(r: ScalarLike) -> bool:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple, Tuple
 
 from .arithmetic import (
@@ -364,12 +365,6 @@ class BivariatePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "BivariatePoly":
-        out = BivariatePoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BivariatePoly) and self.coeffs == other.coeffs
 
@@ -393,16 +388,23 @@ def symbol_polynomials(family: Family, b: Doubled, r: int, product: BivariatePol
     """The (operator, symbol) pair with integer coefficients in the doubled levels.
 
     Both are 2 * 4^r times the polynomials of
-    :func:`leading_symbol_polynomials`, in the variables (2J', 2J).  The
-    operator polynomial is the order-2r eigenvalue: the family's prefactor
+    :func:`leading_symbol_polynomials`, in the variables (x1, x2) = (2J', 2J).
+    The operator polynomial is the order-2r eigenvalue: the family's prefactor
     times ``product``, which is :func:`even_product` of the two variables at
-    order r and the same for every bundle.
+    order r and the same for every bundle.  The symbol is the prefactor times
+    (x2^2 - x1^2 + c)^r with c = o1^2 - o2^2 from the family's offsets, written
+    out by the trinomial theorem: its x1^(2i) x2^(2j) coefficient is
+    (-1)^i r!/(i! j! (r-i-j)!) c^(r-i-j), for i + j <= r.
     """
-    x1, x2 = BivariatePoly.var1(), BivariatePoly.var2()
     o1, o2 = family_offsets(family, b)
+    c = o1 * o1 - o2 * o2
     prefactor = _order_prefactor(family, b, r)
-    compressed = (x2 * x2 - x1 * x1) + (o1 * o1 - o2 * o2)
-    return product * prefactor, compressed ** r * prefactor
+    symbol = {}
+    for i in range(r + 1):
+        row = (-1) ** i * comb(r, i) * prefactor
+        for j in range(r - i + 1):
+            symbol[2 * i, 2 * j] = row * comb(r - i, j) * c ** (r - i - j)
+    return product * prefactor, BivariatePoly(symbol)
 
 
 def leading_symbol_polynomials(family: Family, params: BundleParams, r: int):

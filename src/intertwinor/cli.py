@@ -321,7 +321,8 @@ def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
 @click.option("--m", "--M", "m_trunc", type=INT64, default=24, show_default=True,
               help="Fourier truncation")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
-              help="float-mode pass threshold; exact mode demands an exact zero")
+              help="float-mode pass threshold, finite and > 0; exact mode demands an "
+                   "exact zero")
 @click.option("--mode", type=click.Choice(("exact", "float")), default="exact",
               show_default=True)
 @click.option("-o", "--output", type=str, default=None)
@@ -330,6 +331,9 @@ def cmd_torus(k, r_text, m_trunc, tol, mode, output):
 
     Passes only when at least one interior column was checked.
     """
+    if not (math.isfinite(tol) and tol > 0):  # inf would pass any residual, NaN none
+        raise click.BadParameter(f"the tolerance must be finite and > 0, got {tol!r}",
+                                 param_hint="'--tol'")
     r = _parse_r(r_text, mode)
     try:
         result = torus.intertwining_residual(m_trunc, k, r, mode=mode)

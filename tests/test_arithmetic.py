@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intertwinor import arithmetic
 from intertwinor.arithmetic import (
     POLE,
     ExtendedScalar,
@@ -208,6 +209,10 @@ class TestExtendedScalar:
         assert ExtendedScalar.exact(7).serialize() == "7"
         assert POLE.serialize() == "pole"
 
+    def test_repr_evaluates_in_the_module(self):
+        for value in (POLE, ExtendedScalar.exact(Fraction(-3, 4)), ExtendedScalar.floating(0.5)):
+            assert eval(repr(value), vars(arithmetic)) == value
+
     def test_immutability(self):
         with pytest.raises(AttributeError):
             POLE._value = 1  # type: ignore[misc]
@@ -217,6 +222,8 @@ def test_format_fraction():
     assert format_fraction(Fraction(6, 4)) == "3/2"
     assert format_fraction(5) == "5"
     assert format_fraction(Fraction(-1, 3)) == "-1/3"
+    with pytest.raises(ValueError, match="more than 4300 digits and cannot be written"):
+        format_fraction(Fraction(1, 10 ** 4300))
 
 
 def test_is_integral():

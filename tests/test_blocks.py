@@ -358,7 +358,7 @@ class TestBivariatePoly:
         p = (x + y) * (x - y)
         assert p == x * x - y * y
         assert p.degree == 2
-        assert (p ** 2).degree == 4
+        assert (p * p).degree == 4
 
     def test_top_part(self):
         x, y = BivariatePoly.var1(), BivariatePoly.var2()
@@ -386,7 +386,8 @@ class TestLeadingSymbol:
         params = BundleParams(4, 6, 1, 0)  # s = 3, away from s = r
         p_op, p_sym = leading_symbol_polynomials(Family.EXACT, params, 3)
         x, y = BivariatePoly.var1(), BivariatePoly.var2()
-        want = ((y * y - x * x) ** 3) * (params.s - 3)
+        compressed = y * y - x * x
+        want = compressed * compressed * compressed * (params.s - 3)
         assert p_op.top_part() == want
         assert (p_sym * Fraction(-1)).top_part() == want * Fraction(-1)
 
@@ -395,3 +396,31 @@ class TestLeadingSymbol:
             for r in (1, 2, 3, 4):
                 p_op, p_sym = leading_symbol_polynomials(family, PARAMS, r)
                 assert p_op.top_part() == p_sym.top_part()
+
+    def test_full_polynomials_match_a_sympy_expansion(self):
+        # the whole polynomials, not only their tops, against sympy's own
+        # expansion of the same expressions in the shifted levels (J', J)
+        sympy = pytest.importorskip("sympy")
+        gens = sympy.symbols("jp j")
+        jp, j = (sympy.Poly(g, *gens, domain="QQ") for g in gens)
+        bundles = [PARAMS, BundleParams(4, 6, 1, 0), BundleParams(5, 5, 0, 0),
+                   BundleParams(3, 2, 0, 0), BundleParams(2, 2, 2, 1),
+                   BundleParams(3, 3, 4, 2)]  # s = 2, 3, 4, 3/2, -1, -2
+        zero_prefactors = set()
+        for params in bundles:
+            for family in (Family.COEXACT, Family.EXACT):
+                o1, o2 = family_offsets(family, doubled(params))
+                c = sympy.Rational(o1 * o1 - o2 * o2, 4)
+                for r in range(1, 9):
+                    pref = params.s + r if family is Family.COEXACT else params.s - r
+                    pref = sympy.Rational(pref.numerator, pref.denominator)
+                    want_op = even_product(2 * jp, 2 * j, r) * (pref / 4 ** r)
+                    want_sym = (j * j - jp * jp + c) ** r * pref
+                    got = leading_symbol_polynomials(family, params, r)
+                    for poly, want in zip(got, (want_op, want_sym)):
+                        assert poly.coeffs == {key: Fraction(int(v.numerator), int(v.denominator))
+                                               for key, v in want.as_dict().items() if v}
+                    if pref == 0:
+                        zero_prefactors.add(family)
+                        assert not got[0] and not got[1]
+        assert zero_prefactors == {Family.COEXACT, Family.EXACT}

@@ -111,6 +111,16 @@ class TestEval:
         assert record["seed_squared"] == "indeterminate"
         assert record["det"] == "0"
 
+    def test_values_beyond_the_digit_limit_fail_cleanly(self, runner):
+        # the exact eigenvalue at j' = 10^12, r = 256 has more than 4300 digits
+        result = runner.invoke(main, ["eval", "--p", "4", "--q", "6", "--k", "2", "--a", "1",
+                                      "--jp", "1000000000000", "--j", "2",
+                                      "--family", "coexact", "--r", "256"])
+        assert result.exit_code == 1
+        assert_clean_error(result)
+        assert result.output == ("Error: the exact value has more than 4300 digits "
+                                 "and cannot be written as a record\n")
+
     def test_float_pole_is_an_error(self, runner):
         result = runner.invoke(main, ["eval", "--p", "7", "--q", "8", "--k", "5", "--a", "3",
                                       "--jp", "1", "--j", "2", "--r", "0.5",
@@ -267,12 +277,22 @@ class TestTorus:
         assert record["point"]["M"] == 6
 
     def test_strict_tolerance_failure_exit(self, runner):
-        # float mode at a non-integer order leaves roundoff; tol 0 must fail
+        # float mode at a non-integer order leaves roundoff above a tiny tolerance
         result = runner.invoke(main, ["torus", "--k", "0", "--r", "1.5", "--m", "6",
-                                      "--mode", "float", "--tol", "0"])
+                                      "--mode", "float", "--tol", "1e-300"])
         assert result.exit_code == 1
         record = json.loads(result.output.splitlines()[-1])
         assert record["status"] == "fail"
+
+    @pytest.mark.parametrize("r, mode", [("0.5", "float"), ("1", "exact")])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_non_finite_or_non_positive_tolerance_is_a_usage_error(self, runner, tol, r, mode):
+        # inf would pass every residual and NaN, 0 or -1 none
+        result = runner.invoke(main, ["torus", "--k", "1", "--r", r, "--M", "4",
+                                      "--mode", mode, "--tol", tol])
+        assert result.exit_code == 2
+        assert_clean_error(result)
+        assert "Invalid value for '--tol': the tolerance must be finite and > 0" in result.output
 
     def test_exact_mode_rejects_non_integer(self, runner):
         result = runner.invoke(main, ["torus", "--k", "0", "--r", "0.5", "--m", "6"])

@@ -235,7 +235,7 @@ class TestPublicValuesPinned:
                             lines.append(self._outcome(lambda: mult1_transition(point, r, d)))
                             lines.append(self._outcome(lambda: mult2_transition(point, r, d)))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
-            "61c7d7c3bdc783400a70d795cef8bef238dcfa2e92ff6cb606909834f1450edc"
+            "8f04db84b37e9a6c0eb414ec1ce164d3ad0f1cfffe4d695c76c363c51aaee016"
 
 
 class TestCrossTypeQuotient:

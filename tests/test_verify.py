@@ -145,6 +145,27 @@ class TestNegativeControls:
         monkeypatch.setattr(blocks, "even_order_pair", skewed)
         assert failures(run_even_order_checks(TINY))
 
+    def test_perturbed_symbol_is_flagged(self, monkeypatch):
+        real = blocks.symbol_polynomials
+
+        def skewed(family, b, r, product):
+            # the x1^(2r) coefficient of the symbol with its sign flipped at r = 2
+            p_op, p_sym = real(family, b, r, product)
+            if r == 2 and (4, 0) in p_sym.coeffs:
+                coeffs = dict(p_sym.coeffs)
+                coeffs[4, 0] = -coeffs[4, 0]
+                p_sym = blocks.BivariatePoly(coeffs)
+            return p_op, p_sym
+
+        assert not failures(run_even_order_checks(TINY))
+        monkeypatch.setattr(blocks, "symbol_polynomials", skewed)
+        bad = failures(run_even_order_checks(TINY))
+        assert bad
+        for rep in bad:
+            assert rep.point["identity"] == "leading-symbol" and rep.point["r"] == "2"
+            assert rep.lhs.startswith("BivariatePoly(") and rep.rhs.startswith("BivariatePoly(")
+            assert rep.lhs != rep.rhs
+
     def test_perturbed_existence_is_flagged(self, monkeypatch):
         real = spectra.level_floor
 
