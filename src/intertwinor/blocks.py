@@ -172,7 +172,8 @@ class TwoByTwo:
         return self.e11 * self.e22 - self.e12 * self.e21
 
 
-def _two_by_two(entries, scale) -> TwoByTwo:
+def two_by_two(entries, scale) -> TwoByTwo:
+    """The block of a kernel's integer (entries, scale) pair."""
     return TwoByTwo(*(Fraction(e, scale) for e in entries))
 
 
@@ -245,12 +246,6 @@ def order2_pair(family: Family, b: Doubled, jp2, j2):
     return factor * (j2 + jp2) * (j2 - jp2), 8
 
 
-def order2_block(params: BundleParams, pt: SpectralPoint) -> TwoByTwo:
-    """Second-order operator block on a mixed pair (off-diagonals in the 2r convention):
-    the polynomial core of the order-2r block at r = 1."""
-    return _two_by_two(*core_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2))
-
-
 def even_product(v1, v2, r: int):
     """4^r times the family-independent product factor of the order-2r eigenvalues.
 
@@ -307,7 +302,7 @@ def even_order_eigenvalue(family: Family, params: BundleParams,
 def even_order_block(params: BundleParams, pt: SpectralPoint, r: int) -> TwoByTwo:
     """Order-2r operator on a mixed pair, r >= 1: scalar product times the core block."""
     _check_order(r)
-    return _two_by_two(*even_block_pair(doubled(params), *_doubled_levels(params, pt), r))
+    return two_by_two(*even_block_pair(doubled(params), *_doubled_levels(params, pt), r))
 
 
 def _doubled_levels(params: BundleParams, pt: SpectralPoint) -> Tuple[int, int]:
@@ -391,7 +386,7 @@ def symbol_polynomials(family: Family, b: Doubled, r: int, product: BivariatePol
     :func:`leading_symbol_polynomials`, in the variables (x1, x2) = (2J', 2J).
     The operator polynomial is the order-2r eigenvalue: the family's prefactor
     times ``product``, which is :func:`even_product` of the two variables at
-    order r and the same for every bundle.  The symbol is the prefactor times
+    order r or its top part, the same for every bundle.  The symbol is the prefactor times
     (x2^2 - x1^2 + c)^r with c = o1^2 - o2^2 from the family's offsets, written
     out by the trinomial theorem: its x1^(2i) x2^(2j) coefficient is
     (-1)^i r!/(i! j! (r-i-j)!) c^(r-i-j), for i + j <= r.
@@ -420,9 +415,12 @@ def leading_symbol_polynomials(family: Family, params: BundleParams, r: int):
         raise ValueError("leading-symbol polynomials cover the multiplicity-one families")
     if r < 1:
         raise ValueError("need r >= 1")
-    scale = 2 * 4 ** r
     product = even_product(BivariatePoly.var1(), BivariatePoly.var2(), r)
-    return tuple(
-        BivariatePoly({(i, j): Fraction(c * 2 ** (i + j), scale)
-                       for (i, j), c in poly.coeffs.items()})
-        for poly in symbol_polynomials(family, doubled(params), r, product))
+    return tuple(in_levels(poly, r)
+                 for poly in symbol_polynomials(family, doubled(params), r, product))
+
+
+def in_levels(poly: BivariatePoly, r: int) -> BivariatePoly:
+    """A polynomial of :func:`symbol_polynomials` at order r in the levels (J', J)."""
+    return BivariatePoly({(i, j): Fraction(c * 2 ** (i + j), 2 * 4 ** r)
+                          for (i, j), c in poly.coeffs.items()})

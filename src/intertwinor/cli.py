@@ -38,6 +38,8 @@ TABLE_HEADER = ("p", "q", "k", "a", "jp", "j", "r", "family", "operator",
                 "s", "Jp", "J", "value", "coeff", "radicand", "trace", "det")
 #: the largest |r| on the exact path, whose cost grows with |r|
 MAX_EXACT_ORDER = 256
+#: the largest torus truncation M; the residual builds a block per mode, (2M+1)^2 of them
+MAX_TORUS_M = 256
 #: integer options span the signed 64-bit range that records can encode
 INT64 = click.IntRange(-2**63, 2**63 - 1)
 #: what evaluating a bad point or order raises (ValueErrors for nonexistent labels
@@ -124,6 +126,11 @@ def _fmt_float(x: float, precision: int) -> str:
     return repr(x) if precision >= 17 else format(x, f".{precision}g")
 
 
+def _fmt_scalar(x, precision: int) -> str:
+    """An extended scalar's record string, with a float at ``precision`` digits."""
+    return x.serialize() if x.is_pole or x.is_exact else _fmt_float(x.value, precision)
+
+
 def _record_head(params: BundleParams, jp: int, j: int, r, family: Family,
                  operator: str, mode: str, pt: spectra.SpectralPoint) -> dict:
     """The inputs and the spectral point that every eval and table record starts with."""
@@ -151,7 +158,7 @@ def _eval_record(params: BundleParams, jp: int, j: int, r, family: Family,
         return record
     if family is Family.MIXED:
         det = spectra.mult2_det(pt, r)
-        record["det"] = det.serialize()
+        record["det"] = _fmt_scalar(det, precision)
         record["pole"] = det.is_pole
         if mode == "exact":
             try:
@@ -166,7 +173,7 @@ def _eval_record(params: BundleParams, jp: int, j: int, r, family: Family,
             record["seed_squared"] = seed_squared
         return record
     value = spectra.normalized_eigenvalue(family, params, pt, r)
-    record["coeff"] = value.coeff.serialize()
+    record["coeff"] = _fmt_scalar(value.coeff, precision)
     record["radicand"] = format_fraction(value.radicand) \
         if isinstance(value.radicand, Fraction) else _fmt_float(value.radicand, precision)
     record["pole"] = value.coeff.is_pole
@@ -319,7 +326,7 @@ def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
 @click.option("--k", type=click.IntRange(0, 2), required=True)
 @click.option("--r", "r_text", type=str, required=True)
 @click.option("--m", "--M", "m_trunc", type=INT64, default=24, show_default=True,
-              help="Fourier truncation")
+              help=f"Fourier truncation, at most {MAX_TORUS_M}")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="float-mode pass threshold, finite and > 0; exact mode demands an "
                    "exact zero")
@@ -334,6 +341,9 @@ def cmd_torus(k, r_text, m_trunc, tol, mode, output):
     if not (math.isfinite(tol) and tol > 0):  # inf would pass any residual, NaN none
         raise click.BadParameter(f"the tolerance must be finite and > 0, got {tol!r}",
                                  param_hint="'--tol'")
+    if m_trunc > MAX_TORUS_M:
+        raise click.BadParameter(f"the truncation needs M <= {MAX_TORUS_M}, got {m_trunc}",
+                                 param_hint="'--M'")
     r = _parse_r(r_text, mode)
     try:
         result = torus.intertwining_residual(m_trunc, k, r, mode=mode)
@@ -343,7 +353,7 @@ def cmd_torus(k, r_text, m_trunc, tol, mode, output):
     passed = result.columns > 0 and (
         result.exact_zero if mode == "exact" else result.residual < tol)
     point = {"k": k, "r": str(r), "M": m_trunc, "mode": mode,
-             "margin": result.margin, "columns": result.columns}
+             "margin": torus.MARGIN, "columns": result.columns}
     line = _json_line(verify.CheckReport(
         "intertwining-residual", point, verify.PASS if passed else verify.FAIL,
         repr(result.residual), f"tol {tol!r}").record())

@@ -58,9 +58,9 @@ Column = Dict[Mode, object]
 class PoleOnModeError(ArithmeticError):
     """The spectral operator has a pole on a retained mode."""
 
-    def __init__(self, mode, detail=""):
+    def __init__(self, mode):
         self.mode = mode
-        super().__init__(f"spectral operator pole on mode {mode} {detail}".strip())
+        super().__init__(f"spectral operator pole on mode {mode}")
 
 
 class ExactComplex:
@@ -411,7 +411,6 @@ class ResidualResult:
     mode: str
     residual: float
     columns: int
-    margin: int = MARGIN
 
     @property
     def exact_zero(self) -> bool:

@@ -11,9 +11,9 @@ The suites run on the library's own formulas, so a gate checks the code
 that users run.  Every suite takes the integer kernels of :mod:`spectra`,
 :mod:`blocks` and :mod:`arithmetic`, written once on doubled levels (2J',
 2J, 2s and 2r, which clears every half-integer shift), and compares
-unreduced integers by cross-multiplication; Fractions are built only for
-the witnesses of a failing record.  The public functions are thin wrappers
-over the same kernels.
+unreduced integers by cross-multiplication; a failing record's witnesses
+are the values it compared, converted by the helpers of the public
+functions, which are thin wrappers over the same kernels.
 
 Transition and gamma quotients depend on the shifted levels and r alone, not
 on the bundle's (k, a).  The diamond, det and even-order suites therefore
@@ -33,7 +33,7 @@ its labels need.  The identities, per suite:
 - even-order: second-order reproduction at r = 1 (``order2-coexact``,
   ``order2-exact``, ``order2-block``), ``family-ratio``,
   ``eigenvalue-proportionality``, ``det-proportionality`` and
-  ``leading-symbol``;
+  ``leading-symbol``, which builds only the top-degree parts it compares;
 - scalar: the degree-zero degeneration.
 
 A suite takes only the grid and reads each kernel through its module, so
@@ -133,10 +133,6 @@ def summarize(reports: Sequence[CheckReport]) -> dict:
     return out
 
 
-def failures(reports: Sequence[CheckReport]) -> List[CheckReport]:
-    return [rep for rep in reports if rep.status == FAIL]
-
-
 # -- grid iteration ------------------------------------------------------------
 
 def iter_bundles(grid: GridSpec) -> Iterator[BundleParams]:
@@ -147,12 +143,6 @@ def iter_bundles(grid: GridSpec) -> Iterator[BundleParams]:
                 a_hi = min(k, q - 1)
                 for a in range(a_lo, a_hi + 1):
                     yield BundleParams(p, q, k, a)
-
-
-def iter_levels(grid: GridSpec) -> Iterator[Tuple[int, int]]:
-    for jp in range(grid.j_max + 1):
-        for j in range(grid.j_max + 1):
-            yield jp, j
 
 
 def _point_dict(params: BundleParams, jp: int, j: int, r, extra: Optional[dict] = None) -> dict:
@@ -177,6 +167,11 @@ def slice_grids(grid: GridSpec) -> Iterator[GridSpec]:
 def _quadrant(floor: Tuple[int, int], j_max: int) -> Iterator[Tuple[int, int]]:
     """The levels (j', j) <= j_max at or above ``floor``, in sweep order."""
     return itertools.product(range(floor[0], j_max + 1), range(floor[1], j_max + 1))
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """A failure witness num/den in lowest terms; a zero denominator is a pole."""
+    return format_fraction(Fraction(num, den)) if den else "pole"
 
 
 # -- diamond suite ---------------------------------------------------------------
@@ -274,9 +269,8 @@ def _diamond_table(mixed: bool):
             else:
                 (num_a, den_a), (num_b, den_b) = prods
                 if num_a * den_b != num_b * den_a:
-                    out.append((djp, dj, (
-                        "diamond-path", format_fraction(Fraction(num_a, den_a)),
-                        format_fraction(Fraction(num_b, den_b)))))
+                    out.append((djp, dj, ("diamond-path", _ratio_text(num_a, den_a),
+                                          _ratio_text(num_b, den_b))))
         src_n, src_d = value(dp, dq, jp, j, r)
         for (d1, d2), (n, d) in here.items():
             tgt_n, tgt_d = value(dp, dq, jp + d1, j + d2, r)
@@ -288,11 +282,6 @@ def _diamond_table(mixed: bool):
 
 
 # -- interface suite --------------------------------------------------------------
-
-def _ratio_text(num: int, den: int) -> str:
-    """A failure witness num/den in lowest terms; a zero denominator is a pole."""
-    return format_fraction(Fraction(num, den)) if den else "pole"
-
 
 def run_interface_checks(grid: GridSpec) -> List[CheckReport]:
     """The four compressed interface equations, exactly, at unit seed scale.
@@ -312,23 +301,14 @@ def run_interface_checks(grid: GridSpec) -> List[CheckReport]:
         b = blocks.doubled(params)
         s2, sg = b.s2, b.sign
         dp, dq = params.p - 2, params.q - 2
-        # 1 - c1 and 1 - c2 as integer pairs per level j, or the reason they
-        # degenerate (the message only: a kept exception would hold this frame)
+        # 1 - c1 and 1 - c2 as integer pairs per level j; a mixed label has
+        # a >= 1 and j >= 1, so nu and alpha are at least 2 and neither degenerates
         constants = {}
-        for j in range(grid.j_max + 1):
-            try:
-                c1, c2 = blocks.interface_constants(params, j)
-            except DegenerateNormalizationError as err:
-                constants[j] = str(err)
-            else:
-                constants[j] = ((1 - c1).numerator, (1 - c1).denominator,
-                                (1 - c2).numerator, (1 - c2).denominator)
+        for j in range(floor[1], grid.j_max + 1):
+            c1, c2 = blocks.interface_constants(params, j)
+            constants[j] = ((1 - c1).numerator, (1 - c1).denominator,
+                            (1 - c2).numerator, (1 - c2).denominator)
         for jp, j in _quadrant(floor, grid.j_max):
-            if isinstance(constants[j], str):
-                for r in grid.r_values:
-                    reports.append(CheckReport("interface", _point_dict(params, jp, j, r),
-                                               SKIP, lhs=constants[j]))
-                continue
             u1, v1, u2, v2 = constants[j]  # 1 - c1 = u1/v1, 1 - c2 = u2/v2
             jp2, j2 = 2 * jp + dp, 2 * j + dq
             n1, n2 = blocks.shift_values(b, j2)  # the equations take n1/2, n2/2
@@ -447,13 +427,14 @@ def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
     and r); the block determinant is one fixed multiple of the
     gamma-quotient determinant across all levels (det proportionality, per
     bundle and r).  Per bundle and r, the top-degree parts of the operator
-    and symbol polynomials agree exactly (leading symbol).  Every value is
-    an integer pair from the library's kernels.
+    and symbol polynomials agree exactly (leading symbol), and only those
+    are built.  Every value is an integer pair or polynomial from the
+    library's kernels, and a witness is the value compared.
     """
     reports: List[CheckReport] = []
     orders = tuple(r for r in grid.r_values if r >= 1)  # operators start at order 2
     x1, x2 = blocks.BivariatePoly.var1(), blocks.BivariatePoly.var2()
-    products = {r: blocks.even_product(x1, x2, r) for r in orders}  # the same for every bundle
+    products = {r: blocks.even_product(x1, x2, r).top_part() for r in orders}  # for all bundles
 
     @cache
     def gamma(mixed, jp2, j2, r):
@@ -468,7 +449,7 @@ def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
                   for family in (Family.MIXED, Family.COEXACT, Family.EXACT)]
         det_seen: Dict[int, Tuple[int, int]] = {}
         eig_seen: Dict[Tuple[str, int], Tuple[int, int]] = {}
-        for jp, j in iter_levels(grid):
+        for jp, j in _quadrant((0, 0), grid.j_max):
             here_m, here_co, here_ex = (floor is not None and jp >= floor[0] and j >= floor[1]
                                         for floor in floors)
             if not (here_m or here_co or here_ex):
@@ -510,10 +491,8 @@ def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
                     if r == 1:
                         order2, den2 = blocks.core_pair(b, jp2, j2, 2)
                         if any(e * den2 != o * den for e, o in zip(entries, order2)):
-                            pt = spectra.spectral_point(params, jp, j)
-                            bad = ("order2-block",
-                                   repr(blocks.even_order_block(params, pt, r)),
-                                   repr(blocks.order2_block(params, pt)))
+                            bad = ("order2-block", repr(blocks.two_by_two(entries, den)),
+                                   repr(blocks.two_by_two(order2, den2)))
                     if bad is None:
                         det_n, det_d = gamma(True, jp2, j2, r)
                         if det_n != 0:
@@ -533,13 +512,13 @@ def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
                 point = _point_dict(params, -1, -1, r, {"family": family.value,
                                                         "identity": "leading-symbol"})
                 p_op, p_sym = blocks.symbol_polynomials(family, b, r, products[r])
-                if p_op.top_part() == p_sym.top_part():
+                p_sym = p_sym.top_part()
+                if p_op == p_sym:
                     reports.append(CheckReport("even-order", point, PASS))
                 else:
-                    p_op, p_sym = blocks.leading_symbol_polynomials(family, params, r)
                     reports.append(CheckReport("even-order", point, FAIL,
-                                               lhs=repr(p_op.top_part()),
-                                               rhs=repr(p_sym.top_part())))
+                                               lhs=repr(blocks.in_levels(p_op, r)),
+                                               rhs=repr(blocks.in_levels(p_sym, r))))
     return reports
 
 
@@ -561,7 +540,7 @@ def run_scalar_reduction(grid: GridSpec) -> List[CheckReport]:
                   for family in (Family.EXACT, Family.MIXED, Family.COEXACT)]
         s = params.s
         dp, dq = params.p - 2, params.q - 2
-        for jp, j in iter_levels(grid):
+        for jp, j in _quadrant((0, 0), grid.j_max):
             # the existence verdicts do not depend on r
             exact, mixed, coexact = (floor is not None and jp >= floor[0] and j >= floor[1]
                                      for floor in floors)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines;
 the exact grids and tolerances are pinned here and nowhere else.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -36,6 +37,16 @@ def timed_suites():
         reports = fn(DEFAULT_GRID)
         out[name] = (reports, time.perf_counter() - start)
     return out
+
+
+def test_default_grid_report_bytes_are_pinned(timed_suites):
+    # the bytes of `intertwinor verify --suite all` on the default grid
+    digest = hashlib.sha256()
+    for name in verify.SUITES:
+        reports, _ = timed_suites[name]
+        digest.update(b"".join(verify.encode(rep.record()) + b"\n" for rep in reports))
+    assert digest.hexdigest() == \
+        "885343ac1b5560d0339a79d0ac03d36c658c3ef701bcefd4d15e6d407737749c"
 
 
 def test_criterion_1_gamma_engine():
@@ -212,7 +223,8 @@ def test_criterion_8_negative_controls(monkeypatch):
     for name, (module, attr, skew) in edits.items():
         with monkeypatch.context() as patch:
             patch.setattr(module, attr, skew(getattr(module, attr)))
-            flagged[name] = bool(verify.failures(verify.SUITES[name](TINY_GRID)))
+            flagged[name] = any(rep.status == verify.FAIL
+                                for rep in verify.SUITES[name](TINY_GRID))
 
     ok = all(flagged.values())
     _verdict(8, "negative controls", ok,

@@ -21,8 +21,8 @@ from intertwinor.blocks import (
     intertwinor_block,
     laplace_data,
     leading_symbol_polynomials,
-    order2_block,
     order2_pair,
+    two_by_two,
 )
 from intertwinor.spectra import (
     BundleParams,
@@ -31,6 +31,7 @@ from intertwinor.spectra import (
     KTypeLabel,
     SpectralPoint,
     ktype_exists,
+    level_floor,
     mult2_det,
     spectral_point,
 )
@@ -72,6 +73,11 @@ def projection_constants(n: int, k: int, j: int) -> ProjectionConstants:
 
 def order2(family, params, pt):
     return Fraction(*order2_pair(family, doubled(params), 2 * pt.Jp, 2 * pt.J))
+
+
+def order2_block(params, pt):
+    """The second-order block on a mixed pair: the core of the order-2r block at r = 1."""
+    return two_by_two(*core_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2))
 
 
 def mixed_points(params, j_hi=5):
@@ -245,6 +251,22 @@ class TestInterfaceEquations:
                         assert c1 == Fraction(nu, nu - 1)
                         assert c2 == Fraction(alpha, alpha - 1)
         assert messages == {"c1 degenerates: nu = 1", "c2 degenerates: alpha = 1"}
+
+    def test_no_mixed_label_degenerates_the_constants(self):
+        # a mixed label has a >= 1 and j >= 1, so nu, alpha >= 2: the interface
+        # suite reads the constants at every mixed level without a skip path
+        checked = 0
+        for p, q in itertools.product(range(2, 13), repeat=2):
+            for k in range(min(p, q)):
+                for a in range(max(0, k - (p - 1)), min(k, q - 1) + 1):
+                    params = BundleParams(p, q, k, a)
+                    floor = level_floor(params, Family.MIXED)
+                    if floor is None:
+                        continue
+                    for j in range(floor[1], 16):
+                        interface_constants(params, j)
+                        checked += 1
+        assert checked > 0
 
 
 class TestOrderTwo:

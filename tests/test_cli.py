@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -87,6 +89,16 @@ class TestEval:
         assert record["mode"] == "float"
         assert "value_float" in record
 
+    @pytest.mark.parametrize("family, key, default, short", [
+        ("coexact", "coeff", "4.7627871090308345", "4.7628"),
+        ("mixed", "det", "11.42468321205996", "11.425"),
+    ])
+    def test_float_values_honor_precision(self, runner, family, key, default, short):
+        args = ["eval", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp", "1",
+                "--j", "2", "--family", family, "--mode", "float", "--r", "1.5"]
+        assert json.loads(run_ok(runner, args).output)[key] == default
+        assert json.loads(run_ok(runner, args + ["--precision", "5"]).output)[key] == short
+
     def test_float_mode_integral_r_takes_exact_path(self, runner):
         # the value sits on a numeric gamma pole pair but is finite exactly
         result = run_ok(runner, ["eval", "--p", "4", "--q", "6", "--k", "2", "--a", "1",
@@ -140,6 +152,16 @@ class TestTable:
         header, *rows = first.splitlines()
         assert header.startswith("p,q,k,a,jp,j,r,family,operator")
         assert rows  # grid is nonempty
+
+    @pytest.mark.parametrize("family, column", [("coexact", "coeff"), ("mixed", "det")])
+    def test_csv_floats_honor_precision(self, runner, family, column):
+        args = ["table", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp-max", "3",
+                "--j-max", "3", "--r", "1.5", "--family", family, "--mode", "float"]
+        full, short = (list(csv.DictReader(io.StringIO(run_ok(runner, args + extra).output)))
+                       for extra in ([], ["--precision", "5"]))
+        assert full and len(full) == len(short)
+        for wide, narrow in zip(full, short):
+            assert narrow[column] == format(float(wide[column]), ".5g")
 
     def test_rows_are_lexicographic(self, runner):
         out = run_ok(runner, self.ARGS).output
@@ -293,6 +315,18 @@ class TestTorus:
         assert result.exit_code == 2
         assert_clean_error(result)
         assert "Invalid value for '--tol': the tolerance must be finite and > 0" in result.output
+
+    def test_truncation_above_the_cap_is_a_usage_error(self, runner, tmp_path):
+        # the residual builds a block per mode, (2M + 1)^2 of them, before comparing
+        out = tmp_path / "torus.jsonl"
+        start = time.perf_counter()
+        result = runner.invoke(main, ["torus", "--k", "1", "--r", "2", "--M", "257",
+                                      "-o", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert_clean_error(result)
+        assert "Invalid value for '--M': the truncation needs M <= 256, got 257" in result.output
+        assert "{" not in result.output and not out.exists()
 
     def test_exact_mode_rejects_non_integer(self, runner):
         result = runner.invoke(main, ["torus", "--k", "0", "--r", "0.5", "--m", "6"])

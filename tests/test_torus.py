@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from intertwinor import torus
-from intertwinor.blocks import intertwinor_block, order2_block
+from intertwinor.blocks import core_pair, doubled, intertwinor_block, two_by_two
 from intertwinor.spectra import BundleParams, SpectralPoint
 from intertwinor.torus import (
     ExactComplex,
@@ -204,7 +204,8 @@ class TestSpectralOperator:
         ratios = set()
         for m, n in ((2, 1), (3, 2), (4, 1), (3, 1)):
             pt = SpectralPoint(Fraction(m), Fraction(n))
-            want = order2_block(params, pt)
+            # the order-2 block: the core of the order-2r block at r = 1
+            want = two_by_two(*core_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2))
             col_t = op.columns[m, n, "dt"]
             col_r = op.columns[m, n, "dr"]
             det = (col_t.get((m, n, "dt"), Fraction(0)) * col_r.get((m, n, "dr"), Fraction(0))

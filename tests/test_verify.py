@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -17,9 +18,7 @@ from intertwinor.verify import (
     CheckReport,
     GridSpec,
     encode,
-    failures,
     iter_bundles,
-    iter_levels,
     run_even_order_checks,
     run_det_checks,
     run_diamond_checks,
@@ -32,6 +31,15 @@ from intertwinor.verify import (
 
 SMALL = GridSpec(p_max=4, q_max=4, j_max=4, r_values=(1, 2))
 TINY = GridSpec(p_max=3, q_max=3, j_max=3, r_values=(1, 2))
+
+
+def failures(reports):
+    return [rep for rep in reports if rep.status == FAIL]
+
+
+def levels(grid):
+    """Every level pair (j', j) of the grid, in sweep order."""
+    return itertools.product(range(grid.j_max + 1), repeat=2)
 
 
 class TestGridSpec:
@@ -283,7 +291,7 @@ class TestLibraryEdits:
         orders = (-1, 0) + SMALL.r_values  # a negative order reaches the gamma poles
         cases = set()
         for params in iter_bundles(SMALL):
-            for jp, j in iter_levels(SMALL):
+            for jp, j in levels(SMALL):
                 pt = spectra.spectral_point(params, jp, j)
                 jp2, j2 = 2 * jp + params.p - 2, 2 * j + params.q - 2
                 for r in orders:
@@ -306,7 +314,7 @@ class TestLibraryEdits:
         orders = (-1, 0) + SMALL.r_values
         for params in iter_bundles(SMALL):
             b = blocks.doubled(params)
-            for jp, j in iter_levels(SMALL):
+            for jp, j in levels(SMALL):
                 pt = spectra.spectral_point(params, jp, j)
                 jp2, j2 = 2 * jp + params.p - 2, 2 * j + params.q - 2
                 for r in orders:
