@@ -38,7 +38,7 @@ TABLE_HEADER = ("p", "q", "k", "a", "jp", "j", "r", "family", "operator",
                 "s", "Jp", "J", "value", "coeff", "radicand", "trace", "det")
 #: the largest |r| on the exact path, whose cost grows with |r|
 MAX_EXACT_ORDER = 256
-#: the largest torus truncation M; the residual builds a block per mode, (2M+1)^2 of them
+#: the largest torus truncation M; the residual visits each of the (2M+1)^2 modes
 MAX_TORUS_M = 256
 #: integer options span the signed 64-bit range that records can encode
 INT64 = click.IntRange(-2**63, 2**63 - 1)
@@ -326,7 +326,7 @@ def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
 @click.option("--k", type=click.IntRange(0, 2), required=True)
 @click.option("--r", "r_text", type=str, required=True)
 @click.option("--m", "--M", "m_trunc", type=INT64, default=24, show_default=True,
-              help=f"Fourier truncation, at most {MAX_TORUS_M}")
+              help=f"Fourier truncation, from 1 to {MAX_TORUS_M}")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="float-mode pass threshold, finite and > 0; exact mode demands an "
                    "exact zero")
@@ -341,8 +341,9 @@ def cmd_torus(k, r_text, m_trunc, tol, mode, output):
     if not (math.isfinite(tol) and tol > 0):  # inf would pass any residual, NaN none
         raise click.BadParameter(f"the tolerance must be finite and > 0, got {tol!r}",
                                  param_hint="'--tol'")
-    if m_trunc > MAX_TORUS_M:
-        raise click.BadParameter(f"the truncation needs M <= {MAX_TORUS_M}, got {m_trunc}",
+    if not 1 <= m_trunc <= MAX_TORUS_M:
+        bound = "M >= 1" if m_trunc < 1 else f"M <= {MAX_TORUS_M}"
+        raise click.BadParameter(f"the truncation needs {bound}, got {m_trunc}",
                                  param_hint="'--M'")
     r = _parse_r(r_text, mode)
     try:

@@ -30,15 +30,18 @@ table row:
 
 The intertwining check A (C - r phi) = (C + r phi) A, with
 C = [N, phi]/2 - P, assembles nothing: every operator in it is local.  N and
-A act inside one mode, through the per-mode block ``_mode_block`` that
-``spectral_operator`` also fills its columns from, while phi and P move a
-mode along the four shifts.  The residual on an interior mode x is therefore
-four small matrix identities, one per shift s, with C_s composed from the
-phi and P rows of the same tables.  Exact mode compares cross-multiplied
-integers; float mode runs the same loop on floats.  Only modes with x + s
-inside the interior cut, ``MARGIN`` modes in from the truncation, are
-compared, so no truncated contribution enters; a column counts as checked
-only when at least one shift identity was compared on it, which needs M >= 3.
+A act inside one mode, while phi and P move a mode along the four shifts.
+The residual on an interior mode x is therefore four small matrix
+identities, one per shift s, with C_s composed from the phi and P rows of
+the same tables.  The blocks of A come from one table, ``_mode_blocks``,
+that ``spectral_operator`` also fills its columns from; it evaluates
+``_mode_block`` once per sign class of modes, (|m|, |n|) and for k = 1 the
+sign of m n, and shares that block across the class.  Exact mode compares
+cross-multiplied integers; float mode runs the same loop on floats.  Only
+modes with x + s inside the interior cut, ``MARGIN`` modes in from the
+truncation, are compared, so no truncated contribution enters; a column
+counts as checked only when at least one shift identity was compared on it,
+which needs M >= 3.
 """
 
 from __future__ import annotations
@@ -365,6 +368,28 @@ def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
     return (t * -e11, -off, off, t * e11), den
 
 
+def _mode_blocks(k: int, M: int, r) -> Dict[Tuple[int, int], Tuple[tuple, object]]:
+    """``_mode_block`` on every retained mode (m, n), |m|, |n| <= M, in basis order.
+
+    A block depends on its mode only through the sign class: (|m|, |n|) for
+    k = 0 and k = 2, and (|m|, |n|, m n < 0) for k = 1, whose off-diagonal
+    entries carry m n, the same number on every mode of the class.  So the
+    block is evaluated once per class, at the class's first mode in basis
+    order, and shared by the rest; a pole names the first retained mode that
+    has one.
+    """
+    span = range(-M, M + 1)
+    by_class, blocks = {}, {}
+    for m in span:
+        for n in span:
+            key = (abs(m), abs(n), k == 1 and m * n < 0)
+            block = by_class.get(key)
+            if block is None:
+                block = by_class[key] = _mode_block(k, m, n, r)
+            blocks[m, n] = block
+    return blocks
+
+
 def spectral_operator(basis: TorusBasis, r: int) -> OperatorMatrix:
     """The intertwinor of integer order 2r on the truncated basis, block by block.
 
@@ -382,16 +407,14 @@ def spectral_operator(basis: TorusBasis, r: int) -> OperatorMatrix:
     r = int(r)
     comps = basis.components
     cols: Dict[Mode, Column] = {}
-    for m in range(-basis.M, basis.M + 1):
-        for n in range(-basis.M, basis.M + 1):
-            entries, den = _mode_block(basis.k, m, n, r)
-            for j, col_comp in enumerate(comps):
-                col: Column = {}
-                for i, row_comp in enumerate(comps):
-                    val = entries[i * len(comps) + j]
-                    if val:
-                        col[(m, n, row_comp)] = Fraction(val, den)
-                cols[(m, n, col_comp)] = col
+    for (m, n), (entries, den) in _mode_blocks(basis.k, basis.M, r).items():
+        for j, col_comp in enumerate(comps):
+            col: Column = {}
+            for i, row_comp in enumerate(comps):
+                val = entries[i * len(comps) + j]
+                if val:
+                    col[(m, n, row_comp)] = Fraction(val, den)
+            cols[(m, n, col_comp)] = col
     return OperatorMatrix(cols)
 
 
@@ -455,9 +478,8 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
         raise ValueError(f"exact mode needs integer r, got {r!r}")
     basis = TorusBasis(M, k)
     order = int(r) if mode == "exact" else float(r)
-    span = range(-M, M + 1)
-    # every retained mode, in spectral_operator's order, so a pole raises as there
-    blocks = {(m, n): _mode_block(k, m, n, order) for m in span for n in span}
+    # the blocks spectral_operator builds, so a pole raises as there
+    blocks = _mode_blocks(k, M, order)
     scale, shifts = _SHIFTS[k]
     cut = M - MARGIN
     inner = range(-cut, cut + 1)

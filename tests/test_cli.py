@@ -316,16 +316,20 @@ class TestTorus:
         assert_clean_error(result)
         assert "Invalid value for '--tol': the tolerance must be finite and > 0" in result.output
 
-    def test_truncation_above_the_cap_is_a_usage_error(self, runner, tmp_path):
-        # the residual builds a block per mode, (2M + 1)^2 of them, before comparing
+    @pytest.mark.parametrize("m_trunc, bound", [("257", "M <= 256"), ("0", "M >= 1"),
+                                                 ("-5", "M >= 1")])
+    def test_truncation_outside_its_range_is_a_usage_error(self, runner, tmp_path,
+                                                           m_trunc, bound):
+        # the residual visits each of the (2M + 1)^2 modes, and has none below M = 1
         out = tmp_path / "torus.jsonl"
         start = time.perf_counter()
-        result = runner.invoke(main, ["torus", "--k", "1", "--r", "2", "--M", "257",
+        result = runner.invoke(main, ["torus", "--k", "1", "--r", "2", "--M", m_trunc,
                                       "-o", str(out)])
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
         assert_clean_error(result)
-        assert "Invalid value for '--M': the truncation needs M <= 256, got 257" in result.output
+        assert (f"Invalid value for '--M': the truncation needs {bound}, got {m_trunc}"
+                in result.output)
         assert "{" not in result.output and not out.exists()
 
     def test_exact_mode_rejects_non_integer(self, runner):

@@ -229,10 +229,13 @@ class TestSpectralOperator:
         with pytest.raises(ValueError):
             spectral_operator(TorusBasis(3, 0), r)
 
-    def test_exact_pole_reported_with_mode(self):
+    @pytest.mark.parametrize("k, mode", [(0, (-3, -3, "1")), (1, (-3, -2, "dt")),
+                                         (2, (-3, -3, "dtdr"))])
+    def test_exact_pole_reported_with_mode(self, k, mode):
+        # the first retained mode in basis order that has a pole
         with pytest.raises(PoleOnModeError) as err:
-            spectral_operator(TorusBasis(3, 0), -1)
-        assert err.value.mode is not None
+            spectral_operator(TorusBasis(3, k), -1)
+        assert err.value.mode == mode
 
 
 class TestIntertwiningResidual:
@@ -255,7 +258,14 @@ class TestIntertwiningResidual:
         # negative non-integer order with a numerator gamma argument near 0
         with pytest.raises(PoleOnModeError) as err:
             intertwining_residual(3, 0, -(3.0 + 1e-13), mode="float")
-        assert err.value.mode is not None
+        assert err.value.mode == (-3, -3, "1")
+
+    @pytest.mark.parametrize("k, mode", [(0, (-4, -4, "1")), (1, (-4, -3, "dt")),
+                                         (2, (-4, -4, "dtdr"))])
+    def test_exact_pole_reported_with_mode(self, k, mode):
+        with pytest.raises(PoleOnModeError) as err:
+            intertwining_residual(4, k, -1)
+        assert err.value.mode == mode
 
     def test_exact_mode_needs_integer_order(self):
         with pytest.raises(ValueError):
@@ -324,6 +334,43 @@ class TestIntertwiningResidual:
         monkeypatch.setattr(torus, "_mode_block", perturbed)
         assert intertwining_residual(6, k, r, mode="exact").residual == float(want)
         assert reference_residual(6, k, r) == want
+
+    @pytest.mark.parametrize("k, classes", [(0, 81), (1, 145), (2, 81)])
+    def test_one_block_per_sign_class(self, monkeypatch, k, classes):
+        # (M + 1)^2 classes (|m|, |n|), and for k = 1 the M^2 with m n < 0 besides
+        block = torus._mode_block
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return block(*args)
+
+        monkeypatch.setattr(torus, "_mode_block", counted)
+        intertwining_residual(8, k, 2)
+        assert len(calls) == classes
+        calls.clear()
+        spectral_operator(TorusBasis(8, k), 2)
+        assert len(calls) == classes
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("edited", [(2, 1), (-2, -1)])
+    def test_residual_checks_the_library_operator(self, monkeypatch, k, r, edited):
+        # an edit of one mode's block, which only the first mode of a sign
+        # class, (-2, -1) here, passes on to its class: the gate and the
+        # operator algebra see the same blocks either way
+        block = torus._mode_block
+
+        def edited_block(k, m, n, r):
+            entries, den = block(k, m, n, r)
+            if (m, n) != edited:
+                return entries, den
+            return tuple(e + den for e in entries), den
+
+        monkeypatch.setattr(torus, "_mode_block", edited_block)
+        want = reference_residual(6, k, r)
+        assert (want != 0) == (edited == (-2, -1))
+        assert intertwining_residual(6, k, r).residual == float(want)
 
     @pytest.mark.parametrize("M, k, r, want", [
         (6, 0, 1.5, "3.1086244689504383e-15"),
