@@ -27,10 +27,10 @@ thin Fraction-returning wrappers over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from .arithmetic import (
     ExtendedScalar,
@@ -50,21 +50,30 @@ from .spectra import (
 
 # -- per-bundle constants on doubled levels ----------------------------------------
 
-class Doubled(NamedTuple):
-    """The bundle's constants on doubled levels, computed once per bundle."""
+@dataclass(frozen=True, slots=True)
+class Doubled:
+    """The bundle's constants on doubled levels, computed once per bundle.
 
-    s2: int         # 2s = p + q - 2 - 2k
-    w2: int         # 2w = q - p + 2k - 4a + 2, the weight of the diagonal entries
-    sign: int       # (-1)^(k-a+1), the parity sign of the off-diagonal coupling
+    It is built from the two centered degrees and the sign alone; 2s and 2w
+    are their sum and difference for every bundle, derived here once so
+    that the kernels read them per point as plain attributes.
+    """
+
     root1: int      # 2((p-2)/2 - (k-a)), the centered degree on the first factor
     root_mix2: int  # 2((q-2)/2 - (a-1)), the centered degree on the second factor
+    sign: int       # (-1)^(k-a+1), the parity sign of the off-diagonal coupling
+    s2: int = field(init=False)  # 2s = p + q - 2 - 2k
+    w2: int = field(init=False)  # 2w = q - p + 2k - 4a + 2, the weight of the diagonal entries
+
+    def __post_init__(self):
+        object.__setattr__(self, "s2", self.root1 + self.root_mix2)
+        object.__setattr__(self, "w2", self.root_mix2 - self.root1)
 
 
 def doubled(params: BundleParams) -> Doubled:
     """The bundle's doubled-level constants."""
     p, q, k, a = params.p, params.q, params.k, params.a
-    return Doubled(p + q - 2 - 2 * k, q - p + 2 * k - 4 * a + 2,
-                   -1 if (k - a) % 2 == 0 else 1, p - 2 - 2 * (k - a), q - 2 * a)
+    return Doubled(p - 2 - 2 * (k - a), q - 2 * a, -1 if (k - a) % 2 == 0 else 1)
 
 
 def family_offsets(family: Family, b: Doubled) -> Tuple[int, int]:

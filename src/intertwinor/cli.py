@@ -40,8 +40,10 @@ TABLE_HEADER = ("p", "q", "k", "a", "jp", "j", "r", "family", "operator",
 MAX_EXACT_ORDER = 256
 #: the largest torus truncation M; the residual visits each of the (2M+1)^2 modes
 MAX_TORUS_M = 256
-#: integer options span the signed 64-bit range that records can encode
-INT64 = click.IntRange(-2**63, 2**63 - 1)
+#: integer options take at most the signed 64-bit range that records can encode;
+#: each is a click range, so its help line states what it accepts
+INT64_MAX = 2**63 - 1
+INT64 = click.IntRange(-2**63, INT64_MAX)
 #: what evaluating a bad point or order raises (ValueErrors for nonexistent labels
 #: and degenerate normalizations, ArithmeticErrors for overflows, torus poles and
 #: 0/0); each becomes an ``Error:`` line
@@ -241,8 +243,8 @@ def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision=17):
 @click.option("--q", type=INT64, required=True)
 @click.option("--k", type=INT64, required=True)
 @click.option("--a", type=INT64, required=True)
-@click.option("--jp-max", type=INT64, required=True)
-@click.option("--j-max", type=INT64, required=True)
+@click.option("--jp-max", type=click.IntRange(0, INT64_MAX), required=True)
+@click.option("--j-max", type=click.IntRange(0, INT64_MAX), required=True)
 @click.option("--r", "r_text", type=str, required=True)
 @click.option("--family", type=click.Choice(FAMILY_CHOICES), required=True)
 @click.option("--operator", type=click.Choice(("normalized", "even-order")),
@@ -257,10 +259,6 @@ def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision=17):
 def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
               precision, output):
     """Tabulate spectral values over a level grid in lexicographic row order."""
-    for option, value in (("--jp-max", jp_max), ("--j-max", j_max)):
-        if value < 0:
-            raise click.BadParameter(f"level maxima must be >= 0, got {value}",
-                                     param_hint=f"'{option}'")
     params = _bundle(p, q, k, a)
     r = _parse_r(r_text, mode if operator == "normalized" else operator)
     try:
@@ -283,24 +281,18 @@ def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
 @main.command("verify")
 @click.option("--suite", type=click.Choice(tuple(verify.SUITES) + ("all",)),
               default="all", show_default=True)
-@click.option("--p-max", type=INT64, default=7, show_default=True)
-@click.option("--q-max", type=INT64, default=7, show_default=True)
-@click.option("--j-max", type=INT64, default=8, show_default=True)
-@click.option("--r-max", type=INT64, default=4, show_default=True)
+@click.option("--p-max", type=click.IntRange(2, INT64_MAX), default=7, show_default=True)
+@click.option("--q-max", type=click.IntRange(2, INT64_MAX), default=7, show_default=True)
+@click.option("--j-max", type=click.IntRange(0, INT64_MAX), default=8, show_default=True)
+@click.option("--r-max", type=click.IntRange(1, MAX_EXACT_ORDER), default=4,
+              show_default=True)
 @click.option("-o", "--output", type=str, default="verify_report.jsonl",
               show_default=True)
 def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
     """Run the exact consistency suites; exit 0 only with zero failures and
     at least one passing record in every selected suite."""
-    if r_max > MAX_EXACT_ORDER:
-        raise click.BadParameter(
-            f"integer orders need |r| <= {MAX_EXACT_ORDER}, got r={r_max}",
-            param_hint="'--r-max'")
-    try:
-        grid = verify.GridSpec(p_max=p_max, q_max=q_max, j_max=j_max,
-                               r_values=tuple(range(1, r_max + 1)))
-    except ValueError as err:
-        raise click.ClickException(str(err))
+    grid = verify.GridSpec(p_max=p_max, q_max=q_max, j_max=j_max,
+                           r_values=tuple(range(1, r_max + 1)))
     names = tuple(verify.SUITES) if suite == "all" else (suite,)
     out = _resolve_out(output)
     failed = 0
@@ -325,8 +317,8 @@ def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
 @main.command("torus")
 @click.option("--k", type=click.IntRange(0, 2), required=True)
 @click.option("--r", "r_text", type=str, required=True)
-@click.option("--m", "--M", "m_trunc", type=INT64, default=24, show_default=True,
-              help=f"Fourier truncation, from 1 to {MAX_TORUS_M}")
+@click.option("--m", "--M", "m_trunc", type=click.IntRange(1, MAX_TORUS_M), default=24,
+              show_default=True, help="Fourier truncation")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="float-mode pass threshold, finite and > 0; exact mode demands an "
                    "exact zero")
@@ -341,10 +333,6 @@ def cmd_torus(k, r_text, m_trunc, tol, mode, output):
     if not (math.isfinite(tol) and tol > 0):  # inf would pass any residual, NaN none
         raise click.BadParameter(f"the tolerance must be finite and > 0, got {tol!r}",
                                  param_hint="'--tol'")
-    if not 1 <= m_trunc <= MAX_TORUS_M:
-        bound = "M >= 1" if m_trunc < 1 else f"M <= {MAX_TORUS_M}"
-        raise click.BadParameter(f"the truncation needs {bound}, got {m_trunc}",
-                                 param_hint="'--M'")
     r = _parse_r(r_text, mode)
     try:
         result = torus.intertwining_residual(m_trunc, k, r, mode=mode)

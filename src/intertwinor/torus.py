@@ -6,27 +6,23 @@ operators entering the intertwining relation have exact entries there, so the
 relation can be checked in exact rational arithmetic; ``intertwining_residual``
 runs the same check in floats for non-integer orders.
 
-``assemble`` writes each operator as one table of rows
-(dm, dn, source -> target, coefficient) on the mode (m, n), with a constant
-coefficient or one that depends on (m, n); one builder turns the rows into
-exact sparse columns, which are all an ``OperatorMatrix`` holds (their target
-components name the degree it lands in).  L_T (Cartan's formula) and
-[N, phi]/2 stay compositions in ``OperatorMatrix``, so [N, phi]/2 =
-nabla_T + phi and L_T - nabla_T = k phi - P compare independent
-constructions.  Sign
-conventions, fixed once for the split metric -dtau^2 + drho^2, each one
-table row:
+``assemble`` writes the three operators the relation needs, phi, N and P,
+each as one table of rows (dm, dn, source -> target, coefficient) on the
+mode (m, n), with a constant coefficient or one that depends on (m, n); one
+builder turns the rows into exact sparse columns, which are all an
+``OperatorMatrix`` holds.  Conventions, each one table row:
 
-    component metric:   <dtau, dtau> = -1,  <drho, drho> = +1
-    coderivative:       delta(u dtau + v drho) = +du/dtau - dv/drho
-                            (0, 0, dt -> 1, i m),  (0, 0, dr -> 1, -i n)
-                        delta(w dtau^drho)     = (dw/drho) dtau + (dw/dtau) drho
-                            (0, 0, dtdr -> dt, i n),  (0, 0, dtdr -> dr, i m)
-    contraction:        iota(dtau) dtau = -1,  iota(drho) drho = +1
-                        iota_T dtau = cos rho sin tau,  iota_T drho = cos tau sin rho
-                            (+-1, +-1, dt -> 1, -i dm/4),  (+-1, +-1, dr -> 1, -i dn/4)
+    conformal factor:   phi = cos tau cos rho, componentwise
+                            (+-1, +-1, c -> c, 1/4)
     auxiliary Bochner:  N = -(d/dtau)^2 - (d/drho)^2 componentwise (round metric)
                             (0, 0, c -> c, m^2 + n^2)
+    P (k = 1 only):     sin tau sin rho times the swap dtau <-> drho
+                            (+-1, +-1, dt -> dr and dr -> dt, -dm dn/4)
+
+The geometry that fixes these rows, [N, phi]/2 = nabla_T + phi and
+L_T - nabla_T = k phi - P for the conformal field T, is checked against an
+independent reference of d, delta, iota_T, nabla_T and Cartan's L_T kept with
+the tests (``tests/torus_reference.py``), in real arithmetic.
 
 The intertwining check A (C - r phi) = (C + r phi) A, with
 C = [N, phi]/2 - P, assembles nothing: every operator in it is local.  N and
@@ -64,61 +60,6 @@ class PoleOnModeError(ArithmeticError):
     def __init__(self, mode):
         self.mode = mode
         super().__init__(f"spectral operator pole on mode {mode}")
-
-
-class ExactComplex:
-    """Gaussian rational a + b i; the exact scalar ring of the assembler."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return ExactComplex(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return ExactComplex(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, ExactComplex):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __repr__(self):
-        return f"ExactComplex({self.re}, {self.im})"
-
-
-def _coerce(x) -> ExactComplex:
-    if isinstance(x, ExactComplex):
-        return x
-    return ExactComplex(Fraction(x))
 
 
 _COMPONENTS = {0: ("1",), 1: ("dt", "dr"), 2: ("dtdr",)}
@@ -170,8 +111,8 @@ class OperatorMatrix:
     """An operator on the truncated basis, stored as its sparse exact columns.
 
     ``columns`` maps a source key (m, n, component) to its column, a dict
-    from target keys to nonzero entries in the Gaussian rationals (or plain
-    Fractions for real operators); composition and arithmetic stay exact.
+    from target keys to nonzero Fraction entries; composition, difference
+    and scaling stay exact.
     """
 
     def __init__(self, columns: Dict[Mode, Column]):
@@ -187,16 +128,10 @@ class OperatorMatrix:
             cols[key] = out
         return OperatorMatrix(cols)
 
-    def _combine(self, other: "OperatorMatrix", c_self, c_other) -> "OperatorMatrix":
-        return OperatorMatrix({key: _add(_add({}, self.columns.get(key, {}), c_self),
-                                         other.columns.get(key, {}), c_other)
-                               for key in set(self.columns) | set(other.columns)})
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(other, 1, 1)
-
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(other, 1, -1)
+        return OperatorMatrix({key: _add(_add({}, self.columns.get(key, {}), 1),
+                                         other.columns.get(key, {}), -1)
+                               for key in set(self.columns) | set(other.columns)})
 
     def scaled(self, c) -> "OperatorMatrix":
         return OperatorMatrix({key: _add({}, col, c) for key, col in self.columns.items()})
@@ -205,8 +140,8 @@ class OperatorMatrix:
 # -- assembly -----------------------------------------------------------------------
 
 # On e^(i m tau), cos tau moves m by dm = +-1 with weight 1/2 and sin tau with
-# weight -i dm/2, likewise in rho: multiplying by phi = cos tau cos rho, by a
-# component of T or by sin tau sin rho moves a mode along the four diagonal shifts.
+# weight -i dm/2, likewise in rho: multiplying by phi = cos tau cos rho or by
+# sin tau sin rho moves a mode along the four diagonal shifts.
 _DIAGONAL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
@@ -215,21 +150,13 @@ def _shifted(pairs, weight) -> list:
     return [(dm, dn, src, tgt, weight(dm, dn)) for src, tgt in pairs for dm, dn in _DIAGONAL]
 
 
-def _t_tau(dm, dn):  # dtau(T) = cos rho sin tau
-    return ExactComplex(0, Fraction(-dm, 4))
-
-
-def _t_rho(dm, dn):  # drho(T) = cos tau sin rho
-    return ExactComplex(0, Fraction(-dn, 4))
-
-
 def _bochner(m: int, n: int) -> int:
     """The eigenvalue of N on the mode (m, n), the same on every component."""
     return m * m + n * n
 
 
 def _tables() -> dict:
-    """(name, k) -> rows for every operator built from rows.
+    """(name, k) -> rows of the operators 'phi-mult', 'N' and 'P'.
 
     A row (dm, dn, src, tgt, coeff) sends the mode (m, n) of component src to
     the mode (m + dm, n + dn) of component tgt with weight coeff, a constant
@@ -239,35 +166,14 @@ def _tables() -> dict:
     for k, comps in _COMPONENTS.items():
         same = [(c, c) for c in comps]
         tables["phi-mult", k] = _shifted(same, lambda dm, dn: Fraction(1, 4))
-        # nabla_T = dtau(T) d/dtau + drho(T) d/drho, componentwise
-        tables["nabla_T", k] = _shifted(
-            same, lambda dm, dn: lambda m, n: Fraction(dm * m + dn * n, 4))
         tables["N", k] = [(0, 0, c, c, lambda m, n: Fraction(_bochner(m, n))) for c in comps]
         tables["P", k] = []
-    tables.update({
-        # P multiplies by sin tau sin rho and swaps dt and dr
-        ("P", 1): _shifted([("dt", "dr"), ("dr", "dt")], lambda dm, dn: Fraction(-dm * dn, 4)),
-        # d f = f_tau dt + f_rho dr;  d(u dt + v dr) = (v_tau - u_rho) dt^dr
-        ("d", 0): [(0, 0, "1", "dt", lambda m, n: ExactComplex(0, m)),
-                   (0, 0, "1", "dr", lambda m, n: ExactComplex(0, n))],
-        ("d", 1): [(0, 0, "dt", "dtdr", lambda m, n: ExactComplex(0, -n)),
-                   (0, 0, "dr", "dtdr", lambda m, n: ExactComplex(0, m))],
-        ("delta", 1): [(0, 0, "dt", "1", lambda m, n: ExactComplex(0, m)),
-                       (0, 0, "dr", "1", lambda m, n: ExactComplex(0, -n))],
-        ("delta", 2): [(0, 0, "dtdr", "dt", lambda m, n: ExactComplex(0, n)),
-                       (0, 0, "dtdr", "dr", lambda m, n: ExactComplex(0, m))],
-        # iota_T(u dt + v dr) = u dtau(T) + v drho(T);  iota_T dt^dr = dtau(T) dr - drho(T) dt
-        ("iota_T", 1): _shifted([("dt", "1")], _t_tau) + _shifted([("dr", "1")], _t_rho),
-        ("iota_T", 2): (_shifted([("dtdr", "dr")], _t_tau)
-                        + _shifted([("dtdr", "dt")], lambda dm, dn: -_t_rho(dm, dn))),
-    })
+    # P multiplies by sin tau sin rho and swaps dt and dr
+    tables["P", 1] = _shifted([("dt", "dr"), ("dr", "dt")], lambda dm, dn: Fraction(-dm * dn, 4))
     return tables
 
 
 _TABLES = _tables()
-_UNSUPPORTED = {("d", 2): "d is unsupported on top-degree forms",
-                ("delta", 0): "delta is unsupported on functions",
-                ("iota_T", 0): "iota_T is zero on functions"}
 
 
 def _columns(rows, basis: TorusBasis) -> Dict[Mode, Column]:
@@ -289,26 +195,15 @@ def _columns(rows, basis: TorusBasis) -> Dict[Mode, Column]:
 
 
 def assemble(name: str, basis: TorusBasis) -> OperatorMatrix:
-    """Assemble a named operator over the truncated basis, exactly.
+    """Assemble 'phi-mult', 'N' or 'P' over the truncated basis, exactly.
 
-    Supported names: 'phi-mult', 'N', 'nabla_T', 'P', 'd', 'delta', 'iota_T'
-    and 'L_T' (the Lie derivative along the conformal field, built from
-    Cartan's formula).  'd' needs k <= 1, 'delta' and 'iota_T' k >= 1;
-    'P' is the zero operator away from k = 1.
+    'P' is the zero operator away from k = 1; any other name raises
+    ValueError.
     """
-    k, M = basis.k, basis.M
-    if name == "L_T":
-        if k == 0:
-            return assemble("iota_T", TorusBasis(M, 1)).compose(assemble("d", basis))
-        if k == 1:
-            part1 = assemble("d", TorusBasis(M, 0)).compose(assemble("iota_T", basis))
-            part2 = assemble("iota_T", TorusBasis(M, 2)).compose(assemble("d", basis))
-            return part1 + part2
-        return assemble("d", TorusBasis(M, 1)).compose(assemble("iota_T", basis))
     try:
-        rows = _TABLES[name, k]
+        rows = _TABLES[name, basis.k]
     except KeyError:
-        raise ValueError(_UNSUPPORTED.get((name, k), f"unknown operator {name!r}")) from None
+        raise ValueError(f"unknown operator {name!r}") from None
     return OperatorMatrix(_columns(rows, basis))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -8,6 +9,7 @@ from intertwinor.arithmetic import format_fraction
 from intertwinor.blocks import (
     BivariatePoly,
     CasimirShifts,
+    Doubled,
     TwoByTwo,
     block_scale_squared,
     core_pair,
@@ -94,6 +96,23 @@ class TestProjectionConstants:
     def test_low_degree(self):
         pc = projection_constants(2, 0, 1)
         assert (pc.mu, pc.nu, pc.alpha, pc.beta) == (1, 2, 0, 3)
+
+
+class TestDoubled:
+    def test_stores_only_independent_constants(self):
+        # 2s and 2w are the sum and difference of the centered degrees, so
+        # only those and the sign are set
+        assert [f.name for f in dataclasses.fields(Doubled) if f.init] == \
+            ["root1", "root_mix2", "sign"]
+        with pytest.raises(TypeError):
+            Doubled(1, 2, 1, 3, 1)
+        for p, q in itertools.product(range(2, 13), repeat=2):
+            for c1, a in itertools.product(range(p), range(q)):
+                k = c1 + a
+                b = doubled(BundleParams(p, q, k, a))
+                assert b.s2 == p + q - 2 - 2 * k
+                assert b.w2 == q - p + 2 * k - 4 * a + 2
+                assert b.sign == (-1) ** (k - a + 1)
 
 
 class TestLaplaceData:

@@ -280,13 +280,26 @@ class TestVerify:
         suite = args[1]
         assert result.output.splitlines()[:2] == [line, f"{suite}: no record passed"]
 
-    @pytest.mark.parametrize("bad", [["--r-max", "0"], ["--j-max", "-1"], ["--p-max", "1"]])
-    def test_bad_ranges_fail_cleanly(self, runner, tmp_path, bad):
+    @pytest.mark.parametrize("bad, accepted", [(["--r-max", "0"], "1<=x<=256"),
+                                               (["--j-max", "-1"], "0<=x<=9223372036854775807"),
+                                               (["--p-max", "1"], "2<=x<=9223372036854775807")])
+    def test_bad_ranges_fail_cleanly(self, runner, tmp_path, bad, accepted):
+        # an empty grid is a usage error that names the range the option accepts
         result = runner.invoke(main, ["verify", "-o", str(tmp_path / "r.jsonl")] + bad)
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.output.startswith("Error: ")
+        assert result.exit_code == 2
+        assert_clean_error(result)
+        assert (f"Invalid value for '{bad[0]}': {bad[1]} is not in the range {accepted}"
+                in result.output)
         assert not (tmp_path / "r.jsonl").exists()
+
+    def test_help_states_the_accepted_ranges(self, runner):
+        result = run_ok(runner, ["verify", "--help"])
+        for option, accepted in (("--p-max", "2<=x<=9223372036854775807"),
+                                 ("--q-max", "2<=x<=9223372036854775807"),
+                                 ("--j-max", "0<=x<=9223372036854775807"),
+                                 ("--r-max", "1<=x<=256")):
+            line = next(line for line in result.output.splitlines() if option in line)
+            assert accepted in line
 
 
 class TestTorus:
@@ -316,10 +329,8 @@ class TestTorus:
         assert_clean_error(result)
         assert "Invalid value for '--tol': the tolerance must be finite and > 0" in result.output
 
-    @pytest.mark.parametrize("m_trunc, bound", [("257", "M <= 256"), ("0", "M >= 1"),
-                                                 ("-5", "M >= 1")])
-    def test_truncation_outside_its_range_is_a_usage_error(self, runner, tmp_path,
-                                                           m_trunc, bound):
+    @pytest.mark.parametrize("m_trunc", ["257", "0", "-5"])
+    def test_truncation_outside_its_range_is_a_usage_error(self, runner, tmp_path, m_trunc):
         # the residual visits each of the (2M + 1)^2 modes, and has none below M = 1
         out = tmp_path / "torus.jsonl"
         start = time.perf_counter()
@@ -328,9 +339,15 @@ class TestTorus:
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
         assert_clean_error(result)
-        assert (f"Invalid value for '--M': the truncation needs {bound}, got {m_trunc}"
+        assert (f"Invalid value for '--m' / '--M': {m_trunc} is not in the range 1<=x<=256"
                 in result.output)
         assert "{" not in result.output and not out.exists()
+
+    def test_help_states_the_truncation_range(self, runner):
+        result = run_ok(runner, ["torus", "--help"])
+        line = next(line for line in result.output.splitlines() if "--M" in line)
+        assert "1<=x<=256" in line
+        assert "9223372036854775807" not in result.output
 
     def test_exact_mode_rejects_non_integer(self, runner):
         result = runner.invoke(main, ["torus", "--k", "0", "--r", "0.5", "--m", "6"])
@@ -465,6 +482,14 @@ INT64_OPTIONS = ([(0, option) for option in ("--p", "--q", "--k", "--a", "--jp",
                  + [(1, option) for option in ("--p", "--q", "--k", "--a", "--jp-max", "--j-max")]
                  + [(2, "--M")]
                  + [(3, option) for option in ("--p-max", "--q-max", "--j-max", "--r-max")])
+#: the range an option accepts where it is narrower than the signed 64-bit one
+ACCEPTED = {(1, "--jp-max"): "0<=x<=9223372036854775807",
+            (1, "--j-max"): "0<=x<=9223372036854775807",
+            (2, "--M"): "1<=x<=256",
+            (3, "--p-max"): "2<=x<=9223372036854775807",
+            (3, "--q-max"): "2<=x<=9223372036854775807",
+            (3, "--j-max"): "0<=x<=9223372036854775807",
+            (3, "--r-max"): "1<=x<=256"}
 
 
 @pytest.mark.parametrize("value", ["9223372036854775808", "-9223372036854775809",
@@ -478,8 +503,8 @@ def test_integers_beyond_64_bits_are_usage_errors(runner, command, option, value
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert_clean_error(result)
-    assert f"{value} is not in the range -9223372036854775808<=x<=9223372036854775807" \
-        in result.output
+    accepted = ACCEPTED.get((command, option), "-9223372036854775808<=x<=9223372036854775807")
+    assert f"{value} is not in the range {accepted}" in result.output
 
 
 def test_integers_at_the_64_bit_bounds_are_evaluated(runner):
@@ -502,23 +527,23 @@ def test_negative_level_maxima_are_usage_errors(runner, option, value):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert_clean_error(result)
-    assert f"Invalid value for '{option}': level maxima must be >= 0, got {value}" \
-        in result.output
+    assert (f"Invalid value for '{option}': {value} is not in the range "
+            "0<=x<=9223372036854775807" in result.output)
 
 
-@pytest.mark.parametrize("args", [
-    ["table", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp-max", "3",
-     "--j-max", "3", "--family", "exact", "--r", "1000"],
-    ["torus", "--k", "0", "--r", "20000", "--M", "4"],
-    ["verify", "--r-max", "257"],
+@pytest.mark.parametrize("args, message", [
+    (["table", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp-max", "3",
+      "--j-max", "3", "--family", "exact", "--r", "1000"], "|r| <= 256"),
+    (["torus", "--k", "0", "--r", "20000", "--M", "4"], "|r| <= 256"),
+    (["verify", "--r-max", "257"], "257 is not in the range 1<=x<=256"),
 ], ids=["table", "torus", "verify"])
-def test_orders_above_the_cap_are_usage_errors(runner, tmp_path, monkeypatch, args):
+def test_orders_above_the_cap_are_usage_errors(runner, tmp_path, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)  # where verify's default report would go
     start = time.perf_counter()
     result = runner.invoke(main, args)
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2
-    assert "|r| <= 256" in result.output
+    assert message in result.output
     assert_clean_error(result)
     assert not any(tmp_path.iterdir())
 
