@@ -153,12 +153,11 @@ POLE = ExtendedScalar(None)
 
 
 def format_fraction(x: Rational) -> str:
-    """Serialize a rational as ``num`` or ``num/den`` (den > 0, lowest terms).
+    """Serialize an int or a Fraction as ``num`` or ``num/den`` (den > 0, lowest terms).
 
     A part longer than the interpreter's integer-string limit (4300 digits
     by default, left as it is) raises a ValueError that names the limit.
     """
-    x = Fraction(x)
     try:
         if x.denominator == 1:
             return str(x.numerator)
@@ -166,6 +165,15 @@ def format_fraction(x: Rational) -> str:
     except ValueError:
         raise ValueError(f"the exact value has more than {sys.get_int_max_str_digits()} "
                          "digits and cannot be written as a record") from None
+
+
+def twice(x: ScalarLike) -> ScalarLike:
+    """2x: an int for an int or a Fraction with denominator 1 or 2, so that the
+    levels of a lattice point reach the doubled-level kernels as plain ints;
+    other Fractions and floats keep their type and rounding."""
+    if isinstance(x, Fraction) and x.denominator <= 2:
+        return 2 * x.numerator // x.denominator
+    return 2 * x
 
 
 def is_integral(r: ScalarLike) -> bool:

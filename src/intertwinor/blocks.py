@@ -20,9 +20,10 @@ lattice points give plain integers.  A quantity of degree d in the levels
 then comes out 2^d times too large, so every kernel returns its values with
 a fixed power-of-two scale, as an unreduced integer ``(value, scale)`` pair
 where a caller needs one.  The kernel bodies are type-generic (ints on the
-verification sweeps, Fractions in the public wrappers, polynomials for the
-leading symbol); the public functions taking a :class:`SpectralPoint` are
-thin Fraction-returning wrappers over them.
+verification sweeps and at lattice points, Fractions at other rational
+points, polynomials for the leading symbol); the public functions taking a
+:class:`SpectralPoint` are thin Fraction-returning wrappers over them, which
+pass the doubled levels of :func:`~intertwinor.arithmetic.twice`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .arithmetic import (
     gamma_product,
     is_integral,
     quotient,
+    twice,
 )
 from .spectra import (
     BundleParams,
@@ -113,7 +115,7 @@ def laplace_values(b: Doubled, jp2, j2):
 
 def laplace_data(params: BundleParams, pt: SpectralPoint) -> LaplaceData:
     b = doubled(params)
-    values = laplace_values(b, 2 * pt.Jp, 2 * pt.J) + (
+    values = laplace_values(b, twice(pt.Jp), twice(pt.J)) + (
         b.root1 ** 2, (b.root_mix2 - 2) ** 2, (b.root_mix2 + 2) ** 2, b.root_mix2 ** 2)
     return LaplaceData(*(Fraction(v, 4) for v in values))
 
@@ -141,7 +143,7 @@ def shift_values(b: Doubled, j2):
 
 
 def interface_shifts(params: BundleParams, pt: SpectralPoint) -> CasimirShifts:
-    n1, n2 = shift_values(doubled(params), 2 * pt.J)
+    n1, n2 = shift_values(doubled(params), twice(pt.J))
     return CasimirShifts(n1=Fraction(n1), n2=Fraction(n2))
 
 
@@ -230,7 +232,7 @@ def intertwinor_block(params: BundleParams, pt: SpectralPoint, r: Rational,
     one in it.  Raises when a factor of the normalization denominator
     (J'+J+r), (J'-J-r) or (s+r) vanishes, naming the factor.
     """
-    entries, den = block_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2 * Fraction(r))
+    entries, den = block_pair(doubled(params), twice(pt.Jp), twice(pt.J), twice(r))
     scale = Fraction(scale)
     return TwoByTwo(*(scale * e / den for e in entries))
 
@@ -242,7 +244,7 @@ def block_scale_squared(params: BundleParams, pt: SpectralPoint, r: int) -> Exte
     """
     if not is_integral(r):
         raise ValueError(f"the exact seed needs integer r, got {r!r}")
-    gamma_part = quotient(*gamma_product(seed_gamma_args(2 * pt.Jp, 2 * pt.J), int(r)))
+    gamma_part = quotient(*gamma_product(seed_gamma_args(twice(pt.Jp), twice(pt.J)), int(r)))
     s = params.s
     return quotient(s + r, s - r) * gamma_part * gamma_part
 
@@ -316,11 +318,11 @@ def even_order_block(params: BundleParams, pt: SpectralPoint, r: int) -> TwoByTw
 
 def _doubled_levels(params: BundleParams, pt: SpectralPoint) -> Tuple[int, int]:
     """The integers (2J', 2J) of a point on the bundle's level lattice."""
-    jp = pt.Jp - params.shift1
-    j = pt.J - params.shift2
-    if jp.denominator != 1 or j.denominator != 1 or jp < 0 or j < 0:
+    jp2, j2 = twice(pt.Jp), twice(pt.J)
+    levels2 = (jp2 - params.p + 2, j2 - params.q + 2)  # 2j' and 2j
+    if not all(isinstance(x, int) and x >= 0 and x % 2 == 0 for x in levels2):
         raise ValueError(f"point {pt} is not on the level lattice of {params}")
-    return int(2 * pt.Jp), int(2 * pt.J)
+    return jp2, j2
 
 
 # -- exact bivariate polynomials for the leading-symbol check ----------------------

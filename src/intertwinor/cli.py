@@ -30,7 +30,6 @@ from .spectra import (
     BundleParams,
     DegenerateNormalizationError,
     Family,
-    KTypeLabel,
 )
 
 FAMILY_CHOICES = ("coexact", "exact", "mixed", "m1-delta", "m1-d", "m2")
@@ -149,44 +148,49 @@ def _eval_record(params: BundleParams, jp: int, j: int, r, family: Family,
                  operator: str, mode: str, precision: int = 17) -> dict:
     pt = spectra.spectral_point(params, jp, j, family)
     record = _record_head(params, jp, j, r, family, operator, mode, pt)
+    record.update(_point_values(params, pt, r, family, operator, mode, precision))
+    return record
+
+
+def _point_values(params: BundleParams, pt: spectra.SpectralPoint, r, family: Family,
+                  operator: str, mode: str, precision: int) -> dict:
+    """The values of an eval or table record at an existing label."""
     if operator == "even-order":
         if family is Family.MIXED:
             block = blocks.even_order_block(params, pt, r)
-            record.update(trace=format_fraction(block.trace),
-                          det=format_fraction(block.det))
-        else:
-            value = blocks.even_order_eigenvalue(family, params, pt, r)
-            record.update(value=format_fraction(value), zero=value == 0)
-        return record
+            return {"trace": format_fraction(block.trace), "det": format_fraction(block.det)}
+        value = blocks.even_order_eigenvalue(family, params, pt, r)
+        return {"value": format_fraction(value), "zero": value == 0}
     if family is Family.MIXED:
         det = spectra.mult2_det(pt, r)
-        record["det"] = _fmt_scalar(det, precision)
-        record["pole"] = det.is_pole
+        values = {"det": _fmt_scalar(det, precision), "pole": det.is_pole}
         if mode == "exact":
             try:
                 block = blocks.intertwinor_block(params, pt, r, 1)
-                record["trace_unit_seed"] = format_fraction(block.trace)
+                values["trace_unit_seed"] = format_fraction(block.trace)
             except DegenerateNormalizationError as err:
-                record["trace_unit_seed"] = f"degenerate: {err}"
+                values["trace_unit_seed"] = f"degenerate: {err}"
             try:
                 seed_squared = blocks.block_scale_squared(params, pt, r).serialize()
             except IndeterminateError:  # the s = r pole meets a vanishing gamma part
                 seed_squared = "indeterminate"
-            record["seed_squared"] = seed_squared
-        return record
+            values["seed_squared"] = seed_squared
+        return values
     value = spectra.normalized_eigenvalue(family, params, pt, r)
-    record["coeff"] = _fmt_scalar(value.coeff, precision)
-    record["radicand"] = format_fraction(value.radicand) \
-        if isinstance(value.radicand, Fraction) else _fmt_float(value.radicand, precision)
-    record["pole"] = value.coeff.is_pole
-    record["zero"] = value.coeff.is_zero
+    values = {
+        "coeff": _fmt_scalar(value.coeff, precision),
+        "radicand": format_fraction(value.radicand) if isinstance(value.radicand, Fraction)
+        else _fmt_float(value.radicand, precision),
+        "pole": value.coeff.is_pole,
+        "zero": value.coeff.is_zero,
+    }
     if mode == "float" and value.coeff.is_pole:
-        record["value_float"] = "pole"
+        values["value_float"] = "pole"
     elif mode == "float":
         z = value.to_complex()
-        record["value_float"] = _fmt_float(z.real, precision) if z.imag == 0 else \
+        values["value_float"] = _fmt_float(z.real, precision) if z.imag == 0 else \
             {"re": _fmt_float(z.real, precision), "im": _fmt_float(z.imag, precision)}
-    return record
+    return values
 
 
 @click.group()
@@ -225,16 +229,18 @@ def cmd_eval(p, q, k, a, jp, j, r_text, family, operator, mode, precision, outpu
 
 
 def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision=17):
-    for jp in range(jp_max + 1):
-        for j in range(j_max + 1):
-            if not spectra.ktype_exists(params, KTypeLabel(family, jp, j)):
-                continue
+    """The records of the family's labels with j' <= jp_max, j <= j_max, row by row."""
+    floor = spectra.level_floor(params, family)
+    if floor is None:
+        return
+    for jp in range(floor[0], jp_max + 1):
+        for j in range(floor[1], j_max + 1):
+            pt = spectra.spectral_point(params, jp, j)
+            rec = _record_head(params, jp, j, r, family, operator, mode, pt)
             try:
-                rec = _eval_record(params, jp, j, r, family, operator, mode, precision)
+                rec.update(_point_values(params, pt, r, family, operator, mode, precision))
             except DegenerateNormalizationError:
-                pt = spectra.spectral_point(params, jp, j)
-                rec = dict(_record_head(params, jp, j, r, family, operator, mode, pt),
-                           value="degenerate")
+                rec["value"] = "degenerate"
             yield rec
 
 

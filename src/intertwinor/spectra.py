@@ -29,6 +29,7 @@ from .arithmetic import (
     gamma_ratio_numeric,
     is_integral,
     quotient,
+    twice,
 )
 
 
@@ -49,18 +50,20 @@ class Family(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Family":
-        aliases = {
-            "coexact": cls.COEXACT,
-            "exact": cls.EXACT,
-            "mixed": cls.MIXED,
-            "m1-delta": cls.COEXACT,
-            "m1-d": cls.EXACT,
-            "m2": cls.MIXED,
-        }
         try:
-            return aliases[name.lower()]
+            return _FAMILY_ALIASES[name.lower()]
         except KeyError:
             raise ValueError(f"unknown family {name!r}") from None
+
+
+_FAMILY_ALIASES = {
+    "coexact": Family.COEXACT,
+    "exact": Family.EXACT,
+    "mixed": Family.MIXED,
+    "m1-delta": Family.COEXACT,
+    "m1-d": Family.EXACT,
+    "m2": Family.MIXED,
+}
 
 
 @dataclass(frozen=True)
@@ -90,16 +93,6 @@ class BundleParams:
     def s(self) -> Fraction:
         """Half of n - 2k; the conformal weight parameter of the bundle."""
         return Fraction(self.p + self.q - 2 - 2 * self.k, 2)
-
-    @property
-    def shift1(self) -> Fraction:
-        """(p-2)/2, the level shift on the first factor."""
-        return Fraction(self.p - 2, 2)
-
-    @property
-    def shift2(self) -> Fraction:
-        """(q-2)/2, the level shift on the second factor."""
-        return Fraction(self.q - 2, 2)
 
 
 @dataclass(frozen=True)
@@ -191,7 +184,7 @@ def spectral_point(params: BundleParams, jp: int, j: int,
         raise NonexistentKTypeError(
             f"{family.value} type at (j'={jp}, j={j}) is empty for "
             f"p={params.p}, q={params.q}, k={params.k}, a={params.a}")
-    return SpectralPoint(jp + params.shift1, j + params.shift2)
+    return SpectralPoint(Fraction(2 * jp + params.p - 2, 2), Fraction(2 * j + params.q - 2, 2))
 
 
 # -- transition quantities and eigenvalue formulas ----------------------------
@@ -199,7 +192,8 @@ def spectral_point(params: BundleParams, jp: int, j: int,
 # Each formula is written once, on doubled levels 2J', 2J and doubled order
 # 2r, where every half-integer shift clears and lattice points give plain
 # integers.  The bodies are type-generic: the same code serves ints (the
-# verification sweeps), Fractions and floats (the public wrappers below).
+# verification sweeps, and the public wrappers below at lattice points and
+# integer or half-integer orders), other Fractions and floats.
 
 def transition_factors(mixed: bool, jp2, j2, r2, djp: int, dj: int):
     """Transition quotient to the (dj', dj) neighbor as (numerator, denominator) pairs.
@@ -239,7 +233,7 @@ def seed_gamma_args(jp2, j2):
 def _transition(mixed: bool, pt: SpectralPoint, r: ScalarLike,
                 direction: Direction) -> ExtendedScalar:
     """The transition quotient as the product of its factors' extended-scalar ratios."""
-    factors = transition_factors(mixed, 2 * pt.Jp, 2 * pt.J, 2 * r,
+    factors = transition_factors(mixed, twice(pt.Jp), twice(pt.J), twice(r),
                                  direction.djp, direction.dj)
     out = quotient(*factors[0])
     for num, den in factors[1:]:
@@ -250,7 +244,7 @@ def _transition(mixed: bool, pt: SpectralPoint, r: ScalarLike,
 def _gamma_quotient(mixed: bool, pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
     """Product of the gamma quotients at :func:`gamma_args`: exact (rising
     factorials) for integer r, floating through log-gamma otherwise."""
-    xs2 = gamma_args(mixed, 2 * pt.Jp, 2 * pt.J)
+    xs2 = gamma_args(mixed, twice(pt.Jp), twice(pt.J))
     if is_integral(r):
         return quotient(*gamma_product(xs2, int(r)))
     out = ExtendedScalar.floating(1.0)

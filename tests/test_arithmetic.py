@@ -222,8 +222,11 @@ def test_format_fraction():
     assert format_fraction(Fraction(6, 4)) == "3/2"
     assert format_fraction(5) == "5"
     assert format_fraction(Fraction(-1, 3)) == "-1/3"
-    with pytest.raises(ValueError, match="more than 4300 digits and cannot be written"):
-        format_fraction(Fraction(1, 10 ** 4300))
+    assert format_fraction(-7) == "-7" and format_fraction(0) == "0"
+    assert format_fraction(-10 ** 4299) == "-1" + "0" * 4299
+    for too_long in (Fraction(1, 10 ** 4300), 10 ** 4300, -10 ** 4300):
+        with pytest.raises(ValueError, match="more than 4300 digits and cannot be written"):
+            format_fraction(too_long)
 
 
 def test_is_integral():

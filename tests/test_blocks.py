@@ -387,10 +387,27 @@ class TestEvenOrder:
         with pytest.raises(ValueError):
             even_order_block(PARAMS, pt, Fraction(3, 2))
 
-    def test_off_lattice_point_rejected(self):
-        with pytest.raises(ValueError):
-            even_order_eigenvalue(Family.COEXACT, PARAMS,
-                                  SpectralPoint(Fraction(5, 2), Fraction(1, 2)), 2)
+    @pytest.mark.parametrize("Jp, J", [
+        (Fraction(5, 2), Fraction(1, 2)),  # J' of the wrong parity
+        (3, Fraction(5, 2)),               # J of the wrong parity
+        (0, 3),                            # j' = -1
+        (3, 1),                            # j = -1
+        (Fraction(9, 4), 3),               # not a half-integer
+        (3.0, 3.0),                        # floats
+    ])
+    def test_off_lattice_point_rejected(self, Jp, J):
+        # PARAMS has J' = j' + 1 and J = j + 2
+        pt = SpectralPoint(Jp, J)
+        with pytest.raises(ValueError, match="is not on the level lattice"):
+            even_order_eigenvalue(Family.COEXACT, PARAMS, pt, 2)
+        with pytest.raises(ValueError, match="is not on the level lattice"):
+            even_order_block(PARAMS, pt, 2)
+
+    def test_int_and_fraction_lattice_points_agree(self):
+        for Jp, J in ((1, 2), (3, 3), (4, 6)):
+            want = even_order_eigenvalue(Family.EXACT, PARAMS,
+                                         SpectralPoint(Fraction(Jp), Fraction(J)), 2)
+            assert even_order_eigenvalue(Family.EXACT, PARAMS, SpectralPoint(Jp, J), 2) == want
 
 
 class TestBivariatePoly:

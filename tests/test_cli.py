@@ -213,6 +213,63 @@ class TestTable:
         assert any(rec["seed_squared"] == "indeterminate" for rec in records)
 
 
+def _pinned_commands():
+    """Point queries over every {normalized exact, normalized float, even-order} x
+    {coexact, exact, mixed} stratum in both family spellings, CSV and JSONL
+    tables, and the clean errors."""
+    strata = [["--r", r, "--mode", mode, "--operator", operator]
+              for operator, mode, orders in (("normalized", "exact", ("2", "-1")),
+                                             ("normalized", "float", ("1.25", "-0.75")),
+                                             ("even-order", "exact", ("1", "3")))
+              for r in orders]
+    spellings = (("coexact", "m1-delta"), ("exact", "m1-d"), ("mixed", "m2"))
+    commands = []
+    for stratum in strata:
+        for names in spellings:
+            for family, (p, q, k, a, jp, j) in zip(names, ((5, 6, 2, 1, 3, 2),
+                                                           (4, 7, 2, 1, 2, 5))):
+                bundle = ["--p", str(p), "--q", str(q), "--k", str(k), "--a", str(a),
+                          "--family", family]
+                commands.append(["eval", *bundle, "--jp", str(jp), "--j", str(j), *stratum])
+                commands.append(["table", *bundle, "--jp-max", "3", "--j-max", "4",
+                                 "--format", "csv" if family == names[0] else "jsonl",
+                                 *stratum])
+    return commands + [
+        # degenerate normalization: an error for eval, marked rows in a table
+        ["eval", "--p", "2", "--q", "2", "--k", "0", "--a", "0", "--jp", "1", "--j", "1",
+         "--r", "1", "--family", "coexact"],
+        ["table", "--p", "2", "--q", "2", "--k", "0", "--a", "0", "--jp-max", "2",
+         "--j-max", "2", "--r", "1", "--family", "m1-delta", "--format", "jsonl"],
+        # empty labels, and a family with no K-types at all
+        ["eval", "--p", "4", "--q", "6", "--k", "0", "--a", "0", "--jp", "1", "--j", "1",
+         "--r", "1", "--family", "exact"],
+        ["table", "--p", "2", "--q", "6", "--k", "0", "--a", "0", "--jp-max", "2",
+         "--j-max", "2", "--r", "1", "--family", "exact"],
+        # a float pole: an error for eval, data in a table
+        ["eval", "--p", "7", "--q", "8", "--k", "5", "--a", "3", "--jp", "1", "--j", "2",
+         "--r", "0.5", "--family", "coexact", "--mode", "float"],
+        ["table", "--p", "7", "--q", "8", "--k", "5", "--a", "3", "--jp-max", "3",
+         "--j-max", "3", "--r", "0.5", "--family", "coexact", "--mode", "float"],
+        # the indeterminate seed, which is data
+        ["eval", "--p", "5", "--q", "9", "--k", "4", "--a", "4", "--jp", "10", "--j", "6",
+         "--r", "2", "--family", "mixed"],
+        ["table", "--p", "2", "--q", "6", "--k", "1", "--a", "1", "--jp-max", "3",
+         "--j-max", "3", "--r", "2", "--family", "m2"],
+    ]
+
+
+def test_point_query_outcomes_are_pinned(runner):
+    # sha256 over the exit code, stdout and stderr of every command, as written by
+    # the Fraction-level point path before the wrappers passed int doubled levels
+    lines = []
+    for args in _pinned_commands():
+        result = runner.invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines.append(json.dumps([args, result.exit_code, result.stdout, result.stderr]))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "d38a010c2721add7b8e93d8d09637a1160fd59a443f9eb048f6768645bed557f"
+
+
 class TestVerify:
     def test_exit_zero_and_report(self, runner, tmp_path):
         report = tmp_path / "report.jsonl"
