@@ -11,7 +11,7 @@ second-order quantities enter with a flipped sign: the stored first-factor
 value is ``h_co1 - J'^2`` (the split-signature eigenvalue), whose negative is
 the round-sphere one.  All square-root operators then act by J' and J
 exactly: with lambda a factor sphere's eigenvalue and o the family's doubled
-offset (:func:`family_offsets`), 4*lambda + o^2 is the square of 2J' or 2J
+centered degree on that factor, 4*lambda + o^2 is the square of 2J' or 2J
 at every level, so the even-order products take the doubled levels directly.
 
 Each formula is written once, on doubled levels 2J' = 2j' + p - 2,
@@ -76,15 +76,6 @@ def doubled(params: BundleParams) -> Doubled:
     """The bundle's doubled-level constants."""
     p, q, k, a = params.p, params.q, params.k, params.a
     return Doubled(p - 2 - 2 * (k - a), q - 2 * a, -1 if (k - a) % 2 == 0 else 1)
-
-
-def family_offsets(family: Family, b: Doubled) -> Tuple[int, int]:
-    """Doubled centered degrees whose squares enter the family's square-root operators."""
-    if family is Family.COEXACT:
-        return b.root1, b.root_mix2 - 2
-    if family is Family.EXACT:
-        return b.root1 + 2, b.root_mix2
-    return b.root1, b.root_mix2
 
 
 # -- per-block Laplacian data ---------------------------------------------------
@@ -391,42 +382,37 @@ class BivariatePoly:
 
 
 def symbol_polynomials(family: Family, b: Doubled, r: int, product: BivariatePoly):
-    """The (operator, symbol) pair with integer coefficients in the doubled levels.
+    """The top-degree (operator, symbol) pair with integer coefficients in the doubled levels.
 
     Both are 2 * 4^r times the polynomials of
     :func:`leading_symbol_polynomials`, in the variables (x1, x2) = (2J', 2J).
-    The operator polynomial is the order-2r eigenvalue: the family's prefactor
-    times ``product``, which is :func:`even_product` of the two variables at
-    order r or its top part, the same for every bundle.  The symbol is the prefactor times
-    (x2^2 - x1^2 + c)^r with c = o1^2 - o2^2 from the family's offsets, written
-    out by the trinomial theorem: its x1^(2i) x2^(2j) coefficient is
-    (-1)^i r!/(i! j! (r-i-j)!) c^(r-i-j), for i + j <= r.
+    The operator polynomial is the family's prefactor times ``product``, the
+    top part of :func:`even_product` of the two variables at order r, the same
+    for every bundle.  The symbol is the top part of the prefactor times
+    (x2^2 - x1^2 + c)^r, whose lower terms carry the family's constant c and
+    are not built: the binomial row prefactor * (x2^2 - x1^2)^r, with
+    x1^(2i) x2^(2(r-i)) coefficient (-1)^i C(r, i) times the prefactor.
     """
-    o1, o2 = family_offsets(family, b)
-    c = o1 * o1 - o2 * o2
     prefactor = _order_prefactor(family, b, r)
-    symbol = {}
-    for i in range(r + 1):
-        row = (-1) ** i * comb(r, i) * prefactor
-        for j in range(r - i + 1):
-            symbol[2 * i, 2 * j] = row * comb(r - i, j) * c ** (r - i - j)
+    symbol = {(2 * i, 2 * (r - i)): (-1) ** i * comb(r, i) * prefactor for i in range(r + 1)}
     return product * prefactor, BivariatePoly(symbol)
 
 
 def leading_symbol_polynomials(family: Family, params: BundleParams, r: int):
-    """Exact (operator, symbol) polynomial pair in the shifted levels (J', J).
+    """Top-degree (operator, symbol) polynomial pair in the shifted levels (J', J).
 
-    The first polynomial is the order-2r eigenvalue on the family; the second
-    is the compressed eigenvalue of (s+r)(delta d)^r + (s-r)(d delta)^r on
-    the split-signature product, one of whose terms dies on each
-    multiplicity-one family.  Their top-degree parts agree exactly, which is
-    the leading-term consistency check.
+    The first polynomial is the top part of the order-2r eigenvalue on the
+    family; the second is the top part of the compressed eigenvalue of
+    (s+r)(delta d)^r + (s-r)(d delta)^r on the split-signature product, one
+    of whose terms dies on each multiplicity-one family.  Both are homogeneous
+    of degree 2r, or zero where the prefactor vanishes, and they agree
+    exactly, which is the leading-term consistency check.
     """
     if family is Family.MIXED:
         raise ValueError("leading-symbol polynomials cover the multiplicity-one families")
     if r < 1:
         raise ValueError("need r >= 1")
-    product = even_product(BivariatePoly.var1(), BivariatePoly.var2(), r)
+    product = even_product(BivariatePoly.var1(), BivariatePoly.var2(), r).top_part()
     return tuple(in_levels(poly, r)
                  for poly in symbol_polynomials(family, doubled(params), r, product))
 

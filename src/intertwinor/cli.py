@@ -94,13 +94,17 @@ def _parse_r(text: str, mode: str):
     """
     if mode != "float":
         try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise click.BadParameter(f"could not parse r={text!r}")
-        if value.denominator != 1:
-            raise click.BadParameter(
-                f"even-order operators need an integer r, got {text}" if mode == "even-order"
-                else f"exact mode requires integer r, got {text}; use --mode float")
+            value = int(text)
+        except ValueError:
+            try:
+                value = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                raise click.BadParameter(f"could not parse r={text!r}")
+            if value.denominator != 1:
+                raise click.BadParameter(
+                    f"even-order operators need an integer r, got {text}" if mode == "even-order"
+                    else f"exact mode requires integer r, got {text}; use --mode float")
+            value = value.numerator
     else:
         try:
             value = float(Fraction(text)) if "/" in text else float(text)

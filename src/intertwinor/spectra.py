@@ -324,10 +324,14 @@ def normalized_eigenvalue(family: Family, params: BundleParams,
     """
     if family is Family.MIXED:
         raise ValueError("mixed family carries a 2x2 block, not a single eigenvalue")
-    s = params.s
-    if s == r or s == -r:
+    s2, r2 = params.p + params.q - 2 - 2 * params.k, twice(r)  # 2s and 2r
+    if s2 == r2 or s2 == -r2:
         raise DegenerateNormalizationError(
-            f"normalization breaks at s = {format_fraction(s)} with r = {r}")
-    ratio = (s + r) / (s - r)
+            f"normalization breaks at s = {format_fraction(params.s)} with r = {r}")
+    if isinstance(r, float):
+        s = s2 / 2  # exactly s, in the undoubled form so that 2r cannot overflow
+        ratio = (s + r) / (s - r)
+    else:
+        ratio = Fraction(s2 + r2, s2 - r2)
     radicand = ratio if family is Family.COEXACT else 1 / ratio
     return RadicalValue(mult1_eigenvalue(pt, r), radicand)

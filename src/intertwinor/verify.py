@@ -145,12 +145,21 @@ def iter_bundles(grid: GridSpec) -> Iterator[BundleParams]:
                     yield BundleParams(p, q, k, a)
 
 
-def _point_dict(params: BundleParams, jp: int, j: int, r, extra: Optional[dict] = None) -> dict:
-    out = {"p": params.p, "q": params.q, "k": params.k, "a": params.a,
-           "jp": jp, "j": j, "r": str(r)}
+def _point_head(params: BundleParams, jp: int, j: int, extra: Optional[dict] = None) -> dict:
+    """The point of a record without its order, built once per level.
+
+    A record's point is a copy of the head with the ``r`` text of
+    :func:`_order_texts` set, since a failing record adds its own keys.
+    """
+    out = {"p": params.p, "q": params.q, "k": params.k, "a": params.a, "jp": jp, "j": j}
     if extra:
         out.update(extra)
     return out
+
+
+def _order_texts(orders) -> List[Tuple[int, str]]:
+    """Each order with its ``r`` text, formatted once per suite call."""
+    return [(r, str(r)) for r in orders]
 
 
 def slice_grids(grid: GridSpec) -> Iterator[GridSpec]:
@@ -203,6 +212,7 @@ def run_diamond_checks(grid: GridSpec) -> List[CheckReport]:
     """
     reports: List[CheckReport] = []
     tables = {mixed: _diamond_table(mixed) for mixed in (False, True)}
+    orders = _order_texts(grid.r_values)
     for params in iter_bundles(grid):
         dp, dq = params.p - 2, params.q - 2
         for family in (Family.COEXACT, Family.EXACT, Family.MIXED):
@@ -213,8 +223,10 @@ def run_diamond_checks(grid: GridSpec) -> List[CheckReport]:
             fails = tables[family is Family.MIXED]
             fam_pt = {"family": family.value}
             for jp, j in _quadrant(floor, grid.j_max):
-                for r in grid.r_values:
-                    point = _point_dict(params, jp, j, r, fam_pt)
+                head = _point_head(params, jp, j, fam_pt)
+                for r, r_text in orders:
+                    point = head.copy()
+                    point["r"] = r_text
                     for djp, dj, fail in fails(dp, dq, jp, j, r):
                         if jp + djp >= lo1 and j + dj >= lo2:
                             point["identity"], lhs, rhs = fail
@@ -294,6 +306,7 @@ def run_interface_checks(grid: GridSpec) -> List[CheckReport]:
     integers.
     """
     reports: List[CheckReport] = []
+    orders = _order_texts(grid.r_values)
     for params in iter_bundles(grid):
         floor = spectra.level_floor(params, Family.MIXED)
         if floor is None:
@@ -314,8 +327,10 @@ def run_interface_checks(grid: GridSpec) -> List[CheckReport]:
             n1, n2 = blocks.shift_values(b, j2)  # the equations take n1/2, n2/2
             lap1, lap2 = blocks.laplace_values(b, jp2, j2)
             lap = lap1 * lap2  # 16 times the product of the factor Laplacians
-            for r in grid.r_values:
-                point = _point_dict(params, jp, j, r)
+            head = _point_head(params, jp, j)
+            for r, r_text in orders:
+                point = head.copy()
+                point["r"] = r_text
                 r2 = 2 * r
                 try:
                     (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
@@ -367,6 +382,7 @@ def run_det_checks(grid: GridSpec) -> List[CheckReport]:
         return (arithmetic.gamma_product(spectra.gamma_args(True, jp2, j2), r),
                 arithmetic.gamma_product(spectra.seed_gamma_args(jp2, j2), r))
 
+    orders = _order_texts(grid.r_values)
     for params in iter_bundles(grid):
         floor = spectra.level_floor(params, Family.MIXED)
         if floor is None:
@@ -377,8 +393,10 @@ def run_det_checks(grid: GridSpec) -> List[CheckReport]:
         for jp, j in _quadrant(floor, grid.j_max):
             jp2, j2 = 2 * jp + dp, 2 * j + dq
             plus, minus = jp2 + j2, jp2 - j2
-            for r in grid.r_values:
-                point = _point_dict(params, jp, j, r)
+            head = _point_head(params, jp, j)
+            for r, r_text in orders:
+                point = head.copy()
+                point["r"] = r_text
                 r2 = 2 * r
                 try:
                     (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
@@ -432,9 +450,10 @@ def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
     library's kernels, and a witness is the value compared.
     """
     reports: List[CheckReport] = []
-    orders = tuple(r for r in grid.r_values if r >= 1)  # operators start at order 2
+    orders = _order_texts(r for r in grid.r_values if r >= 1)  # operators start at order 2
     x1, x2 = blocks.BivariatePoly.var1(), blocks.BivariatePoly.var2()
-    products = {r: blocks.even_product(x1, x2, r).top_part() for r in orders}  # for all bundles
+    # the top part of the product, the same for all bundles
+    products = {r: blocks.even_product(x1, x2, r).top_part() for r, _ in orders}
 
     @cache
     def gamma(mixed, jp2, j2, r):
@@ -455,8 +474,10 @@ def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
             if not (here_m or here_co or here_ex):
                 continue
             jp2, j2 = 2 * jp + dp, 2 * j + dq
-            for r in orders:
-                point = _point_dict(params, jp, j, r)
+            head = _point_head(params, jp, j)
+            for r, r_text in orders:
+                point = head.copy()
+                point["r"] = r_text
                 r2 = 2 * r
                 bad = None
                 evs = [(family, blocks.even_order_pair(family, b, jp2, j2, r))
@@ -507,12 +528,14 @@ def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
                     name, lhs, rhs = bad
                     point["identity"] = name
                     reports.append(CheckReport("even-order", point, FAIL, lhs=lhs, rhs=rhs))
-        for r in orders:
-            for family in (Family.COEXACT, Family.EXACT):
-                point = _point_dict(params, -1, -1, r, {"family": family.value,
-                                                        "identity": "leading-symbol"})
+        heads = [(family, _point_head(params, -1, -1, {"family": family.value,
+                                                       "identity": "leading-symbol"}))
+                 for family in (Family.COEXACT, Family.EXACT)]
+        for r, r_text in orders:
+            for family, head in heads:
+                point = head.copy()
+                point["r"] = r_text
                 p_op, p_sym = blocks.symbol_polynomials(family, b, r, products[r])
-                p_sym = p_sym.top_part()
                 if p_op == p_sym:
                     reports.append(CheckReport("even-order", point, PASS))
                 else:
@@ -533,12 +556,13 @@ def run_scalar_reduction(grid: GridSpec) -> List[CheckReport]:
     normalization radical degenerates only at s = +-r, which is counted.
     """
     reports: List[CheckReport] = []
+    orders = _order_texts(grid.r_values)
     for params in iter_bundles(grid):
         if params.k != 0:
             continue
         floors = [spectra.level_floor(params, family)
                   for family in (Family.EXACT, Family.MIXED, Family.COEXACT)]
-        s = params.s
+        s2 = blocks.doubled(params).s2
         dp, dq = params.p - 2, params.q - 2
         for jp, j in _quadrant((0, 0), grid.j_max):
             # the existence verdicts do not depend on r
@@ -553,11 +577,13 @@ def run_scalar_reduction(grid: GridSpec) -> List[CheckReport]:
             else:
                 bad = None
             xs2 = spectra.gamma_args(False, 2 * jp + dp, 2 * j + dq)
-            for r in grid.r_values:
-                point = _point_dict(params, jp, j, r)
+            head = _point_head(params, jp, j)
+            for r, r_text in orders:
+                point = head.copy()
+                point["r"] = r_text
                 if bad:
                     reports.append(CheckReport("scalar-reduction", point, FAIL, lhs=bad, rhs=""))
-                elif s in (r, -r):
+                elif s2 == 2 * r or s2 == -2 * r:
                     reports.append(CheckReport("scalar-reduction", point, SKIP,
                                                lhs="normalization degenerates at s=+-r"))
                 elif arithmetic.gamma_product(xs2, r)[1] == 0:

@@ -17,13 +17,13 @@ from intertwinor.blocks import (
     even_order_eigenvalue,
     doubled,
     even_product,
-    family_offsets,
     interface_constants,
     interface_shifts,
     intertwinor_block,
     laplace_data,
     leading_symbol_polynomials,
     order2_pair,
+    symbol_polynomials,
     two_by_two,
 )
 from intertwinor.spectra import (
@@ -310,6 +310,15 @@ class TestOrderTwo:
             assert order2_block(PARAMS, pt).det / det == expected
 
 
+def family_offsets(family, b):
+    """Doubled centered degrees whose squares enter the family's square-root operators."""
+    if family is Family.COEXACT:
+        return b.root1, b.root_mix2 - 2
+    if family is Family.EXACT:
+        return b.root1 + 2, b.root_mix2
+    return b.root1, b.root_mix2
+
+
 class TestEvenOrder:
     def test_r1_reproduces_order2(self):
         for params in (PARAMS, BundleParams(5, 4, 2, 1), BundleParams(3, 3, 1, 0)):
@@ -425,6 +434,11 @@ class TestBivariatePoly:
         del y
 
 
+SYMBOL_BUNDLES = [PARAMS, BundleParams(4, 6, 1, 0), BundleParams(5, 5, 0, 0),
+                  BundleParams(3, 2, 0, 0), BundleParams(2, 2, 2, 1),
+                  BundleParams(3, 3, 4, 2)]  # s = 2, 3, 4, 3/2, -1, -2
+
+
 class TestLeadingSymbol:
     def test_order_one_coexact(self):
         p_op, p_sym = leading_symbol_polynomials(Family.COEXACT, PARAMS, 1)
@@ -456,16 +470,20 @@ class TestLeadingSymbol:
                 assert p_op.top_part() == p_sym.top_part()
 
     def test_full_polynomials_match_a_sympy_expansion(self):
-        # the whole polynomials, not only their tops, against sympy's own
-        # expansion of the same expressions in the shifted levels (J', J)
+        # the returned tops against the top-degree parts of sympy's own
+        # expansion of the whole expressions in the shifted levels (J', J),
+        # the symbol's constant c included
         sympy = pytest.importorskip("sympy")
         gens = sympy.symbols("jp j")
         jp, j = (sympy.Poly(g, *gens, domain="QQ") for g in gens)
-        bundles = [PARAMS, BundleParams(4, 6, 1, 0), BundleParams(5, 5, 0, 0),
-                   BundleParams(3, 2, 0, 0), BundleParams(2, 2, 2, 1),
-                   BundleParams(3, 3, 4, 2)]  # s = 2, 3, 4, 3/2, -1, -2
+
+        def top(poly):
+            degree = poly.total_degree()
+            return {key: Fraction(int(v.numerator), int(v.denominator))
+                    for key, v in poly.as_dict().items() if v and sum(key) == degree}
+
         zero_prefactors = set()
-        for params in bundles:
+        for params in SYMBOL_BUNDLES:
             for family in (Family.COEXACT, Family.EXACT):
                 o1, o2 = family_offsets(family, doubled(params))
                 c = sympy.Rational(o1 * o1 - o2 * o2, 4)
@@ -476,9 +494,26 @@ class TestLeadingSymbol:
                     want_sym = (j * j - jp * jp + c) ** r * pref
                     got = leading_symbol_polynomials(family, params, r)
                     for poly, want in zip(got, (want_op, want_sym)):
-                        assert poly.coeffs == {key: Fraction(int(v.numerator), int(v.denominator))
-                                               for key, v in want.as_dict().items() if v}
+                        assert poly.coeffs == top(want)
                     if pref == 0:
                         zero_prefactors.add(family)
                         assert not got[0] and not got[1]
+        assert zero_prefactors == {Family.COEXACT, Family.EXACT}
+
+    def test_symbol_kernel_builds_homogeneous_tops(self):
+        # both polynomials of the kernel, given the product's top part as the
+        # gate passes it, have degree 2r in every term, or no term at all
+        x1, x2 = BivariatePoly.var1(), BivariatePoly.var2()
+        zero_prefactors = set()
+        for params in SYMBOL_BUNDLES:
+            b = doubled(params)
+            for family in (Family.COEXACT, Family.EXACT):
+                for r in range(1, 9):
+                    product = even_product(x1, x2, r).top_part()
+                    prefactor = b.s2 + 2 * r if family is Family.COEXACT else b.s2 - 2 * r
+                    for poly in symbol_polynomials(family, b, r, product):
+                        assert all(i + j == 2 * r for i, j in poly.coeffs)
+                        assert bool(poly) == (prefactor != 0)
+                    if prefactor == 0:
+                        zero_prefactors.add(family)
         assert zero_prefactors == {Family.COEXACT, Family.EXACT}

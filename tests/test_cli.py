@@ -495,6 +495,38 @@ def test_even_order_rejects_non_integer_r(runner, args):
     assert "--mode float" not in result.output.splitlines()[-1]
 
 
+ORDER_MODES = {"exact": ["--mode", "exact"], "even-order": ["--operator", "even-order"],
+               "float": ["--mode", "float"]}
+EVAL_AT = ["eval", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp", "1", "--j", "2",
+           "--family", "coexact"]
+
+
+# each order text with the plain integer it reads as, or its usage error; the
+# outcomes were recorded before plain integers were parsed with int()
+@pytest.mark.parametrize("text, reads_as", [
+    ("4", "4"), (" 4 ", "4"), ("+4", "4"), ("-0", "0"), ("4_0", "40"), ("\u0663", "3"),
+    ("6/2", "3"), ("3.0", "3"), ("1e1", "10"),
+    ("0x10", "could not parse r='0x10'"), ("1_", "could not parse r='1_'"),
+    ("\u00b2", "could not parse r='\u00b2'"),
+    ("257", "integer orders need |r| <= 256, got r=257"),
+    ("-257", "integer orders need |r| <= 256, got r=-257"),
+])
+@pytest.mark.parametrize("mode", ORDER_MODES)
+def test_order_texts_parse_as_before(runner, mode, text, reads_as):
+    result = runner.invoke(main, EVAL_AT + ORDER_MODES[mode] + ["--r", text])
+    outcome = (result.exit_code, result.stdout, result.stderr)
+    if reads_as.isascii() and reads_as.isdigit():
+        plain = runner.invoke(main, EVAL_AT + ORDER_MODES[mode] + ["--r", reads_as])
+        assert outcome == (plain.exit_code, plain.stdout, plain.stderr)
+        if (mode, reads_as) == ("even-order", "0"):
+            assert outcome == (1, "", "Error: even-order operators need integer r >= 1, got 0\n")
+        else:
+            assert result.exit_code == 0 and json.loads(result.stdout)["r"] == reads_as
+    else:
+        assert outcome == (2, "", "Usage: main eval [OPTIONS]\nTry 'main eval --help' for help."
+                                  f"\n\nError: Invalid value: {reads_as}\n")
+
+
 @pytest.mark.parametrize("args", [
     ["eval", "--p", "2", "--q", "6", "--k", "0", "--a", "0", "--jp", "0", "--j", "3",
      "--family", "coexact"],
