@@ -27,7 +27,6 @@ from .spectra import (
     NonexistentKTypeError,
     RadicalValue,
     SpectralPoint,
-    cross_type_quotient,
     ktype_exists,
     mult1_eigenvalue,
     mult1_transition,
@@ -52,7 +51,6 @@ __all__ = [
     "NonexistentKTypeError",
     "RadicalValue",
     "SpectralPoint",
-    "cross_type_quotient",
     "ktype_exists",
     "mult1_eigenvalue",
     "mult1_transition",

@@ -8,15 +8,16 @@ point through log-gamma with explicit sign tracking for negative arguments.
 
 Poles and zeros of these quotients are meaningful spectral data (kernels and
 cokernels of the intertwinors), so the value domain is extended by an explicit
-pole marker instead of raising on division by zero.  Truly indeterminate
-configurations (0/0, pole times zero) are always reported as errors, never
-silently resolved.
+pole marker: :func:`quotient` returns it at a zero denominator instead of
+raising.  Truly indeterminate configurations (0/0 in :func:`quotient`, pole
+times zero) are always reported as errors, never silently resolved.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -31,34 +32,17 @@ class IndeterminateError(ArithmeticError):
     """An expression of the form 0/0 or pole*0 was encountered."""
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ExtendedScalar:
     """A rational or floating value extended with a pole marker.
 
-    Instances are immutable.  ``Finite(0)`` is a legal value distinct from
-    the pole.  The pole absorbs multiplication by any nonzero finite value;
-    pole times zero raises :class:`IndeterminateError`.
+    Instances are immutable; ``ExtendedScalar(Fraction(0))`` is a legal value
+    distinct from the pole.  They multiply only with each other: the pole
+    absorbs any nonzero value, and pole times zero raises
+    :class:`IndeterminateError`.
     """
 
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Union[Fraction, float, None]):
-        # None encodes the pole
-        object.__setattr__(self, "_value", value)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ExtendedScalar is immutable")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def exact(cls, value: Rational) -> "ExtendedScalar":
-        return cls(Fraction(value))
-
-    @classmethod
-    def floating(cls, value: float) -> "ExtendedScalar":
-        return cls(float(value))
-
-    # -- predicates ----------------------------------------------------------
+    _value: Union[Fraction, float, None]  # None is the pole
 
     @property
     def is_pole(self) -> bool:
@@ -81,46 +65,14 @@ class ExtendedScalar:
     def to_float(self) -> float:
         return float(self.value)
 
-    # -- arithmetic ----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "ExtendedScalar":
-        if isinstance(other, ExtendedScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExtendedScalar.exact(other)
-        if isinstance(other, float):
-            return ExtendedScalar.floating(other)
-        return NotImplemented
-
     def __mul__(self, other) -> "ExtendedScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, ExtendedScalar):
             return NotImplemented
-        if self.is_pole or other.is_pole:
-            if (not self.is_pole and self.is_zero) or (not other.is_pole and other.is_zero):
+        if self._value is None or other._value is None:
+            if self.is_zero or other.is_zero:
                 raise IndeterminateError("pole * 0 is indeterminate")
             return POLE
         return ExtendedScalar(self._value * other._value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ExtendedScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_pole and other.is_pole:
-            raise IndeterminateError("pole / pole is indeterminate")
-        if self.is_pole:
-            return POLE
-        if other.is_pole:
-            return ExtendedScalar(0 * self._value)  # finite / pole = 0, keeps exactness
-        return quotient(self._value, other._value)
-
-    def __neg__(self) -> "ExtendedScalar":
-        if self.is_pole:
-            return POLE
-        return ExtendedScalar(-self._value)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, float)):
@@ -293,7 +245,7 @@ def gamma_ratio_numeric(x: float, r: float) -> ExtendedScalar:
     if a_pole:
         return POLE
     if b_pole:
-        return ExtendedScalar.floating(0.0)
+        return ExtendedScalar(0.0)
     sign = _gamma_sign(a) * _gamma_sign(b)
     try:
         magnitude = math.exp(math.lgamma(a) - math.lgamma(b))
@@ -301,4 +253,4 @@ def gamma_ratio_numeric(x: float, r: float) -> ExtendedScalar:
         raise OverflowError(
             f"gamma quotient G((x+r)/2)/G((x-r)/2) at x={x!r}, r={r!r} "
             "exceeds the float range") from None
-    return ExtendedScalar.floating(sign * magnitude)
+    return ExtendedScalar(sign * magnitude)

@@ -236,8 +236,8 @@ def block_scale_squared(params: BundleParams, pt: SpectralPoint, r: int) -> Exte
     if not is_integral(r):
         raise ValueError(f"the exact seed needs integer r, got {r!r}")
     gamma_part = quotient(*gamma_product(seed_gamma_args(twice(pt.Jp), twice(pt.J)), int(r)))
-    s = params.s
-    return quotient(s + r, s - r) * gamma_part * gamma_part
+    s2, r2 = doubled(params).s2, twice(r)
+    return quotient(s2 + r2, s2 - r2) * gamma_part * gamma_part
 
 
 # -- order-2 and order-2r operators ------------------------------------------------

@@ -27,12 +27,12 @@ import click
 from . import blocks, spectra, torus, verify
 from .arithmetic import IndeterminateError, format_fraction
 from .spectra import (
+    FAMILY_ALIASES,
     BundleParams,
     DegenerateNormalizationError,
     Family,
 )
 
-FAMILY_CHOICES = ("coexact", "exact", "mixed", "m1-delta", "m1-d", "m2")
 TABLE_HEADER = ("p", "q", "k", "a", "jp", "j", "r", "family", "operator",
                 "s", "Jp", "J", "value", "coeff", "radicand", "trace", "det")
 #: the largest |r| on the exact path, whose cost grows with |r|
@@ -136,22 +136,24 @@ def _fmt_scalar(x, precision: int) -> str:
     return x.serialize() if x.is_pole or x.is_exact else _fmt_float(x.value, precision)
 
 
-def _record_head(params: BundleParams, jp: int, j: int, r, family: Family,
-                 operator: str, mode: str, pt: spectra.SpectralPoint) -> dict:
-    """The inputs and the spectral point that every eval and table record starts with."""
+def _record_head(params: BundleParams, r, family: Family, operator: str, mode: str) -> dict:
+    """The inputs that every eval and table record of one command starts with."""
     return {
         "p": params.p, "q": params.q, "k": params.k, "a": params.a,
-        "jp": jp, "j": j, "r": str(r), "family": family.value,
-        "operator": operator, "mode": mode,
+        "r": str(r), "family": family.value, "operator": operator, "mode": mode,
         "s": format_fraction(params.s),
-        "Jp": format_fraction(pt.Jp), "J": format_fraction(pt.J),
     }
 
 
+def _point_head(head: dict, jp: int, j: int, pt: spectra.SpectralPoint) -> dict:
+    """A new record: the command's head plus the levels and the spectral point."""
+    return {**head, "jp": jp, "j": j, "Jp": format_fraction(pt.Jp), "J": format_fraction(pt.J)}
+
+
 def _eval_record(params: BundleParams, jp: int, j: int, r, family: Family,
-                 operator: str, mode: str, precision: int = 17) -> dict:
+                 operator: str, mode: str, precision: int) -> dict:
     pt = spectra.spectral_point(params, jp, j, family)
-    record = _record_head(params, jp, j, r, family, operator, mode, pt)
+    record = _point_head(_record_head(params, r, family, operator, mode), jp, j, pt)
     record.update(_point_values(params, pt, r, family, operator, mode, precision))
     return record
 
@@ -210,7 +212,7 @@ def main():
 @click.option("--jp", type=INT64, required=True, help="first-factor harmonic level j'")
 @click.option("--j", type=INT64, required=True, help="second-factor harmonic level j")
 @click.option("--r", "r_text", type=str, required=True, help="order parameter")
-@click.option("--family", type=click.Choice(FAMILY_CHOICES), required=True)
+@click.option("--family", type=click.Choice(tuple(FAMILY_ALIASES)), required=True)
 @click.option("--operator", type=click.Choice(("normalized", "even-order")),
               default="normalized", show_default=True)
 @click.option("--mode", type=click.Choice(("exact", "float")), default="exact",
@@ -232,15 +234,16 @@ def cmd_eval(p, q, k, a, jp, j, r_text, family, operator, mode, precision, outpu
     _emit(_json_line(record), _resolve_out(output))
 
 
-def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision=17):
+def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision):
     """The records of the family's labels with j' <= jp_max, j <= j_max, row by row."""
     floor = spectra.level_floor(params, family)
     if floor is None:
         return
+    head = _record_head(params, r, family, operator, mode)
     for jp in range(floor[0], jp_max + 1):
         for j in range(floor[1], j_max + 1):
             pt = spectra.spectral_point(params, jp, j)
-            rec = _record_head(params, jp, j, r, family, operator, mode, pt)
+            rec = _point_head(head, jp, j, pt)
             try:
                 rec.update(_point_values(params, pt, r, family, operator, mode, precision))
             except DegenerateNormalizationError:
@@ -256,7 +259,7 @@ def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision=17):
 @click.option("--jp-max", type=click.IntRange(0, INT64_MAX), required=True)
 @click.option("--j-max", type=click.IntRange(0, INT64_MAX), required=True)
 @click.option("--r", "r_text", type=str, required=True)
-@click.option("--family", type=click.Choice(FAMILY_CHOICES), required=True)
+@click.option("--family", type=click.Choice(tuple(FAMILY_ALIASES)), required=True)
 @click.option("--operator", type=click.Choice(("normalized", "even-order")),
               default="normalized", show_default=True)
 @click.option("--mode", type=click.Choice(("exact", "float")), default="exact",

@@ -51,12 +51,13 @@ class Family(enum.Enum):
     @classmethod
     def parse(cls, name: str) -> "Family":
         try:
-            return _FAMILY_ALIASES[name.lower()]
+            return FAMILY_ALIASES[name.lower()]
         except KeyError:
             raise ValueError(f"unknown family {name!r}") from None
 
 
-_FAMILY_ALIASES = {
+#: every accepted family spelling, in the order the CLI lists them
+FAMILY_ALIASES = {
     "coexact": Family.COEXACT,
     "exact": Family.EXACT,
     "mixed": Family.MIXED,
@@ -247,7 +248,7 @@ def _gamma_quotient(mixed: bool, pt: SpectralPoint, r: ScalarLike) -> ExtendedSc
     xs2 = gamma_args(mixed, twice(pt.Jp), twice(pt.J))
     if is_integral(r):
         return quotient(*gamma_product(xs2, int(r)))
-    out = ExtendedScalar.floating(1.0)
+    out = ExtendedScalar(1.0)
     for x2 in xs2:
         out = out * gamma_ratio_numeric(float(x2 / 2), float(r))
     return out
@@ -269,11 +270,6 @@ def mult1_eigenvalue(pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
     exact (rising factorial) for integer r, floating otherwise.
     """
     return _gamma_quotient(False, pt, r)
-
-
-def cross_type_quotient(params: BundleParams, r: ScalarLike) -> ExtendedScalar:
-    """Quotient from the coexact family to the exact family: (s - r)/(s + r)."""
-    return quotient(params.s - r, params.s + r)
 
 
 def mult2_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> ExtendedScalar:
@@ -306,12 +302,6 @@ class RadicalValue:
 
     def to_complex(self) -> complex:
         return complex(self.coeff.to_float()) * cmath.sqrt(complex(self.radicand))
-
-    def to_float(self) -> float:
-        z = self.to_complex()
-        if z.imag != 0.0:
-            raise ValueError(f"value {self} is not real")
-        return z.real
 
 
 def normalized_eigenvalue(family: Family, params: BundleParams,

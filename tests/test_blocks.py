@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from intertwinor.arithmetic import format_fraction
+from intertwinor.arithmetic import IndeterminateError, format_fraction
 from intertwinor.blocks import (
     BivariatePoly,
     CasimirShifts,
@@ -203,6 +203,11 @@ class TestSeedScale:
     def test_pole_at_s_equals_r(self):
         params = BundleParams(4, 6, 3, 1)  # s = 1
         assert block_scale_squared(params, SpectralPoint(Fraction(3), Fraction(1)), 1).is_pole
+
+    def test_s_equals_r_zero_is_indeterminate(self):
+        params = BundleParams(2, 2, 1, 1)  # s = 0
+        with pytest.raises(IndeterminateError, match="0 / 0 is indeterminate"):
+            block_scale_squared(params, SpectralPoint(Fraction(1), Fraction(1)), 0)
 
     def test_det_consistency_with_gamma_form(self):
         # gamma-quotient det equals the transition product times the squared seed

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import intertwinor
 from intertwinor import verify
 from intertwinor.cli import main
+from intertwinor.spectra import BundleParams
 
 
 @pytest.fixture
@@ -213,6 +214,23 @@ class TestTable:
         assert any(rec["seed_squared"] == "indeterminate" for rec in records)
 
 
+@pytest.mark.parametrize("args", [
+    ["table", "--p", "5", "--q", "6", "--k", "2", "--a", "1", "--jp-max", "3", "--j-max", "4",
+     "--r", "2", "--family", "mixed"],
+    ["eval", "--p", "5", "--q", "6", "--k", "2", "--a", "1", "--jp", "3", "--j", "2",
+     "--r", "2", "--family", "mixed"],
+], ids=["table", "eval"])
+def test_bundle_weight_is_read_once_per_command(runner, monkeypatch, args):
+    # the bundle part of the record head is built once per command, and the
+    # mixed seed reads the doubled weight 2s instead of the Fraction s
+    reads = []
+    weight = BundleParams.s
+    monkeypatch.setattr(BundleParams, "s",
+                        property(lambda params: reads.append(params) or weight.fget(params)))
+    assert run_ok(runner, args).output
+    assert len(reads) == 1
+
+
 def _pinned_commands():
     """Point queries over every {normalized exact, normalized float, even-order} x
     {coexact, exact, mixed} stratum in both family spellings, CSV and JSONL
@@ -268,6 +286,30 @@ def test_point_query_outcomes_are_pinned(runner):
         lines.append(json.dumps([args, result.exit_code, result.stdout, result.stderr]))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
         "d38a010c2721add7b8e93d8d09637a1160fd59a443f9eb048f6768645bed557f"
+
+
+def _torus_commands():
+    """Exact and float torus runs for every k, at a small and the benchmark's M,
+    over passing, pole and float orders."""
+    return [["torus", "--k", k, "--r", r, "--M", m, "--mode", mode]
+            for k in ("0", "1", "2") for m in ("3", "8")
+            for mode, orders in (("exact", ("0", "1", "2", "3", "-1")),
+                                 ("float", ("0.5", "1.5", "2.5", "2")))
+            for r in orders]
+
+
+def test_torus_outcomes_are_pinned(runner):
+    # sha256 over the exit code, stdout and stderr of every command, as for the
+    # point queries; the float orders run the log-gamma quotients
+    lines, codes = [], []
+    for args in _torus_commands():
+        result = runner.invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        codes.append(result.exit_code)
+        lines.append(json.dumps([args, result.exit_code, result.stdout, result.stderr]))
+    assert (len(codes), codes.count(0), codes.count(1)) == (54, 48, 6)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "ccee1f1f3148b507c02157164c43afc372117097371dcc3bd1e879b8cad9aaf5"
 
 
 class TestVerify:
