@@ -38,6 +38,15 @@ modes with x + s inside the interior cut, ``MARGIN`` modes in from the
 truncation, are compared, so no truncated contribution enters; a column
 counts as checked only when at least one shift identity was compared on it,
 which needs M >= 3.
+
+The identity at (-x, -s) has the same operands as the one at (x, s), so the
+check visits only the half-plane m > 0 or (m = 0, n >= 0) of interior modes:
+``blocks[-m, -n]`` is the object ``blocks[m, n]``, because a sign class is
+unchanged by negation; N is even, N(-x) = N(x); and the shift rows are
+closed under s -> -s with equal weights (phi is 1/4 on every shift and the
+P weight is -dm dn/4), which ``_scaled_shifts`` enforces.  The column of a
+visited mode counts for itself and for its mirror, the origin once, so
+``columns`` still counts every interior column compared.
 """
 
 from __future__ import annotations
@@ -271,7 +280,8 @@ def _mode_blocks(k: int, M: int, r) -> Dict[Tuple[int, int], Tuple[tuple, object
     entries carry m n, the same number on every mode of the class.  So the
     block is evaluated once per class, at the class's first mode in basis
     order, and shared by the rest; a pole names the first retained mode that
-    has one.
+    has one.  Negation keeps the class, so ``blocks[-m, -n]`` is the same
+    object as ``blocks[m, n]``.
     """
     span = range(-M, M + 1)
     by_class, blocks = {}, {}
@@ -343,11 +353,19 @@ def _scaled_shifts(k: int):
     half * (N(x + (dm, dn)) - N(x)), scale * phi with weight phi, and
     scale * (-P) with weight off into the swapped component.  phi and P are
     read from the rows ``assemble`` builds them from.
+
+    The rows must be closed under (dm, dn) -> (-dm, -dn) with the same three
+    weights, which ``intertwining_residual`` relies on to compare each
+    mirror pair of identities once; a table that is not raises ValueError.
     """
     comp = _COMPONENTS[k][0]
     phi, p_op = ({(dm, dn): c for dm, dn, src, _, c in _TABLES[name, k] if src == comp}
                  for name in ("phi-mult", "P"))
     rows = [(dm, dn, c / 2, c, -p_op.get((dm, dn), 0)) for (dm, dn), c in phi.items()]
+    weights = {row[:2]: row[2:] for row in rows}
+    for (dm, dn), w in weights.items():
+        if weights.get((-dm, -dn)) != w:
+            raise ValueError(f"k = {k}: the shift ({dm}, {dn}) and its negation differ")
     scale = math.lcm(*(Fraction(v).denominator for row in rows for v in row[2:]))
     return scale, [row[:2] + tuple(int(scale * v) for v in row[2:]) for row in rows]
 
@@ -363,9 +381,16 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     s with x + s interior: A(x+s) (C_s - r phi_s) = (C_s + r phi_s) A(x) on
     the mode blocks.  Exact mode compares integers cross-multiplied by the
     block denominators and the common denominator of C and phi; float mode
-    runs the same loop on floats.  ``columns`` counts the interior basis
-    vectors on which at least one shift identity was compared, so it is 0
-    when no mode has an interior neighbor (M <= 2).
+    runs the same loop on floats.
+
+    The identity at the mirror (-x, -s) compares the same numbers as the one
+    at (x, s): the blocks of -x and x are one object, N(-x) = N(x), and the
+    shift -s has the weights of s.  So only interior modes with m > 0, or
+    m = 0 and n >= 0, are visited, each with all four shifts, and each
+    visited column counts for itself and its mirror (the origin once).
+    ``columns`` thus counts every interior basis vector on which at least
+    one shift identity was compared, directly or through its mirror, so it
+    is 0 when no mode has an interior neighbor (M <= 2).
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
@@ -377,15 +402,14 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     blocks = _mode_blocks(k, M, order)
     scale, shifts = _SHIFTS[k]
     cut = M - MARGIN
-    inner = range(-cut, cut + 1)
     cells = range(len(basis.components) ** 2)
     # lhs applies A(x+s) to C - r phi formed first; rhs adds r phi A(x) to
     # C A(x) last.  The scale is a power of two and changes no rounding, so
     # float mode gives the unscaled products bit for bit; exact mode's int
     # division rounds correctly, so its maximum is the exact maximum rounded.
     worst, checked = 0, 0
-    for m in inner:
-        for n in inner:
+    for m in range(cut + 1):
+        for n in range(-cut if m else 0, cut + 1):
             ax, dx = blocks[m, n]
             nx = _bochner(m, n)
             compared = False
@@ -407,6 +431,6 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
                     diff = lhs * dx - (rhs + order * (phi * ax[e])) * dy
                     if diff:
                         worst = max(worst, abs(diff / (scale * dx * dy)))
-            checked += compared
+            checked += compared * (2 if m or n else 1)
     return ResidualResult(k=k, r=r, M=M, mode=mode, residual=float(worst),
                           columns=checked * len(basis.components))

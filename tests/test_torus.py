@@ -283,8 +283,12 @@ class TestIntertwiningResidual:
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_matches_operator_algebra(self, k, r):
-        result = intertwining_residual(5, k, r, mode="exact")
-        assert result.residual == float(reference_residual(5, k, r))
+        # M = 3 is the smallest interior with a neighbor, so the origin and the
+        # m = 0 half-line of the visited half-plane are most of it; M = 4 and 5
+        # cut the interior at both parities
+        for M in (3, 4, 5):
+            result = intertwining_residual(M, k, r, mode="exact")
+            assert result.residual == float(reference_residual(M, k, r))
 
     @pytest.mark.parametrize("k, r, want", [
         (0, 1, Fraction(5, 12)), (0, 2, Fraction(1, 2)), (0, 3, Fraction(7, 12)),
@@ -359,6 +363,45 @@ class TestIntertwiningResidual:
         assert repr(intertwining_residual(M, k, r, mode="float").residual) == want
 
     def test_larger_grid(self):
-        result = intertwining_residual(96, 1, 2, mode="exact")
-        assert result.exact_zero
-        assert result.columns == 2 * 189 ** 2
+        for k in (0, 1):
+            result = intertwining_residual(96, k, 2, mode="exact")
+            assert result.exact_zero
+            assert result.columns == (1 + (k == 1)) * 189 ** 2
+
+
+class TestMirrorPairs:
+    """The residual compares the identities at (x, s) and (-x, -s) once, which
+    holds because the two have the same operands."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("M", [3, 8])
+    @pytest.mark.parametrize("r", [2, 1.5])
+    def test_mirror_modes_share_one_block(self, k, M, r):
+        blocks = torus._mode_blocks(k, M, r)
+        assert len(blocks) == (2 * M + 1) ** 2
+        assert all(blocks[m, n] is blocks[-m, -n] for m, n in blocks)
+
+    @pytest.mark.parametrize("k, name", [(1, "P"), (0, "phi-mult")])
+    def test_shift_table_must_be_closed_under_negation(self, monkeypatch, k, name):
+        # double the weight of the shift (1, 1) alone, so that it no longer
+        # equals the weight of (-1, -1)
+        tables = dict(torus._TABLES)
+        tables[name, k] = [(dm, dn, src, tgt, 2 * c if (dm, dn) == (1, 1) else c)
+                           for dm, dn, src, tgt, c in tables[name, k]]
+        monkeypatch.setattr(torus, "_TABLES", tables)
+        with pytest.raises(ValueError, match="negation"):
+            torus._scaled_shifts(k)
+
+    @pytest.mark.parametrize("k, weight, factor", [
+        (1, "off", -1),
+        *((k, weight, 2) for weight in ("phi", "half") for k in (0, 1, 2)),
+    ])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_symmetric_shift_edits_are_flagged(self, monkeypatch, k, weight, factor, r):
+        # an edit of one weight on every shift keeps the table closed under
+        # negation, and the residual must see it
+        scale, rows = torus._SHIFTS[k]
+        at = 2 + ("half", "phi", "off").index(weight)
+        edited = [row[:at] + (factor * row[at],) + row[at + 1:] for row in rows]
+        monkeypatch.setitem(torus._SHIFTS, k, (scale, edited))
+        assert intertwining_residual(6, k, r).residual != 0
