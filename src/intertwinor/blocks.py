@@ -29,6 +29,7 @@ pass the doubled levels of :func:`~intertwinor.arithmetic.twice`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from math import comb
 from typing import Tuple
@@ -72,8 +73,9 @@ class Doubled:
         object.__setattr__(self, "w2", self.root_mix2 - self.root1)
 
 
+@cache
 def doubled(params: BundleParams) -> Doubled:
-    """The bundle's doubled-level constants."""
+    """The bundle's doubled-level constants, built once per bundle and shared."""
     p, q, k, a = params.p, params.q, params.k, params.a
     return Doubled(p - 2 - 2 * (k - a), q - 2 * a, -1 if (k - a) % 2 == 0 else 1)
 

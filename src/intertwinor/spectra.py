@@ -242,10 +242,14 @@ def _transition(mixed: bool, pt: SpectralPoint, r: ScalarLike,
     return out
 
 
-def _gamma_quotient(mixed: bool, pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
-    """Product of the gamma quotients at :func:`gamma_args`: exact (rising
-    factorials) for integer r, floating through log-gamma otherwise."""
-    xs2 = gamma_args(mixed, twice(pt.Jp), twice(pt.J))
+def gamma_quotient(xs2, r: ScalarLike) -> ExtendedScalar:
+    """Product of the quotients G((x+r)/2) / G((x-r)/2) over doubled arguments 2x.
+
+    ``xs2`` holds the doubled arguments, those of :func:`gamma_args` or
+    :func:`seed_gamma_args`.  Exact (rising factorials) for integer r; for
+    any other r each quotient is a float through log-gamma, multiplied in
+    turn onto 1.0, so a pole of one factor times a zero of another raises.
+    """
     if is_integral(r):
         return quotient(*gamma_product(xs2, int(r)))
     out = ExtendedScalar(1.0)
@@ -269,7 +273,7 @@ def mult1_eigenvalue(pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
     Product of the two gamma ratios at arguments J' + J + 1 and J' - J + 1;
     exact (rising factorial) for integer r, floating otherwise.
     """
-    return _gamma_quotient(False, pt, r)
+    return gamma_quotient(gamma_args(False, twice(pt.Jp), twice(pt.J)), r)
 
 
 def mult2_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> ExtendedScalar:
@@ -284,7 +288,7 @@ def mult2_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> 
 
 def mult2_det(pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
     """Determinant of the intertwinor on a mixed pair (gamma-quotient form)."""
-    return _gamma_quotient(True, pt, r)
+    return gamma_quotient(gamma_args(True, twice(pt.Jp), twice(pt.J)), r)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,15 @@ truncation, are compared, so no truncated contribution enters; a column
 counts as checked only when at least one shift identity was compared on it,
 which needs M >= 3.
 
+The k = 1 block is the library's mixed block, not a copy of its formula:
+``blocks.core_pair`` at the middle-degree bundle (p, q, k, a) = (2, 2, 1, 1)
+and levels (J', J) = (|m|, |n|), written in the frame D = diag(1, -mn) and
+scaled by -t, the torus's own gamma scale.  At p = q = 2,
+lap1 lap2 = -(2m)^2 (2n)^2, so the mapped e21 is minus the mapped e12 and
+the kernel's e21 is never read.  The kernel's scale 16 stays in the block's
+denominator, so a non-integer float order gives floats over 16.  The exact
+residual therefore checks the kernel that the spectral suites check.
+
 The identity at (-x, -s) has the same operands as the one at (x, s), so the
 check visits only the half-plane m > 0 or (m = 0, n >= 0) of interior modes:
 ``blocks[-m, -n]`` is the object ``blocks[m, n]``, because a sign class is
@@ -56,8 +65,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
-from .arithmetic import gamma_product, gamma_ratio_numeric, is_integral
-from .spectra import gamma_args, seed_gamma_args
+from . import blocks
+from .arithmetic import gamma_product, is_integral
+from .spectra import BundleParams, gamma_args, gamma_quotient, seed_gamma_args
 
 Mode = Tuple[int, int, str]
 Column = Dict[Mode, object]
@@ -225,17 +235,27 @@ def half_commutator_with_phi(basis: TorusBasis) -> OperatorMatrix:
 
 # -- the spectrally defined operator ----------------------------------------------------
 
+#: the doubled-level constants of the middle-degree bundle, whose mixed block
+#: the k = 1 modes carry
+_MIDDLE_DEGREE = blocks.doubled(BundleParams(2, 2, 1, 1))
+
+
 def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
     """The intertwinor of order 2r on the Fourier mode (m, n), as (entries, denominator).
 
     ``entries`` is the block in row-major order over the k-frame: 1x1 for
     k = 0 and k = 2, the 2x2 mixed block in the (dtau, drho) frame for k = 1.
-    An int r gives int entries over one positive int denominator; a float r
-    gives floats over 1, where an integer-valued float takes the exact values.
-    r = 0 is the identity.  A pole on the mode raises :class:`PoleOnModeError`.
+    An int r gives int entries over one positive int denominator; a
+    non-integer float r gives floats over 1 for k = 0, 2 and over 16 for
+    k = 1, and an integer-valued float takes the exact values over 1.  r = 0
+    is the identity.  A pole on the mode raises :class:`PoleOnModeError`.
 
     ``t`` is the gamma-quotient eigenvalue for k = 0, 2 and the scale of the
-    mixed block for k = 1.
+    mixed block for k = 1, which is ``blocks.core_pair`` at the middle-degree
+    bundle in the frame D = diag(1, -mn) times -t: the entries
+    (-t c11, t c12 mn, t c21 / mn, -t c22) over 16, where
+    lap1 lap2 = -(2m)^2 (2n)^2 makes t c21 / mn = -t c12 mn, so c21 is not
+    read.
     """
     if isinstance(r, float) and r.is_integer():
         entries, den = _mode_block(k, m, n, int(r))
@@ -258,18 +278,17 @@ def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
         if den < 0:
             t, den = -t, -den
     else:
-        g1, g2 = (gamma_ratio_numeric(x2 / 2, r) for x2 in args)
-        if g1.is_pole or g2.is_pole:
+        g = gamma_quotient(args, r)
+        if g.is_pole:
             raise PoleOnModeError((m, n, _COMPONENTS[k][0]))
-        t, den = g1.value * g2.value, 1
+        t, den = g.value, 1
         if k == 1:
             t = -t / ((jp + jn + r) * (jp - jn - r) * r)
     if k != 1:
         return (t,), den
-    lap1, lap2 = -m * m, n * n
-    e11 = r * (lap1 - lap2 + r * r)
-    off = 2 * r * t * m * n
-    return (t * -e11, -off, off, t * e11), den
+    (c11, c12, _, c22), scale = blocks.core_pair(_MIDDLE_DEGREE, 2 * jp, 2 * jn, 2 * r)
+    e12 = c12 * t * m * n
+    return (-t * c11, e12, -e12, -t * c22), scale * den
 
 
 def _mode_blocks(k: int, M: int, r) -> Dict[Tuple[int, int], Tuple[tuple, object]]:

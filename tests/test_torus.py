@@ -5,8 +5,9 @@ import pytest
 
 import torus_reference as ref
 from intertwinor import torus
-from intertwinor.blocks import core_pair, doubled, intertwinor_block, two_by_two
-from intertwinor.spectra import BundleParams, SpectralPoint
+from intertwinor import blocks
+from intertwinor.arithmetic import gamma_product
+from intertwinor.spectra import BundleParams, DegenerateNormalizationError, seed_gamma_args
 from intertwinor.torus import (
     PoleOnModeError,
     TorusBasis,
@@ -32,6 +33,44 @@ def reference_residual(M, k, r):
 
     return max((abs(val) for key, col in diff.columns.items() if inside(key)
                 for row, val in col.items() if inside(row)), default=0)
+
+
+def middle_degree_mismatches(M, orders):
+    """Compare the torus k = 1 blocks with the library's mixed block.
+
+    Over the modes 1 <= m <= M, 0 < |n| <= M at each order r, with
+    D = diag(1, -mn) and the middle-degree bundle (2, 2, 1, 1) at levels
+    (J', J) = (m, |n|): where ``block_pair`` does not degenerate, the torus
+    block must equal -seed D^-1 block_pair D exactly, seed the gamma part of
+    ``seed_gamma_args``; at every mode its entries must be proportional to
+    those of D^-1 core_pair D, e21 included.  Returns the number of exact
+    identities compared and the list of (m, n, r, check) that failed.
+    """
+    b = blocks.doubled(BundleParams(2, 2, 1, 1))
+    compared, bad = 0, []
+    for r in orders:
+        for m in range(1, M + 1):
+            for n in range(-M, M + 1):
+                if n == 0:
+                    continue
+                entries, den = torus._mode_block(1, m, n, r)
+                got = [Fraction(e, den) for e in entries]
+
+                def framed(x):
+                    return x[0], -m * n * x[1], Fraction(x[2], -m * n), x[3]
+
+                core = framed(blocks.core_pair(b, 2 * m, 2 * abs(n), 2 * r)[0])
+                if any(got[i] * core[j] != got[j] * core[i] for i in range(4) for j in range(i)):
+                    bad.append((m, n, r, "core_pair"))
+                try:
+                    pair, pair_den = blocks.block_pair(b, 2 * m, 2 * abs(n), 2 * r)
+                except DegenerateNormalizationError:
+                    continue
+                compared += 1
+                seed = Fraction(*gamma_product(seed_gamma_args(2 * m, 2 * abs(n)), r))
+                if got != [-seed * Fraction(x, pair_den) for x in framed(pair)]:
+                    bad.append((m, n, r, "block_pair"))
+    return compared, bad
 
 
 class TestTorusBasis:
@@ -152,44 +191,26 @@ class TestSpectralOperator:
                 v2 = a2.columns[m, n, "dtdr"].get((m, n, "dtdr"), Fraction(0))
                 assert v0 == v2
 
-    def test_middle_degree_block_invariants(self):
-        # per-mode 2x2 trace and det agree with the compressed block at the
-        # matching seed normalization
-        params = BundleParams(2, 2, 1, 1)
-        op = spectral_operator(TorusBasis(6, 1), 1)
-        for m, n in ((2, 1), (3, 2), (1, 4), (2, 2)):
-            pt = SpectralPoint(Fraction(abs(m)), Fraction(abs(n)))
-            if pt.Jp - pt.J - 1 == 0:
-                continue
-            from intertwinor.arithmetic import gamma_ratio
-            seed = (gamma_ratio(pt.Jp + pt.J + 2, 1) * gamma_ratio(pt.Jp - pt.J, 1)).value
-            block = intertwinor_block(params, pt, 1, seed)
-            col_t = op.columns[m, n, "dt"]
-            col_r = op.columns[m, n, "dr"]
-            trace = col_t.get((m, n, "dt"), Fraction(0)) + col_r.get((m, n, "dr"), Fraction(0))
-            det = (col_t.get((m, n, "dt"), Fraction(0)) * col_r.get((m, n, "dr"), Fraction(0))
-                   - col_t.get((m, n, "dr"), Fraction(0)) * col_r.get((m, n, "dt"), Fraction(0)))
-            assert trace == block.trace
-            assert det == block.det
+    def test_middle_degree_is_the_library_block(self):
+        # 29 * 58 * 8 = 13,456 modes, of which the 392 with |m| - |n| = r
+        # degenerate block_pair and are compared with core_pair alone
+        compared, bad = middle_degree_mismatches(29, range(1, 9))
+        assert compared == 13064
+        assert bad == []
 
-    def test_middle_degree_agrees_with_order2_block(self):
-        # one global constant relates the mode blocks to the order-2 operator
-        params = BundleParams(2, 2, 1, 1)
-        op = spectral_operator(TorusBasis(6, 1), 1)
-        ratios = set()
-        for m, n in ((2, 1), (3, 2), (4, 1), (3, 1)):
-            pt = SpectralPoint(Fraction(m), Fraction(n))
-            # the order-2 block: the core of the order-2r block at r = 1
-            want = two_by_two(*core_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2))
-            col_t = op.columns[m, n, "dt"]
-            col_r = op.columns[m, n, "dr"]
-            det = (col_t.get((m, n, "dt"), Fraction(0)) * col_r.get((m, n, "dr"), Fraction(0))
-                   - col_t.get((m, n, "dr"), Fraction(0)) * col_r.get((m, n, "dt"), Fraction(0)))
-            if want.det == 0:
-                assert det == 0
-                continue
-            ratios.add(det / want.det)
-        assert len(ratios) == 1  # det scales by the square of one constant
+    def test_core_pair_e21_edit_is_flagged(self, monkeypatch):
+        # the torus reads c11, c12 and c22 of core_pair and not c21, so an
+        # edit of c21 alone must fail the identity with the library block
+        real = blocks.core_pair
+
+        def edited(b, jp2, j2, r2):
+            (e11, e12, e21, e22), scale = real(b, jp2, j2, r2)
+            return (e11, e12, e21 + 1, e22), scale
+
+        monkeypatch.setattr(blocks, "core_pair", edited)
+        assert intertwining_residual(6, 1, 2).residual == 0.0
+        _, bad = middle_degree_mismatches(4, (1, 2))
+        assert {check for *_, check in bad} == {"core_pair", "block_pair"}
 
     def test_boundary_modes_are_diagonal(self):
         op = spectral_operator(TorusBasis(4, 1), 2)

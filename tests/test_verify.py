@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from intertwinor import arithmetic, blocks, spectra
+from intertwinor import arithmetic, blocks, spectra, torus
 from intertwinor.arithmetic import IndeterminateError
 from intertwinor.spectra import DegenerateNormalizationError, Family
 from intertwinor.verify import (
@@ -286,6 +286,19 @@ class TestLibraryEdits:
         bad = failures(run_interface_checks(TINY))
         assert bad and all(rep.point.get("equation") for rep in bad)
         assert failures(run_det_checks(TINY))
+
+    @pytest.mark.parametrize("r, want", [(1, 0.015625), (2, 0.0234375), (3, 0.0439453125)])
+    def test_edited_entry_sums_reach_the_torus(self, monkeypatch, r, want):
+        # the torus k = 1 block is core_pair's, so the exact residual sees the edit
+        real = blocks.entry_sums
+
+        def skewed(b, lap1, lap2, r2):
+            e11, e22 = real(b, lap1, lap2, r2)
+            return e11 + 1, e22
+
+        assert torus.intertwining_residual(6, 1, r).residual == 0.0
+        monkeypatch.setattr(blocks, "entry_sums", skewed)
+        assert torus.intertwining_residual(6, 1, r).residual == want
 
     def test_public_functions_match_the_default_gate(self):
         orders = (-1, 0) + SMALL.r_values  # a negative order reaches the gamma poles
