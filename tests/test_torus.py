@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 import torus_reference as ref
-from intertwinor import torus
-from intertwinor import blocks
+from intertwinor import blocks, torus
 from intertwinor.arithmetic import gamma_product
 from intertwinor.spectra import BundleParams, DegenerateNormalizationError, seed_gamma_args
 from intertwinor.torus import (
@@ -35,6 +34,12 @@ def reference_residual(M, k, r):
                 for row, val in col.items() if inside(row)), default=0)
 
 
+def in_torus_frame(entries, mn):
+    """The entries (e11, e12, e21, e22) of D^-1 X D for D = diag(1, -mn)."""
+    e11, e12, e21, e22 = entries
+    return e11, -mn * e12, Fraction(e21, -mn), e22
+
+
 def middle_degree_mismatches(M, orders):
     """Compare the torus k = 1 blocks with the library's mixed block.
 
@@ -55,11 +60,7 @@ def middle_degree_mismatches(M, orders):
                     continue
                 entries, den = torus._mode_block(1, m, n, r)
                 got = [Fraction(e, den) for e in entries]
-
-                def framed(x):
-                    return x[0], -m * n * x[1], Fraction(x[2], -m * n), x[3]
-
-                core = framed(blocks.core_pair(b, 2 * m, 2 * abs(n), 2 * r)[0])
+                core = in_torus_frame(blocks.core_pair(b, 2 * m, 2 * abs(n), 2 * r)[0], m * n)
                 if any(got[i] * core[j] != got[j] * core[i] for i in range(4) for j in range(i)):
                     bad.append((m, n, r, "core_pair"))
                 try:
@@ -68,7 +69,7 @@ def middle_degree_mismatches(M, orders):
                     continue
                 compared += 1
                 seed = Fraction(*gamma_product(seed_gamma_args(2 * m, 2 * abs(n)), r))
-                if got != [-seed * Fraction(x, pair_den) for x in framed(pair)]:
+                if got != [-seed * Fraction(x, pair_den) for x in in_torus_frame(pair, m * n)]:
                     bad.append((m, n, r, "block_pair"))
     return compared, bad
 
