@@ -6,7 +6,13 @@ import pytest
 import torus_reference as ref
 from intertwinor import blocks, torus
 from intertwinor.arithmetic import gamma_product
-from intertwinor.spectra import BundleParams, DegenerateNormalizationError, seed_gamma_args
+from intertwinor.blocks import core_pair, doubled, intertwinor_block, two_by_two
+from intertwinor.spectra import (
+    BundleParams,
+    DegenerateNormalizationError,
+    SpectralPoint,
+    seed_gamma_args,
+)
 from intertwinor.torus import (
     PoleOnModeError,
     TorusBasis,
@@ -191,6 +197,45 @@ class TestSpectralOperator:
                 v0 = a0.columns[m, n, "1"].get((m, n, "1"), Fraction(0))
                 v2 = a2.columns[m, n, "dtdr"].get((m, n, "dtdr"), Fraction(0))
                 assert v0 == v2
+
+    def test_middle_degree_block_invariants(self):
+        # per-mode 2x2 trace and det agree with the compressed block at the
+        # matching seed normalization
+        params = BundleParams(2, 2, 1, 1)
+        op = spectral_operator(TorusBasis(6, 1), 1)
+        for m, n in ((2, 1), (3, 2), (1, 4), (2, 2)):
+            pt = SpectralPoint(Fraction(abs(m)), Fraction(abs(n)))
+            if pt.Jp - pt.J - 1 == 0:
+                continue
+            from intertwinor.arithmetic import gamma_ratio
+            seed = (gamma_ratio(pt.Jp + pt.J + 2, 1) * gamma_ratio(pt.Jp - pt.J, 1)).value
+            block = intertwinor_block(params, pt, 1, seed)
+            col_t = op.columns[m, n, "dt"]
+            col_r = op.columns[m, n, "dr"]
+            trace = col_t.get((m, n, "dt"), Fraction(0)) + col_r.get((m, n, "dr"), Fraction(0))
+            det = (col_t.get((m, n, "dt"), Fraction(0)) * col_r.get((m, n, "dr"), Fraction(0))
+                   - col_t.get((m, n, "dr"), Fraction(0)) * col_r.get((m, n, "dt"), Fraction(0)))
+            assert trace == block.trace
+            assert det == block.det
+
+    def test_middle_degree_agrees_with_order2_block(self):
+        # one global constant relates the mode blocks to the order-2 operator
+        params = BundleParams(2, 2, 1, 1)
+        op = spectral_operator(TorusBasis(6, 1), 1)
+        ratios = set()
+        for m, n in ((2, 1), (3, 2), (4, 1), (3, 1)):
+            pt = SpectralPoint(Fraction(m), Fraction(n))
+            # the order-2 block: the core of the order-2r block at r = 1
+            want = two_by_two(*core_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2))
+            col_t = op.columns[m, n, "dt"]
+            col_r = op.columns[m, n, "dr"]
+            det = (col_t.get((m, n, "dt"), Fraction(0)) * col_r.get((m, n, "dr"), Fraction(0))
+                   - col_t.get((m, n, "dr"), Fraction(0)) * col_r.get((m, n, "dt"), Fraction(0)))
+            if want.det == 0:
+                assert det == 0
+                continue
+            ratios.add(det / want.det)
+        assert len(ratios) == 1  # det scales by the square of one constant
 
     def test_middle_degree_is_the_library_block(self):
         # 29 * 58 * 8 = 13,456 modes, of which the 392 with |m| - |n| = r
