@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .arithmetic import (
     POLE,
-    ExtendedScalar,
     IndeterminateError,
     gamma_ratio,
     gamma_ratio_numeric,
@@ -38,7 +37,6 @@ from .spectra import (
 
 __all__ = [
     "POLE",
-    "ExtendedScalar",
     "IndeterminateError",
     "gamma_ratio",
     "gamma_ratio_numeric",

@@ -7,17 +7,19 @@ exactly over ``fractions.Fraction``; otherwise it is evaluated in floating
 point through log-gamma with explicit sign tracking for negative arguments.
 
 Poles and zeros of these quotients are meaningful spectral data (kernels and
-cokernels of the intertwinors), so the value domain is extended by an explicit
-pole marker: :func:`quotient` returns it at a zero denominator instead of
-raising.  Truly indeterminate configurations (0/0 in :func:`quotient`, pole
-times zero) are always reported as errors, never silently resolved.
+cokernels of the intertwinors).  A value is a plain Fraction (exact path) or
+float (float path), and the one value beyond them is the marker
+:data:`POLE`: :func:`quotient` returns it at a zero denominator instead of
+raising.  The marker supports no arithmetic, so products that may meet a
+pole go through :func:`times`.  Truly indeterminate configurations (0/0 in
+:func:`quotient`, pole times zero) are always reported as errors, never
+silently resolved.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -32,76 +34,46 @@ class IndeterminateError(ArithmeticError):
     """An expression of the form 0/0 or pole*0 was encountered."""
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class ExtendedScalar:
-    """A rational or floating value extended with a pole marker.
+class _Pole:
+    """The pole marker, the one value outside the finite Fractions and floats.
 
-    Instances are immutable; ``ExtendedScalar(Fraction(0))`` is a legal value
-    distinct from the pole.  They multiply only with each other: the pole
-    absorbs any nonzero value, and pole times zero raises
-    :class:`IndeterminateError`.
+    It supports no arithmetic, so a pole cannot enter a sum or a product
+    unnoticed: products go through :func:`times`.
     """
 
-    _value: Union[Fraction, float, None]  # None is the pole
-
-    @property
-    def is_pole(self) -> bool:
-        return self._value is None
-
-    @property
-    def is_zero(self) -> bool:
-        return self._value is not None and self._value == 0
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self._value, Fraction)
-
-    @property
-    def value(self) -> Union[Fraction, float]:
-        if self._value is None:
-            raise ValueError("pole has no finite value")
-        return self._value
-
-    def to_float(self) -> float:
-        return float(self.value)
-
-    def __mul__(self, other) -> "ExtendedScalar":
-        if not isinstance(other, ExtendedScalar):
-            return NotImplemented
-        if self._value is None or other._value is None:
-            if self.is_zero or other.is_zero:
-                raise IndeterminateError("pole * 0 is indeterminate")
-            return POLE
-        return ExtendedScalar(self._value * other._value)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, float)):
-            return not self.is_pole and self._value == other
-        if isinstance(other, ExtendedScalar):
-            if self.is_pole or other.is_pole:
-                return self.is_pole and other.is_pole
-            return self._value == other._value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._value)
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        if self.is_pole:
-            return "POLE"
-        return f"ExtendedScalar({self._value!r})"
+        return "POLE"
 
-    def serialize(self) -> str:
-        """Fixed string form: 'pole', 'num/den' for exact, repr for floats."""
-        if self.is_pole:
-            return "pole"
-        if self.is_exact:
-            return format_fraction(self._value)
-        return repr(self._value)
+    def __reduce__(self) -> str:
+        return "POLE"  # a copy or an unpickled pole is the one marker
 
 
-#: the shared pole value
-POLE = ExtendedScalar(None)
+#: the shared pole value; test a value with ``x is POLE``
+POLE = _Pole()
+
+#: a Fraction on the exact path, a float on the float path, or the pole
+Extended = Union[Fraction, float, _Pole]
+
+
+def times(x: Extended, y: Extended) -> Extended:
+    """x * y with the pole rules: a pole absorbs any nonzero value, and pole
+    times zero raises :class:`IndeterminateError`."""
+    if x is POLE or y is POLE:
+        if x == 0 or y == 0:
+            raise IndeterminateError("pole * 0 is indeterminate")
+        return POLE
+    return x * y
+
+
+def serialize(x: Extended) -> str:
+    """Fixed string form: 'pole', 'num/den' for a Fraction, repr for a float."""
+    if x is POLE:
+        return "pole"
+    if isinstance(x, Fraction):
+        return format_fraction(x)
+    return repr(x)
 
 
 def format_fraction(x: Rational) -> str:
@@ -183,8 +155,8 @@ def gamma_product(xs2, r: int) -> Tuple[int, int]:
     return (num, den) if r >= 0 else (den, num)
 
 
-def quotient(num: ScalarLike, den: ScalarLike) -> ExtendedScalar:
-    """num/den as an extended scalar: pole at den == 0, error at 0/0.
+def quotient(num: ScalarLike, den: ScalarLike) -> Extended:
+    """num/den, or the pole at den == 0; 0/0 raises.
 
     The value is a Fraction for exact operands and a float as soon as either
     operand is a float.
@@ -194,11 +166,11 @@ def quotient(num: ScalarLike, den: ScalarLike) -> ExtendedScalar:
             raise IndeterminateError("0 / 0 is indeterminate")
         return POLE
     if isinstance(num, float) or isinstance(den, float):
-        return ExtendedScalar(num / den)
-    return ExtendedScalar(Fraction(num, den))
+        return num / den
+    return Fraction(num, den)
 
 
-def gamma_ratio(x: Rational, r: int) -> ExtendedScalar:
+def gamma_ratio(x: Rational, r: int) -> Extended:
     """G((x+r)/2) / G((x-r)/2) for rational x and integer r, exactly.
 
     For r >= 0 this is the rising factorial of length r starting at (x-r)/2;
@@ -225,7 +197,7 @@ def _near_nonpositive_integer(v: float) -> bool:
     return n <= 0 and abs(v - n) < EPS_POLE
 
 
-def gamma_ratio_numeric(x: float, r: float) -> ExtendedScalar:
+def gamma_ratio_numeric(x: float, r: float) -> Extended:
     """G((x+r)/2) / G((x-r)/2) in floating point.
 
     Negative arguments are handled through log-gamma of the absolute value
@@ -245,7 +217,7 @@ def gamma_ratio_numeric(x: float, r: float) -> ExtendedScalar:
     if a_pole:
         return POLE
     if b_pole:
-        return ExtendedScalar(0.0)
+        return 0.0
     sign = _gamma_sign(a) * _gamma_sign(b)
     try:
         magnitude = math.exp(math.lgamma(a) - math.lgamma(b))
@@ -253,4 +225,4 @@ def gamma_ratio_numeric(x: float, r: float) -> ExtendedScalar:
         raise OverflowError(
             f"gamma quotient G((x+r)/2)/G((x-r)/2) at x={x!r}, r={r!r} "
             "exceeds the float range") from None
-    return ExtendedScalar(sign * magnitude)
+    return sign * magnitude

@@ -35,11 +35,12 @@ from math import comb
 from typing import Tuple
 
 from .arithmetic import (
-    ExtendedScalar,
+    Extended,
     Rational,
     gamma_product,
     is_integral,
     quotient,
+    times,
     twice,
 )
 from .spectra import (
@@ -230,7 +231,7 @@ def intertwinor_block(params: BundleParams, pt: SpectralPoint, r: Rational,
     return TwoByTwo(*(scale * e / den for e in entries))
 
 
-def block_scale_squared(params: BundleParams, pt: SpectralPoint, r: int) -> ExtendedScalar:
+def block_scale_squared(params: BundleParams, pt: SpectralPoint, r: int) -> Extended:
     """Square of the normalization seed: (s+r)/(s-r) times a squared gamma part.
 
     A pole at s = r; a zero when the gamma part vanishes (operator kernel).
@@ -239,7 +240,7 @@ def block_scale_squared(params: BundleParams, pt: SpectralPoint, r: int) -> Exte
         raise ValueError(f"the exact seed needs integer r, got {r!r}")
     gamma_part = quotient(*gamma_product(seed_gamma_args(twice(pt.Jp), twice(pt.J)), int(r)))
     s2, r2 = doubled(params).s2, twice(r)
-    return quotient(s2 + r2, s2 - r2) * gamma_part * gamma_part
+    return times(times(quotient(s2 + r2, s2 - r2), gamma_part), gamma_part)
 
 
 # -- order-2 and order-2r operators ------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Optional
 import click
 
 from . import blocks, spectra, torus, verify
-from .arithmetic import IndeterminateError, format_fraction
+from .arithmetic import POLE, IndeterminateError, format_fraction, serialize
 from .spectra import (
     FAMILY_ALIASES,
     BundleParams,
@@ -132,8 +132,8 @@ def _fmt_float(x: float, precision: int) -> str:
 
 
 def _fmt_scalar(x, precision: int) -> str:
-    """An extended scalar's record string, with a float at ``precision`` digits."""
-    return x.serialize() if x.is_pole or x.is_exact else _fmt_float(x.value, precision)
+    """A value's record string, with a float at ``precision`` digits."""
+    return _fmt_float(x, precision) if isinstance(x, float) else serialize(x)
 
 
 def _record_head(params: BundleParams, r, family: Family, operator: str, mode: str) -> dict:
@@ -169,7 +169,7 @@ def _point_values(params: BundleParams, pt: spectra.SpectralPoint, r, family: Fa
         return {"value": format_fraction(value), "zero": value == 0}
     if family is Family.MIXED:
         det = spectra.mult2_det(pt, r)
-        values = {"det": _fmt_scalar(det, precision), "pole": det.is_pole}
+        values = {"det": _fmt_scalar(det, precision), "pole": det is POLE}
         if mode == "exact":
             try:
                 block = blocks.intertwinor_block(params, pt, r, 1)
@@ -177,7 +177,7 @@ def _point_values(params: BundleParams, pt: spectra.SpectralPoint, r, family: Fa
             except DegenerateNormalizationError as err:
                 values["trace_unit_seed"] = f"degenerate: {err}"
             try:
-                seed_squared = blocks.block_scale_squared(params, pt, r).serialize()
+                seed_squared = serialize(blocks.block_scale_squared(params, pt, r))
             except IndeterminateError:  # the s = r pole meets a vanishing gamma part
                 seed_squared = "indeterminate"
             values["seed_squared"] = seed_squared
@@ -185,12 +185,11 @@ def _point_values(params: BundleParams, pt: spectra.SpectralPoint, r, family: Fa
     value = spectra.normalized_eigenvalue(family, params, pt, r)
     values = {
         "coeff": _fmt_scalar(value.coeff, precision),
-        "radicand": format_fraction(value.radicand) if isinstance(value.radicand, Fraction)
-        else _fmt_float(value.radicand, precision),
-        "pole": value.coeff.is_pole,
-        "zero": value.coeff.is_zero,
+        "radicand": _fmt_scalar(value.radicand, precision),
+        "pole": value.coeff is POLE,
+        "zero": value.coeff == 0,
     }
-    if mode == "float" and value.coeff.is_pole:
+    if mode == "float" and value.coeff is POLE:
         values["value_float"] = "pole"
     elif mode == "float":
         z = value.to_complex()
@@ -356,9 +355,9 @@ def cmd_torus(k, r_text, m_trunc, tol, mode, output):
         result.exact_zero if mode == "exact" else result.residual < tol)
     point = {"k": k, "r": str(r), "M": m_trunc, "mode": mode,
              "margin": torus.MARGIN, "columns": result.columns}
-    line = _json_line(verify.CheckReport(
+    line = _json_line(verify.check_report(
         "intertwining-residual", point, verify.PASS if passed else verify.FAIL,
-        repr(result.residual), f"tol {tol!r}").record())
+        repr(result.residual), f"tol {tol!r}"))
     click.echo(line, nl=False)
     out = _resolve_out(output)
     if out is not None:

@@ -17,18 +17,21 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .arithmetic import (
-    ExtendedScalar,
+    POLE,
+    Extended,
     ScalarLike,
     format_fraction,
     gamma_product,
     gamma_ratio_numeric,
     is_integral,
     quotient,
+    times,
     twice,
 )
 
@@ -232,33 +235,38 @@ def seed_gamma_args(jp2, j2):
 
 
 def _transition(mixed: bool, pt: SpectralPoint, r: ScalarLike,
-                direction: Direction) -> ExtendedScalar:
-    """The transition quotient as the product of its factors' extended-scalar ratios."""
+                direction: Direction) -> Extended:
+    """The transition quotient as the :func:`times` product of its factors' ratios."""
     factors = transition_factors(mixed, twice(pt.Jp), twice(pt.J), twice(r),
                                  direction.djp, direction.dj)
     out = quotient(*factors[0])
     for num, den in factors[1:]:
-        out = out * quotient(num, den)
+        out = times(out, quotient(num, den))
     return out
 
 
-def gamma_quotient(xs2, r: ScalarLike) -> ExtendedScalar:
+def gamma_quotient(xs2, r: ScalarLike) -> Extended:
     """Product of the quotients G((x+r)/2) / G((x-r)/2) over doubled arguments 2x.
 
     ``xs2`` holds the doubled arguments, those of :func:`gamma_args` or
     :func:`seed_gamma_args`.  Exact (rising factorials) for integer r; for
     any other r each quotient is a float through log-gamma, multiplied in
-    turn onto 1.0, so a pole of one factor times a zero of another raises.
+    turn onto 1.0, so a pole of one factor times a zero of another raises,
+    and so does a product of finite quotients beyond the float range.
     """
     if is_integral(r):
         return quotient(*gamma_product(xs2, int(r)))
-    out = ExtendedScalar(1.0)
+    out = 1.0
     for x2 in xs2:
-        out = out * gamma_ratio_numeric(float(x2 / 2), float(r))
+        out = times(out, gamma_ratio_numeric(float(x2 / 2), float(r)))
+    if out is not POLE and not math.isfinite(out):
+        xs = tuple(float(x2 / 2) for x2 in xs2)
+        raise OverflowError(f"product of gamma quotients G((x+r)/2)/G((x-r)/2) at x in {xs!r}, "
+                            f"r={r!r} exceeds the float range")
     return out
 
 
-def mult1_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> ExtendedScalar:
+def mult1_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> Extended:
     """Eigenvalue quotient to the (dj', dj) neighbor on a multiplicity-one type.
 
     With x = dj'*J' + dj*J + 1, the quotient is (x + r)/(x - r): a pole at
@@ -267,7 +275,7 @@ def mult1_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> 
     return _transition(False, pt, r, direction)
 
 
-def mult1_eigenvalue(pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
+def mult1_eigenvalue(pt: SpectralPoint, r: ScalarLike) -> Extended:
     """The gamma-quotient eigenvalue on a multiplicity-one type.
 
     Product of the two gamma ratios at arguments J' + J + 1 and J' - J + 1;
@@ -276,17 +284,17 @@ def mult1_eigenvalue(pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
     return gamma_quotient(gamma_args(False, twice(pt.Jp), twice(pt.J)), r)
 
 
-def mult2_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> ExtendedScalar:
+def mult2_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> Extended:
     """Determinant quotient to the (dj', dj) neighbor on a mixed pair.
 
     With x = dj'*J' + dj*J, the quotient is the two-step product
-    (x+r)(x+2+r) / ((x-r)(x+2-r)), evaluated as a product of extended-scalar
+    (x+r)(x+2+r) / ((x-r)(x+2-r)), evaluated as a :func:`times` product of
     ratios so that pole/zero collisions are reported, not silently cancelled.
     """
     return _transition(True, pt, r, direction)
 
 
-def mult2_det(pt: SpectralPoint, r: ScalarLike) -> ExtendedScalar:
+def mult2_det(pt: SpectralPoint, r: ScalarLike) -> Extended:
     """Determinant of the intertwinor on a mixed pair (gamma-quotient form)."""
     return gamma_quotient(gamma_args(True, twice(pt.Jp), twice(pt.J)), r)
 
@@ -301,11 +309,18 @@ class RadicalValue:
     on the floating path.
     """
 
-    coeff: ExtendedScalar
+    coeff: Extended
     radicand: Union[Fraction, float]
 
     def to_complex(self) -> complex:
-        return complex(self.coeff.to_float()) * cmath.sqrt(complex(self.radicand))
+        """coeff * sqrt(radicand) in floats; a pole, or a value beyond the float
+        range, raises."""
+        if self.coeff is POLE:
+            raise ValueError("pole has no finite value")
+        z = complex(self.coeff) * cmath.sqrt(complex(self.radicand))
+        if not cmath.isfinite(z):
+            raise OverflowError("the normalized eigenvalue exceeds the float range")
+        return z
 
 
 def normalized_eigenvalue(family: Family, params: BundleParams,

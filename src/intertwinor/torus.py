@@ -66,7 +66,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
 from . import blocks
-from .arithmetic import gamma_product, is_integral
+from .arithmetic import POLE, gamma_product, is_integral
 from .spectra import BundleParams, gamma_args, gamma_quotient, seed_gamma_args
 
 Mode = Tuple[int, int, str]
@@ -278,10 +278,9 @@ def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
         if den < 0:
             t, den = -t, -den
     else:
-        g = gamma_quotient(args, r)
-        if g.is_pole:
+        t, den = gamma_quotient(args, r), 1
+        if t is POLE:
             raise PoleOnModeError((m, n, _COMPONENTS[k][0]))
-        t, den = g.value, 1
         if k == 1:
             t = -t / ((jp + jn + r) * (jp - jn - r) * r)
     if k != 1:
@@ -449,7 +448,9 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
                         rhs += off * ax[e ^ 2]
                     diff = lhs * dx - (rhs + order * (phi * ax[e])) * dy
                     if diff:
-                        worst = max(worst, abs(diff / (scale * dx * dy)))
+                        err = abs(diff / (scale * dx * dy))
+                        # a NaN (inf - inf in float mode) sticks, where max would drop it
+                        worst = max(worst, err) if err == err else err
             checked += compared * (2 if m or n else 1)
     return ResidualResult(k=k, r=r, M=M, mode=mode, residual=float(worst),
                           columns=checked * len(basis.components))

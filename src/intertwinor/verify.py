@@ -5,7 +5,9 @@ lexicographic order, each check compares rationals (cross-multiplied where a
 quotient could degenerate), and failures carry both sides of the violated
 identity as witnesses.  Degenerate points (vanishing normalization factors)
 are skipped and counted, never silently dropped; labels whose K-type is
-empty are not grid points and are passed over.
+empty are not grid points and are passed over.  A suite returns one record
+per check and point, the plain dict that :func:`encode` writes, built by
+:func:`check_report`.
 
 The suites run on the library's own formulas, so a gate checks the code
 that users run.  Every suite takes the integer kernels of :mod:`spectra`,
@@ -96,39 +98,35 @@ class GridSpec:
                 raise ValueError(f"r values must be nonnegative, got r={r}")
 
 
-@dataclass(slots=True)
-class CheckReport:
-    """Outcome of one identity at one grid point; failures carry witnesses."""
+def check_report(check: str, point: dict, status: str,
+                 lhs: Optional[str] = None, rhs: Optional[str] = None) -> dict:
+    """The record of one identity at one grid point, as :func:`encode` writes it.
 
-    check: str
-    point: dict
-    status: str
-    lhs: Optional[str] = None
-    rhs: Optional[str] = None
-
-    def record(self) -> dict:
-        out = {"check": self.check, "point": self.point, "status": self.status}
-        if self.lhs is not None:
-            out["lhs"] = self.lhs
-        if self.rhs is not None:
-            out["rhs"] = self.rhs
-        return out
+    ``lhs`` and ``rhs`` are the failure witnesses (a skip's reason is its
+    ``lhs``); each is left out of the record when it is None.
+    """
+    out = {"check": check, "point": point, "status": status}
+    if lhs is not None:
+        out["lhs"] = lhs
+    if rhs is not None:
+        out["rhs"] = rhs
+    return out
 
 
-def append_report(reports: Sequence[CheckReport], fh) -> None:
-    """Append the reports to a file open for binary writing, one JSON line each."""
-    fh.writelines(encode(rep.record()) + b"\n" for rep in reports)
+def append_report(reports: Sequence[dict], fh) -> None:
+    """Append the records to a file open for binary writing, one JSON line each."""
+    fh.writelines(encode(rep) + b"\n" for rep in reports)
 
 
-def write_report(reports: Sequence[CheckReport], path) -> None:
+def write_report(reports: Sequence[dict], path) -> None:
     with open(path, "wb") as fh:
         append_report(reports, fh)
 
 
-def summarize(reports: Sequence[CheckReport]) -> dict:
+def summarize(reports: Sequence[dict]) -> dict:
     out = {PASS: 0, FAIL: 0, SKIP: 0}
     for rep in reports:
-        out[rep.status] = out.get(rep.status, 0) + 1
+        out[rep["status"]] = out.get(rep["status"], 0) + 1
     out["total"] = len(reports)
     return out
 
@@ -196,7 +194,7 @@ _CORNER_PATHS = (
 _STEPS = tuple((d.djp, d.dj) for d in DIRECTIONS)
 
 
-def run_diamond_checks(grid: GridSpec) -> List[CheckReport]:
+def run_diamond_checks(grid: GridSpec) -> List[dict]:
     """Path independence of the transition quantities plus gamma compatibility.
 
     One report per (bundle, family, j', j, r).  Path products compare the two
@@ -210,7 +208,7 @@ def run_diamond_checks(grid: GridSpec) -> List[CheckReport]:
     families; a record is the first of them whose labels lie at or above its
     family's :func:`spectra.level_floor`.
     """
-    reports: List[CheckReport] = []
+    reports: List[dict] = []
     tables = {mixed: _diamond_table(mixed) for mixed in (False, True)}
     orders = _order_texts(grid.r_values)
     for params in iter_bundles(grid):
@@ -230,10 +228,10 @@ def run_diamond_checks(grid: GridSpec) -> List[CheckReport]:
                     for djp, dj, fail in fails(dp, dq, jp, j, r):
                         if jp + djp >= lo1 and j + dj >= lo2:
                             point["identity"], lhs, rhs = fail
-                            reports.append(CheckReport("diamond", point, FAIL, lhs, rhs))
+                            reports.append(check_report("diamond", point, FAIL, lhs, rhs))
                             break
                     else:
-                        reports.append(CheckReport("diamond", point, PASS))
+                        reports.append(check_report("diamond", point, PASS))
     return reports
 
 
@@ -295,7 +293,7 @@ def _diamond_table(mixed: bool):
 
 # -- interface suite --------------------------------------------------------------
 
-def run_interface_checks(grid: GridSpec) -> List[CheckReport]:
+def run_interface_checks(grid: GridSpec) -> List[dict]:
     """The four compressed interface equations, exactly, at unit seed scale.
 
     All terms are homogeneous of degree one in the seed eigenvalue, so the
@@ -305,7 +303,7 @@ def run_interface_checks(grid: GridSpec) -> List[CheckReport]:
     as integer (entries, denominator); each equation is cross-multiplied to
     integers.
     """
-    reports: List[CheckReport] = []
+    reports: List[dict] = []
     orders = _order_texts(grid.r_values)
     for params in iter_bundles(grid):
         floor = spectra.level_floor(params, Family.MIXED)
@@ -335,7 +333,7 @@ def run_interface_checks(grid: GridSpec) -> List[CheckReport]:
                 try:
                     (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
                 except DegenerateNormalizationError as err:
-                    reports.append(CheckReport("interface", point, SKIP, lhs=str(err)))
+                    reports.append(check_report("interface", point, SKIP, lhs=str(err)))
                     continue
                 t2n, t2d = s2 - r2, s2 + r2  # t2 = (s-r)/(s+r), the exact partner's seed
                 m2 = 8 * (n2 - r2) * v2 * t2d
@@ -358,13 +356,13 @@ def run_interface_checks(grid: GridSpec) -> List[CheckReport]:
                         point["equation"] = name
                         lhs, rhs = _ratio_text(left, scale), _ratio_text(right, scale)
                         break
-                reports.append(CheckReport("interface", point, status, lhs=lhs, rhs=rhs))
+                reports.append(check_report("interface", point, status, lhs=lhs, rhs=rhs))
     return reports
 
 
 # -- determinant suite -------------------------------------------------------------
 
-def run_det_checks(grid: GridSpec) -> List[CheckReport]:
+def run_det_checks(grid: GridSpec) -> List[dict]:
     """Determinant factorization of the mixed block, in two exact forms.
 
     First the block determinant at unit seed against the displayed transition
@@ -374,7 +372,7 @@ def run_det_checks(grid: GridSpec) -> List[CheckReport]:
     (:func:`spectra.gamma_args`) and the seed's gamma part
     (:func:`spectra.seed_gamma_args`) are the library's integer kernels.
     """
-    reports: List[CheckReport] = []
+    reports: List[dict] = []
 
     @cache
     def gammas(jp2, j2, r):
@@ -401,26 +399,26 @@ def run_det_checks(grid: GridSpec) -> List[CheckReport]:
                 try:
                     (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
                 except DegenerateNormalizationError as err:
-                    reports.append(CheckReport("det", point, SKIP, lhs=str(err)))
+                    reports.append(check_report("det", point, SKIP, lhs=str(err)))
                     continue
                 # the transition product, each side 8 times (J'+-J+-r)(J'-+J-+r)(s-+r)
                 num = (plus - r2) * (minus + r2) * (s2 - r2)
                 lhs = (e11 * e22 - e12 * e21) * (plus + r2) * (minus - r2) * (s2 + r2)
                 if lhs != num * den * den:
-                    reports.append(CheckReport("det", point, FAIL,
-                                               lhs=_ratio_text(lhs, 8 * den * den),
-                                               rhs=_ratio_text(num, 8)))
+                    reports.append(check_report("det", point, FAIL,
+                                                 lhs=_ratio_text(lhs, 8 * den * den),
+                                                 rhs=_ratio_text(num, 8)))
                     continue
                 (det_n, det_d), (seed_n, seed_d) = gammas(jp2, j2, r)
                 lhs = det_n * (plus + r2) * (minus - r2)
                 rhs = seed_n * seed_n * (plus - r2) * (minus + r2)
                 if lhs * seed_d * seed_d != rhs * det_d:
                     point["identity"] = "det-gamma"
-                    reports.append(CheckReport("det", point, FAIL,
-                                               lhs=_ratio_text(lhs, 4 * det_d),
-                                               rhs=_ratio_text(rhs, 4 * seed_d * seed_d)))
+                    reports.append(check_report("det", point, FAIL,
+                                                 lhs=_ratio_text(lhs, 4 * det_d),
+                                                 rhs=_ratio_text(rhs, 4 * seed_d * seed_d)))
                     continue
-                reports.append(CheckReport("det", point, PASS))
+                reports.append(check_report("det", point, PASS))
     return reports
 
 
@@ -434,7 +432,7 @@ def _same_ratio(seen: dict, key, num: int, den: int):
     return None
 
 
-def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
+def run_even_order_checks(grid: GridSpec) -> List[dict]:
     """Even-order operator consistency over the grid.
 
     Checks, per point: the r = 1 operator reproduces the second-order one
@@ -449,7 +447,7 @@ def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
     are built.  Every value is an integer pair or polynomial from the
     library's kernels, and a witness is the value compared.
     """
-    reports: List[CheckReport] = []
+    reports: List[dict] = []
     orders = _order_texts(r for r in grid.r_values if r >= 1)  # operators start at order 2
     x1, x2 = blocks.BivariatePoly.var1(), blocks.BivariatePoly.var2()
     # the top part of the product, the same for all bundles
@@ -523,11 +521,11 @@ def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
                             if witness:
                                 bad = ("det-proportionality",) + witness
                 if bad is None:
-                    reports.append(CheckReport("even-order", point, PASS))
+                    reports.append(check_report("even-order", point, PASS))
                 else:
                     name, lhs, rhs = bad
                     point["identity"] = name
-                    reports.append(CheckReport("even-order", point, FAIL, lhs=lhs, rhs=rhs))
+                    reports.append(check_report("even-order", point, FAIL, lhs=lhs, rhs=rhs))
         heads = [(family, _point_head(params, -1, -1, {"family": family.value,
                                                        "identity": "leading-symbol"}))
                  for family in (Family.COEXACT, Family.EXACT)]
@@ -537,17 +535,17 @@ def run_even_order_checks(grid: GridSpec) -> List[CheckReport]:
                 point["r"] = r_text
                 p_op, p_sym = blocks.symbol_polynomials(family, b, r, products[r])
                 if p_op == p_sym:
-                    reports.append(CheckReport("even-order", point, PASS))
+                    reports.append(check_report("even-order", point, PASS))
                 else:
-                    reports.append(CheckReport("even-order", point, FAIL,
-                                               lhs=repr(blocks.in_levels(p_op, r)),
-                                               rhs=repr(blocks.in_levels(p_sym, r))))
+                    reports.append(check_report("even-order", point, FAIL,
+                                                 lhs=repr(blocks.in_levels(p_op, r)),
+                                                 rhs=repr(blocks.in_levels(p_sym, r))))
     return reports
 
 
 # -- scalar reduction suite ------------------------------------------------------------
 
-def run_scalar_reduction(grid: GridSpec) -> List[CheckReport]:
+def run_scalar_reduction(grid: GridSpec) -> List[dict]:
     """Degree-zero degeneration: only the coexact function family survives.
 
     For k = 0 the exact and mixed labels must be empty at every level and the
@@ -555,7 +553,7 @@ def run_scalar_reduction(grid: GridSpec) -> List[CheckReport]:
     :func:`spectra.normalized_eigenvalue`) is the whole spectrum; the
     normalization radical degenerates only at s = +-r, which is counted.
     """
-    reports: List[CheckReport] = []
+    reports: List[dict] = []
     orders = _order_texts(grid.r_values)
     for params in iter_bundles(grid):
         if params.k != 0:
@@ -582,15 +580,15 @@ def run_scalar_reduction(grid: GridSpec) -> List[CheckReport]:
                 point = head.copy()
                 point["r"] = r_text
                 if bad:
-                    reports.append(CheckReport("scalar-reduction", point, FAIL, lhs=bad, rhs=""))
+                    reports.append(check_report("scalar-reduction", point, FAIL, lhs=bad, rhs=""))
                 elif s2 == 2 * r or s2 == -2 * r:
-                    reports.append(CheckReport("scalar-reduction", point, SKIP,
-                                               lhs="normalization degenerates at s=+-r"))
+                    reports.append(check_report("scalar-reduction", point, SKIP,
+                                                 lhs="normalization degenerates at s=+-r"))
                 elif arithmetic.gamma_product(xs2, r)[1] == 0:
-                    reports.append(CheckReport("scalar-reduction", point, FAIL,
-                                               lhs="pole in function spectrum", rhs=""))
+                    reports.append(check_report("scalar-reduction", point, FAIL,
+                                                 lhs="pole in function spectrum", rhs=""))
                 else:
-                    reports.append(CheckReport("scalar-reduction", point, PASS))
+                    reports.append(check_report("scalar-reduction", point, PASS))
     return reports
 
 

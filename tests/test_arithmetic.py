@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from intertwinor import arithmetic
 from intertwinor.arithmetic import (
     POLE,
-    ExtendedScalar,
     IndeterminateError,
     format_fraction,
     gamma_product,
@@ -18,6 +19,8 @@ from intertwinor.arithmetic import (
     quotient,
     rising_factorial,
     rising_product,
+    serialize,
+    times,
 )
 
 
@@ -54,7 +57,7 @@ class TestGammaProduct:
             for r in range(-4, 5):
                 want = quotient(1, 1)
                 for x2 in xs2:
-                    want = want * gamma_ratio(Fraction(x2) / 2, r)
+                    want = times(want, gamma_ratio(Fraction(x2) / 2, r))
                 num, den = gamma_product(xs2, r)
                 assert isinstance(num, int) and isinstance(den, int)
                 assert quotient(num, den) == want
@@ -67,7 +70,7 @@ class TestGammaProduct:
     def test_pole_is_zero_denominator(self):
         # G(-1)/G(2) at x = 1, r = -3: the numerator gamma sits at a pole
         assert gamma_product((2,), -3)[1] == 0
-        assert gamma_ratio(1, -3).is_pole
+        assert gamma_ratio(1, -3) is POLE
 
 
 class TestGammaRatio:
@@ -83,7 +86,7 @@ class TestGammaRatio:
 
     def test_negative_r_pole(self):
         # reciprocal of a vanishing rising factorial
-        assert gamma_ratio(1, -3).is_pole
+        assert gamma_ratio(1, -3) is POLE
 
     def test_non_integer_r_rejected(self):
         with pytest.raises(ValueError):
@@ -97,9 +100,9 @@ class TestGammaRatio:
         whole = gamma_ratio(x, r1 + r2)
         left = gamma_ratio(x + r2, r1)
         right = gamma_ratio(x - r1, r2)
-        if whole.is_pole or left.is_pole or right.is_pole:
+        if POLE in (whole, left, right):
             return
-        assert whole.value == left.value * right.value
+        assert whole == left * right
 
     @given(st.fractions(min_value=-20, max_value=20, max_denominator=8),
            st.integers(min_value=-8, max_value=8))
@@ -107,35 +110,35 @@ class TestGammaRatio:
     def test_inverse_identity(self, x, r):
         fwd = gamma_ratio(x, r)
         bwd = gamma_ratio(x, -r)
-        if fwd.is_pole or bwd.is_pole or fwd.is_zero or bwd.is_zero:
+        if POLE in (fwd, bwd) or 0 in (fwd, bwd):
             return
-        assert fwd.value * bwd.value == 1
+        assert fwd * bwd == 1
 
 
 class TestGammaRatioNumeric:
     def test_matches_exact_path(self):
-        assert gamma_ratio_numeric(3.0, 1.0).value == pytest.approx(1.0, rel=1e-12)
+        assert gamma_ratio_numeric(3.0, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_r_zero(self):
-        assert gamma_ratio_numeric(2.0, 0.0).value == 1.0
+        assert gamma_ratio_numeric(2.0, 0.0) == 1.0
 
     def test_half_integer_order(self):
         # G(1.25)/G(0.75), frozen from a 40-digit evaluation
-        assert gamma_ratio_numeric(2.0, 0.5).value == pytest.approx(
+        assert gamma_ratio_numeric(2.0, 0.5) == pytest.approx(
             0.7396687797971597, rel=1e-12)
 
     def test_negative_arguments_sign(self):
         # G(-0.25)/G(-1.75), frozen from a 40-digit evaluation; sign flips once
-        assert gamma_ratio_numeric(-2.0, 1.5).value == pytest.approx(
+        assert gamma_ratio_numeric(-2.0, 1.5) == pytest.approx(
             -1.7744428801766224, rel=1e-12)
 
     def test_numerator_pole(self):
         # (x+r)/2 = -1 exactly while (x-r)/2 = -1.5 stays regular
-        assert gamma_ratio_numeric(-2.5, 0.5).is_pole
+        assert gamma_ratio_numeric(-2.5, 0.5) is POLE
 
     def test_denominator_pole_gives_zero(self):
         value = gamma_ratio_numeric(1.0, 3.0)
-        assert value.is_zero and not value.is_exact
+        assert value == 0 and type(value) is float
 
     def test_double_pole_is_indeterminate(self):
         with pytest.raises(IndeterminateError):
@@ -146,7 +149,7 @@ class TestGammaRatioNumeric:
             gamma_ratio_numeric(-3.0 + 1e-10, 1.0 + 2e-10)
         # a wider argument offset clears the default radius on the numerator side
         wide = gamma_ratio_numeric(-3.0 + 1e-3, 1.0)
-        assert not wide.is_pole
+        assert wide is not POLE
 
     def test_agreement_with_exact_grid(self):
         checked = 0
@@ -154,69 +157,85 @@ class TestGammaRatioNumeric:
             x = Fraction(num, 2)
             for r in range(0, 7):
                 exact = gamma_ratio(x, r)
-                if exact.is_pole or exact.is_zero:
+                if exact is POLE or exact == 0:
                     continue
                 try:
                     numeric = gamma_ratio_numeric(float(x), float(r))
                 except IndeterminateError:
                     continue
-                if numeric.is_pole or numeric.is_zero:
+                if numeric is POLE or numeric == 0:
                     continue
                 checked += 1
-                assert numeric.value == pytest.approx(float(exact.value), rel=1e-10)
+                assert numeric == pytest.approx(float(exact), rel=1e-10)
         assert checked > 150
 
 
 class TestExtendedScalar:
+    """The extended value domain: a Fraction, a float, or the marker POLE."""
+
     def test_pole_absorbs_nonzero(self):
-        assert (POLE * ExtendedScalar(Fraction(3, 2))).is_pole
-        assert (ExtendedScalar(Fraction(2)) * POLE).is_pole
-        assert (ExtendedScalar(0.5) * POLE).is_pole
+        assert times(POLE, Fraction(3, 2)) is POLE
+        assert times(Fraction(2), POLE) is POLE
+        assert times(0.5, POLE) is POLE
+        assert times(POLE, POLE) is POLE
 
     def test_pole_times_zero_raises(self):
-        with pytest.raises(IndeterminateError):
-            POLE * ExtendedScalar(Fraction(0))
-        with pytest.raises(IndeterminateError):
-            ExtendedScalar(0.0) * POLE
+        for x, y in ((POLE, Fraction(0)), (Fraction(0), POLE), (POLE, 0.0), (0.0, POLE)):
+            with pytest.raises(IndeterminateError, match="pole \\* 0 is indeterminate"):
+                times(x, y)
+
+    def test_finite_products_are_plain(self):
+        assert times(Fraction(3, 2), Fraction(-2, 3)) == -1
+        assert type(times(Fraction(3, 2), Fraction(2, 3))) is Fraction
+        assert times(0.5, 3.0) == 1.5 and type(times(0.5, 3.0)) is float
+        assert times(Fraction(0), 0.0) == 0
 
     def test_only_extended_scalars_multiply(self):
-        # no mixing with plain numbers, and no division
+        # the pole takes part in no arithmetic, in either operand order
+        for other in (2, Fraction(1, 2), 0.5, POLE):
+            for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a / b):
+                with pytest.raises(TypeError):
+                    op(POLE, other)
+                with pytest.raises(TypeError):
+                    op(other, POLE)
         with pytest.raises(TypeError):
-            POLE * 2
-        with pytest.raises(TypeError):
-            2 * POLE
-        with pytest.raises(TypeError):
-            ExtendedScalar(Fraction(1)) / POLE
+            -POLE
 
     def test_finite_zero_is_not_pole(self):
-        zero = ExtendedScalar(Fraction(0))
-        assert zero.is_zero and not zero.is_pole
+        for zero in (quotient(0, 3), quotient(0.0, 3), gamma_ratio(1, 3)):
+            assert zero == 0 and zero is not POLE
+        assert POLE != 0 and POLE != 0.0
 
     def test_quotient_helper(self):
-        assert quotient(1, 2).value == Fraction(1, 2)
-        assert quotient(3, 0).is_pole
+        assert quotient(1, 2) == Fraction(1, 2) and type(quotient(1, 2)) is Fraction
+        assert quotient(3, 0) is POLE
         with pytest.raises(IndeterminateError):
             quotient(0, 0)
         # a float operand gives the float quotient, with the same pole rules
-        assert quotient(Fraction(1, 2), 0.25).value == 2.0
-        assert isinstance(quotient(1, 3.0).value, float)
-        assert quotient(1, 3.0).value == 1 / 3.0
-        assert quotient(-1.5, 0.0).is_pole
+        assert quotient(Fraction(1, 2), 0.25) == 2.0
+        assert type(quotient(1, 3.0)) is float
+        assert quotient(1, 3.0) == 1 / 3.0
+        assert quotient(-1.5, 0.0) is POLE
         with pytest.raises(IndeterminateError, match="0 / 0 is indeterminate"):
             quotient(0.0, 0)
 
     def test_serialize(self):
-        assert ExtendedScalar(Fraction(-3, 4)).serialize() == "-3/4"
-        assert ExtendedScalar(Fraction(7)).serialize() == "7"
-        assert POLE.serialize() == "pole"
+        assert serialize(Fraction(-3, 4)) == "-3/4"
+        assert serialize(Fraction(7)) == "7"
+        assert serialize(POLE) == "pole"
+        assert serialize(0.1) == "0.1" and serialize(-2.0) == "-2.0"
 
     def test_repr_evaluates_in_the_module(self):
-        for value in (POLE, ExtendedScalar(Fraction(-3, 4)), ExtendedScalar(0.5)):
-            assert eval(repr(value), vars(arithmetic)) == value
+        assert repr(POLE) == "POLE"
+        assert eval(repr(POLE), vars(arithmetic)) is POLE
 
     def test_immutability(self):
         with pytest.raises(AttributeError):
-            POLE._value = 1  # type: ignore[misc]
+            POLE._value = 1  # type: ignore[attr-defined]
+
+    def test_copies_are_the_marker(self):
+        assert copy.copy(POLE) is POLE and copy.deepcopy([POLE])[0] is POLE
+        assert pickle.loads(pickle.dumps(POLE)) is POLE
 
 
 def test_format_fraction():

@@ -604,6 +604,32 @@ def test_bad_orders_fail_fast_and_cleanly(runner, args, extra, exit_code):
         assert "r=300.5 exceeds the float range" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    # finite gamma quotients whose product overflows
+    ["eval", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp", "30", "--j", "2",
+     "--r", "160.5", "--family", "coexact", "--mode", "float"],
+    ["eval", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp", "30", "--j", "2",
+     "--r", "160.5", "--family", "mixed", "--mode", "float"],
+    # a finite coefficient 6.1e307 whose product with sqrt(-397) overflows
+    ["eval", "--p", "100", "--q", "100", "--k", "0", "--a", "0", "--jp", "40", "--j", "0",
+     "--r", "99.5", "--family", "coexact", "--mode", "float"],
+    # finite blocks whose residual products overflow to inf - inf
+    ["torus", "--k", "0", "--r", "115.5", "--mode", "float", "--M", "4"],
+    # blocks beyond the float range
+    ["torus", "--k", "1", "--r", "116.5", "--mode", "float", "--M", "6"],
+    ["torus", "--k", "2", "--r", "150.25", "--mode", "float", "--M", "8"],
+], ids=["coexact-product", "mixed-det", "radical", "torus-k0", "torus-k1", "torus-k2"])
+def test_values_beyond_the_float_range_fail(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught exception
+    assert "Traceback" not in result.output
+    if args[0] == "eval":
+        assert result.output.startswith("Error: ") and "exceeds the float range" in result.output
+    elif result.output.startswith("{"):  # a record, which must say it failed
+        assert json.loads(result.output)["status"] == "fail"
+
+
 #: each command with all its options set; tests swap one value for a rejected
 #: one, never for a huge accepted one, on which verify would not finish
 OPTION_COMMANDS = [args + ["--r", "1"] for args in ORDER_COMMANDS] + [

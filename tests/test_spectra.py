@@ -16,8 +16,10 @@ from intertwinor.spectra import (
     Family,
     KTypeLabel,
     NonexistentKTypeError,
+    RadicalValue,
     SpectralPoint,
     gamma_args,
+    gamma_quotient,
     ktype_exists,
     level_floor,
     mult1_eigenvalue,
@@ -28,7 +30,8 @@ from intertwinor.spectra import (
     spectral_point,
     transition_factors,
 )
-from intertwinor.arithmetic import IndeterminateError
+from intertwinor.arithmetic import POLE, IndeterminateError, gamma_ratio, gamma_ratio_numeric
+from intertwinor.blocks import block_scale_squared
 
 
 def pt(a, b):
@@ -133,10 +136,10 @@ class TestMult1Transition:
             assert mult1_transition(pt(4, 7), 0, direction) == 1
 
     def test_pole_when_x_equals_r(self):
-        assert mult1_transition(pt(2, 1), 2, DOWN_RIGHT).is_pole
+        assert mult1_transition(pt(2, 1), 2, DOWN_RIGHT) is POLE
 
     def test_zero_when_x_equals_minus_r(self):
-        assert mult1_transition(pt(1, 4), 2, DOWN_RIGHT).is_zero
+        assert mult1_transition(pt(1, 4), 2, DOWN_RIGHT) == 0
 
     def test_indeterminate(self):
         with pytest.raises(IndeterminateError):
@@ -163,8 +166,8 @@ class TestMult1Eigenvalue:
         # target-over-source ratio reproduces the one-step transition quantity
         source = pt(Fraction(3, 2), Fraction(1, 2))
         target = pt(Fraction(5, 2), Fraction(3, 2))
-        ratio = mult1_eigenvalue(target, 1).value / mult1_eigenvalue(source, 1).value
-        assert ratio == mult1_transition(source, 1, UP_RIGHT).value
+        ratio = mult1_eigenvalue(target, 1) / mult1_eigenvalue(source, 1)
+        assert ratio == mult1_transition(source, 1, UP_RIGHT)
 
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8),
            st.sampled_from([2, 3, 4, 5]), st.sampled_from([2, 3, 4, 5]),
@@ -174,15 +177,15 @@ class TestMult1Eigenvalue:
         point = SpectralPoint(jp + Fraction(p - 2, 2), j + Fraction(q - 2, 2))
         fwd = mult1_eigenvalue(point, r)
         bwd = mult1_eigenvalue(point, -r)
-        if fwd.is_pole or bwd.is_pole or fwd.is_zero or bwd.is_zero:
+        if POLE in (fwd, bwd) or 0 in (fwd, bwd):
             return
-        assert fwd.value * bwd.value == 1
+        assert fwd * bwd == 1
 
     def test_float_path_agrees(self):
         point = pt(Fraction(7, 2), Fraction(3, 2))
         exact = mult1_eigenvalue(point, 2)
         numeric = mult1_eigenvalue(point, 2.0)
-        assert numeric.value == pytest.approx(float(exact.value), rel=1e-10)
+        assert numeric == pytest.approx(float(exact), rel=1e-10)
 
 
 class TestDoubledLevelFormulas:
@@ -200,19 +203,24 @@ class TestDoubledLevelFormulas:
         # same float operations as (x + r)/(x - r) and its two-factor mixed form
         point, r = pt(Fraction(7, 2), Fraction(3, 2)), 0.3
         x = float(point.Jp + point.J + 1)
-        assert mult1_transition(point, r, UP_RIGHT).value == (x + r) / (x - r)
+        assert mult1_transition(point, r, UP_RIGHT) == (x + r) / (x - r)
         y = float(point.Jp - point.J)
         want = (y + r) / (y - r) * ((y + 2 + r) / (y + 2 - r))
-        assert mult2_transition(point, r, DOWN_RIGHT).value == want
+        assert mult2_transition(point, r, DOWN_RIGHT) == want
 
 
 class TestPublicValuesPinned:
     @staticmethod
-    def _outcome(f):
+    def _outcome(f, wrapped=False):
+        # ``wrapped`` renders a finite value as the text the digest was
+        # pinned with, when values were ExtendedScalar(...) objects
         try:
-            return repr(f())
+            value = f()
         except Exception as err:
             return type(err).__name__
+        if wrapped and value is not POLE:
+            return f"ExtendedScalar({value!r})"
+        return repr(value)
 
     def test_float_and_exact_values_are_pinned(self):
         # every bundle with p, q <= 5 and levels j', j <= 2, at float, Fraction
@@ -230,8 +238,10 @@ class TestPublicValuesPinned:
                             lines.append(self._outcome(lambda: normalized_eigenvalue(
                                 family, params, point, r).radicand))
                         for d in DIRECTIONS:
-                            lines.append(self._outcome(lambda: mult1_transition(point, r, d)))
-                            lines.append(self._outcome(lambda: mult2_transition(point, r, d)))
+                            lines.append(self._outcome(lambda: mult1_transition(point, r, d),
+                                                       wrapped=True))
+                            lines.append(self._outcome(lambda: mult2_transition(point, r, d),
+                                                       wrapped=True))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
             "e5bff976438a4e5cf55b040af30d95268b6f19d8c260ee74c4d5026978333983"
 
@@ -254,8 +264,8 @@ class TestMult2:
     def test_det_quotient_matches_transition(self):
         source = pt(3, 2)
         target = pt(4, 1)  # down-right neighbor
-        ratio = mult2_det(target, 2).value / mult2_det(source, 2).value
-        assert ratio == mult2_transition(source, 2, DOWN_RIGHT).value
+        ratio = mult2_det(target, 2) / mult2_det(source, 2)
+        assert ratio == mult2_transition(source, 2, DOWN_RIGHT)
 
 
 class TestNormalizedEigenvalue:
@@ -314,6 +324,42 @@ class TestNormalizedEigenvalue:
         z = value.to_complex()
         assert z.real == pytest.approx(0.0, abs=1e-15)
 
+    def test_pole_has_no_complex_value(self):
+        with pytest.raises(ValueError, match="pole has no finite value"):
+            RadicalValue(POLE, 2).to_complex()
+
+    def test_complex_value_beyond_the_float_range_raises(self):
+        # finite coefficients whose product with the radical overflows
+        for coeff, radicand in ((1e308, 4.0), (-1e308, -397.0)):
+            with pytest.raises(OverflowError, match="exceeds the float range"):
+                RadicalValue(coeff, radicand).to_complex()
+        with pytest.raises(OverflowError):  # a Fraction beyond the float range
+            RadicalValue(Fraction(10 ** 400), 2).to_complex()
+        assert RadicalValue(1e307, 4.0).to_complex() == 2e307
+
+
+class TestValueTypes:
+    def test_exact_path_gives_fractions(self):
+        point = pt(Fraction(5, 2), Fraction(1, 2))
+        values = (gamma_ratio(3, 1), mult1_eigenvalue(point, 1), mult2_det(point, 1),
+                  mult1_transition(point, 1, UP_RIGHT), mult2_transition(point, 1, UP_RIGHT),
+                  block_scale_squared(BundleParams(4, 6, 2, 1), point, 1))
+        assert [type(v) for v in values] == [Fraction] * len(values)
+
+    def test_float_path_gives_floats(self):
+        point = pt(Fraction(5, 2), Fraction(1, 2))
+        values = (gamma_ratio_numeric(3.0, 0.5), mult1_eigenvalue(point, 0.5),
+                  mult2_det(point, 0.5), mult1_transition(point, 0.5, UP_RIGHT),
+                  mult2_transition(point, 0.5, UP_RIGHT))
+        assert [type(v) for v in values] == [float] * len(values)
+
+    def test_float_product_beyond_the_range_raises(self):
+        # each quotient is finite, only their product overflows
+        xs2 = (72, 56)
+        assert all(gamma_ratio_numeric(x2 / 2, 160.5) < 1e308 for x2 in xs2)
+        with pytest.raises(OverflowError, match="exceeds the float range"):
+            gamma_quotient(xs2, 160.5)
+
 
 class TestDiamondPathIndependence:
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
@@ -331,6 +377,6 @@ class TestDiamondPathIndependence:
         point_dn = SpectralPoint(point.Jp + 1, point.J - 1)
         alt_second = mult1_transition(point_dn, r, up)
         values = [first, second, alt_first, alt_second]
-        if any(v.is_pole or v.is_zero for v in values):
+        if POLE in values or 0 in values:
             return
-        assert first.value * second.value == alt_first.value * alt_second.value
+        assert first * second == alt_first * alt_second

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -208,7 +209,7 @@ class TestSpectralOperator:
             if pt.Jp - pt.J - 1 == 0:
                 continue
             from intertwinor.arithmetic import gamma_ratio
-            seed = (gamma_ratio(pt.Jp + pt.J + 2, 1) * gamma_ratio(pt.Jp - pt.J, 1)).value
+            seed = gamma_ratio(pt.Jp + pt.J + 2, 1) * gamma_ratio(pt.Jp - pt.J, 1)
             block = intertwinor_block(params, pt, 1, seed)
             col_t = op.columns[m, n, "dt"]
             col_r = op.columns[m, n, "dr"]
@@ -312,6 +313,12 @@ class TestIntertwiningResidual:
     def test_exact_mode_needs_integer_order(self):
         with pytest.raises(ValueError):
             intertwining_residual(8, 0, 1.5, mode="exact")
+
+    def test_float_overflow_makes_the_residual_nan(self):
+        # finite blocks whose products overflow: inf - inf must not be dropped
+        blocks_ = torus._mode_blocks(0, 4, 115.5)
+        assert all(math.isfinite(entries[0]) for entries, _ in blocks_.values())
+        assert math.isnan(intertwining_residual(4, 0, 115.5, mode="float").residual)
 
     def test_truncation_decay(self):
         small = intertwining_residual(6, 1, 1, mode="float")

@@ -8,15 +8,15 @@ from fractions import Fraction
 import pytest
 
 from intertwinor import arithmetic, blocks, spectra, torus
-from intertwinor.arithmetic import IndeterminateError
+from intertwinor.arithmetic import POLE, IndeterminateError
 from intertwinor.spectra import DegenerateNormalizationError, Family
 from intertwinor.verify import (
     FAIL,
     PASS,
     SKIP,
     SUITES,
-    CheckReport,
     GridSpec,
+    check_report,
     encode,
     iter_bundles,
     run_even_order_checks,
@@ -34,7 +34,7 @@ TINY = GridSpec(p_max=3, q_max=3, j_max=3, r_values=(1, 2))
 
 
 def failures(reports):
-    return [rep for rep in reports if rep.status == FAIL]
+    return [rep for rep in reports if rep["status"] == FAIL]
 
 
 def levels(grid):
@@ -78,7 +78,7 @@ class TestSuitesPass:
 
     def test_diamond_covers_all_families(self):
         reports = run_diamond_checks(TINY)
-        families = {rep.point["family"] for rep in reports}
+        families = {rep["point"]["family"] for rep in reports}
         assert families == {"coexact", "exact", "mixed"}
 
     def test_order_zero_grid_passes_trivially(self):
@@ -92,14 +92,14 @@ class TestSuitesPass:
         reports = run_interface_checks(SMALL)
         counts = summarize(reports)
         assert counts[SKIP] > 0
-        skipped = [rep for rep in reports if rep.status == SKIP]
-        assert all(rep.lhs for rep in skipped)  # reason recorded
+        skipped = [rep for rep in reports if rep["status"] == SKIP]
+        assert all(rep["lhs"] for rep in skipped)  # reason recorded
 
 
 class TestDeterminism:
     def test_identical_runs(self):
-        first = [encode(rep.record()).decode() for rep in run_diamond_checks(TINY)]
-        second = [encode(rep.record()).decode() for rep in run_diamond_checks(TINY)]
+        first = [encode(rep).decode() for rep in run_diamond_checks(TINY)]
+        second = [encode(rep).decode() for rep in run_diamond_checks(TINY)]
         assert first == second
 
     def test_reports_serialize_to_json_lines(self, tmp_path):
@@ -137,7 +137,7 @@ class TestNegativeControls:
         monkeypatch.setattr(blocks, "block_pair", skewed)
         bad = failures(run_interface_checks(TINY))
         assert bad
-        assert all(rep.point.get("equation") for rep in bad)
+        assert all(rep["point"].get("equation") for rep in bad)
 
     def test_perturbed_det_is_flagged(self, monkeypatch):
         monkeypatch.setattr(arithmetic, "gamma_product", _scale_determinant(5, 4))
@@ -170,9 +170,10 @@ class TestNegativeControls:
         bad = failures(run_even_order_checks(TINY))
         assert bad
         for rep in bad:
-            assert rep.point["identity"] == "leading-symbol" and rep.point["r"] == "2"
-            assert rep.lhs.startswith("BivariatePoly(") and rep.rhs.startswith("BivariatePoly(")
-            assert rep.lhs != rep.rhs
+            assert rep["point"]["identity"] == "leading-symbol" and rep["point"]["r"] == "2"
+            assert rep["lhs"].startswith("BivariatePoly(")
+            assert rep["rhs"].startswith("BivariatePoly(")
+            assert rep["lhs"] != rep["rhs"]
 
     def test_perturbed_existence_is_flagged(self, monkeypatch):
         real = spectra.level_floor
@@ -185,7 +186,7 @@ class TestNegativeControls:
         monkeypatch.setattr(spectra, "level_floor", skewed)
         bad = failures(run_scalar_reduction(TINY))
         assert bad
-        assert any("exact family nonempty" in rep.lhs for rep in bad)
+        assert any("exact family nonempty" in rep["lhs"] for rep in bad)
 
     def test_pole_in_function_spectrum_is_flagged(self, monkeypatch):
         real = arithmetic.gamma_product
@@ -197,12 +198,12 @@ class TestNegativeControls:
         assert not failures(run_scalar_reduction(TINY))
         monkeypatch.setattr(arithmetic, "gamma_product", pole)
         bad = failures(run_scalar_reduction(TINY))
-        assert bad and all(rep.lhs == "pole in function spectrum" for rep in bad)
+        assert bad and all(rep["lhs"] == "pole in function spectrum" for rep in bad)
 
     def test_witnesses_carry_both_sides(self, monkeypatch):
         monkeypatch.setattr(arithmetic, "gamma_product", _scale_determinant(7, 1))
         bad = failures(run_det_checks(TINY))
-        assert bad and bad[0].lhs is not None and bad[0].rhs is not None
+        assert bad and "lhs" in bad[0] and "rhs" in bad[0]
 
 
 def _scale_determinant(num_factor, den_factor):
@@ -216,7 +217,7 @@ def _scale_determinant(num_factor, den_factor):
 
 
 def _assert_same_value(call, num, den):
-    """A public extended scalar against its kernel's integer pair; returns the case.
+    """A public value against its kernel's integer pair; returns the case.
 
     A zero denominator is a pole, and (0, 0) is indeterminate.
     """
@@ -226,9 +227,9 @@ def _assert_same_value(call, num, den):
         return "indeterminate"
     value = call()
     if den == 0:
-        assert value.is_pole
+        assert value is POLE
         return "pole"
-    assert not value.is_pole and value.value == Fraction(num, den)
+    assert value is not POLE and value == Fraction(num, den)
     return "value"
 
 
@@ -249,7 +250,7 @@ class TestLibraryEdits:
         assert not failures(run_diamond_checks(TINY))
         monkeypatch.setattr(spectra, "transition_factors", skewed)
         bad = failures(run_diamond_checks(TINY))
-        assert bad and all(rep.lhs and rep.rhs for rep in bad)
+        assert bad and all(rep["lhs"] and rep["rhs"] for rep in bad)
 
     def test_edited_gamma_product_is_flagged(self, monkeypatch):
         real = arithmetic.gamma_product
@@ -271,7 +272,7 @@ class TestLibraryEdits:
         assert not failures(run_even_order_checks(TINY))
         monkeypatch.setattr(blocks, "even_product", skewed)
         bad = failures(run_even_order_checks(TINY))
-        assert bad and all(rep.lhs and rep.rhs for rep in bad)
+        assert bad and all(rep["lhs"] and rep["rhs"] for rep in bad)
 
     def test_edited_entry_sums_are_flagged(self, monkeypatch):
         real = blocks.entry_sums
@@ -284,7 +285,7 @@ class TestLibraryEdits:
         assert not failures(run_det_checks(TINY))
         monkeypatch.setattr(blocks, "entry_sums", skewed)
         bad = failures(run_interface_checks(TINY))
-        assert bad and all(rep.point.get("equation") for rep in bad)
+        assert bad and all(rep["point"].get("equation") for rep in bad)
         assert failures(run_det_checks(TINY))
 
     @pytest.mark.parametrize("r, want", [(1, 0.015625), (2, 0.0234375), (3, 0.0439453125)])
@@ -423,7 +424,7 @@ class TestPinnedReports:
         if module is not None:
             monkeypatch.setattr(module, name, edit(getattr(module, name)))
         reports = suite(PIN_GRID)
-        data = "".join(encode(rep.record()).decode() + "\n" for rep in reports).encode()
+        data = "".join(encode(rep).decode() + "\n" for rep in reports).encode()
         assert len(failures(reports)) == failed
         assert hashlib.sha256(data).hexdigest() == digest
 
@@ -438,7 +439,7 @@ class TestPinnedReports:
 
         monkeypatch.setattr(spectra, "transition_factors", nowhere_zero)
         reports = run_diamond_checks(PIN_GRID)
-        data = "".join(encode(rep.record()).decode() + "\n" for rep in reports).encode()
+        data = "".join(encode(rep).decode() + "\n" for rep in reports).encode()
         assert len(failures(reports)) == 1826
         assert hashlib.sha256(data).hexdigest() == \
             "2d20f254c486b45b6094c630f334ed4ef8518f29dd0fc820f91b693faec94ef3"
@@ -466,7 +467,7 @@ def test_whole_grid_is_its_slices_joined(monkeypatch, suite, module, name, edit)
         monkeypatch.setattr(module, name, edit(getattr(module, name)))
 
     def encoded(reports):
-        return b"".join(encode(rep.record()) + b"\n" for rep in reports)
+        return b"".join(encode(rep) + b"\n" for rep in reports)
 
     whole = encoded(SUITES[suite](PIN_GRID))
     assert whole == b"".join(encoded(SUITES[suite](part)) for part in slice_grids(PIN_GRID))
@@ -482,7 +483,7 @@ class TestScalarReduction:
 
     def test_report_points_are_k0(self):
         for rep in run_scalar_reduction(TINY):
-            assert rep.point["k"] == 0
+            assert rep["point"]["k"] == 0
 
     def test_floors_are_read_once_per_bundle(self, monkeypatch):
         real = spectra.level_floor
@@ -500,7 +501,12 @@ class TestScalarReduction:
 
 
 def test_check_report_json_shape():
-    rep = CheckReport("demo", {"p": 2}, FAIL, lhs="1", rhs="2")
-    record = json.loads(encode(rep.record()).decode())
+    rep = check_report("demo", {"p": 2}, FAIL, lhs="1", rhs="2")
+    record = json.loads(encode(rep).decode())
     assert record == {"check": "demo", "point": {"p": 2}, "status": "fail",
                       "lhs": "1", "rhs": "2"}
+    # an unset witness is left out, and a set empty one kept
+    assert check_report("demo", {}, PASS) == {"check": "demo", "point": {}, "status": PASS}
+    assert check_report("demo", {}, SKIP, lhs="why") == {
+        "check": "demo", "point": {}, "status": SKIP, "lhs": "why"}
+    assert check_report("demo", {}, FAIL, lhs="", rhs="")["rhs"] == ""
