@@ -37,7 +37,8 @@ TABLE_HEADER = ("p", "q", "k", "a", "jp", "j", "r", "family", "operator",
                 "s", "Jp", "J", "value", "coeff", "radicand", "trace", "det")
 #: the largest |r| on the exact path, whose cost grows with |r|
 MAX_EXACT_ORDER = 256
-#: the largest torus truncation M; the residual visits each of the (2M+1)^2 modes
+#: the largest torus truncation M; the residual's work grows like M^2, one block
+#: per interior class (|m|, |n|) and one visit per interior mode of a half-plane
 MAX_TORUS_M = 256
 #: integer options take at most the signed 64-bit range that records can encode;
 #: each is a click range, so its help line states what it accepts

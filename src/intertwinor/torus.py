@@ -29,15 +29,20 @@ C = [N, phi]/2 - P, assembles nothing: every operator in it is local.  N and
 A act inside one mode, while phi and P move a mode along the four shifts.
 The residual on an interior mode x is therefore four small matrix
 identities, one per shift s, with C_s composed from the phi and P rows of
-the same tables.  The blocks of A come from one table, ``_mode_blocks``,
-that ``spectral_operator`` also fills its columns from; it evaluates
-``_mode_block`` once per sign class of modes, (|m|, |n|) and for k = 1 the
-sign of m n, and shares that block across the class.  Exact mode compares
-cross-multiplied integers; float mode runs the same loop on floats.  Only
-modes with x + s inside the interior cut, ``MARGIN`` modes in from the
-truncation, are compared, so no truncated contribution enters; a column
-counts as checked only when at least one shift identity was compared on it,
-which needs M >= 3.
+the same tables.  Exact mode compares cross-multiplied integers; float mode
+runs the same loop on floats.  Only modes with x + s inside the interior
+cut, ``MARGIN`` modes in from the truncation, are compared, so no truncated
+contribution enters; a column counts as checked only when at least one
+shift identity was compared on it, which needs M >= 3.
+
+The blocks of A come from one table, ``_mode_blocks``, which evaluates
+``_mode_block`` once per class (|m|, |n|) for every k; a k = 1 mode with
+m n < 0 takes its class block with the off-diagonal entries negated.
+``spectral_operator`` fills its columns from the table over the whole
+truncation, (M + 1)^2 evaluations.  The residual takes it over the interior
+alone, (M - 1)^2 evaluations, and evaluates the two outer rings as well only
+where an evaluation there can raise, so that a pole or a float overflow on a
+retained mode still fails the check.
 
 The k = 1 block is the library's mixed block, not a copy of its formula:
 ``blocks.core_pair`` at the middle-degree bundle (p, q, k, a) = (2, 2, 1, 1)
@@ -50,8 +55,8 @@ residual therefore checks the kernel that the spectral suites check.
 
 The identity at (-x, -s) has the same operands as the one at (x, s), so the
 check visits only the half-plane m > 0 or (m = 0, n >= 0) of interior modes:
-``blocks[-m, -n]`` is the object ``blocks[m, n]``, because a sign class is
-unchanged by negation; N is even, N(-x) = N(x); and the shift rows are
+``blocks[-m, -n]`` is the object ``blocks[m, n]``, because negation keeps
+(|m|, |n|) and m n; N is even, N(-x) = N(x); and the shift rows are
 closed under s -> -s with equal weights (phi is 1/4 on every shift and the
 P weight is -dm dn/4), which ``_scaled_shifts`` enforces.  The column of a
 visited mode counts for itself and for its mirror, the origin once, so
@@ -291,26 +296,30 @@ def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
 
 
 def _mode_blocks(k: int, M: int, r) -> Dict[Tuple[int, int], Tuple[tuple, object]]:
-    """``_mode_block`` on every retained mode (m, n), |m|, |n| <= M, in basis order.
+    """``_mode_block`` on every mode (m, n), |m|, |n| <= M, in basis order.
 
-    A block depends on its mode only through the sign class: (|m|, |n|) for
-    k = 0 and k = 2, and (|m|, |n|, m n < 0) for k = 1, whose off-diagonal
-    entries carry m n, the same number on every mode of the class.  So the
-    block is evaluated once per class, at the class's first mode in basis
-    order, and shared by the rest; a pole names the first retained mode that
-    has one.  Negation keeps the class, so ``blocks[-m, -n]`` is the same
-    object as ``blocks[m, n]``.
+    A block depends on its mode only through the class (|m|, |n|), up to the
+    sign of the k = 1 off-diagonal entries: e12 = c12 t m n and e21 = -e12,
+    so the block of a mode with m n < 0 is its class block with e12 and e21
+    negated, exactly, and bit for bit in floats, where negation commutes with
+    rounding.  (At r = 0 the block is the identity, which carries no m n.)
+    So ``_mode_block`` runs once per class (a, b), at (-a, -b), the class's
+    first mode in basis order, for a descending and then b descending:
+    whether an evaluation raises depends on the class alone, so a pole names
+    the first mode in basis order that has one.  Negation keeps m n, so
+    ``blocks[-m, -n]`` is the same object as ``blocks[m, n]``.  M < 0 gives
+    the empty table.
     """
+    by_class = {}
+    for a in range(M, -1, -1):
+        for b in range(M, -1, -1):
+            block = flipped = _mode_block(k, -a, -b, r)
+            if k == 1 and a and b and r:
+                (e11, e12, e21, e22), den = block
+                flipped = (e11, -e12, -e21, e22), den
+            by_class[a, b] = block, flipped
     span = range(-M, M + 1)
-    by_class, blocks = {}, {}
-    for m in span:
-        for n in span:
-            key = (abs(m), abs(n), k == 1 and m * n < 0)
-            block = by_class.get(key)
-            if block is None:
-                block = by_class[key] = _mode_block(k, m, n, r)
-            blocks[m, n] = block
-    return blocks
+    return {(m, n): by_class[abs(m), abs(n)][m * n < 0] for m in span for n in span}
 
 
 def spectral_operator(basis: TorusBasis, r: int) -> OperatorMatrix:
@@ -401,6 +410,19 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     block denominators and the common denominator of C and phi; float mode
     runs the same loop on floats.
 
+    The loop reads the blocks of the interior modes only, |m|, |n| <= M - 2,
+    so only their classes are evaluated where no evaluation can raise: in
+    exact mode with r >= 0.  There r = 0 gives the identity, and for r >= 1
+    every block denominator is positive: ``gamma_product`` at an order
+    r >= 0 returns a product of powers of 4 d, d a positive denominator, so
+    k = 0, 2 divide by such a power and k = 1 by 2 r (J' + J + r) d1 d2; and
+    ``blocks.core_pair`` only adds and multiplies.  In float mode, where a
+    gamma quotient can overflow, first on the outer rings because its
+    arguments grow with |m| + |n|, and at a negative order, where a pole can
+    sit on any mode, the classes out to M are evaluated too, in the order of
+    ``_mode_blocks``: the first pole or overflow is the one that evaluating
+    every retained mode meets first.
+
     The identity at the mirror (-x, -s) compares the same numbers as the one
     at (x, s): the blocks of -x and x are one object, N(-x) = N(x), and the
     shift -s has the weights of s.  So only interior modes with m > 0, or
@@ -416,10 +438,10 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
         raise ValueError(f"exact mode needs integer r, got {r!r}")
     basis = TorusBasis(M, k)
     order = int(r) if mode == "exact" else float(r)
-    # the blocks spectral_operator builds, so a pole raises as there
-    blocks = _mode_blocks(k, M, order)
-    scale, shifts = _SHIFTS[k]
     cut = M - MARGIN
+    # the interior blocks; the outer rings only where an evaluation can raise
+    blocks = _mode_blocks(k, M if mode == "float" or order < 0 else cut, order)
+    scale, shifts = _SHIFTS[k]
     cells = range(len(basis.components) ** 2)
     # lhs applies A(x+s) to C - r phi formed first; rhs adds r phi A(x) to
     # C A(x) last.  The scale is a power of two and changes no rounding, so

@@ -618,13 +618,20 @@ def test_bad_orders_fail_fast_and_cleanly(runner, args, extra, exit_code):
     # blocks beyond the float range
     ["torus", "--k", "1", "--r", "116.5", "--mode", "float", "--M", "6"],
     ["torus", "--k", "2", "--r", "150.25", "--mode", "float", "--M", "8"],
-], ids=["coexact-product", "mixed-det", "radical", "torus-k0", "torus-k1", "torus-k2"])
+    # blocks beyond the float range from x = 13 on: the first evaluated is at
+    # (8, 8), on an outer ring, whose blocks the residual does not read
+    ["torus", "--k", "2", "--r", "200.5", "--mode", "float", "--M", "8"],
+], ids=["coexact-product", "mixed-det", "radical", "torus-k0", "torus-k1", "torus-k2",
+        "torus-outer-ring"])
 def test_values_beyond_the_float_range_fail(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # no uncaught exception
     assert "Traceback" not in result.output
-    if args[0] == "eval":
+    if "200.5" in args:
+        assert result.output == ("Error: gamma quotient G((x+r)/2)/G((x-r)/2) at x=17.0, "
+                                 "r=200.5 exceeds the float range\n")
+    elif args[0] == "eval":
         assert result.output.startswith("Error: ") and "exceeds the float range" in result.output
     elif result.output.startswith("{"):  # a record, which must say it failed
         assert json.loads(result.output)["status"] == "fail"

@@ -388,22 +388,64 @@ class TestIntertwiningResidual:
         assert intertwining_residual(6, k, r, mode="exact").residual == float(want)
         assert reference_residual(6, k, r) == want
 
-    @pytest.mark.parametrize("k, classes", [(0, 81), (1, 145), (2, 81)])
-    def test_one_block_per_sign_class(self, monkeypatch, k, classes):
-        # (M + 1)^2 classes (|m|, |n|), and for k = 1 the M^2 with m n < 0 besides
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_one_block_per_class(self, monkeypatch, k):
+        # one evaluation per class (|m|, |n|) for every k: (M - 1)^2 on the
+        # interior for an exact residual at r >= 0, where none can raise, and
+        # (M + 1)^2 over the truncation for spectral_operator, and for the
+        # residual at a negative order or in float mode
         block = torus._mode_block
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return block(*args)
+        def counted(k, m, n, r):
+            calls.append((m, n))
+            try:
+                return block(k, m, n, r)
+            except PoleOnModeError:  # count on past the poles of r = -1
+                return block(k, m, n, 0)
 
         monkeypatch.setattr(torus, "_mode_block", counted)
-        intertwining_residual(8, k, 2)
-        assert len(calls) == classes
-        calls.clear()
-        spectral_operator(TorusBasis(8, k), 2)
-        assert len(calls) == classes
+        runs = [(lambda: intertwining_residual(8, k, 2), 49, 6),
+                (lambda: spectral_operator(TorusBasis(8, k), 2), 81, 8),
+                (lambda: intertwining_residual(8, k, -1), 81, 8),
+                (lambda: intertwining_residual(8, k, 1.5, mode="float"), 81, 8)]
+        for run, count, reach in runs:
+            calls.clear()
+            run()
+            assert len(calls) == len({(abs(m), abs(n)) for m, n in calls}) == count
+            assert max(max(abs(m), abs(n)) for m, n in calls) == reach
+
+    @pytest.mark.parametrize("mode, r", [("exact", 1), ("exact", 2), ("exact", 3),
+                                         ("float", 1.5), ("float", 0.0)])
+    def test_k1_table_is_the_kernel_on_every_mode(self, monkeypatch, mode, r):
+        # the table negates e12 and e21 of the class block on a mode with
+        # m n < 0; every block the residual reads must be the kernel's own
+        # block of that mode, each float bit for bit (repr shows the sign of
+        # a zero), the r = 0 identity included.  A mode on an axis, whose
+        # e12 is a zero, takes the block of its class's first mode (-|m|, -|n|)
+        table = torus._mode_blocks
+        tables = []
+
+        def recorded(*args):
+            tables.append(table(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(torus, "_mode_blocks", recorded)
+        intertwining_residual(8, 1, r, mode=mode)
+        (blocks,) = tables
+        assert {(m, n) for m in range(-6, 7) for n in range(-6, 7)} <= blocks.keys()
+        for (m, n), got in blocks.items():
+            at = (m, n) if m * n else (-abs(m), -abs(n))
+            assert repr(got) == repr(torus._mode_block(1, *at, r)), (m, n)
+
+    @pytest.mark.parametrize("k, mode", [(0, (-1, -1, "1")), (1, (-1, 0, "dt")),
+                                         (2, (-1, -1, "dtdr"))])
+    def test_pole_outside_an_empty_interior_raises(self, k, mode):
+        # at M = 1 the residual reads no block, but a pole on a retained mode
+        # still fails the check
+        with pytest.raises(PoleOnModeError) as err:
+            intertwining_residual(1, k, -1)
+        assert err.value.mode == mode
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("r", [1, 2])
