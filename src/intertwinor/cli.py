@@ -6,8 +6,10 @@ values in the shortest round-trip form (or at a requested precision).  The
 ``verify`` and ``torus`` commands exit 0 exactly when everything passes, so
 they double as CI gates; neither passes vacuously, as ``verify`` fails a
 suite with no passing record and ``torus`` a run that checked no column.
-The only environment variable honored is INTERTWINOR_OUTDIR, which prefixes
-relative output paths.
+Two environment variables are read: INTERTWINOR_OUTDIR, which prefixes
+relative output paths, and click's _INTERTWINOR_COMPLETE, which turns a run
+into shell completion (``_INTERTWINOR_COMPLETE=bash_source intertwinor``
+prints a bash completion script).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 import click
+from click.core import ParameterSource
 
 from . import blocks, spectra, torus, verify
 from .arithmetic import POLE, IndeterminateError, format_fraction, serialize
@@ -199,12 +202,64 @@ def _point_values(params: BundleParams, pt: spectra.SpectralPoint, r, family: Fa
     return values
 
 
+class _PairsCommand(click.Command):
+    """A subcommand that parses a well-formed ``--name value`` sequence itself.
+
+    The click decorators stay the only declaration of each option.  When the
+    tokens are pairs of a declared option name and its value, no option
+    repeats, every required option is given, every value and default passes
+    the option's own ``process_value``, and the context takes no values from
+    a default map or environment prefix and is not resilient (completion),
+    this fills ``ctx.params`` and the parameter sources as click's parser
+    would, without building one.  Any other input goes to click unchanged, so
+    help, every usage error, ``--opt=value``, ``-ofile``, repeated options and
+    completion keep click's bytes.  The two agree for plain options only (one
+    value; no flag, envvar, callback or prompt; required or with a default),
+    which ``tests/test_cli.py`` asserts of every subcommand.
+    """
+
+    def parse_args(self, ctx, args):
+        values = self._pairs(ctx, args)
+        if values is None:
+            return super().parse_args(ctx, args)
+        for param, (value, source) in values.items():
+            ctx.set_parameter_source(param.name, source)
+            if param.expose_value:
+                ctx.params[param.name] = value
+        ctx.args = []
+        return ctx.args
+
+    def _pairs(self, ctx, args):
+        """{param: (value, source)} for every parameter, or None to leave it to click."""
+        if (len(args) % 2 or ctx.resilient_parsing or ctx.default_map is not None
+                or ctx.auto_envvar_prefix is not None):
+            return None
+        by_opt = {opt: param for param in self.params for opt in param.opts}
+        values = {}
+        try:
+            for name, text in zip(args[::2], args[1::2]):
+                param = by_opt.get(name)
+                if param is None or param in values:
+                    return None
+                values[param] = (param.process_value(ctx, text),
+                                 ParameterSource.COMMANDLINE)
+            for param in self.get_params(ctx):  # the rest, and the help option
+                if param not in values:
+                    if param.required:
+                        return None
+                    values[param] = (param.process_value(ctx, param.get_default(ctx)),
+                                     ParameterSource.DEFAULT)
+        except click.BadParameter:
+            return None
+        return values
+
+
 @click.group()
 def main():
     """Spectra of conformal intertwinors on form bundles over sphere products."""
 
 
-@main.command("eval")
+@main.command("eval", cls=_PairsCommand)
 @click.option("--p", type=INT64, required=True)
 @click.option("--q", type=INT64, required=True)
 @click.option("--k", type=INT64, required=True)
@@ -251,7 +306,7 @@ def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision):
             yield rec
 
 
-@main.command("table")
+@main.command("table", cls=_PairsCommand)
 @click.option("--p", type=INT64, required=True)
 @click.option("--q", type=INT64, required=True)
 @click.option("--k", type=INT64, required=True)
@@ -291,7 +346,7 @@ def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
     _emit(buf.getvalue(), _resolve_out(output))
 
 
-@main.command("verify")
+@main.command("verify", cls=_PairsCommand)
 @click.option("--suite", type=click.Choice(tuple(verify.SUITES) + ("all",)),
               default="all", show_default=True)
 @click.option("--p-max", type=click.IntRange(2, INT64_MAX), default=7, show_default=True)
@@ -327,7 +382,7 @@ def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
     sys.exit(0 if failed == 0 else 1)
 
 
-@main.command("torus")
+@main.command("torus", cls=_PairsCommand)
 @click.option("--k", type=click.IntRange(0, 2), required=True)
 @click.option("--r", "r_text", type=str, required=True)
 @click.option("--m", "--M", "m_trunc", type=click.IntRange(1, MAX_TORUS_M), default=24,

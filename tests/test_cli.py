@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,9 +8,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import intertwinor
 from intertwinor import verify
@@ -733,3 +738,143 @@ def test_unwritable_outputs_fail_cleanly(runner, tmp_path, monkeypatch, args, ca
     assert result.exit_code == 1
     assert_clean_error(result)
     assert f"Error: cannot write {target}: " in result.output
+
+
+# -- the subcommands' own parse of well-formed ``--name value`` sequences -----------------
+
+SUBCOMMANDS = ("eval", "table", "torus", "verify")
+#: a few accepted values of each option, by parameter name
+OPTION_VALUES = {
+    "p": ("3", "5"), "q": ("3", "4"), "k": ("0", "1", "2"), "a": ("0", "1"),
+    "jp": ("1", "2"), "j": ("2", "3"), "jp_max": ("2",), "j_max": ("1", "3"),
+    "r_text": ("2", "1.5", "-1"), "family": ("coexact", "m1-d", "mixed"),
+    "operator": ("normalized", "even-order"), "mode": ("exact", "float"),
+    "fmt": ("csv", "jsonl"), "precision": ("17", "5"), "output": ("-", "out.json"),
+    "suite": ("det", "all"), "p_max": ("3",), "q_max": ("4",), "r_max": ("2",),
+    "m_trunc": ("3", "8"), "tol": ("1e-9", "0.5"),
+}
+#: out-of-range, ill-typed and option-like values
+BAD_VALUES = ("1e3", "1", "COEXACT", "0", "x", "--p", "--", "", "-o",
+              "9223372036854775808")
+#: tokens outside the strict form
+ODD_TOKENS = ("--help", "--", "--r=2", "-ofile", "--bogus")
+
+
+def _click_parse():
+    """Every subcommand parses with click's own ``Command.parse_args`` inside."""
+    return mock.patch.object(type(main.commands["eval"]), "parse_args",
+                             click.Command.parse_args)
+
+
+def _parse(name, argv):
+    """What ``make_context`` makes of argv: values, extra args and sources, or the
+    exception and what it printed (the help text for ``--help``)."""
+    cmd = main.commands[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            ctx = cmd.make_context(name, list(argv))
+        except click.exceptions.Exit as stop:
+            return "exit", stop.exit_code, out.getvalue()
+        except click.ClickException as err:
+            return type(err), err.format_message(), out.getvalue()
+    return (repr(ctx.params), ctx.args,
+            {p.name: ctx.get_parameter_source(p.name) for p in cmd.get_params(ctx)})
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand and an argv: its options in `--name value` pairs, in any order,
+    then at most two splices of dropped, repeated, bad or odd tokens."""
+    name = draw(st.sampled_from(SUBCOMMANDS))
+    params = main.commands[name].params
+    tokens = []
+    for param in draw(st.permutations(params)):
+        if param.required or draw(st.booleans()):
+            tokens += [draw(st.sampled_from(param.opts)),
+                       draw(st.sampled_from(OPTION_VALUES[param.name]))]
+    loose = [opt for param in params for opt in param.opts] + list(BAD_VALUES + ODD_TOKENS)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at + draw(st.integers(0, 2))] = draw(
+            st.lists(st.sampled_from(loose), max_size=2))
+    return name, tokens
+
+
+def test_subcommand_options_are_plain():
+    # the conditions under which the subcommands' own parse matches click's
+    unset = click.Option(["--probe"]).default  # what an option without a default holds
+    for name in SUBCOMMANDS:
+        cmd = main.commands[name]
+        assert cmd.params and not cmd.no_args_is_help
+        for param in cmd.params:
+            assert isinstance(param, click.Option), param.name
+            assert param.nargs == 1 and not param.multiple and not param.is_flag
+            assert not param.deprecated and param.expose_value
+            assert param.envvar is None and param.callback is None and param.prompt is None
+            assert param.required or param.default is not unset, param.name
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("eval", ORDER_COMMANDS[0][1:] + ["--r", "2", "-o", "x.json"]),
+    ("table", ORDER_COMMANDS[1][1:] + ["--r", "2"]),
+    ("torus", ["--r", "2", "--k", "1"]),
+    ("verify", []),
+], ids=SUBCOMMANDS)
+def test_well_formed_options_skip_clicks_parser(monkeypatch, name, argv):
+    def refuse(self, ctx, args):
+        raise AssertionError(f"click's parser ran on {args}")
+
+    with _click_parse():
+        want = _parse(name, argv)
+    monkeypatch.setattr(click.Command, "parse_args", refuse)
+    assert _parse(name, argv) == want
+
+
+@pytest.mark.parametrize("settings_", [
+    {"default_map": {"precision": "5"}},
+    {"auto_envvar_prefix": "INTERTWINOR_TEST"},
+], ids=["default-map", "envvar-prefix"])
+def test_context_settings_go_to_click(monkeypatch, settings_):
+    # values from outside argv: the precision's source is the default map, the
+    # mode's the environment
+    monkeypatch.setenv("INTERTWINOR_TEST_MODE", "float")
+    argv = ORDER_COMMANDS[0][1:] + ["--r", "1/2"]
+    cmd = main.commands["eval"]
+    with _click_parse():
+        want = cmd.make_context("eval", list(argv), **settings_)
+    ctx = cmd.make_context("eval", list(argv), **settings_)
+    assert ctx.params == want.params
+    assert all(ctx.get_parameter_source(p.name) == want.get_parameter_source(p.name)
+               for p in cmd.params)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_argvs())
+def test_fast_parse_matches_clicks(case):
+    name, argv = case
+    fast = _parse(name, argv)
+    with _click_parse():
+        assert _parse(name, argv) == fast
+
+
+@pytest.mark.parametrize("line", [
+    "intertwinor eval --p 3 --",
+    "intertwinor eval --p 3 --q 3 --k 1 --a 0 --jp 2 --j 2 --r 2 --family coexact --",
+    "intertwinor torus --k 1 --mode ",
+])
+def test_completion_is_clicks(runner, line):
+    env = {"_INTERTWINOR_COMPLETE": "bash_complete", "COMP_WORDS": line,
+           "COMP_CWORD": str(len(line.split(" ")) - 1)}
+    fast = runner.invoke(main, [], env=env, prog_name="intertwinor")
+    with _click_parse():
+        slow = runner.invoke(main, [], env=env, prog_name="intertwinor")
+    assert fast.exit_code == slow.exit_code == 0
+    assert fast.stdout_bytes == slow.stdout_bytes != b""
+
+
+def test_completion_script_is_printed(runner):
+    result = runner.invoke(main, [], env={"_INTERTWINOR_COMPLETE": "bash_source"},
+                           prog_name="intertwinor")
+    assert result.exit_code == 0
+    assert "_INTERTWINOR_COMPLETE=bash_complete" in result.output
