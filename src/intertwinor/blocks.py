@@ -268,14 +268,14 @@ def even_product(v1, v2, r: int):
     return out
 
 
-def _order_prefactor(family: Family, b: Doubled, r: int) -> int:
+def order_prefactor(family: Family, b: Doubled, r: int) -> int:
     """2(s+r) on the coexact family, 2(s-r) on the exact one."""
     return b.s2 + 2 * r if family is Family.COEXACT else b.s2 - 2 * r
 
 
 def even_order_pair(family: Family, b: Doubled, jp2, j2, r: int):
     """The order-2r eigenvalue at doubled levels (2J', 2J) as (value, scale 2 * 4^r)."""
-    return _order_prefactor(family, b, r) * even_product(jp2, j2, r), 2 * 4 ** r
+    return order_prefactor(family, b, r) * even_product(jp2, j2, r), 2 * 4 ** r
 
 
 def even_block_pair(b: Doubled, jp2, j2, r: int):
@@ -384,21 +384,15 @@ class BivariatePoly:
         return "BivariatePoly(" + ", ".join(f"x^{i} y^{j}: {v}" for (i, j), v in terms) + ")"
 
 
-def symbol_polynomials(family: Family, b: Doubled, r: int, product: BivariatePoly):
-    """The top-degree (operator, symbol) pair with integer coefficients in the doubled levels.
+def symbol_row(r: int) -> BivariatePoly:
+    """The binomial row (x2^2 - x1^2)^r in the doubled levels (x1, x2) = (2J', 2J).
 
-    Both are 2 * 4^r times the polynomials of
-    :func:`leading_symbol_polynomials`, in the variables (x1, x2) = (2J', 2J).
-    The operator polynomial is the family's prefactor times ``product``, the
-    top part of :func:`even_product` of the two variables at order r, the same
-    for every bundle.  The symbol is the top part of the prefactor times
-    (x2^2 - x1^2 + c)^r, whose lower terms carry the family's constant c and
-    are not built: the binomial row prefactor * (x2^2 - x1^2)^r, with
-    x1^(2i) x2^(2(r-i)) coefficient (-1)^i C(r, i) times the prefactor.
+    Its x1^(2i) x2^(2(r-i)) coefficient is (-1)^i C(r, i).  Times a family's
+    prefactor it is the top part of the symbol prefactor * (x2^2 - x1^2 + c)^r,
+    whose lower terms carry the family's constant c and are not built; the
+    top part of :func:`even_product` at order r must equal it, for every bundle.
     """
-    prefactor = _order_prefactor(family, b, r)
-    symbol = {(2 * i, 2 * (r - i)): (-1) ** i * comb(r, i) * prefactor for i in range(r + 1)}
-    return product * prefactor, BivariatePoly(symbol)
+    return BivariatePoly({(2 * i, 2 * (r - i)): (-1) ** i * comb(r, i) for i in range(r + 1)})
 
 
 def leading_symbol_polynomials(family: Family, params: BundleParams, r: int):
@@ -415,12 +409,12 @@ def leading_symbol_polynomials(family: Family, params: BundleParams, r: int):
         raise ValueError("leading-symbol polynomials cover the multiplicity-one families")
     if r < 1:
         raise ValueError("need r >= 1")
-    product = even_product(BivariatePoly.var1(), BivariatePoly.var2(), r).top_part()
-    return tuple(in_levels(poly, r)
-                 for poly in symbol_polynomials(family, doubled(params), r, product))
+    prefactor = order_prefactor(family, doubled(params), r)
+    top = even_product(BivariatePoly.var1(), BivariatePoly.var2(), r).top_part()
+    return in_levels(top * prefactor, r), in_levels(symbol_row(r) * prefactor, r)
 
 
 def in_levels(poly: BivariatePoly, r: int) -> BivariatePoly:
-    """A polynomial of :func:`symbol_polynomials` at order r in the levels (J', J)."""
+    """An order-r polynomial in the doubled levels, over its scale 2 * 4^r, in (J', J)."""
     return BivariatePoly({(i, j): Fraction(c * 2 ** (i + j), 2 * 4 ** r)
                           for (i, j), c in poly.coeffs.items()})

@@ -338,11 +338,10 @@ def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
         _emit("".join(_json_line(rec) for rec in rows), _resolve_out(output))
         return
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=TABLE_HEADER, extrasaction="ignore",
+    writer = csv.DictWriter(buf, fieldnames=TABLE_HEADER, restval="", extrasaction="ignore",
                             lineterminator="\n")
     writer.writeheader()
-    for rec in rows:
-        writer.writerow({key: rec.get(key, "") for key in TABLE_HEADER})
+    writer.writerows(rows)
     _emit(buf.getvalue(), _resolve_out(output))
 
 

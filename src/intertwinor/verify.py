@@ -35,7 +35,7 @@ its labels need.  The identities, per suite:
 - even-order: second-order reproduction at r = 1 (``order2-coexact``,
   ``order2-exact``, ``order2-block``), ``family-ratio``,
   ``eigenvalue-proportionality``, ``det-proportionality`` and
-  ``leading-symbol``, which builds only the top-degree parts it compares;
+  ``leading-symbol``, which compares bundle-free top parts once per order;
 - scalar: the degree-zero degeneration.
 
 A suite takes only the grid and reads each kernel through its module, so
@@ -442,16 +442,17 @@ def run_even_order_checks(grid: GridSpec) -> List[dict]:
     vanishes where it does (eigenvalue proportionality, per bundle, family
     and r); the block determinant is one fixed multiple of the
     gamma-quotient determinant across all levels (det proportionality, per
-    bundle and r).  Per bundle and r, the top-degree parts of the operator
-    and symbol polynomials agree exactly (leading symbol), and only those
-    are built.  Every value is an integer pair or polynomial from the
+    bundle and r).  Per order, the product's top part equals the symbol's
+    binomial row (leading symbol), both built once per call, as no bundle
+    enters them.  Every value is an integer pair or polynomial from the
     library's kernels, and a witness is the value compared.
     """
     reports: List[dict] = []
     orders = _order_texts(r for r in grid.r_values if r >= 1)  # operators start at order 2
     x1, x2 = blocks.BivariatePoly.var1(), blocks.BivariatePoly.var2()
-    # the top part of the product, the same for all bundles
-    products = {r: blocks.even_product(x1, x2, r).top_part() for r, _ in orders}
+    # the product's top part and the symbol's binomial row, the same for all bundles
+    tops = {r: (blocks.even_product(x1, x2, r).top_part(), blocks.symbol_row(r))
+            for r, _ in orders}
 
     @cache
     def gamma(mixed, jp2, j2, r):
@@ -530,16 +531,18 @@ def run_even_order_checks(grid: GridSpec) -> List[dict]:
                                                        "identity": "leading-symbol"}))
                  for family in (Family.COEXACT, Family.EXACT)]
         for r, r_text in orders:
+            top, row = tops[r]
             for family, head in heads:
                 point = head.copy()
                 point["r"] = r_text
-                p_op, p_sym = blocks.symbol_polynomials(family, b, r, products[r])
-                if p_op == p_sym:
+                # both sides carry the family's prefactor, and a zero one empties them
+                prefactor = blocks.order_prefactor(family, b, r)
+                if prefactor == 0 or top == row:
                     reports.append(check_report("even-order", point, PASS))
                 else:
                     reports.append(check_report("even-order", point, FAIL,
-                                                 lhs=repr(blocks.in_levels(p_op, r)),
-                                                 rhs=repr(blocks.in_levels(p_sym, r))))
+                                                 lhs=repr(blocks.in_levels(top * prefactor, r)),
+                                                 rhs=repr(blocks.in_levels(row * prefactor, r))))
     return reports
 
 

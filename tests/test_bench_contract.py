@@ -3,10 +3,12 @@
 The benchmark builds what it runs from ``src/``, but tier-1 collects only
 ``tests/``: without this file a deletion in ``src/`` that breaks
 ``bench/workloads.py`` would still pass here.  The bench modules are loaded
-from their files, unchanged; nothing here writes a file.
+from their files, unchanged; the one verify-sweep pass writes its report
+under pytest's ``tmp_path``.
 """
 
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
@@ -63,3 +65,14 @@ def test_torus_pass_checks_columns():
     assert wall > 0
     assert [op.ok for op in ops] == [True, True]
     assert [op.items for op in ops] == [9, 18]
+
+
+def test_verify_sweep_pass_matches_the_record(tmp_path):
+    # one bench pass of the five suites against the slice digests and the
+    # report sha256 in bench/expected.json
+    sweep = workloads.build("verify-sweep", 0)
+    sweep.report_path = tmp_path / "verify-sweep-report.jsonl"
+    wall, ops = sweep.run_pass(tracing.NullTracer(), itertools.count())
+    assert wall > 0
+    assert len(ops) == 81
+    assert [op.name for op in ops if not op.ok] == []

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -23,7 +25,7 @@ from intertwinor.blocks import (
     laplace_data,
     leading_symbol_polynomials,
     order2_pair,
-    symbol_polynomials,
+    symbol_row,
     two_by_two,
 )
 from intertwinor.spectra import (
@@ -506,19 +508,24 @@ class TestLeadingSymbol:
         assert zero_prefactors == {Family.COEXACT, Family.EXACT}
 
     def test_symbol_kernel_builds_homogeneous_tops(self):
-        # both polynomials of the kernel, given the product's top part as the
-        # gate passes it, have degree 2r in every term, or no term at all
-        x1, x2 = BivariatePoly.var1(), BivariatePoly.var2()
-        zero_prefactors = set()
-        for params in SYMBOL_BUNDLES:
-            b = doubled(params)
-            for family in (Family.COEXACT, Family.EXACT):
-                for r in range(1, 9):
-                    product = even_product(x1, x2, r).top_part()
-                    prefactor = b.s2 + 2 * r if family is Family.COEXACT else b.s2 - 2 * r
-                    for poly in symbol_polynomials(family, b, r, product):
-                        assert all(i + j == 2 * r for i, j in poly.coeffs)
-                        assert bool(poly) == (prefactor != 0)
-                    if prefactor == 0:
-                        zero_prefactors.add(family)
-        assert zero_prefactors == {Family.COEXACT, Family.EXACT}
+        # the symbol's row, shared by every bundle, has degree 2r in every
+        # term and the binomial coefficients of (x2^2 - x1^2)^r
+        for r in range(1, 9):
+            assert symbol_row(r).coeffs == {(2 * i, 2 * (r - i)): (-1) ** i * comb(r, i)
+                                            for i in range(r + 1)}
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: block_scale_squared(PARAMS, spectral_point(PARAMS, 1, 1), Fraction(3, 2)),
+     "the exact seed needs integer r, got Fraction"),
+    (lambda: even_order_eigenvalue(Family.MIXED, PARAMS, spectral_point(PARAMS, 1, 1), 2),
+     "mixed family carries a block; use even_order_block"),
+    (lambda: leading_symbol_polynomials(Family.MIXED, PARAMS, 2),
+     "leading-symbol polynomials cover the multiplicity-one families"),
+    (lambda: leading_symbol_polynomials(Family.COEXACT, PARAMS, 0), "need r >= 1"),
+    (lambda: Family.parse("bogus"), "unknown family 'bogus'"),
+], ids=["seed-half-order", "mixed-eigenvalue", "mixed-symbol", "order-zero-symbol",
+        "unknown-family"])
+def test_library_argument_errors(call, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        call()

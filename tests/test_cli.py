@@ -542,6 +542,25 @@ def test_even_order_rejects_non_integer_r(runner, args):
     assert "--mode float" not in result.output.splitlines()[-1]
 
 
+BUNDLE_AT = ["--jp", "0", "--j", "0", "--r", "1", "--family", "coexact"]
+TABLE_AT = ["--jp-max", "1", "--j-max", "1", "--r", "1", "--family", "coexact"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["eval", "--p", "1", "--q", "3", "--k", "0", "--a", "0"] + BUNDLE_AT,
+     "require p, q >= 2, got p=1, q=3"),
+    (["eval", "--p", "3", "--q", "3", "--k", "0", "--a", "1"] + BUNDLE_AT,
+     "require 0 <= a <= k, got a=1, k=0"),
+    (["table", "--p", "3", "--q", "3", "--k", "5", "--a", "0"] + TABLE_AT,
+     "first factor degree 5 exceeds dim 2"),
+], ids=["p-below-two", "a-above-k", "degree-above-dim"])
+def test_bad_bundle_fails_cleanly(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert_clean_error(result)
+    assert result.output == f"Error: {message}\n"
+
+
 ORDER_MODES = {"exact": ["--mode", "exact"], "even-order": ["--operator", "even-order"],
                "float": ["--mode", "float"]}
 EVAL_AT = ["eval", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp", "1", "--j", "2",

@@ -154,19 +154,19 @@ class TestNegativeControls:
         assert failures(run_even_order_checks(TINY))
 
     def test_perturbed_symbol_is_flagged(self, monkeypatch):
-        real = blocks.symbol_polynomials
+        real = blocks.symbol_row
 
-        def skewed(family, b, r, product):
-            # the x1^(2r) coefficient of the symbol with its sign flipped at r = 2
-            p_op, p_sym = real(family, b, r, product)
-            if r == 2 and (4, 0) in p_sym.coeffs:
-                coeffs = dict(p_sym.coeffs)
+        def skewed(r):
+            # the x1^(2r) coefficient of the symbol's row with its sign flipped at r = 2
+            row = real(r)
+            if r == 2:
+                coeffs = dict(row.coeffs)
                 coeffs[4, 0] = -coeffs[4, 0]
-                p_sym = blocks.BivariatePoly(coeffs)
-            return p_op, p_sym
+                row = blocks.BivariatePoly(coeffs)
+            return row
 
         assert not failures(run_even_order_checks(TINY))
-        monkeypatch.setattr(blocks, "symbol_polynomials", skewed)
+        monkeypatch.setattr(blocks, "symbol_row", skewed)
         bad = failures(run_even_order_checks(TINY))
         assert bad
         for rep in bad:
@@ -174,6 +174,34 @@ class TestNegativeControls:
             assert rep["lhs"].startswith("BivariatePoly(")
             assert rep["rhs"].startswith("BivariatePoly(")
             assert rep["lhs"] != rep["rhs"]
+
+    def test_symbol_row_is_built_once_per_order(self, monkeypatch):
+        # the leading-symbol identity is bundle-free, so a suite call builds
+        # each order's row once, however many bundles and families it sweeps
+        real, orders = blocks.symbol_row, []
+
+        def counted(r):
+            orders.append(r)
+            return real(r)
+
+        monkeypatch.setattr(blocks, "symbol_row", counted)
+        grid = GridSpec(p_max=4, q_max=4, j_max=1, r_values=(0, 1, 2, 3))
+        run_even_order_checks(grid)
+        assert orders == [1, 2, 3]
+
+    def test_empty_function_family_is_flagged(self, monkeypatch):
+        real = spectra.level_floor
+
+        def skewed(params, family):
+            if params.k == 0 and family is Family.COEXACT:
+                return None  # wrongly claims no functions at k=0
+            return real(params, family)
+
+        monkeypatch.setattr(spectra, "level_floor", skewed)
+        reports = run_scalar_reduction(TINY)
+        bad = failures(reports)
+        assert bad and len(bad) == len(reports)
+        assert all(rep["lhs"] == "function family empty" for rep in bad)
 
     def test_perturbed_existence_is_flagged(self, monkeypatch):
         real = spectra.level_floor
