@@ -285,9 +285,10 @@ def even_block_pair(b: Doubled, jp2, j2, r: int):
     return tuple(prefactor * e for e in entries), scale * 4 ** (r - 1)
 
 
-def _check_order(r) -> None:
+def _check_order(r) -> int:
     if not is_integral(r) or r < 1:
         raise ValueError(f"even-order operators need integer r >= 1, got {r!r}")
+    return int(r)
 
 
 def even_order_eigenvalue(family: Family, params: BundleParams,
@@ -298,7 +299,7 @@ def even_order_eigenvalue(family: Family, params: BundleParams,
     are J' and J, times (s+r) on the coexact family and (s-r) on the exact
     one.  Normalized so that r = 1 reproduces the second-order operator.
     """
-    _check_order(r)
+    r = _check_order(r)
     if family is Family.MIXED:
         raise ValueError("mixed family carries a block; use even_order_block")
     return Fraction(*even_order_pair(family, doubled(params), *_doubled_levels(params, pt), r))
@@ -306,7 +307,7 @@ def even_order_eigenvalue(family: Family, params: BundleParams,
 
 def even_order_block(params: BundleParams, pt: SpectralPoint, r: int) -> TwoByTwo:
     """Order-2r operator on a mixed pair, r >= 1: scalar product times the core block."""
-    _check_order(r)
+    r = _check_order(r)
     return two_by_two(*even_block_pair(doubled(params), *_doubled_levels(params, pt), r))
 
 
@@ -407,8 +408,7 @@ def leading_symbol_polynomials(family: Family, params: BundleParams, r: int):
     """
     if family is Family.MIXED:
         raise ValueError("leading-symbol polynomials cover the multiplicity-one families")
-    if r < 1:
-        raise ValueError("need r >= 1")
+    r = _check_order(r)
     prefactor = order_prefactor(family, doubled(params), r)
     top = even_product(BivariatePoly.var1(), BivariatePoly.var2(), r).top_part()
     return in_levels(top * prefactor, r), in_levels(symbol_row(r) * prefactor, r)

@@ -203,7 +203,8 @@ def _point_values(params: BundleParams, pt: spectra.SpectralPoint, r, family: Fa
 
 
 class _PairsCommand(click.Command):
-    """A subcommand that parses a well-formed ``--name value`` sequence itself.
+    """A request command (``eval``, ``table``) that parses a well-formed
+    ``--name value`` sequence itself.
 
     The click decorators stay the only declaration of each option.  When the
     tokens are pairs of a declared option name and its value, no option
@@ -215,7 +216,8 @@ class _PairsCommand(click.Command):
     help, every usage error, ``--opt=value``, ``-ofile``, repeated options and
     completion keep click's bytes.  The two agree for plain options only (one
     value; no flag, envvar, callback or prompt; required or with a default),
-    which ``tests/test_cli.py`` asserts of every subcommand.
+    which ``tests/test_cli.py`` asserts of both.  ``verify`` and ``torus``
+    run once per job, not per request, so they keep click's parser.
     """
 
     def parse_args(self, ctx, args):
@@ -345,7 +347,7 @@ def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
     _emit(buf.getvalue(), _resolve_out(output))
 
 
-@main.command("verify", cls=_PairsCommand)
+@main.command("verify")
 @click.option("--suite", type=click.Choice(tuple(verify.SUITES) + ("all",)),
               default="all", show_default=True)
 @click.option("--p-max", type=click.IntRange(2, INT64_MAX), default=7, show_default=True)
@@ -381,7 +383,7 @@ def cmd_verify(suite, p_max, q_max, j_max, r_max, output):
     sys.exit(0 if failed == 0 else 1)
 
 
-@main.command("torus", cls=_PairsCommand)
+@main.command("torus")
 @click.option("--k", type=click.IntRange(0, 2), required=True)
 @click.option("--r", "r_text", type=str, required=True)
 @click.option("--m", "--M", "m_trunc", type=click.IntRange(1, MAX_TORUS_M), default=24,

@@ -170,10 +170,14 @@ def level_floor(params: BundleParams, family: Family) -> Optional[Tuple[int, int
     return max(first), max(second)
 
 
+def above_floor(floor: Optional[Tuple[int, int]], jp: int, j: int) -> bool:
+    """Whether the levels (j', j) lie in the quadrant of a :func:`level_floor`."""
+    return floor is not None and jp >= floor[0] and j >= floor[1]
+
+
 def ktype_exists(params: BundleParams, label: KTypeLabel) -> bool:
     """Whether (family, j', j) labels a nonempty module for these parameters."""
-    floor = level_floor(params, label.family)
-    return floor is not None and label.jp >= floor[0] and label.j >= floor[1]
+    return above_floor(level_floor(params, label.family), label.jp, label.j)
 
 
 def spectral_point(params: BundleParams, jp: int, j: int,

@@ -17,13 +17,14 @@ unreduced integers by cross-multiplication; a failing record's witnesses
 are the values it compared, converted by the helpers of the public
 functions, which are thin wrappers over the same kernels.
 
-Transition and gamma quotients depend on the shifted levels and r alone, not
-on the bundle's (k, a).  The diamond, det and even-order suites therefore
-compute them in tables that live for one suite call, and each bundle reads
-them over its own levels.  A family's K-types fill the quadrant above its
-:func:`spectra.level_floor`, so the diamond table holds the failing
-comparisons themselves, each with the constant offset of the least levels
-its labels need.  The identities, per suite:
+Every suite walks a bundle's levels through one sweep, :func:`_levels`, over
+the quadrant above a family's :func:`spectra.level_floor`.  Transition and
+gamma quotients depend on the shifted levels and r alone, not on the
+bundle's (k, a), so they sit in tables that live for one suite call: the
+gamma table the diamond and even-order suites share, the det suite's (det,
+seed) pairs, and the diamond table of failing comparisons, each with the
+constant offset of the least levels its labels need.  The identities, per
+suite:
 
 - diamond: path independence of the transition quotients
   (``diamond-path``) and their compatibility with the eigenvalue or
@@ -45,7 +46,6 @@ controls).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
@@ -143,18 +143,6 @@ def iter_bundles(grid: GridSpec) -> Iterator[BundleParams]:
                     yield BundleParams(p, q, k, a)
 
 
-def _point_head(params: BundleParams, jp: int, j: int, extra: Optional[dict] = None) -> dict:
-    """The point of a record without its order, built once per level.
-
-    A record's point is a copy of the head with the ``r`` text of
-    :func:`_order_texts` set, since a failing record adds its own keys.
-    """
-    out = {"p": params.p, "q": params.q, "k": params.k, "a": params.a, "jp": jp, "j": j}
-    if extra:
-        out.update(extra)
-    return out
-
-
 def _order_texts(orders) -> List[Tuple[int, str]]:
     """Each order with its ``r`` text, formatted once per suite call."""
     return [(r, str(r)) for r in orders]
@@ -171,9 +159,28 @@ def slice_grids(grid: GridSpec) -> Iterator[GridSpec]:
             yield replace(grid, p_min=p, p_max=p, q_min=q, q_max=q)
 
 
-def _quadrant(floor: Tuple[int, int], j_max: int) -> Iterator[Tuple[int, int]]:
-    """The levels (j', j) <= j_max at or above ``floor``, in sweep order."""
-    return itertools.product(range(floor[0], j_max + 1), range(floor[1], j_max + 1))
+def _levels(params: BundleParams, floor: Tuple[int, int], j_max: int,
+            extra: Optional[dict] = None) -> Iterator[Tuple[int, int, int, int, dict]]:
+    """(j', j, 2J', 2J, head) for the levels <= j_max at or above ``floor``, in sweep order.
+
+    The head is a record's point without its order: each record copies it and
+    sets the ``r`` text of :func:`_order_texts`, as a failing one adds keys.
+    """
+    p, q, k, a = params.p, params.q, params.k, params.a
+    extra = extra or {}
+    for jp in range(floor[0], j_max + 1):
+        jp2 = 2 * jp + p - 2
+        for j in range(floor[1], j_max + 1):
+            yield jp, j, jp2, 2 * j + q - 2, {"p": p, "q": q, "k": k, "a": a,
+                                                "jp": jp, "j": j, **extra}
+
+
+def _gamma_table():
+    """The gamma-quotient pair at (mixed, 2J', 2J, r), shared by the bundles of one suite call."""
+    @cache
+    def gamma(mixed: bool, jp2: int, j2: int, r: int) -> Tuple[int, int]:
+        return arithmetic.gamma_product(spectra.gamma_args(mixed, jp2, j2), r)
+    return gamma
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -209,7 +216,8 @@ def run_diamond_checks(grid: GridSpec) -> List[dict]:
     family's :func:`spectra.level_floor`.
     """
     reports: List[dict] = []
-    tables = {mixed: _diamond_table(mixed) for mixed in (False, True)}
+    gamma = _gamma_table()
+    tables = {mixed: _diamond_table(mixed, gamma) for mixed in (False, True)}
     orders = _order_texts(grid.r_values)
     for params in iter_bundles(grid):
         dp, dq = params.p - 2, params.q - 2
@@ -220,8 +228,7 @@ def run_diamond_checks(grid: GridSpec) -> List[dict]:
             lo1, lo2 = floor
             fails = tables[family is Family.MIXED]
             fam_pt = {"family": family.value}
-            for jp, j in _quadrant(floor, grid.j_max):
-                head = _point_head(params, jp, j, fam_pt)
+            for jp, j, _, _, head in _levels(params, floor, grid.j_max, fam_pt):
                 for r, r_text in orders:
                     point = head.copy()
                     point["r"] = r_text
@@ -235,7 +242,7 @@ def run_diamond_checks(grid: GridSpec) -> List[dict]:
     return reports
 
 
-def _diamond_table(mixed: bool):
+def _diamond_table(mixed: bool, gamma):
     """The failing diamond comparisons at (p - 2, q - 2, j', j, r) in gate order.
 
     Corner routes first, then gamma-transition per direction.  Each
@@ -253,10 +260,6 @@ def _diamond_table(mixed: bool):
         for n, d in spectra.transition_factors(mixed, 2 * jp + dp, 2 * j + dq, 2 * r, d1, d2):
             num, den = num * n, den * d
         return num, den
-
-    @cache
-    def value(dp, dq, jp, j, r):
-        return arithmetic.gamma_product(spectra.gamma_args(mixed, 2 * jp + dp, 2 * j + dq), r)
 
     @cache
     def steps(dp, dq, jp, j, r) -> dict:
@@ -281,9 +284,9 @@ def _diamond_table(mixed: bool):
                 if num_a * den_b != num_b * den_a:
                     out.append((djp, dj, ("diamond-path", _ratio_text(num_a, den_a),
                                           _ratio_text(num_b, den_b))))
-        src_n, src_d = value(dp, dq, jp, j, r)
+        src_n, src_d = gamma(mixed, 2 * jp + dp, 2 * j + dq, r)
         for (d1, d2), (n, d) in here.items():
-            tgt_n, tgt_d = value(dp, dq, jp + d1, j + d2, r)
+            tgt_n, tgt_d = gamma(mixed, 2 * (jp + d1) + dp, 2 * (j + d2) + dq, r)
             lhs, rhs = tgt_n * src_d * d, src_n * tgt_d * n
             if lhs != rhs:
                 out.append((d1, d2, ("gamma-transition", str(lhs), str(rhs))))
@@ -311,7 +314,6 @@ def run_interface_checks(grid: GridSpec) -> List[dict]:
             continue
         b = blocks.doubled(params)
         s2, sg = b.s2, b.sign
-        dp, dq = params.p - 2, params.q - 2
         # 1 - c1 and 1 - c2 as integer pairs per level j; a mixed label has
         # a >= 1 and j >= 1, so nu and alpha are at least 2 and neither degenerates
         constants = {}
@@ -319,13 +321,11 @@ def run_interface_checks(grid: GridSpec) -> List[dict]:
             c1, c2 = blocks.interface_constants(params, j)
             constants[j] = ((1 - c1).numerator, (1 - c1).denominator,
                             (1 - c2).numerator, (1 - c2).denominator)
-        for jp, j in _quadrant(floor, grid.j_max):
+        for jp, j, jp2, j2, head in _levels(params, floor, grid.j_max):
             u1, v1, u2, v2 = constants[j]  # 1 - c1 = u1/v1, 1 - c2 = u2/v2
-            jp2, j2 = 2 * jp + dp, 2 * j + dq
             n1, n2 = blocks.shift_values(b, j2)  # the equations take n1/2, n2/2
             lap1, lap2 = blocks.laplace_values(b, jp2, j2)
             lap = lap1 * lap2  # 16 times the product of the factor Laplacians
-            head = _point_head(params, jp, j)
             for r, r_text in orders:
                 point = head.copy()
                 point["r"] = r_text
@@ -387,11 +387,8 @@ def run_det_checks(grid: GridSpec) -> List[dict]:
             continue
         b = blocks.doubled(params)
         s2 = b.s2
-        dp, dq = params.p - 2, params.q - 2
-        for jp, j in _quadrant(floor, grid.j_max):
-            jp2, j2 = 2 * jp + dp, 2 * j + dq
+        for _, _, jp2, j2, head in _levels(params, floor, grid.j_max):
             plus, minus = jp2 + j2, jp2 - j2
-            head = _point_head(params, jp, j)
             for r, r_text in orders:
                 point = head.copy()
                 point["r"] = r_text
@@ -454,26 +451,18 @@ def run_even_order_checks(grid: GridSpec) -> List[dict]:
     tops = {r: (blocks.even_product(x1, x2, r).top_part(), blocks.symbol_row(r))
             for r, _ in orders}
 
-    @cache
-    def gamma(mixed, jp2, j2, r):
-        # the gamma-quotient pair at (2J', 2J, r) of either kind, shared by the call
-        return arithmetic.gamma_product(spectra.gamma_args(mixed, jp2, j2), r)
-
+    gamma = _gamma_table()
     for params in iter_bundles(grid):
-        dp, dq = params.p - 2, params.q - 2
         b = blocks.doubled(params)
         s2 = b.s2
         floors = [spectra.level_floor(params, family)
                   for family in (Family.MIXED, Family.COEXACT, Family.EXACT)]
         det_seen: Dict[int, Tuple[int, int]] = {}
         eig_seen: Dict[Tuple[str, int], Tuple[int, int]] = {}
-        for jp, j in _quadrant((0, 0), grid.j_max):
-            here_m, here_co, here_ex = (floor is not None and jp >= floor[0] and j >= floor[1]
-                                        for floor in floors)
+        for jp, j, jp2, j2, head in _levels(params, (0, 0), grid.j_max):
+            here_m, here_co, here_ex = (spectra.above_floor(floor, jp, j) for floor in floors)
             if not (here_m or here_co or here_ex):
                 continue
-            jp2, j2 = 2 * jp + dp, 2 * j + dq
-            head = _point_head(params, jp, j)
             for r, r_text in orders:
                 point = head.copy()
                 point["r"] = r_text
@@ -527,8 +516,9 @@ def run_even_order_checks(grid: GridSpec) -> List[dict]:
                     name, lhs, rhs = bad
                     point["identity"] = name
                     reports.append(check_report("even-order", point, FAIL, lhs=lhs, rhs=rhs))
-        heads = [(family, _point_head(params, -1, -1, {"family": family.value,
-                                                       "identity": "leading-symbol"}))
+        heads = [(family, {"p": params.p, "q": params.q, "k": params.k, "a": params.a,
+                           "jp": -1, "j": -1, "family": family.value,
+                           "identity": "leading-symbol"})
                  for family in (Family.COEXACT, Family.EXACT)]
         for r, r_text in orders:
             top, row = tops[r]
@@ -564,11 +554,9 @@ def run_scalar_reduction(grid: GridSpec) -> List[dict]:
         floors = [spectra.level_floor(params, family)
                   for family in (Family.EXACT, Family.MIXED, Family.COEXACT)]
         s2 = blocks.doubled(params).s2
-        dp, dq = params.p - 2, params.q - 2
-        for jp, j in _quadrant((0, 0), grid.j_max):
+        for jp, j, jp2, j2, head in _levels(params, (0, 0), grid.j_max):
             # the existence verdicts do not depend on r
-            exact, mixed, coexact = (floor is not None and jp >= floor[0] and j >= floor[1]
-                                     for floor in floors)
+            exact, mixed, coexact = (spectra.above_floor(floor, jp, j) for floor in floors)
             if exact:
                 bad = "exact family nonempty at k=0"
             elif mixed:
@@ -577,8 +565,7 @@ def run_scalar_reduction(grid: GridSpec) -> List[dict]:
                 bad = "function family empty"
             else:
                 bad = None
-            xs2 = spectra.gamma_args(False, 2 * jp + dp, 2 * j + dq)
-            head = _point_head(params, jp, j)
+            xs2 = spectra.gamma_args(False, jp2, j2)
             for r, r_text in orders:
                 point = head.copy()
                 point["r"] = r_text

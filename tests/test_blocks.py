@@ -522,10 +522,24 @@ class TestLeadingSymbol:
      "mixed family carries a block; use even_order_block"),
     (lambda: leading_symbol_polynomials(Family.MIXED, PARAMS, 2),
      "leading-symbol polynomials cover the multiplicity-one families"),
-    (lambda: leading_symbol_polynomials(Family.COEXACT, PARAMS, 0), "need r >= 1"),
+    (lambda: leading_symbol_polynomials(Family.COEXACT, PARAMS, 0),
+     "even-order operators need integer r >= 1, got 0"),
+    (lambda: leading_symbol_polynomials(Family.COEXACT, PARAMS, Fraction(3, 2)),
+     "even-order operators need integer r >= 1, got Fraction(3, 2)"),
+    (lambda: leading_symbol_polynomials(Family.COEXACT, PARAMS, 2.0),
+     "even-order operators need integer r >= 1, got 2.0"),
     (lambda: Family.parse("bogus"), "unknown family 'bogus'"),
 ], ids=["seed-half-order", "mixed-eigenvalue", "mixed-symbol", "order-zero-symbol",
-        "unknown-family"])
+        "half-order-symbol", "float-order-symbol", "unknown-family"])
 def test_library_argument_errors(call, match):
     with pytest.raises(ValueError, match=re.escape(match)):
         call()
+
+
+def test_integral_fraction_orders_read_as_ints():
+    pt = spectral_point(PARAMS, 2, 2)
+    assert even_order_eigenvalue(Family.COEXACT, PARAMS, pt, Fraction(2)) == \
+        even_order_eigenvalue(Family.COEXACT, PARAMS, pt, 2)
+    assert even_order_block(PARAMS, pt, Fraction(2)) == even_order_block(PARAMS, pt, 2)
+    assert leading_symbol_polynomials(Family.COEXACT, PARAMS, Fraction(2)) == \
+        leading_symbol_polynomials(Family.COEXACT, PARAMS, 2)

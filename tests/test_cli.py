@@ -759,9 +759,9 @@ def test_unwritable_outputs_fail_cleanly(runner, tmp_path, monkeypatch, args, ca
     assert f"Error: cannot write {target}: " in result.output
 
 
-# -- the subcommands' own parse of well-formed ``--name value`` sequences -----------------
+# -- the request commands' own parse of well-formed ``--name value`` sequences -----------
 
-SUBCOMMANDS = ("eval", "table", "torus", "verify")
+SUBCOMMANDS = ("eval", "table")  # the request commands; the others parse with click
 #: a few accepted values of each option, by parameter name
 OPTION_VALUES = {
     "p": ("3", "5"), "q": ("3", "4"), "k": ("0", "1", "2"), "a": ("0", "1"),
@@ -769,8 +769,6 @@ OPTION_VALUES = {
     "r_text": ("2", "1.5", "-1"), "family": ("coexact", "m1-d", "mixed"),
     "operator": ("normalized", "even-order"), "mode": ("exact", "float"),
     "fmt": ("csv", "jsonl"), "precision": ("17", "5"), "output": ("-", "out.json"),
-    "suite": ("det", "all"), "p_max": ("3",), "q_max": ("4",), "r_max": ("2",),
-    "m_trunc": ("3", "8"), "tol": ("1e-9", "0.5"),
 }
 #: out-of-range, ill-typed and option-like values
 BAD_VALUES = ("1e3", "1", "COEXACT", "0", "x", "--p", "--", "", "-o",
@@ -780,7 +778,7 @@ ODD_TOKENS = ("--help", "--", "--r=2", "-ofile", "--bogus")
 
 
 def _click_parse():
-    """Every subcommand parses with click's own ``Command.parse_args`` inside."""
+    """The request commands parse with click's own ``Command.parse_args`` inside."""
     return mock.patch.object(type(main.commands["eval"]), "parse_args",
                              click.Command.parse_args)
 
@@ -803,7 +801,7 @@ def _parse(name, argv):
 
 @st.composite
 def _argvs(draw):
-    """A subcommand and an argv: its options in `--name value` pairs, in any order,
+    """A request command and an argv: its options in `--name value` pairs, in any order,
     then at most two splices of dropped, repeated, bad or odd tokens."""
     name = draw(st.sampled_from(SUBCOMMANDS))
     params = main.commands[name].params
@@ -834,11 +832,14 @@ def test_subcommand_options_are_plain():
             assert param.required or param.default is not unset, param.name
 
 
+def test_verify_and_torus_use_clicks_parser():
+    for name in ("torus", "verify"):
+        assert type(main.commands[name]) is click.Command
+
+
 @pytest.mark.parametrize("name, argv", [
     ("eval", ORDER_COMMANDS[0][1:] + ["--r", "2", "-o", "x.json"]),
     ("table", ORDER_COMMANDS[1][1:] + ["--r", "2"]),
-    ("torus", ["--r", "2", "--k", "1"]),
-    ("verify", []),
 ], ids=SUBCOMMANDS)
 def test_well_formed_options_skip_clicks_parser(monkeypatch, name, argv):
     def refuse(self, ctx, args):

@@ -513,19 +513,32 @@ class TestScalarReduction:
         for rep in run_scalar_reduction(TINY):
             assert rep["point"]["k"] == 0
 
-    def test_floors_are_read_once_per_bundle(self, monkeypatch):
-        real = spectra.level_floor
-        calls = []
 
-        def counted(params, family):
-            calls.append((params, family))
-            return real(params, family)
+#: the families whose floors each suite reads, and whether it sweeps k = 0 only
+SWEPT_FAMILIES = {
+    "diamond": (tuple(Family), False),
+    "interface": ((Family.MIXED,), False),
+    "det": ((Family.MIXED,), False),
+    "even-order": (tuple(Family), False),
+    "scalar": (tuple(Family), True),
+}
 
-        monkeypatch.setattr(spectra, "level_floor", counted)
-        run_scalar_reduction(SMALL)
-        bundles = [params for params in iter_bundles(SMALL) if params.k == 0]
-        assert sorted(calls, key=repr) == sorted(
-            ((params, family) for params in bundles for family in Family), key=repr)
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_floors_are_read_once_per_bundle(monkeypatch, suite):
+    real = spectra.level_floor
+    calls = []
+
+    def counted(params, family):
+        calls.append((params, family))
+        return real(params, family)
+
+    monkeypatch.setattr(spectra, "level_floor", counted)
+    SUITES[suite](SMALL)
+    families, k0_only = SWEPT_FAMILIES[suite]
+    bundles = [params for params in iter_bundles(SMALL) if params.k == 0 or not k0_only]
+    assert sorted(calls, key=repr) == sorted(
+        ((params, family) for params in bundles for family in families), key=repr)
 
 
 def test_check_report_json_shape():
