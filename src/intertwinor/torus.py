@@ -35,14 +35,15 @@ cut, ``MARGIN`` modes in from the truncation, are compared, so no truncated
 contribution enters; a column counts as checked only when at least one
 shift identity was compared on it, which needs M >= 3.
 
-The blocks of A come from one table, ``_mode_blocks``, which evaluates
-``_mode_block`` once per class (|m|, |n|) for every k; a k = 1 mode with
-m n < 0 takes its class block with the off-diagonal entries negated.
-``spectral_operator`` fills its columns from the table over the whole
-truncation, (M + 1)^2 evaluations.  The residual takes it over the interior
-alone, (M - 1)^2 evaluations, and evaluates the two outer rings as well only
-where an evaluation there can raise, so that a pole or a float overflow on a
-retained mode still fails the check.
+The blocks of A come from one class table, ``_class_blocks``, which
+evaluates ``_mode_block`` once per class (|m|, |n|) for every k.
+``_mode_blocks`` derives the signed table of every mode from it: a k = 1
+mode with m n < 0 takes its class block with the off-diagonal entries
+negated.  ``spectral_operator`` fills its columns from the signed table over
+the whole truncation, (M + 1)^2 evaluations.  The residual reads the class
+table itself, over the interior alone, (M - 1)^2 evaluations, and evaluates
+the two outer rings as well only where an evaluation there can raise, so
+that a pole or a float overflow on a retained mode still fails the check.
 
 The k = 1 block is the library's mixed block, not a copy of its formula:
 ``blocks.core_pair`` at the middle-degree bundle (p, q, k, a) = (2, 2, 1, 1)
@@ -53,14 +54,16 @@ the kernel's e21 is never read.  The kernel's scale 16 stays in the block's
 denominator, so a non-integer float order gives floats over 16.  The exact
 residual therefore checks the kernel that the spectral suites check.
 
-The identity at (-x, -s) has the same operands as the one at (x, s), so the
-check visits only the half-plane m > 0 or (m = 0, n >= 0) of interior modes:
-``blocks[-m, -n]`` is the object ``blocks[m, n]``, because negation keeps
-(|m|, |n|) and m n; N is even, N(-x) = N(x); and the shift rows are
-closed under s -> -s with equal weights (phi is 1/4 on every shift and the
-P weight is -dm dn/4), which ``_scaled_shifts`` enforces.  The column of a
-visited mode counts for itself and for its mirror, the origin once, so
-``columns`` still counts every interior column compared.
+The mirror (x, s) -> (-x, -s) and the reflection (m, n) -> (m, -n),
+(dm, dn) -> (dm, -dn) generate a group {+-1}^2 of the shift identities, and
+the identities of one orbit compare the same numbers up to sign: N is even
+in m and in n, the shift rows keep phi = 1/4 on every shift while the P
+weight -dm dn/4 flips sign under the reflection (``_scaled_shifts``
+enforces both), and the reflection conjugates a k = 1 block by
+D = diag(1, -1).  So the check visits only the quarter-plane m, n >= 0 of
+interior modes, where every block it reads is a class block.  The column
+of a visited mode counts for its whole orbit, so ``columns`` still counts
+every interior column compared.
 """
 
 from __future__ import annotations
@@ -295,29 +298,37 @@ def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
     return (-t * c11, e12, -e12, -t * c22), scale * den
 
 
+def _class_blocks(k: int, reach: int, r) -> Dict[Tuple[int, int], Tuple[tuple, object]]:
+    """``_mode_block`` once per class (a, b), 0 <= a, b <= reach, keyed by (a, b).
+
+    A block depends on its mode only through the class (|m|, |n|), up to the
+    sign of the k = 1 off-diagonal entries e12 = c12 t m n and e21 = -e12.
+    Each class is evaluated at (-a, -b), its first mode in basis order, for
+    a descending and then b descending: whether an evaluation raises depends
+    on the class alone, so a pole names the first mode in basis order that
+    has one.  Since (-a)(-b) = a b, the table holds the block of every mode
+    with m, n >= 0.  reach < 0 gives the empty table.
+    """
+    return {(a, b): _mode_block(k, -a, -b, r)
+            for a in range(reach, -1, -1) for b in range(reach, -1, -1)}
+
+
 def _mode_blocks(k: int, M: int, r) -> Dict[Tuple[int, int], Tuple[tuple, object]]:
     """``_mode_block`` on every mode (m, n), |m|, |n| <= M, in basis order.
 
-    A block depends on its mode only through the class (|m|, |n|), up to the
-    sign of the k = 1 off-diagonal entries: e12 = c12 t m n and e21 = -e12,
-    so the block of a mode with m n < 0 is its class block with e12 and e21
-    negated, exactly, and bit for bit in floats, where negation commutes with
-    rounding.  (At r = 0 the block is the identity, which carries no m n.)
-    So ``_mode_block`` runs once per class (a, b), at (-a, -b), the class's
-    first mode in basis order, for a descending and then b descending:
-    whether an evaluation raises depends on the class alone, so a pole names
-    the first mode in basis order that has one.  Negation keeps m n, so
-    ``blocks[-m, -n]`` is the same object as ``blocks[m, n]``.  M < 0 gives
-    the empty table.
+    The block of a mode with m n < 0 is its class block from
+    ``_class_blocks`` with e12 and e21 negated, exactly, and bit for bit in
+    floats, where negation commutes with rounding.  (At r = 0 the block is
+    the identity, which carries no m n.)  Negation keeps m n, so
+    ``blocks[-m, -n]`` is the same object as ``blocks[m, n]``.
     """
     by_class = {}
-    for a in range(M, -1, -1):
-        for b in range(M, -1, -1):
-            block = flipped = _mode_block(k, -a, -b, r)
-            if k == 1 and a and b and r:
-                (e11, e12, e21, e22), den = block
-                flipped = (e11, -e12, -e21, e22), den
-            by_class[a, b] = block, flipped
+    for (a, b), block in _class_blocks(k, M, r).items():
+        flipped = block
+        if k == 1 and a and b and r:
+            (e11, e12, e21, e22), den = block
+            flipped = (e11, -e12, -e21, e22), den
+        by_class[a, b] = block, flipped
     span = range(-M, M + 1)
     return {(m, n): by_class[abs(m), abs(n)][m * n < 0] for m in span for n in span}
 
@@ -381,9 +392,11 @@ def _scaled_shifts(k: int):
     scale * (-P) with weight off into the swapped component.  phi and P are
     read from the rows ``assemble`` builds them from.
 
-    The rows must be closed under (dm, dn) -> (-dm, -dn) with the same three
-    weights, which ``intertwining_residual`` relies on to compare each
-    mirror pair of identities once; a table that is not raises ValueError.
+    The rows must be closed under the mirror (dm, dn) -> (-dm, -dn) with the
+    same three weights, and under the reflection (dm, dn) -> (dm, -dn) with
+    the same half and phi and the negated off, which ``intertwining_residual``
+    relies on to compare each orbit of identities once; a table that is not
+    raises ValueError.
     """
     comp = _COMPONENTS[k][0]
     phi, p_op = ({(dm, dn): c for dm, dn, src, _, c in _TABLES[name, k] if src == comp}
@@ -391,8 +404,11 @@ def _scaled_shifts(k: int):
     rows = [(dm, dn, c / 2, c, -p_op.get((dm, dn), 0)) for (dm, dn), c in phi.items()]
     weights = {row[:2]: row[2:] for row in rows}
     for (dm, dn), w in weights.items():
+        half, c, off = w
         if weights.get((-dm, -dn)) != w:
             raise ValueError(f"k = {k}: the shift ({dm}, {dn}) and its negation differ")
+        if weights.get((dm, -dn)) != (half, c, -off):
+            raise ValueError(f"k = {k}: the shift ({dm}, {dn}) and its reflection differ")
     scale = math.lcm(*(Fraction(v).denominator for row in rows for v in row[2:]))
     return scale, [row[:2] + tuple(int(scale * v) for v in row[2:]) for row in rows]
 
@@ -420,17 +436,25 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     gamma quotient can overflow, first on the outer rings because its
     arguments grow with |m| + |n|, and at a negative order, where a pole can
     sit on any mode, the classes out to M are evaluated too, in the order of
-    ``_mode_blocks``: the first pole or overflow is the one that evaluating
+    ``_class_blocks``: the first pole or overflow is the one that evaluating
     every retained mode meets first.
 
-    The identity at the mirror (-x, -s) compares the same numbers as the one
-    at (x, s): the blocks of -x and x are one object, N(-x) = N(x), and the
-    shift -s has the weights of s.  So only interior modes with m > 0, or
-    m = 0 and n >= 0, are visited, each with all four shifts, and each
-    visited column counts for itself and its mirror (the origin once).
-    ``columns`` thus counts every interior basis vector on which at least
-    one shift identity was compared, directly or through its mirror, so it
-    is 0 when no mode has an interior neighbor (M <= 2).
+    The identities come in orbits of the group {+-1}^2 generated by the mirror
+    (x, s) -> (-x, -s) and the reflection R: (m, n) -> (m, -n), (dm, dn) ->
+    (dm, -dn); each maps an identity to one with the same |diff| and the same
+    block denominators.  N is even in m and in n.  For k = 0, 2 the blocks of
+    a class are equal, phi and half agree on all four shifts and off is 0.
+    For k = 1 the block at R x is D A(x) D, D = diag(1, -1), the P weight
+    flips sign and D swap D = -swap, so the identity at R(x, s) is D (identity
+    at (x, s)) D: entry for entry up to sign, bit for bit in floats.
+    ``_scaled_shifts`` enforces both symmetries of the shift rows.  So only
+    the quarter-plane m, n >= 0 of interior modes is visited, and on an axis
+    the shifts that leave it are skipped, as each has an orbit partner
+    inside it; every block read then has m, n >= 0 and comes straight from
+    ``_class_blocks``.  A visited column counts for its whole orbit, so
+    ``columns`` counts every interior basis vector on which at least one shift
+    identity was compared, directly or through its orbit, and is 0 when no
+    mode has an interior neighbor (M <= 2).
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
@@ -439,8 +463,8 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     basis = TorusBasis(M, k)
     order = int(r) if mode == "exact" else float(r)
     cut = M - MARGIN
-    # the interior blocks; the outer rings only where an evaluation can raise
-    blocks = _mode_blocks(k, M if mode == "float" or order < 0 else cut, order)
+    # the interior classes; the outer rings only where an evaluation can raise
+    blocks = _class_blocks(k, M if mode == "float" or order < 0 else cut, order)
     scale, shifts = _SHIFTS[k]
     cells = range(len(basis.components) ** 2)
     # lhs applies A(x+s) to C - r phi formed first; rhs adds r phi A(x) to
@@ -449,13 +473,14 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     # division rounds correctly, so its maximum is the exact maximum rounded.
     worst, checked = 0, 0
     for m in range(cut + 1):
-        for n in range(-cut if m else 0, cut + 1):
+        for n in range(cut + 1):
             ax, dx = blocks[m, n]
             nx = _bochner(m, n)
             compared = False
             for dm, dn, half, phi, off in shifts:
                 mm, nn = m + dm, n + dn
-                if abs(mm) > cut or abs(nn) > cut:
+                # a shift leaving the quarter-plane pairs with one inside it
+                if not (0 <= mm <= cut and 0 <= nn <= cut):
                     continue
                 compared = True
                 ay, dy = blocks[mm, nn]
@@ -473,6 +498,6 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
                         err = abs(diff / (scale * dx * dy))
                         # a NaN (inf - inf in float mode) sticks, where max would drop it
                         worst = max(worst, err) if err == err else err
-            checked += compared * (2 if m or n else 1)
+            checked += compared * (2 if m else 1) * (2 if n else 1)
     return ResidualResult(k=k, r=r, M=M, mode=mode, residual=float(worst),
                           columns=checked * len(basis.components))

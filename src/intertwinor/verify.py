@@ -18,13 +18,14 @@ are the values it compared, converted by the helpers of the public
 functions, which are thin wrappers over the same kernels.
 
 Every suite walks a bundle's levels through one sweep, :func:`_levels`, over
-the quadrant above a family's :func:`spectra.level_floor`.  Transition and
-gamma quotients depend on the shifted levels and r alone, not on the
-bundle's (k, a), so they sit in tables that live for one suite call: the
-gamma table the diamond and even-order suites share, the det suite's (det,
-seed) pairs, and the diamond table of failing comparisons, each with the
-constant offset of the least levels its labels need.  The identities, per
-suite:
+the quadrant above a family's :func:`spectra.level_floor` (the even-order
+suite above the elementwise least of its three floors, the scalar suite
+from (0, 0), as it reports the empty levels).  Transition and gamma
+quotients depend on the shifted levels and r alone, not on the bundle's
+(k, a), so they sit in tables that live for one suite call: the gamma table
+the diamond and even-order suites share, the det suite's (det, seed) pairs,
+and the diamond table of failing comparisons, each with the constant offset
+of the least levels its labels need.  The identities, per suite:
 
 - diamond: path independence of the transition quotients
   (``diamond-path``) and their compatibility with the eigenvalue or
@@ -459,7 +460,10 @@ def run_even_order_checks(grid: GridSpec) -> List[dict]:
                   for family in (Family.MIXED, Family.COEXACT, Family.EXACT)]
         det_seen: Dict[int, Tuple[int, int]] = {}
         eig_seen: Dict[Tuple[str, int], Tuple[int, int]] = {}
-        for jp, j, jp2, j2, head in _levels(params, (0, 0), grid.j_max):
+        # no family has a K-type below the elementwise least of its floors
+        present = [floor for floor in floors if floor is not None]
+        levels = _levels(params, tuple(map(min, zip(*present))), grid.j_max) if present else ()
+        for jp, j, jp2, j2, head in levels:
             here_m, here_co, here_ex = (spectra.above_floor(floor, jp, j) for floor in floors)
             if not (here_m or here_co or here_ex):
                 continue

@@ -67,6 +67,15 @@ def test_torus_pass_checks_columns():
     assert [op.items for op in ops] == [9, 18]
 
 
+def test_torus_pass_at_the_bench_size():
+    # one torus-exact pass at the bench's own truncation and (k, r) cases:
+    # M = 8 and k, r in {0, 1, 2} x {1, 2, 3}, so every column of the 13 x 13
+    # interior modes is checked, twice as many at k = 1
+    wall, ops = workloads.build("torus-exact", 0).run_pass(tracing.NullTracer(), itertools.count())
+    assert [op.ok for op in ops] == [True] * 9
+    assert [op.items for op in ops] == [169] * 3 + [338] * 3 + [169] * 3
+
+
 def test_verify_sweep_pass_matches_the_record(tmp_path):
     # one bench pass of the five suites against the slice digests and the
     # report sha256 in bench/expected.json

@@ -41,6 +41,57 @@ def reference_residual(M, k, r):
                 for row, val in col.items() if inside(row)), default=0)
 
 
+def perturbed_block(block):
+    """``block`` with 1/3 added to the eigenvalue, or 1 to the mixed block's
+    scale t, at (|m|, |n|) = (2, 1)."""
+    def perturbed(k, m, n, r):
+        entries, den = block(k, m, n, r)
+        if (abs(m), abs(n)) != (2, 1):
+            return entries, den
+        if k != 1:
+            return (3 * entries[0] + den,), 3 * den
+        e11, off = r * (r * r - m * m - n * n), 2 * r * m * n
+        return tuple(e + den * s for e, s in zip(entries, (-e11, -off, off, e11))), den
+
+    return perturbed
+
+
+def full_sweep_residual(M, k, r, mode="exact"):
+    """(residual, columns) of the relation swept over every interior mode with
+    all four shifts, on the signed per-mode blocks of ``_mode_blocks``, in
+    the residual's own arithmetic."""
+    order = int(r) if mode == "exact" else float(r)
+    cut = M - torus.MARGIN
+    blocks = torus._mode_blocks(k, M, order)
+    scale, shifts = torus._SHIFTS[k]
+    size = 1 + (k == 1)
+    worst, checked = 0, 0
+    for m in range(-cut, cut + 1):
+        for n in range(-cut, cut + 1):
+            ax, dx = blocks[m, n]
+            compared = False
+            for dm, dn, half, phi, off in shifts:
+                mm, nn = m + dm, n + dn
+                if abs(mm) > cut or abs(nn) > cut:
+                    continue
+                compared = True
+                ay, dy = blocks[mm, nn]
+                diag = half * (mm * mm + nn * nn - m * m - n * n)
+                minus = diag - order * phi
+                for e in range(size * size):
+                    lhs = ay[e] * minus
+                    rhs = diag * ax[e]
+                    if off:
+                        lhs += ay[e ^ 1] * off
+                        rhs += off * ax[e ^ 2]
+                    diff = lhs * dx - (rhs + order * (phi * ax[e])) * dy
+                    if diff:
+                        err = abs(diff / (scale * dx * dy))
+                        worst = max(worst, err) if err == err else err
+            checked += compared
+    return float(worst), checked * size
+
+
 def in_torus_frame(entries, mn):
     """The entries (e11, e12, e21, e22) of D^-1 X D for D = diag(1, -mn)."""
     e11, e12, e21, e22 = entries
@@ -370,21 +421,9 @@ class TestIntertwiningResidual:
         (1, 1, Fraction(6)), (1, 2, Fraction(25, 2)), (1, 3, Fraction(18)),
     ])
     def test_perturbed_block_is_flagged(self, monkeypatch, k, r, want):
-        # add 1/3 to the eigenvalue, or 1 to the mixed block's scale t, at
-        # (|m|, |n|) = (2, 1); both the per-mode check and the operator
-        # algebra must see the same nonzero residual
-        block = torus._mode_block
-
-        def perturbed(k, m, n, r):
-            entries, den = block(k, m, n, r)
-            if (abs(m), abs(n)) != (2, 1):
-                return entries, den
-            if k != 1:
-                return (3 * entries[0] + den,), 3 * den
-            e11, off = r * (r * r - m * m - n * n), 2 * r * m * n
-            return tuple(e + den * s for e, s in zip(entries, (-e11, -off, off, e11))), den
-
-        monkeypatch.setattr(torus, "_mode_block", perturbed)
+        # both the per-mode check and the operator algebra must see the same
+        # nonzero residual
+        monkeypatch.setattr(torus, "_mode_block", perturbed_block(torus._mode_block))
         assert intertwining_residual(6, k, r, mode="exact").residual == float(want)
         assert reference_residual(6, k, r) == want
 
@@ -418,23 +457,28 @@ class TestIntertwiningResidual:
     @pytest.mark.parametrize("mode, r", [("exact", 1), ("exact", 2), ("exact", 3),
                                          ("float", 1.5), ("float", 0.0)])
     def test_k1_table_is_the_kernel_on_every_mode(self, monkeypatch, mode, r):
-        # the table negates e12 and e21 of the class block on a mode with
-        # m n < 0; every block the residual reads must be the kernel's own
-        # block of that mode, each float bit for bit (repr shows the sign of
-        # a zero), the r = 0 identity included.  A mode on an axis, whose
-        # e12 is a zero, takes the block of its class's first mode (-|m|, -|n|)
-        table = torus._mode_blocks
+        # the residual reads the class table, whose block of (a, b) is the
+        # kernel's block of the mode (a, b), since (-a)(-b) = a b; each float
+        # must match bit for bit (repr shows the sign of a zero), the r = 0
+        # identity included.  A mode on an axis, whose e12 is a zero, takes
+        # the block of its class's first mode (-a, -b)
+        table = torus._class_blocks
         tables = []
 
         def recorded(*args):
             tables.append(table(*args))
             return tables[-1]
 
-        monkeypatch.setattr(torus, "_mode_blocks", recorded)
+        monkeypatch.setattr(torus, "_class_blocks", recorded)
         intertwining_residual(8, 1, r, mode=mode)
         (blocks,) = tables
-        assert {(m, n) for m in range(-6, 7) for n in range(-6, 7)} <= blocks.keys()
-        for (m, n), got in blocks.items():
+        assert {(a, b) for a in range(7) for b in range(7)} <= blocks.keys()
+        for (a, b), got in blocks.items():
+            at = (a, b) if a * b else (-a, -b)
+            assert repr(got) == repr(torus._mode_block(1, *at, r)), (a, b)
+        # the signed table negates e12 and e21 of the class block on a mode
+        # with m n < 0, and must be the kernel's block on every mode
+        for (m, n), got in torus._mode_blocks(1, 8, r).items():
             at = (m, n) if m * n else (-abs(m), -abs(n))
             assert repr(got) == repr(torus._mode_block(1, *at, r)), (m, n)
 
@@ -486,8 +530,9 @@ class TestIntertwiningResidual:
 
 
 class TestMirrorPairs:
-    """The residual compares the identities at (x, s) and (-x, -s) once, which
-    holds because the two have the same operands."""
+    """The residual compares each orbit of identities under the mirror
+    (x, s) -> (-x, -s) and the reflection n -> -n once, which holds because
+    the identities of an orbit compare the same numbers up to sign."""
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("M", [3, 8])
@@ -507,6 +552,43 @@ class TestMirrorPairs:
         monkeypatch.setattr(torus, "_TABLES", tables)
         with pytest.raises(ValueError, match="negation"):
             torus._scaled_shifts(k)
+
+    @pytest.mark.parametrize("k, name, weight", [
+        # phi doubled on the mirror pair (1, 1), (-1, -1) alone
+        (0, "phi-mult", lambda dm, dn, c: 2 * c if dm == dn else c),
+        # a P weight |dm dn|/4, which does not flip sign under dn -> -dn
+        (1, "P", lambda dm, dn, c: Fraction(abs(dm * dn), 4)),
+    ])
+    def test_shift_table_must_be_closed_under_reflection(self, monkeypatch, k, name, weight):
+        # both edits keep the table closed under negation
+        tables = dict(torus._TABLES)
+        tables[name, k] = [(dm, dn, src, tgt, weight(dm, dn, c))
+                           for dm, dn, src, tgt, c in tables[name, k]]
+        monkeypatch.setattr(torus, "_TABLES", tables)
+        with pytest.raises(ValueError, match="reflection"):
+            torus._scaled_shifts(k)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_orbit_sweep_matches_the_full_sweep(self, monkeypatch, perturbed):
+        # the quarter-plane sweep on the class table against every interior
+        # mode with all four shifts on the signed per-mode table, unedited
+        # and under the edit of test_perturbed_block_is_flagged
+        if perturbed:
+            monkeypatch.setattr(torus, "_mode_block", perturbed_block(torus._mode_block))
+        cases = [("exact", r) for r in range(-1, 5)] + [("float", r) for r in (0.5, 1.5, 2.5, 10.5)]
+        for M in range(1, 11):
+            for k in (0, 1, 2):
+                for mode, r in cases:
+                    try:
+                        want = full_sweep_residual(M, k, r, mode)
+                    except PoleOnModeError as err:
+                        with pytest.raises(PoleOnModeError) as got:
+                            intertwining_residual(M, k, r, mode=mode)
+                        assert got.value.mode == err.mode, (M, k, mode, r)
+                        continue
+                    result = intertwining_residual(M, k, r, mode=mode)
+                    got = repr(result.residual), result.columns
+                    assert got == (repr(want[0]), want[1]), (M, k, mode, r)
 
     @pytest.mark.parametrize("k, weight, factor", [
         (1, "off", -1),

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from intertwinor import arithmetic, blocks, spectra, torus
+from intertwinor import arithmetic, blocks, spectra, torus, verify
 from intertwinor.arithmetic import POLE, IndeterminateError
 from intertwinor.spectra import DegenerateNormalizationError, Family
 from intertwinor.verify import (
@@ -539,6 +539,31 @@ def test_floors_are_read_once_per_bundle(monkeypatch, suite):
     bundles = [params for params in iter_bundles(SMALL) if params.k == 0 or not k0_only]
     assert sorted(calls, key=repr) == sorted(
         ((params, family) for params in bundles for family in families), key=repr)
+
+
+def test_even_order_heads_only_where_a_family_exists(monkeypatch):
+    # the even-order sweep starts at the least of the bundle's floors, so it
+    # builds no record head at a level where no family has a K-type; the
+    # scalar suite still sweeps from (0, 0), since it reports empty levels
+    real = verify._levels
+    visited = []
+
+    def recorded(params, floor, j_max, extra=None):
+        for level in real(params, floor, j_max, extra):
+            visited.append((params, level[0], level[1]))
+            yield level
+
+    monkeypatch.setattr(verify, "_levels", recorded)
+    grid = GridSpec(p_max=5, q_max=5, j_max=2, r_values=(1, 2))
+    run_even_order_checks(grid)
+    assert visited
+    empty = [(params, jp, j) for params, jp, j in visited
+             if not any(spectra.above_floor(spectra.level_floor(params, family), jp, j)
+                        for family in Family)]
+    assert empty == []
+    visited.clear()
+    run_scalar_reduction(grid)
+    assert visited[0][1:] == (0, 0)
 
 
 def test_check_report_json_shape():
