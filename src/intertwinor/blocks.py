@@ -23,13 +23,15 @@ where a caller needs one.  The kernel bodies are type-generic (ints on the
 verification sweeps and at lattice points, Fractions at other rational
 points, polynomials for the leading symbol); the public functions taking a
 :class:`SpectralPoint` are thin Fraction-returning wrappers over them, which
-pass the doubled levels of :func:`~intertwinor.arithmetic.twice`.
+pass the doubled levels of :func:`~intertwinor.arithmetic.twice`.  A kernel
+takes the bundle itself and reads it only through the five doubled-level
+constants that :class:`BundleParams` sets once (``root1``, ``root_mix2``,
+``sign``, ``s2`` and ``w2``), so any object carrying those attributes serves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Tuple
@@ -50,35 +52,6 @@ from .spectra import (
     SpectralPoint,
     seed_gamma_args,
 )
-
-
-# -- per-bundle constants on doubled levels ----------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Doubled:
-    """The bundle's constants on doubled levels, computed once per bundle.
-
-    It is built from the two centered degrees and the sign alone; 2s and 2w
-    are their sum and difference for every bundle, derived here once so
-    that the kernels read them per point as plain attributes.
-    """
-
-    root1: int      # 2((p-2)/2 - (k-a)), the centered degree on the first factor
-    root_mix2: int  # 2((q-2)/2 - (a-1)), the centered degree on the second factor
-    sign: int       # (-1)^(k-a+1), the parity sign of the off-diagonal coupling
-    s2: int = field(init=False)  # 2s = p + q - 2 - 2k
-    w2: int = field(init=False)  # 2w = q - p + 2k - 4a + 2, the weight of the diagonal entries
-
-    def __post_init__(self):
-        object.__setattr__(self, "s2", self.root1 + self.root_mix2)
-        object.__setattr__(self, "w2", self.root_mix2 - self.root1)
-
-
-@cache
-def doubled(params: BundleParams) -> Doubled:
-    """The bundle's doubled-level constants, built once per bundle and shared."""
-    p, q, k, a = params.p, params.q, params.k, params.a
-    return Doubled(p - 2 - 2 * (k - a), q - 2 * a, -1 if (k - a) % 2 == 0 else 1)
 
 
 # -- per-block Laplacian data ---------------------------------------------------
@@ -102,15 +75,15 @@ class LaplaceData:
     h_mix2: Fraction
 
 
-def laplace_values(b: Doubled, jp2, j2):
+def laplace_values(params: BundleParams, jp2, j2):
     """Four times (lap1, lap2) at doubled levels (2J', 2J)."""
-    return b.root1 * b.root1 - jp2 * jp2, j2 * j2 - b.root_mix2 * b.root_mix2
+    return params.root1 * params.root1 - jp2 * jp2, j2 * j2 - params.root_mix2 * params.root_mix2
 
 
 def laplace_data(params: BundleParams, pt: SpectralPoint) -> LaplaceData:
-    b = doubled(params)
-    values = laplace_values(b, twice(pt.Jp), twice(pt.J)) + (
-        b.root1 ** 2, (b.root_mix2 - 2) ** 2, (b.root_mix2 + 2) ** 2, b.root_mix2 ** 2)
+    root1, root_mix2 = params.root1, params.root_mix2
+    values = laplace_values(params, twice(pt.Jp), twice(pt.J)) + (
+        root1 ** 2, (root_mix2 - 2) ** 2, (root_mix2 + 2) ** 2, root_mix2 ** 2)
     return LaplaceData(*(Fraction(v, 4) for v in values))
 
 
@@ -131,13 +104,13 @@ class CasimirShifts:
     n2: Fraction
 
 
-def shift_values(b: Doubled, j2):
+def shift_values(params: BundleParams, j2):
     """The shifts (n1, n2) at doubled level 2J; integers on the lattice."""
-    return -(b.root1 + j2), b.root1 - j2
+    return -(params.root1 + j2), params.root1 - j2
 
 
 def interface_shifts(params: BundleParams, pt: SpectralPoint) -> CasimirShifts:
-    n1, n2 = shift_values(doubled(params), twice(pt.J))
+    n1, n2 = shift_values(params, twice(pt.J))
     return CasimirShifts(n1=Fraction(n1), n2=Fraction(n2))
 
 
@@ -182,25 +155,25 @@ def two_by_two(entries, scale) -> TwoByTwo:
     return TwoByTwo(*(Fraction(e, scale) for e in entries))
 
 
-def entry_sums(b: Doubled, lap1, lap2, r2):
+def entry_sums(params: BundleParams, lap1, lap2, r2):
     """Eight times the diagonal entry cores (e11, e22) of the order-2r block.
 
     ``lap1``, ``lap2`` are the doubled values of :func:`laplace_values`.
     """
-    sp, sm = b.s2 + r2, b.s2 - r2
-    return (sp * lap1 + sm * lap2 + sp * sm * (b.w2 - r2),
-            sm * lap1 + sp * lap2 + sp * sm * (b.w2 + r2))
+    sp, sm, w2 = params.s2 + r2, params.s2 - r2, params.w2
+    return (sp * lap1 + sm * lap2 + sp * sm * (w2 - r2),
+            sm * lap1 + sp * lap2 + sp * sm * (w2 + r2))
 
 
-def core_pair(b: Doubled, jp2, j2, r2):
+def core_pair(params: BundleParams, jp2, j2, r2):
     """The core block's entries (e11, e12, e21, e22) with their common scale 16."""
-    lap1, lap2 = laplace_values(b, jp2, j2)
-    e11, e22 = entry_sums(b, lap1, lap2, r2)
-    coupling = b.sign * r2
+    lap1, lap2 = laplace_values(params, jp2, j2)
+    e11, e22 = entry_sums(params, lap1, lap2, r2)
+    coupling = params.sign * r2
     return (2 * e11, 16 * coupling, coupling * lap1 * lap2, 2 * e22), 16
 
 
-def block_pair(b: Doubled, jp2, j2, r2):
+def block_pair(params: BundleParams, jp2, j2, r2):
     """The unit-seed intertwinor block as (entries, denominator).
 
     Raises when a factor of the normalization denominator (J'+J+r),
@@ -208,13 +181,13 @@ def block_pair(b: Doubled, jp2, j2, r2):
     """
     for value, name in ((jp2 + j2 + r2, "J'+J+r"),
                         (jp2 - j2 - r2, "J'-J-r"),
-                        (b.s2 + r2, "s+r")):
+                        (params.s2 + r2, "s+r")):
         if value == 0:
             raise DegenerateNormalizationError(f"normalization factor {name} vanishes")
     # the core times -1/((J'+J+r)(J'-J-r)(s+r)); the core's scale 16 over
     # the doubled factors' 8 leaves 2
-    entries, _ = core_pair(b, jp2, j2, r2)
-    return entries, -2 * (jp2 + j2 + r2) * (jp2 - j2 - r2) * (b.s2 + r2)
+    entries, _ = core_pair(params, jp2, j2, r2)
+    return entries, -2 * (jp2 + j2 + r2) * (jp2 - j2 - r2) * (params.s2 + r2)
 
 
 def intertwinor_block(params: BundleParams, pt: SpectralPoint, r: Rational,
@@ -226,7 +199,7 @@ def intertwinor_block(params: BundleParams, pt: SpectralPoint, r: Rational,
     one in it.  Raises when a factor of the normalization denominator
     (J'+J+r), (J'-J-r) or (s+r) vanishes, naming the factor.
     """
-    entries, den = block_pair(doubled(params), twice(pt.Jp), twice(pt.J), twice(r))
+    entries, den = block_pair(params, twice(pt.Jp), twice(pt.J), twice(r))
     scale = Fraction(scale)
     return TwoByTwo(*(scale * e / den for e in entries))
 
@@ -239,15 +212,15 @@ def block_scale_squared(params: BundleParams, pt: SpectralPoint, r: int) -> Exte
     if not is_integral(r):
         raise ValueError(f"the exact seed needs integer r, got {r!r}")
     gamma_part = quotient(*gamma_product(seed_gamma_args(twice(pt.Jp), twice(pt.J)), int(r)))
-    s2, r2 = doubled(params).s2, twice(r)
+    s2, r2 = params.s2, twice(r)
     return times(times(quotient(s2 + r2, s2 - r2), gamma_part), gamma_part)
 
 
 # -- order-2 and order-2r operators ------------------------------------------------
 
-def order2_pair(family: Family, b: Doubled, jp2, j2):
+def order2_pair(family: Family, params: BundleParams, jp2, j2):
     """The second-order eigenvalue (s -+ 1)(J+J')(J-J') as (value, scale 8)."""
-    factor = b.s2 + 2 if family is Family.COEXACT else b.s2 - 2
+    factor = params.s2 + 2 if family is Family.COEXACT else params.s2 - 2
     return factor * (j2 + jp2) * (j2 - jp2), 8
 
 
@@ -268,20 +241,20 @@ def even_product(v1, v2, r: int):
     return out
 
 
-def order_prefactor(family: Family, b: Doubled, r: int) -> int:
+def order_prefactor(family: Family, params: BundleParams, r: int) -> int:
     """2(s+r) on the coexact family, 2(s-r) on the exact one."""
-    return b.s2 + 2 * r if family is Family.COEXACT else b.s2 - 2 * r
+    return params.s2 + 2 * r if family is Family.COEXACT else params.s2 - 2 * r
 
 
-def even_order_pair(family: Family, b: Doubled, jp2, j2, r: int):
+def even_order_pair(family: Family, params: BundleParams, jp2, j2, r: int):
     """The order-2r eigenvalue at doubled levels (2J', 2J) as (value, scale 2 * 4^r)."""
-    return order_prefactor(family, b, r) * even_product(jp2, j2, r), 2 * 4 ** r
+    return order_prefactor(family, params, r) * even_product(jp2, j2, r), 2 * 4 ** r
 
 
-def even_block_pair(b: Doubled, jp2, j2, r: int):
+def even_block_pair(params: BundleParams, jp2, j2, r: int):
     """The order-2r mixed block at doubled levels (2J', 2J) as (entries, common scale)."""
     prefactor = even_product(jp2, j2, r - 1)
-    entries, scale = core_pair(b, jp2, j2, 2 * r)
+    entries, scale = core_pair(params, jp2, j2, 2 * r)
     return tuple(prefactor * e for e in entries), scale * 4 ** (r - 1)
 
 
@@ -302,13 +275,13 @@ def even_order_eigenvalue(family: Family, params: BundleParams,
     r = _check_order(r)
     if family is Family.MIXED:
         raise ValueError("mixed family carries a block; use even_order_block")
-    return Fraction(*even_order_pair(family, doubled(params), *_doubled_levels(params, pt), r))
+    return Fraction(*even_order_pair(family, params, *_doubled_levels(params, pt), r))
 
 
 def even_order_block(params: BundleParams, pt: SpectralPoint, r: int) -> TwoByTwo:
     """Order-2r operator on a mixed pair, r >= 1: scalar product times the core block."""
     r = _check_order(r)
-    return two_by_two(*even_block_pair(doubled(params), *_doubled_levels(params, pt), r))
+    return two_by_two(*even_block_pair(params, *_doubled_levels(params, pt), r))
 
 
 def _doubled_levels(params: BundleParams, pt: SpectralPoint) -> Tuple[int, int]:
@@ -409,7 +382,7 @@ def leading_symbol_polynomials(family: Family, params: BundleParams, r: int):
     if family is Family.MIXED:
         raise ValueError("leading-symbol polynomials cover the multiplicity-one families")
     r = _check_order(r)
-    prefactor = order_prefactor(family, doubled(params), r)
+    prefactor = order_prefactor(family, params, r)
     top = even_product(BivariatePoly.var1(), BivariatePoly.var2(), r).top_part()
     return in_levels(top * prefactor, r), in_levels(symbol_row(r) * prefactor, r)
 

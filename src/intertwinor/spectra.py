@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -82,6 +82,12 @@ class BundleParams:
     q: int
     k: int
     a: int
+    # the kernels' constants on doubled levels, set once, outside repr, == and hash:
+    root1: int = field(init=False, repr=False, compare=False)  # first centered degree
+    root_mix2: int = field(init=False, repr=False, compare=False)  # second centered degree
+    sign: int = field(init=False, repr=False, compare=False)  # (-1)^(k-a+1)
+    s2: int = field(init=False, repr=False, compare=False)  # 2s = p + q - 2 - 2k
+    w2: int = field(init=False, repr=False, compare=False)  # 2w, the diagonal weight
 
     def __post_init__(self):
         if self.p < 2 or self.q < 2:
@@ -92,11 +98,18 @@ class BundleParams:
             raise ValueError(f"first factor degree {self.k - self.a} exceeds dim {self.p - 1}")
         if self.a > self.q - 1:
             raise ValueError(f"second factor degree {self.a} exceeds dim {self.q - 1}")
+        # 2((p-2)/2 - (k-a)) and 2((q-2)/2 - (a-1)), whose sum is 2s and difference 2w
+        root1, root_mix2 = self.p - 2 - 2 * (self.k - self.a), self.q - 2 * self.a
+        object.__setattr__(self, "root1", root1)
+        object.__setattr__(self, "root_mix2", root_mix2)
+        object.__setattr__(self, "sign", -1 if (self.k - self.a) % 2 == 0 else 1)
+        object.__setattr__(self, "s2", root1 + root_mix2)
+        object.__setattr__(self, "w2", root_mix2 - root1)
 
     @property
     def s(self) -> Fraction:
         """Half of n - 2k; the conformal weight parameter of the bundle."""
-        return Fraction(self.p + self.q - 2 - 2 * self.k, 2)
+        return Fraction(self.s2, 2)
 
 
 @dataclass(frozen=True)
@@ -337,7 +350,7 @@ def normalized_eigenvalue(family: Family, params: BundleParams,
     """
     if family is Family.MIXED:
         raise ValueError("mixed family carries a 2x2 block, not a single eigenvalue")
-    s2, r2 = params.p + params.q - 2 - 2 * params.k, twice(r)  # 2s and 2r
+    s2, r2 = params.s2, twice(r)
     if s2 == r2 or s2 == -r2:
         raise DegenerateNormalizationError(
             f"normalization breaks at s = {format_fraction(params.s)} with r = {r}")

@@ -37,13 +37,12 @@ shift identity was compared on it, which needs M >= 3.
 
 The blocks of A come from one class table, ``_class_blocks``, which
 evaluates ``_mode_block`` once per class (|m|, |n|) for every k.
-``_mode_blocks`` derives the signed table of every mode from it: a k = 1
-mode with m n < 0 takes its class block with the off-diagonal entries
-negated.  ``spectral_operator`` fills its columns from the signed table over
-the whole truncation, (M + 1)^2 evaluations.  The residual reads the class
-table itself, over the interior alone, (M - 1)^2 evaluations, and evaluates
-the two outer rings as well only where an evaluation there can raise, so
-that a pole or a float overflow on a retained mode still fails the check.
+``spectral_operator`` fills its columns from it over the whole truncation,
+(M + 1)^2 evaluations, and negates the off-diagonal entries of a k = 1
+block on the modes with m n < 0.  The residual reads the class table over
+the interior alone, (M - 1)^2 evaluations, and evaluates the two outer
+rings as well only where an evaluation there can raise, so that a pole or
+a float overflow on a retained mode still fails the check.
 
 The k = 1 block is the library's mixed block, not a copy of its formula:
 ``blocks.core_pair`` at the middle-degree bundle (p, q, k, a) = (2, 2, 1, 1)
@@ -243,9 +242,8 @@ def half_commutator_with_phi(basis: TorusBasis) -> OperatorMatrix:
 
 # -- the spectrally defined operator ----------------------------------------------------
 
-#: the doubled-level constants of the middle-degree bundle, whose mixed block
-#: the k = 1 modes carry
-_MIDDLE_DEGREE = blocks.doubled(BundleParams(2, 2, 1, 1))
+#: the middle-degree bundle, whose mixed block the k = 1 modes carry
+_MIDDLE_DEGREE = BundleParams(2, 2, 1, 1)
 
 
 def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
@@ -313,26 +311,6 @@ def _class_blocks(k: int, reach: int, r) -> Dict[Tuple[int, int], Tuple[tuple, o
             for a in range(reach, -1, -1) for b in range(reach, -1, -1)}
 
 
-def _mode_blocks(k: int, M: int, r) -> Dict[Tuple[int, int], Tuple[tuple, object]]:
-    """``_mode_block`` on every mode (m, n), |m|, |n| <= M, in basis order.
-
-    The block of a mode with m n < 0 is its class block from
-    ``_class_blocks`` with e12 and e21 negated, exactly, and bit for bit in
-    floats, where negation commutes with rounding.  (At r = 0 the block is
-    the identity, which carries no m n.)  Negation keeps m n, so
-    ``blocks[-m, -n]`` is the same object as ``blocks[m, n]``.
-    """
-    by_class = {}
-    for (a, b), block in _class_blocks(k, M, r).items():
-        flipped = block
-        if k == 1 and a and b and r:
-            (e11, e12, e21, e22), den = block
-            flipped = (e11, -e12, -e21, e22), den
-        by_class[a, b] = block, flipped
-    span = range(-M, M + 1)
-    return {(m, n): by_class[abs(m), abs(n)][m * n < 0] for m in span for n in span}
-
-
 def spectral_operator(basis: TorusBasis, r: int) -> OperatorMatrix:
     """The intertwinor of integer order 2r on the truncated basis, block by block.
 
@@ -344,20 +322,28 @@ def spectral_operator(basis: TorusBasis, r: int) -> OperatorMatrix:
     identity.  A non-integer r raises ValueError (the float path is
     :func:`intertwining_residual`'s); a pole on a retained mode raises
     :class:`PoleOnModeError`.
+
+    The blocks come from ``_class_blocks``: a k = 1 mode with m n < 0 takes
+    its class block with e12 and e21 negated, as e12 = c12 t m n = -e21.
     """
     if not is_integral(r):
         raise ValueError(f"spectral_operator needs integer r, got {r!r}")
     r = int(r)
     comps = basis.components
+    table = _class_blocks(basis.k, basis.M, r)
+    span = range(-basis.M, basis.M + 1)
     cols: Dict[Mode, Column] = {}
-    for (m, n), (entries, den) in _mode_blocks(basis.k, basis.M, r).items():
-        for j, col_comp in enumerate(comps):
-            col: Column = {}
-            for i, row_comp in enumerate(comps):
-                val = entries[i * len(comps) + j]
-                if val:
-                    col[(m, n, row_comp)] = Fraction(val, den)
-            cols[(m, n, col_comp)] = col
+    for m in span:
+        for n in span:
+            entries, den = table[abs(m), abs(n)]
+            flip = -1 if m * n < 0 else 1
+            for j, col_comp in enumerate(comps):
+                col: Column = {}
+                for i, row_comp in enumerate(comps):
+                    val = entries[i * len(comps) + j] * (flip if i != j else 1)
+                    if val:
+                        col[(m, n, row_comp)] = Fraction(val, den)
+                cols[(m, n, col_comp)] = col
     return OperatorMatrix(cols)
 
 

@@ -95,6 +95,8 @@ class GridSpec:
         if not self.r_values:
             raise ValueError("need at least one r value")
         for r in self.r_values:
+            if type(r) is not int:
+                raise ValueError(f"r values must be integers, got r={r!r}")
             if r < 0:
                 raise ValueError(f"r values must be nonnegative, got r={r}")
 
@@ -313,8 +315,7 @@ def run_interface_checks(grid: GridSpec) -> List[dict]:
         floor = spectra.level_floor(params, Family.MIXED)
         if floor is None:
             continue
-        b = blocks.doubled(params)
-        s2, sg = b.s2, b.sign
+        s2, sg = params.s2, params.sign
         # 1 - c1 and 1 - c2 as integer pairs per level j; a mixed label has
         # a >= 1 and j >= 1, so nu and alpha are at least 2 and neither degenerates
         constants = {}
@@ -324,15 +325,15 @@ def run_interface_checks(grid: GridSpec) -> List[dict]:
                             (1 - c2).numerator, (1 - c2).denominator)
         for jp, j, jp2, j2, head in _levels(params, floor, grid.j_max):
             u1, v1, u2, v2 = constants[j]  # 1 - c1 = u1/v1, 1 - c2 = u2/v2
-            n1, n2 = blocks.shift_values(b, j2)  # the equations take n1/2, n2/2
-            lap1, lap2 = blocks.laplace_values(b, jp2, j2)
+            n1, n2 = blocks.shift_values(params, j2)  # the equations take n1/2, n2/2
+            lap1, lap2 = blocks.laplace_values(params, jp2, j2)
             lap = lap1 * lap2  # 16 times the product of the factor Laplacians
             for r, r_text in orders:
                 point = head.copy()
                 point["r"] = r_text
                 r2 = 2 * r
                 try:
-                    (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
+                    (e11, e12, e21, e22), den = blocks.block_pair(params, jp2, j2, r2)
                 except DegenerateNormalizationError as err:
                     reports.append(check_report("interface", point, SKIP, lhs=str(err)))
                     continue
@@ -386,8 +387,7 @@ def run_det_checks(grid: GridSpec) -> List[dict]:
         floor = spectra.level_floor(params, Family.MIXED)
         if floor is None:
             continue
-        b = blocks.doubled(params)
-        s2 = b.s2
+        s2 = params.s2
         for _, _, jp2, j2, head in _levels(params, floor, grid.j_max):
             plus, minus = jp2 + j2, jp2 - j2
             for r, r_text in orders:
@@ -395,7 +395,7 @@ def run_det_checks(grid: GridSpec) -> List[dict]:
                 point["r"] = r_text
                 r2 = 2 * r
                 try:
-                    (e11, e12, e21, e22), den = blocks.block_pair(b, jp2, j2, r2)
+                    (e11, e12, e21, e22), den = blocks.block_pair(params, jp2, j2, r2)
                 except DegenerateNormalizationError as err:
                     reports.append(check_report("det", point, SKIP, lhs=str(err)))
                     continue
@@ -454,8 +454,7 @@ def run_even_order_checks(grid: GridSpec) -> List[dict]:
 
     gamma = _gamma_table()
     for params in iter_bundles(grid):
-        b = blocks.doubled(params)
-        s2 = b.s2
+        s2 = params.s2
         floors = [spectra.level_floor(params, family)
                   for family in (Family.MIXED, Family.COEXACT, Family.EXACT)]
         det_seen: Dict[int, Tuple[int, int]] = {}
@@ -472,12 +471,12 @@ def run_even_order_checks(grid: GridSpec) -> List[dict]:
                 point["r"] = r_text
                 r2 = 2 * r
                 bad = None
-                evs = [(family, blocks.even_order_pair(family, b, jp2, j2, r))
+                evs = [(family, blocks.even_order_pair(family, params, jp2, j2, r))
                        for family, here in ((Family.COEXACT, here_co), (Family.EXACT, here_ex))
                        if here]
                 if r == 1:
                     for family, (ev_n, ev_d) in evs:
-                        want_n, want_d = blocks.order2_pair(family, b, jp2, j2)
+                        want_n, want_d = blocks.order2_pair(family, params, jp2, j2)
                         if ev_n * want_d != want_n * ev_d:
                             bad = ("order2-" + family.value, _ratio_text(ev_n, ev_d),
                                    _ratio_text(want_n, want_d))
@@ -500,9 +499,9 @@ def run_even_order_checks(grid: GridSpec) -> List[dict]:
                             bad = ("eigenvalue-proportionality",) + witness
                             break
                 if bad is None and here_m:
-                    entries, den = blocks.even_block_pair(b, jp2, j2, r)
+                    entries, den = blocks.even_block_pair(params, jp2, j2, r)
                     if r == 1:
-                        order2, den2 = blocks.core_pair(b, jp2, j2, 2)
+                        order2, den2 = blocks.core_pair(params, jp2, j2, 2)
                         if any(e * den2 != o * den for e, o in zip(entries, order2)):
                             bad = ("order2-block", repr(blocks.two_by_two(entries, den)),
                                    repr(blocks.two_by_two(order2, den2)))
@@ -530,7 +529,7 @@ def run_even_order_checks(grid: GridSpec) -> List[dict]:
                 point = head.copy()
                 point["r"] = r_text
                 # both sides carry the family's prefactor, and a zero one empties them
-                prefactor = blocks.order_prefactor(family, b, r)
+                prefactor = blocks.order_prefactor(family, params, r)
                 if prefactor == 0 or top == row:
                     reports.append(check_report("even-order", point, PASS))
                 else:
@@ -557,7 +556,6 @@ def run_scalar_reduction(grid: GridSpec) -> List[dict]:
             continue
         floors = [spectra.level_floor(params, family)
                   for family in (Family.EXACT, Family.MIXED, Family.COEXACT)]
-        s2 = blocks.doubled(params).s2
         for jp, j, jp2, j2, head in _levels(params, (0, 0), grid.j_max):
             # the existence verdicts do not depend on r
             exact, mixed, coexact = (spectra.above_floor(floor, jp, j) for floor in floors)
@@ -575,7 +573,7 @@ def run_scalar_reduction(grid: GridSpec) -> List[dict]:
                 point["r"] = r_text
                 if bad:
                     reports.append(check_report("scalar-reduction", point, FAIL, lhs=bad, rhs=""))
-                elif s2 == 2 * r or s2 == -2 * r:
+                elif params.s2 == 2 * r or params.s2 == -2 * r:
                     reports.append(check_report("scalar-reduction", point, SKIP,
                                                  lhs="normalization degenerates at s=+-r"))
                 elif arithmetic.gamma_product(xs2, r)[1] == 0:

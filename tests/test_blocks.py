@@ -1,30 +1,38 @@
+import copy
 import dataclasses
+import hashlib
 import itertools
 import re
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from intertwinor.arithmetic import POLE, IndeterminateError, format_fraction
+from intertwinor.arithmetic import POLE, IndeterminateError
 from intertwinor.blocks import (
     BivariatePoly,
     CasimirShifts,
-    Doubled,
     TwoByTwo,
+    block_pair,
     block_scale_squared,
     core_pair,
+    entry_sums,
+    even_block_pair,
+    even_order_pair,
     even_order_block,
     even_order_eigenvalue,
-    doubled,
     even_product,
     interface_constants,
     interface_shifts,
     intertwinor_block,
     laplace_data,
+    laplace_values,
     leading_symbol_polynomials,
     order2_pair,
+    order_prefactor,
+    shift_values,
     symbol_row,
     two_by_two,
 )
@@ -76,12 +84,12 @@ def projection_constants(n: int, k: int, j: int) -> ProjectionConstants:
 
 
 def order2(family, params, pt):
-    return Fraction(*order2_pair(family, doubled(params), 2 * pt.Jp, 2 * pt.J))
+    return Fraction(*order2_pair(family, params, 2 * pt.Jp, 2 * pt.J))
 
 
 def order2_block(params, pt):
     """The second-order block on a mixed pair: the core of the order-2r block at r = 1."""
-    return two_by_two(*core_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2))
+    return two_by_two(*core_pair(params, 2 * pt.Jp, 2 * pt.J, 2))
 
 
 def mixed_points(params, j_hi=5):
@@ -100,21 +108,67 @@ class TestProjectionConstants:
         assert (pc.mu, pc.nu, pc.alpha, pc.beta) == (1, 2, 0, 3)
 
 
+DOUBLED = ("root1", "root_mix2", "sign", "s2", "w2")
+
+
 class TestDoubled:
     def test_stores_only_independent_constants(self):
-        # 2s and 2w are the sum and difference of the centered degrees, so
-        # only those and the sign are set
-        assert [f.name for f in dataclasses.fields(Doubled) if f.init] == \
-            ["root1", "root_mix2", "sign"]
+        # the bundle's doubled-level constants are derived from (p, q, k, a)
+        # and take no part in its constructor, repr, == or hash
+        assert [f.name for f in dataclasses.fields(BundleParams) if f.init] == ["p", "q", "k", "a"]
         with pytest.raises(TypeError):
-            Doubled(1, 2, 1, 3, 1)
+            BundleParams(4, 6, 2, 1, 2)
+        params = BundleParams(4, 6, 2, 1)
+        edited = copy.copy(params)
+        for name in DOUBLED:
+            object.__setattr__(edited, name, getattr(params, name) + 1)
+        assert repr(edited) == repr(params) == "BundleParams(p=4, q=6, k=2, a=1)"
+        assert edited == params and hash(edited) == hash(params)
+
+    def test_constants_match_their_closed_forms(self):
+        rows = []
         for p, q in itertools.product(range(2, 13), repeat=2):
             for c1, a in itertools.product(range(p), range(q)):
                 k = c1 + a
-                b = doubled(BundleParams(p, q, k, a))
+                b = BundleParams(p, q, k, a)
                 assert b.s2 == p + q - 2 - 2 * k
                 assert b.w2 == q - p + 2 * k - 4 * a + 2
                 assert b.sign == (-1) ** (k - a + 1)
+                rows.append((p, q, k, a) + tuple(getattr(b, name) for name in DOUBLED))
+        # the digest of all five, taken before they moved onto the bundle
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+            "5f21e985df55712ed1a4ee7b285c9c98761697e8f736fa1195221ef1a3cb947b"
+
+
+def kernel_outcomes(b, jp2, j2, r):
+    """Every doubled-level kernel on the bundle constants ``b``, a raise as its message."""
+    def outcome(kernel, *args):
+        try:
+            return kernel(*args)
+        except DegenerateNormalizationError as err:
+            return str(err)
+
+    out = [laplace_values(b, jp2, j2), shift_values(b, j2),
+           entry_sums(b, *laplace_values(b, jp2, j2), 2 * r), core_pair(b, jp2, j2, 2 * r),
+           outcome(block_pair, b, jp2, j2, 2 * r), even_block_pair(b, jp2, j2, r)]
+    for family in (Family.COEXACT, Family.EXACT):
+        out += [order2_pair(family, b, jp2, j2), order_prefactor(family, b, r),
+                even_order_pair(family, b, jp2, j2, r)]
+    return out
+
+
+class TestKernelSeam:
+    def test_kernels_read_the_bundle_only_through_its_constants(self):
+        # any object carrying the five constants serves as the bundle, so a
+        # tracer can pass root1 and root_mix2 as variables
+        for p, q in itertools.product(range(2, 8), repeat=2):
+            for c1, a in itertools.product(range(p), range(q)):
+                params = BundleParams(p, q, c1 + a, a)
+                seam = types.SimpleNamespace(**{name: getattr(params, name) for name in DOUBLED})
+                for (jp, j), r in itertools.product(((0, 0), (1, 2), (3, 1)), (1, 2, 3)):
+                    jp2, j2 = 2 * jp + p - 2, 2 * j + q - 2
+                    assert kernel_outcomes(seam, jp2, j2, r) == \
+                        kernel_outcomes(params, jp2, j2, r), (params, jp, j, r)
 
 
 class TestLaplaceData:
@@ -317,13 +371,13 @@ class TestOrderTwo:
             assert order2_block(PARAMS, pt).det / det == expected
 
 
-def family_offsets(family, b):
+def family_offsets(family, params):
     """Doubled centered degrees whose squares enter the family's square-root operators."""
     if family is Family.COEXACT:
-        return b.root1, b.root_mix2 - 2
+        return params.root1, params.root_mix2 - 2
     if family is Family.EXACT:
-        return b.root1 + 2, b.root_mix2
-    return b.root1, b.root_mix2
+        return params.root1 + 2, params.root_mix2
+    return params.root1, params.root_mix2
 
 
 class TestEvenOrder:
@@ -382,7 +436,7 @@ class TestEvenOrder:
             for c1, a in itertools.product(range(p), range(q)):
                 params = BundleParams(p, q, c1 + a, a)
                 for family in Family:
-                    o1, o2 = family_offsets(family, doubled(params))
+                    o1, o2 = family_offsets(family, params)
                     for level in (0, 1, 2):
                         pt = spectral_point(params, level, level)
                         assert 4 * first[family](p - 1, c1, level) + o1 * o1 == (2 * pt.Jp) ** 2
@@ -392,7 +446,7 @@ class TestEvenOrder:
         pt = spectral_point(PARAMS, 2, 3)
         for r in (2, 3, 4):
             pref = Fraction(even_product(2 * pt.Jp, 2 * pt.J, r - 1), 4 ** (r - 1))
-            entries, scale = core_pair(doubled(PARAMS), 2 * pt.Jp, 2 * pt.J, 2 * r)
+            entries, scale = core_pair(PARAMS, 2 * pt.Jp, 2 * pt.J, 2 * r)
             assert even_order_block(PARAMS, pt, r) == TwoByTwo(
                 *(pref * Fraction(e, scale) for e in entries))
 
@@ -492,7 +546,7 @@ class TestLeadingSymbol:
         zero_prefactors = set()
         for params in SYMBOL_BUNDLES:
             for family in (Family.COEXACT, Family.EXACT):
-                o1, o2 = family_offsets(family, doubled(params))
+                o1, o2 = family_offsets(family, params)
                 c = sympy.Rational(o1 * o1 - o2 * o2, 4)
                 for r in range(1, 9):
                     pref = params.s + r if family is Family.COEXACT else params.s - r

@@ -1,0 +1,86 @@
+"""Standing checks against dead names: every top-level function and class of
+the package is used somewhere, and no module imports a name it never uses.
+
+Both read the syntax trees only, so a name mentioned in a docstring or a
+comment does not count as a use.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "intertwinor"
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def used_names(tree: ast.AST) -> set:
+    """Names read as a bare name or as an attribute anywhere in ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def is_click_command(node: ast.AST) -> bool:
+    """Whether a definition is registered by a decorator such as
+    ``@main.command(...)`` or ``@click.group(...)``."""
+    for dec in getattr(node, "decorator_list", ()):
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+            return True
+    return False
+
+
+def test_every_top_level_definition_is_used():
+    # the names each top-level statement of each module uses
+    uses = {path.name: [(node, used_names(node)) for node in parse(path).body]
+            for path in sorted(PACKAGE.glob("*.py"))}
+    bench = set().union(*(used_names(parse(path)) for path in sorted((ROOT / "bench").glob("*.py"))))
+    unused = []
+    for name, statements in uses.items():
+        elsewhere = bench.union(*(seen for other, rest in uses.items() if other != name
+                                  for _, seen in rest))
+        for node, _ in statements:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or is_click_command(node):
+                continue
+            if node.name not in elsewhere.union(*(seen for other, seen in statements
+                                                  if other is not node)):
+                unused.append(f"{name}: {node.name}")
+    assert unused == []
+
+
+def imported_names(tree: ast.Module):
+    """(bound name, line) of every import in the module, ``__future__`` excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def exported_names(tree: ast.Module) -> set:
+    """The strings listed in a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = parse(path)
+        seen = used_names(tree) | exported_names(tree)
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                   for name, line in imported_names(tree) if name not in seen]
+    assert unused == []

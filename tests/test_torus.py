@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 import torus_reference as ref
 from intertwinor import blocks, torus
 from intertwinor.arithmetic import gamma_product
-from intertwinor.blocks import core_pair, doubled, intertwinor_block, two_by_two
+from intertwinor.blocks import core_pair, intertwinor_block, two_by_two
 from intertwinor.spectra import (
     BundleParams,
     DegenerateNormalizationError,
@@ -58,11 +59,13 @@ def perturbed_block(block):
 
 def full_sweep_residual(M, k, r, mode="exact"):
     """(residual, columns) of the relation swept over every interior mode with
-    all four shifts, on the signed per-mode blocks of ``_mode_blocks``, in
-    the residual's own arithmetic."""
+    all four shifts, on the kernel's block of each mode, in the residual's own
+    arithmetic.  Every mode out to M is evaluated in basis order, so a pole
+    names the first mode in basis order that has one."""
     order = int(r) if mode == "exact" else float(r)
     cut = M - torus.MARGIN
-    blocks = torus._mode_blocks(k, M, order)
+    span = range(-M, M + 1)
+    blocks = {(m, n): torus._mode_block(k, m, n, order) for m in span for n in span}
     scale, shifts = torus._SHIFTS[k]
     size = 1 + (k == 1)
     worst, checked = 0, 0
@@ -109,7 +112,7 @@ def middle_degree_mismatches(M, orders):
     those of D^-1 core_pair D, e21 included.  Returns the number of exact
     identities compared and the list of (m, n, r, check) that failed.
     """
-    b = blocks.doubled(BundleParams(2, 2, 1, 1))
+    params = BundleParams(2, 2, 1, 1)
     compared, bad = 0, []
     for r in orders:
         for m in range(1, M + 1):
@@ -118,11 +121,11 @@ def middle_degree_mismatches(M, orders):
                     continue
                 entries, den = torus._mode_block(1, m, n, r)
                 got = [Fraction(e, den) for e in entries]
-                core = in_torus_frame(blocks.core_pair(b, 2 * m, 2 * abs(n), 2 * r)[0], m * n)
+                core = in_torus_frame(blocks.core_pair(params, 2 * m, 2 * abs(n), 2 * r)[0], m * n)
                 if any(got[i] * core[j] != got[j] * core[i] for i in range(4) for j in range(i)):
                     bad.append((m, n, r, "core_pair"))
                 try:
-                    pair, pair_den = blocks.block_pair(b, 2 * m, 2 * abs(n), 2 * r)
+                    pair, pair_den = blocks.block_pair(params, 2 * m, 2 * abs(n), 2 * r)
                 except DegenerateNormalizationError:
                     continue
                 compared += 1
@@ -278,7 +281,7 @@ class TestSpectralOperator:
         for m, n in ((2, 1), (3, 2), (4, 1), (3, 1)):
             pt = SpectralPoint(Fraction(m), Fraction(n))
             # the order-2 block: the core of the order-2r block at r = 1
-            want = two_by_two(*core_pair(doubled(params), 2 * pt.Jp, 2 * pt.J, 2))
+            want = two_by_two(*core_pair(params, 2 * pt.Jp, 2 * pt.J, 2))
             col_t = op.columns[m, n, "dt"]
             col_r = op.columns[m, n, "dr"]
             det = (col_t.get((m, n, "dt"), Fraction(0)) * col_r.get((m, n, "dr"), Fraction(0))
@@ -367,7 +370,7 @@ class TestIntertwiningResidual:
 
     def test_float_overflow_makes_the_residual_nan(self):
         # finite blocks whose products overflow: inf - inf must not be dropped
-        blocks_ = torus._mode_blocks(0, 4, 115.5)
+        blocks_ = torus._class_blocks(0, 4, 115.5)
         assert all(math.isfinite(entries[0]) for entries, _ in blocks_.values())
         assert math.isnan(intertwining_residual(4, 0, 115.5, mode="float").residual)
 
@@ -476,11 +479,15 @@ class TestIntertwiningResidual:
         for (a, b), got in blocks.items():
             at = (a, b) if a * b else (-a, -b)
             assert repr(got) == repr(torus._mode_block(1, *at, r)), (a, b)
-        # the signed table negates e12 and e21 of the class block on a mode
-        # with m n < 0, and must be the kernel's block on every mode
-        for (m, n), got in torus._mode_blocks(1, 8, r).items():
-            at = (m, n) if m * n else (-abs(m), -abs(n))
-            assert repr(got) == repr(torus._mode_block(1, *at, r)), (m, n)
+        # spectral_operator negates e12 and e21 of the class block on a mode
+        # with m n < 0, and its columns must be the kernel's block on every mode
+        if mode == "exact":
+            cols = spectral_operator(TorusBasis(8, 1), r).columns
+            for m, n in itertools.product(range(-8, 9), repeat=2):
+                got = [cols[m, n, c].get((m, n, row), 0)
+                       for row in ("dt", "dr") for c in ("dt", "dr")]
+                entries, den = torus._mode_block(1, m, n, r)
+                assert got == [Fraction(e, den) for e in entries], (m, n)
 
     @pytest.mark.parametrize("k, mode", [(0, (-1, -1, "1")), (1, (-1, 0, "dt")),
                                          (2, (-1, -1, "dtdr"))])
@@ -538,9 +545,16 @@ class TestMirrorPairs:
     @pytest.mark.parametrize("M", [3, 8])
     @pytest.mark.parametrize("r", [2, 1.5])
     def test_mirror_modes_share_one_block(self, k, M, r):
-        blocks = torus._mode_blocks(k, M, r)
-        assert len(blocks) == (2 * M + 1) ** 2
-        assert all(blocks[m, n] is blocks[-m, -n] for m, n in blocks)
+        # block(-m, -n) = block(m, n): the kernel's on every mode, and the
+        # columns of spectral_operator at an integer order
+        span = range(-M, M + 1)
+        for m, n in itertools.product(span, repeat=2):
+            assert torus._mode_block(k, -m, -n, r) == torus._mode_block(k, m, n, r), (m, n)
+        if isinstance(r, int):
+            cols = spectral_operator(TorusBasis(M, k), r).columns
+            assert len(cols) == (2 * M + 1) ** 2 * len(TorusBasis(M, k).components)
+            for (m, n, c), col in cols.items():
+                assert cols[-m, -n, c] == {(-a, -b, row): v for (a, b, row), v in col.items()}
 
     @pytest.mark.parametrize("k, name", [(1, "P"), (0, "phi-mult")])
     def test_shift_table_must_be_closed_under_negation(self, monkeypatch, k, name):
@@ -571,7 +585,7 @@ class TestMirrorPairs:
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_orbit_sweep_matches_the_full_sweep(self, monkeypatch, perturbed):
         # the quarter-plane sweep on the class table against every interior
-        # mode with all four shifts on the signed per-mode table, unedited
+        # mode with all four shifts on the kernel's per-mode blocks, unedited
         # and under the edit of test_perturbed_block_is_flagged
         if perturbed:
             monkeypatch.setattr(torus, "_mode_block", perturbed_block(torus._mode_block))

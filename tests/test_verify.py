@@ -53,6 +53,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="r=-1"):
             GridSpec(p_max=3, q_max=3, j_max=3, r_values=(2, -1))
 
+    @pytest.mark.parametrize("r", [1.5, 2.0, Fraction(3, 2), True])
+    def test_rejects_non_integer_orders(self, r):
+        # a float or Fraction order raised a TypeError in four suites and
+        # passed the interface suite; True wrote records at "r":"True"
+        with pytest.raises(ValueError, match=re.escape(f"r={r!r}")):
+            GridSpec(p_max=3, q_max=3, j_max=1, r_values=(1, r))
+
     def test_bundle_iteration_respects_caps(self):
         for params in iter_bundles(SMALL):
             assert 2 <= params.p <= 4 and 2 <= params.q <= 4
@@ -355,13 +362,12 @@ class TestLibraryEdits:
     def test_public_blocks_match_the_default_gates(self):
         orders = (-1, 0) + SMALL.r_values
         for params in iter_bundles(SMALL):
-            b = blocks.doubled(params)
             for jp, j in levels(SMALL):
                 pt = spectra.spectral_point(params, jp, j)
                 jp2, j2 = 2 * jp + params.p - 2, 2 * j + params.q - 2
                 for r in orders:
                     try:
-                        entries, den = blocks.block_pair(b, jp2, j2, 2 * r)
+                        entries, den = blocks.block_pair(params, jp2, j2, 2 * r)
                     except DegenerateNormalizationError as err:
                         with pytest.raises(DegenerateNormalizationError, match=re.escape(str(err))):
                             blocks.intertwinor_block(params, pt, r)
@@ -372,7 +378,7 @@ class TestLibraryEdits:
                     if r >= 1:
                         for family in (Family.COEXACT, Family.EXACT):
                             assert blocks.even_order_eigenvalue(family, params, pt, r) == \
-                                Fraction(*blocks.even_order_pair(family, b, jp2, j2, r))
+                                Fraction(*blocks.even_order_pair(family, params, jp2, j2, r))
 
 
 def _edit_transition(real):
