@@ -62,7 +62,11 @@ enforces both), and the reflection conjugates a k = 1 block by
 D = diag(1, -1).  So the check visits only the quarter-plane m, n >= 0 of
 interior modes, where every block it reads is a class block.  The column
 of a visited mode counts for its whole orbit, so ``columns`` still counts
-every interior column compared.
+every interior column compared.  In exact mode the identities at (x, s) and
+(x + s, -s) compare the same integers, as every k = 1 block has
+e21 = -e12, so each pair of diagonal neighbours in the quarter-plane is
+compared once, from its mode with dm = +1; float mode compares both, as
+their orders of operations round differently.
 """
 
 from __future__ import annotations
@@ -402,6 +406,34 @@ def _scaled_shifts(k: int):
 _SHIFTS = {k: _scaled_shifts(k) for k in _COMPONENTS}
 
 
+def _identity_error(worst, scale, order, ax, dx, ay, dy, diag, phi, off):
+    """``worst`` raised to the largest error of one shift identity
+    A(y) (C_s - r phi_s) = (C_s + r phi_s) A(x), y = x + s, cell by cell.
+
+    ``ax``, ``dx`` and ``ay``, ``dy`` are the blocks of x and y over their
+    denominators; ``diag``, ``phi`` and ``off`` are the weights of
+    scale * [N, phi]/2, scale * phi and scale * (-P) on the shift s.  lhs
+    applies A(y) to C - r phi formed first; rhs adds r phi A(x) to C A(x)
+    last.  The scale is a power of two and changes no rounding, so float mode
+    gives the unscaled products bit for bit; exact mode's int division rounds
+    correctly, so its maximum is the exact maximum rounded.
+    """
+    minus = diag - order * phi
+    for e in range(len(ax)):
+        # cell e = (i, j) of the 2x2 block: e ^ 1 is (i, 1-j), e ^ 2 is (1-i, j)
+        lhs = ay[e] * minus
+        rhs = diag * ax[e]
+        if off:
+            lhs += ay[e ^ 1] * off
+            rhs += off * ax[e ^ 2]
+        diff = lhs * dx - (rhs + order * (phi * ax[e])) * dy
+        if diff:
+            err = abs(diff / (scale * dx * dy))
+            # a NaN (inf - inf in float mode) sticks, where max would drop it
+            worst = max(worst, err) if err == err else err
+    return worst
+
+
 def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualResult:
     """Max-norm of (A (C - r phi) - (C + r phi) A) e over interior basis vectors e,
     where C = [N, phi]/2 - P, projected back onto the interior modes.
@@ -441,22 +473,33 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     ``columns`` counts every interior basis vector on which at least one shift
     identity was compared, directly or through its orbit, and is 0 when no
     mode has an interior neighbor (M <= 2).
+
+    In exact mode each pair of identities at (x, s) and (y, -s), y = x + s,
+    both in the quarter-plane, is compared once, at the one with dm = +1.
+    ``_scaled_shifts`` gives s and -s the same half, phi and off, so the
+    identity at (y, -s) has diag' = -diag, with A(x) and A(y) and their
+    denominators swapped.  With C = diag + off swap, an identity's diff is
+    dx A(y) (C - r phi) - dy (C + r phi) A(x).  For k = 0, 2 both
+    identities give ay (diag - r phi) dx - ax (diag + r phi) dy, integer
+    for integer.  For k = 1 every class block has e21 = -e12 (``_mode_block``
+    builds it so), hence D A^T D = A for D = diag(1, -1), and D swap D =
+    -swap, so the diff at (y, -s) is D (diff at (x, s))^T D: the same
+    integers up to sign.  A visited mode whose in-range shifts all have
+    dm < 0 still counts as compared.  Float mode keeps both directions: the
+    two identities evaluate their products in different orders, which round
+    differently, and only exact mode's results are integer-exact.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    if mode == "exact" and not is_integral(r):
+    exact = mode == "exact"
+    if exact and not is_integral(r):
         raise ValueError(f"exact mode needs integer r, got {r!r}")
     basis = TorusBasis(M, k)
-    order = int(r) if mode == "exact" else float(r)
+    order = int(r) if exact else float(r)
     cut = M - MARGIN
     # the interior classes; the outer rings only where an evaluation can raise
-    blocks = _class_blocks(k, M if mode == "float" or order < 0 else cut, order)
+    blocks = _class_blocks(k, cut if exact and order >= 0 else M, order)
     scale, shifts = _SHIFTS[k]
-    cells = range(len(basis.components) ** 2)
-    # lhs applies A(x+s) to C - r phi formed first; rhs adds r phi A(x) to
-    # C A(x) last.  The scale is a power of two and changes no rounding, so
-    # float mode gives the unscaled products bit for bit; exact mode's int
-    # division rounds correctly, so its maximum is the exact maximum rounded.
     worst, checked = 0, 0
     for m in range(cut + 1):
         for n in range(cut + 1):
@@ -469,21 +512,12 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
                 if not (0 <= mm <= cut and 0 <= nn <= cut):
                     continue
                 compared = True
+                # exact mode compares this identity as (x + s, -s), whose dm is +1
+                if exact and dm < 0:
+                    continue
                 ay, dy = blocks[mm, nn]
-                diag = half * (_bochner(mm, nn) - nx)
-                minus = diag - order * phi
-                for e in cells:
-                    # cell e = (i, j) of the 2x2 block: e ^ 1 is (i, 1-j), e ^ 2 is (1-i, j)
-                    lhs = ay[e] * minus
-                    rhs = diag * ax[e]
-                    if off:
-                        lhs += ay[e ^ 1] * off
-                        rhs += off * ax[e ^ 2]
-                    diff = lhs * dx - (rhs + order * (phi * ax[e])) * dy
-                    if diff:
-                        err = abs(diff / (scale * dx * dy))
-                        # a NaN (inf - inf in float mode) sticks, where max would drop it
-                        worst = max(worst, err) if err == err else err
+                worst = _identity_error(worst, scale, order, ax, dx, ay, dy,
+                                        half * (_bochner(mm, nn) - nx), phi, off)
             checked += compared * (2 if m else 1) * (2 if n else 1)
     return ResidualResult(k=k, r=r, M=M, mode=mode, residual=float(worst),
                           columns=checked * len(basis.components))

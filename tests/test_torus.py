@@ -584,9 +584,10 @@ class TestMirrorPairs:
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_orbit_sweep_matches_the_full_sweep(self, monkeypatch, perturbed):
-        # the quarter-plane sweep on the class table against every interior
-        # mode with all four shifts on the kernel's per-mode blocks, unedited
-        # and under the edit of test_perturbed_block_is_flagged
+        # the quarter-plane sweep on the class table, each neighbour pair once
+        # in exact mode, against every interior mode with all four shifts on
+        # the kernel's per-mode blocks, unedited and under the edit of
+        # test_perturbed_block_is_flagged
         if perturbed:
             monkeypatch.setattr(torus, "_mode_block", perturbed_block(torus._mode_block))
         cases = [("exact", r) for r in range(-1, 5)] + [("float", r) for r in (0.5, 1.5, 2.5, 10.5)]
@@ -617,3 +618,74 @@ class TestMirrorPairs:
         edited = [row[:at] + (factor * row[at],) + row[at + 1:] for row in rows]
         monkeypatch.setitem(torus._SHIFTS, k, (scale, edited))
         assert intertwining_residual(6, k, r).residual != 0
+
+
+class TestNeighbourPairs:
+    """In exact mode the residual compares the identities at (x, s) and at
+    (x + s, -s) once, as the one with dm = +1, which holds because the two
+    compare the same integers when every k = 1 block has e21 = -e12."""
+
+    @pytest.mark.parametrize("mode, r", [("exact", 0), ("exact", 1), ("exact", 2),
+                                         ("exact", 3), ("exact", -1), ("float", 1.5)])
+    def test_k1_blocks_have_e21_minus_e12(self, monkeypatch, mode, r):
+        # every class block the residual reads; at r = -1 the residual stops at
+        # the first pole, so the classes that evaluate are read one by one
+        if r < 0:
+            with pytest.raises(PoleOnModeError):
+                intertwining_residual(8, 1, r)
+            blocks = {}
+            for a, b in itertools.product(range(9), repeat=2):
+                try:
+                    blocks[a, b] = torus._mode_block(1, -a, -b, r)
+                except PoleOnModeError:
+                    continue
+        else:
+            table = torus._class_blocks
+            tables = []
+
+            def recorded(*args):
+                tables.append(table(*args))
+                return tables[-1]
+
+            monkeypatch.setattr(torus, "_class_blocks", recorded)
+            assert intertwining_residual(8, 1, r, mode=mode).columns
+            (blocks,) = tables
+        assert len(blocks) >= 49
+        for (a, b), (entries, den) in blocks.items():
+            assert entries[2] == -entries[1], (a, b)
+
+    @pytest.mark.parametrize("cls", [(0, 0), (2, 0), (0, 3), (2, 1), (4, 4)])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_e21_edit_is_flagged(self, monkeypatch, cls, r):
+        # den added to e21 of one class breaks the shape the pairing rests on;
+        # the gate must still flag it, here with the full sweep's residual
+        block = torus._mode_block
+
+        def edited(k, m, n, r):
+            entries, den = block(k, m, n, r)
+            if (abs(m), abs(n)) != cls:
+                return entries, den
+            return entries[:2] + (entries[2] + den,) + entries[3:], den
+
+        monkeypatch.setattr(torus, "_mode_block", edited)
+        result = intertwining_residual(6, 1, r)
+        assert result.residual != 0
+        assert (result.residual, result.columns) == full_sweep_residual(6, 1, r)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_each_neighbour_pair_compared_once(self, monkeypatch, k):
+        # at M = 8 the quarter-plane 0 <= m, n <= 6 has 144 ordered pairs of
+        # diagonal neighbours: exact mode compares each unordered pair once,
+        # float mode, whose two orders round differently, both directions
+        compare = torus._identity_error
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return compare(*args)
+
+        monkeypatch.setattr(torus, "_identity_error", counted)
+        for mode, r, count in [("exact", 2, 72), ("exact", 0, 72), ("float", 1.5, 144)]:
+            calls.clear()
+            assert intertwining_residual(8, k, r, mode=mode).columns
+            assert len(calls) == count, (mode, r)
