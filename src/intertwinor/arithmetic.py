@@ -111,6 +111,14 @@ def is_integral(r: ScalarLike) -> bool:
     return False
 
 
+def require_ints(**values) -> None:
+    """Raise ValueError naming the first value that is not a plain int; a bool
+    or an integer-valued float is not one."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {name}={value!r}")
+
+
 def rising_product(n: Rational, d: Rational, m: int) -> Rational:
     """The product n (n+d) (n+2d) ... (n+(m-1)d); the empty product is 1.
 

@@ -342,9 +342,6 @@ class BivariatePoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, BivariatePoly) and self.coeffs == other.coeffs
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     @property
     def degree(self) -> int:
         return max((i + j for i, j in self.coeffs), default=-1)

@@ -41,7 +41,7 @@ TABLE_HEADER = ("p", "q", "k", "a", "jp", "j", "r", "family", "operator",
 #: the largest |r| on the exact path, whose cost grows with |r|
 MAX_EXACT_ORDER = 256
 #: the largest torus truncation M; the residual's work grows like M^2, one block
-#: per interior class (|m|, |n|) and one visit per interior mode of a half-plane
+#: per interior class (|m|, |n|) and one visit per neighbour pair of a quarter-plane
 MAX_TORUS_M = 256
 #: integer options take at most the signed 64-bit range that records can encode;
 #: each is a click range, so its help line states what it accepts

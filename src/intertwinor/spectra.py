@@ -31,6 +31,7 @@ from .arithmetic import (
     gamma_ratio_numeric,
     is_integral,
     quotient,
+    require_ints,
     times,
     twice,
 )
@@ -90,6 +91,7 @@ class BundleParams:
     w2: int = field(init=False, repr=False, compare=False)  # 2w, the diagonal weight
 
     def __post_init__(self):
+        require_ints(p=self.p, q=self.q, k=self.k, a=self.a)
         if self.p < 2 or self.q < 2:
             raise ValueError(f"require p, q >= 2, got p={self.p}, q={self.q}")
         if not 0 <= self.a <= self.k:

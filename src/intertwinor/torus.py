@@ -32,8 +32,8 @@ identities, one per shift s, with C_s composed from the phi and P rows of
 the same tables.  Exact mode compares cross-multiplied integers; float mode
 runs the same loop on floats.  Only modes with x + s inside the interior
 cut, ``MARGIN`` modes in from the truncation, are compared, so no truncated
-contribution enters; a column counts as checked only when at least one
-shift identity was compared on it, which needs M >= 3.
+contribution enters; the interior has a pair of neighbours, and every
+interior column counts as checked, once M >= 3.
 
 The blocks of A come from one class table, ``_class_blocks``, which
 evaluates ``_mode_block`` once per class (|m|, |n|) for every k.
@@ -53,20 +53,14 @@ the kernel's e21 is never read.  The kernel's scale 16 stays in the block's
 denominator, so a non-integer float order gives floats over 16.  The exact
 residual therefore checks the kernel that the spectral suites check.
 
-The mirror (x, s) -> (-x, -s) and the reflection (m, n) -> (m, -n),
-(dm, dn) -> (dm, -dn) generate a group {+-1}^2 of the shift identities, and
-the identities of one orbit compare the same numbers up to sign: N is even
-in m and in n, the shift rows keep phi = 1/4 on every shift while the P
-weight -dm dn/4 flips sign under the reflection (``_scaled_shifts``
-enforces both), and the reflection conjugates a k = 1 block by
-D = diag(1, -1).  So the check visits only the quarter-plane m, n >= 0 of
-interior modes, where every block it reads is a class block.  The column
-of a visited mode counts for its whole orbit, so ``columns`` still counts
-every interior column compared.  In exact mode the identities at (x, s) and
-(x + s, -s) compare the same integers, as every k = 1 block has
-e21 = -e12, so each pair of diagonal neighbours in the quarter-plane is
-compared once, from its mode with dm = +1; float mode compares both, as
-their orders of operations round differently.
+The mirror (x, s) -> (-x, -s) and the reflection n -> -n map every
+identity to one between two modes of the quarter-plane m, n >= 0, where
+every block read is a class block, and the identities at (x, s) and
+(x + s, -s) compare the same integers.  So the residual walks each pair of
+diagonal neighbours in the interior quarter-plane once; exact mode compares
+one identity per pair and float mode both, as their orders of operations
+round differently.  ``intertwining_residual``'s docstring gives both
+arguments.
 """
 
 from __future__ import annotations
@@ -77,7 +71,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
 from . import blocks
-from .arithmetic import POLE, gamma_product, is_integral
+from .arithmetic import POLE, gamma_product, is_integral, require_ints
 from .spectra import BundleParams, gamma_args, gamma_quotient, seed_gamma_args
 
 Mode = Tuple[int, int, str]
@@ -106,6 +100,7 @@ class TorusBasis:
     k: int
 
     def __post_init__(self):
+        require_ints(M=self.M, k=self.k)
         if self.M < 1:
             raise ValueError("need truncation M >= 1")
         if self.k not in (0, 1, 2):
@@ -385,8 +380,8 @@ def _scaled_shifts(k: int):
     The rows must be closed under the mirror (dm, dn) -> (-dm, -dn) with the
     same three weights, and under the reflection (dm, dn) -> (dm, -dn) with
     the same half and phi and the negated off, which ``intertwining_residual``
-    relies on to compare each orbit of identities once; a table that is not
-    raises ValueError.
+    relies on to compare each orbit and each pair of identities once; a
+    table that is not raises ValueError.
     """
     comp = _COMPONENTS[k][0]
     phi, p_op = ({(dm, dn): c for dm, dn, src, _, c in _TABLES[name, k] if src == comp}
@@ -465,17 +460,14 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     For k = 1 the block at R x is D A(x) D, D = diag(1, -1), the P weight
     flips sign and D swap D = -swap, so the identity at R(x, s) is D (identity
     at (x, s)) D: entry for entry up to sign, bit for bit in floats.
-    ``_scaled_shifts`` enforces both symmetries of the shift rows.  So only
-    the quarter-plane m, n >= 0 of interior modes is visited, and on an axis
-    the shifts that leave it are skipped, as each has an orbit partner
-    inside it; every block read then has m, n >= 0 and comes straight from
-    ``_class_blocks``.  A visited column counts for its whole orbit, so
-    ``columns`` counts every interior basis vector on which at least one shift
-    identity was compared, directly or through its orbit, and is 0 when no
-    mode has an interior neighbor (M <= 2).
+    ``_scaled_shifts`` enforces both symmetries of the shift rows.  The m
+    coordinates of x and x + s differ by one, so they never have opposite
+    signs, and likewise the n coordinates; the group flips the signs of m and
+    of n independently, so every orbit has a member with both modes in the
+    quarter-plane 0 <= m, n <= cut.  Only that quarter-plane is visited, and
+    every block read there comes straight from ``_class_blocks``.
 
-    In exact mode each pair of identities at (x, s) and (y, -s), y = x + s,
-    both in the quarter-plane, is compared once, at the one with dm = +1.
+    The identities at (x, s) and (y, -s), y = x + s, form a pair.
     ``_scaled_shifts`` gives s and -s the same half, phi and off, so the
     identity at (y, -s) has diag' = -diag, with A(x) and A(y) and their
     denominators swapped.  With C = diag + off swap, an identity's diff is
@@ -484,10 +476,16 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     for integer.  For k = 1 every class block has e21 = -e12 (``_mode_block``
     builds it so), hence D A^T D = A for D = diag(1, -1), and D swap D =
     -swap, so the diff at (y, -s) is D (diff at (x, s))^T D: the same
-    integers up to sign.  A visited mode whose in-range shifts all have
-    dm < 0 still counts as compared.  Float mode keeps both directions: the
-    two identities evaluate their products in different orders, which round
-    differently, and only exact mode's results are integer-exact.
+    integers up to sign.  So the loop walks each pair of diagonal neighbours
+    of the quarter-plane once, from its mode with dm = +1, and exact mode
+    compares the one identity.  Float mode compares the reverse one too: the
+    two evaluate their products in different orders, which round
+    differently.
+
+    Once cut >= 1 (M >= 3) every interior mode has a diagonal neighbour in
+    the interior, so every interior basis vector is compared, directly or
+    through its orbit, and ``columns`` counts all (2 cut + 1)^2 modes times
+    the k-frame; for M <= 2 no identity is compared and ``columns`` is 0.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
@@ -500,24 +498,17 @@ def intertwining_residual(M: int, k: int, r, mode: str = "exact") -> ResidualRes
     # the interior classes; the outer rings only where an evaluation can raise
     blocks = _class_blocks(k, cut if exact and order >= 0 else M, order)
     scale, shifts = _SHIFTS[k]
-    worst, checked = 0, 0
-    for m in range(cut + 1):
+    worst = 0
+    for m in range(cut):
         for n in range(cut + 1):
             ax, dx = blocks[m, n]
-            nx = _bochner(m, n)
-            compared = False
             for dm, dn, half, phi, off in shifts:
-                mm, nn = m + dm, n + dn
-                # a shift leaving the quarter-plane pairs with one inside it
-                if not (0 <= mm <= cut and 0 <= nn <= cut):
+                if dm < 0 or not 0 <= n + dn <= cut:
                     continue
-                compared = True
-                # exact mode compares this identity as (x + s, -s), whose dm is +1
-                if exact and dm < 0:
-                    continue
-                ay, dy = blocks[mm, nn]
-                worst = _identity_error(worst, scale, order, ax, dx, ay, dy,
-                                        half * (_bochner(mm, nn) - nx), phi, off)
-            checked += compared * (2 if m else 1) * (2 if n else 1)
-    return ResidualResult(k=k, r=r, M=M, mode=mode, residual=float(worst),
-                          columns=checked * len(basis.components))
+                ay, dy = blocks[m + 1, n + dn]
+                diag = half * (_bochner(m + 1, n + dn) - _bochner(m, n))
+                worst = _identity_error(worst, scale, order, ax, dx, ay, dy, diag, phi, off)
+                if not exact:
+                    worst = _identity_error(worst, scale, order, ay, dy, ax, dx, -diag, phi, off)
+    columns = len(basis.components) * (2 * cut + 1) ** 2 if cut > 0 else 0
+    return ResidualResult(k=k, r=r, M=M, mode=mode, residual=float(worst), columns=columns)

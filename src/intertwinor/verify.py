@@ -90,13 +90,17 @@ class GridSpec:
     q_min: int = 2
 
     def __post_init__(self):
+        arithmetic.require_ints(p_min=self.p_min, q_min=self.q_min, p_max=self.p_max,
+                                q_max=self.q_max, j_max=self.j_max)
+        for name, low in (("p_min", self.p_min), ("q_min", self.q_min)):
+            if low < 2:
+                raise ValueError(f"{name} must be >= 2, got {name}={low}")
         if self.p_max < self.p_min or self.q_max < self.q_min or self.j_max < 0:
             raise ValueError("empty grid ranges")
         if not self.r_values:
             raise ValueError("need at least one r value")
         for r in self.r_values:
-            if type(r) is not int:
-                raise ValueError(f"r values must be integers, got r={r!r}")
+            arithmetic.require_ints(r=r)
             if r < 0:
                 raise ValueError(f"r values must be nonnegative, got r={r}")
 

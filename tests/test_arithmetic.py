@@ -252,3 +252,4 @@ def test_format_fraction():
 def test_is_integral():
     assert is_integral(4) and is_integral(Fraction(8, 2))
     assert not is_integral(Fraction(1, 2)) and not is_integral(2.0)
+    assert not is_integral(True) and not is_integral(False)

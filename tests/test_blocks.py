@@ -558,7 +558,7 @@ class TestLeadingSymbol:
                         assert poly.coeffs == top(want)
                     if pref == 0:
                         zero_prefactors.add(family)
-                        assert not got[0] and not got[1]
+                        assert not got[0].coeffs and not got[1].coeffs
         assert zero_prefactors == {Family.COEXACT, Family.EXACT}
 
     def test_symbol_kernel_builds_homogeneous_tops(self):

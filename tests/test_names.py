@@ -1,11 +1,15 @@
 """Standing checks against dead names: every top-level function and class of
-the package is used somewhere, and no module imports a name it never uses.
+the package, and every method of its classes, is used somewhere, and no
+module imports a name it never uses.
 
-Both read the syntax trees only, so a name mentioned in a docstring or a
-comment does not count as a use.
+They read the syntax trees, so a name mentioned in a docstring or a comment
+does not count as a use; only the exemption of a method that overrides a
+base-class method imports the package.
 """
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,11 +41,16 @@ def is_click_command(node: ast.AST) -> bool:
     return False
 
 
+def bench_names() -> set:
+    """Every name the benchmark's modules read."""
+    return set().union(*(used_names(parse(path)) for path in sorted((ROOT / "bench").glob("*.py"))))
+
+
 def test_every_top_level_definition_is_used():
     # the names each top-level statement of each module uses
     uses = {path.name: [(node, used_names(node)) for node in parse(path).body]
             for path in sorted(PACKAGE.glob("*.py"))}
-    bench = set().union(*(used_names(parse(path)) for path in sorted((ROOT / "bench").glob("*.py"))))
+    bench = bench_names()
     unused = []
     for name, statements in uses.items():
         elsewhere = bench.union(*(seen for other, rest in uses.items() if other != name
@@ -53,6 +62,43 @@ def test_every_top_level_definition_is_used():
                                                   if other is not node)):
                 unused.append(f"{name}: {node.name}")
     assert unused == []
+
+
+def attribute_counts(tree: ast.AST) -> Counter:
+    """How often each name is read as an attribute in ``tree``."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def overrides(module: str, cls: str, name: str) -> bool:
+    """Whether the method ``name`` of the class overrides a base-class method,
+    which the base's own machinery calls (click's ``parse_args``, say)."""
+    found = getattr(importlib.import_module(f"intertwinor.{module}"), cls)
+    return any(hasattr(base, name) for base in found.__mro__[1:])
+
+
+def test_every_method_is_used():
+    # a non-dunder method or property of a class must be read as an attribute
+    # in the package outside its own body, or in the benchmark
+    trees = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = sum((attribute_counts(tree) for tree in trees.values()), Counter())
+    bench = bench_names()
+    unused = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                    continue
+                if reads[node.name] > attribute_counts(node)[node.name] or node.name in bench:
+                    continue
+                if not overrides(module, cls.name, node.name):
+                    unused.append(f"{module}: {cls.name}.{node.name}")
+    assert unused == []
+
+
+def test_a_base_class_hook_counts_as_used():
+    # click calls the command's parse_args, whatever else reads that name
+    assert overrides("cli", "_PairsCommand", "parse_args")
+    assert not overrides("torus", "TorusBasis", "contains")
 
 
 def imported_names(tree: ast.Module):

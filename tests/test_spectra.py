@@ -54,6 +54,16 @@ class TestBundleParams:
         with pytest.raises(ValueError):
             BundleParams(*bad)
 
+    @pytest.mark.parametrize("bad, field", [
+        ((3.0, 3, 0, 0), "p=3.0"),  # spectral_point raised a TypeError
+        ((3, 3.5, 0, 0), "q=3.5"),
+        ((3, 3, 0.0, 0), "k=0.0"),
+        ((3, 3, 1, True), "a=True"),
+    ])
+    def test_fields_are_plain_ints(self, bad, field):
+        with pytest.raises(ValueError, match=field):
+            BundleParams(*bad)
+
 
 class TestSpectralPoint:
     def test_no_shift_at_p_q_2(self):

@@ -148,6 +148,17 @@ class TestTorusBasis:
         with pytest.raises(ValueError):
             TorusBasis(4, 3)
 
+    @pytest.mark.parametrize("M, k, field", [
+        (3.5, 0, "M=3.5"), (4.0, 0, "M=4.0"), (True, 1, "M=True"),
+        (4, 1.0, "k=1.0"), (4, True, "k=True"),
+    ])
+    def test_sizes_are_plain_ints(self, M, k, field):
+        # k = 1.0 and k = True passed the range check and ran the residual
+        with pytest.raises(ValueError, match=field):
+            TorusBasis(M, k)
+        with pytest.raises(ValueError, match=field):
+            intertwining_residual(M, k, 1)
+
 
 class TestAssembly:
     def test_bochner_is_diagonal(self):
@@ -368,6 +379,11 @@ class TestIntertwiningResidual:
         with pytest.raises(ValueError):
             intertwining_residual(8, 0, 1.5, mode="exact")
 
+    @pytest.mark.parametrize("r", [True, False])
+    def test_exact_mode_rejects_a_bool_order(self, r):
+        with pytest.raises(ValueError, match=f"integer r, got {r}"):
+            intertwining_residual(4, 0, r)
+
     def test_float_overflow_makes_the_residual_nan(self):
         # finite blocks whose products overflow: inf - inf must not be dropped
         blocks_ = torus._class_blocks(0, 4, 115.5)
@@ -411,9 +427,9 @@ class TestIntertwiningResidual:
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_matches_operator_algebra(self, k, r):
-        # M = 3 is the smallest interior with a neighbor, so the origin and the
-        # m = 0 half-line of the visited half-plane are most of it; M = 4 and 5
-        # cut the interior at both parities
+        # M = 3 is the smallest interior with a neighbor, so the axes of the
+        # visited quarter-plane are most of it; M = 4 and 5 cut the interior
+        # at both parities
         for M in (3, 4, 5):
             result = intertwining_residual(M, k, r, mode="exact")
             assert result.residual == float(reference_residual(M, k, r))

@@ -60,6 +60,22 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=re.escape(f"r={r!r}")):
             GridSpec(p_max=3, q_max=3, j_max=1, r_values=(1, r))
 
+    @pytest.mark.parametrize("field, value", [
+        ("p_max", 3.5), ("q_max", 3.0), ("j_max", 1.5), ("j_max", True),
+        ("p_min", 2.0), ("q_min", True),
+    ])
+    def test_rejects_bounds_that_are_not_ints(self, field, value):
+        # a float bound made the suites raise a TypeError from range, and
+        # j_max=True ran as j_max = 1
+        with pytest.raises(ValueError, match=re.escape(f"{field}={value!r}")):
+            GridSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["p_min", "q_min"])
+    def test_rejects_sphere_minimum_below_two(self, field):
+        # a suite failed on it only when it built its first bundle
+        with pytest.raises(ValueError, match=f"{field}=1"):
+            GridSpec(**{field: 1})
+
     def test_bundle_iteration_respects_caps(self):
         for params in iter_bundles(SMALL):
             assert 2 <= params.p <= 4 and 2 <= params.q <= 4
@@ -570,6 +586,27 @@ def test_even_order_heads_only_where_a_family_exists(monkeypatch):
     visited.clear()
     run_scalar_reduction(grid)
     assert visited[0][1:] == (0, 0)
+
+
+def test_even_order_writes_nothing_above_no_floor(monkeypatch):
+    # a negative control on edited floors: the sweep starts at (0, 0), the
+    # least of a coexact floor (0, 1) and an exact floor (1, 0), and at (0, 0)
+    # neither family exists, so no record may be written there
+    real = spectra.level_floor
+    bundle = spectra.BundleParams(3, 3, 1, 0)
+    edited = {Family.COEXACT: (0, 1), Family.EXACT: (1, 0)}
+
+    def skewed(params, family):
+        if params == bundle and family in edited:
+            return edited[family]
+        return real(params, family)
+
+    monkeypatch.setattr(spectra, "level_floor", skewed)
+    reports = run_even_order_checks(GridSpec(p_max=3, q_max=3, j_max=1, r_values=(1, 2)))
+    at = {(rep["point"]["jp"], rep["point"]["j"]) for rep in reports
+          if tuple(rep["point"][key] for key in "pqka") == (3, 3, 1, 0)}
+    assert {(0, 1), (1, 0), (1, 1)} <= at
+    assert (0, 0) not in at
 
 
 def test_check_report_json_shape():
