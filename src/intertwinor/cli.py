@@ -43,6 +43,9 @@ MAX_EXACT_ORDER = 256
 #: the largest torus truncation M; the residual's work grows like M^2, one block
 #: per interior class (|m|, |n|) and one visit per neighbour pair of a quarter-plane
 MAX_TORUS_M = 256
+#: the most cells (jp_max + 1)(j_max + 1) a table may span; it holds every row
+#: before writing, and a 256 x 256 table takes about a second and 80-100 MB
+MAX_TABLE_CELLS = 2**16
 #: integer options take at most the signed 64-bit range that records can encode;
 #: each is a click range, so its help line states what it accepts
 INT64_MAX = 2**63 - 1
@@ -202,23 +205,37 @@ def _point_values(params: BundleParams, pt: spectra.SpectralPoint, r, family: Fa
     return values
 
 
+def _argv_only(ctx) -> bool:
+    """Whether a context takes its values from argv alone: not resilient
+    (completion), with no default map, environment prefix or token normaliser."""
+    return not (ctx.resilient_parsing or ctx.default_map is not None
+                or ctx.auto_envvar_prefix is not None or ctx.token_normalize_func is not None)
+
+
 class _PairsCommand(click.Command):
     """A request command (``eval``, ``table``) that parses a well-formed
     ``--name value`` sequence itself.
 
     The click decorators stay the only declaration of each option.  When the
-    tokens are pairs of a declared option name and its value, no option
-    repeats, every required option is given, every value and default passes
-    the option's own ``process_value``, and the context takes no values from
-    a default map or environment prefix and is not resilient (completion),
+    context takes values from argv alone, the tokens are pairs of a declared
+    option name and its value, no option repeats, every required option is
+    given and every given value passes the option's own ``process_value``,
     this fills ``ctx.params`` and the parameter sources as click's parser
-    would, without building one.  Any other input goes to click unchanged, so
-    help, every usage error, ``--opt=value``, ``-ofile``, repeated options and
-    completion keep click's bytes.  The two agree for plain options only (one
-    value; no flag, envvar, callback or prompt; required or with a default),
-    which ``tests/test_cli.py`` asserts of both.  ``verify`` and ``torus``
-    run once per job, not per request, so they keep click's parser.
+    would, without building one.  Its table (each option name's parameter, the
+    required parameters, and the processed default of every other parameter,
+    the help option included) is built on the first such parse and rebuilt
+    only for other help option names, so a request processes only the values
+    it was given.  Any other input goes to click unchanged, so help, every
+    usage error, ``--opt=value``, ``-ofile``, repeated options and completion
+    keep click's bytes.  The two agree for plain options only (one value; no
+    flag, envvar, callback or prompt; required or with a default), which
+    ``tests/test_cli.py`` asserts of both.  The group hands a command its
+    tokens without a parser of its own (``_RequestGroup``).  ``verify`` and
+    ``torus`` run once per job, not per request, so they keep click's parser.
     """
+
+    #: (help option names, {option name: param}, required params, {param: default})
+    _table = None
 
     def parse_args(self, ctx, args):
         values = self._pairs(ctx, args)
@@ -233,30 +250,58 @@ class _PairsCommand(click.Command):
 
     def _pairs(self, ctx, args):
         """{param: (value, source)} for every parameter, or None to leave it to click."""
-        if (len(args) % 2 or ctx.resilient_parsing or ctx.default_map is not None
-                or ctx.auto_envvar_prefix is not None):
+        if len(args) % 2 or not _argv_only(ctx):
             return None
-        by_opt = {opt: param for param in self.params for opt in param.opts}
         values = {}
         try:
+            if self._table is None or self._table[0] != ctx.help_option_names:
+                self._table = self._parse_table(ctx)
+            _, by_opt, required, defaults = self._table
             for name, text in zip(args[::2], args[1::2]):
                 param = by_opt.get(name)
                 if param is None or param in values:
                     return None
                 values[param] = (param.process_value(ctx, text),
                                  ParameterSource.COMMANDLINE)
-            for param in self.get_params(ctx):  # the rest, and the help option
-                if param not in values:
-                    if param.required:
-                        return None
-                    values[param] = (param.process_value(ctx, param.get_default(ctx)),
-                                     ParameterSource.DEFAULT)
         except click.BadParameter:
             return None
+        if not values.keys() >= required:
+            return None
+        for param, value in defaults.items():
+            if param not in values:
+                values[param] = (value, ParameterSource.DEFAULT)
         return values
 
+    def _parse_table(self, ctx):
+        params = self.get_params(ctx)  # the declared options and the help option
+        return (list(ctx.help_option_names),
+                {opt: param for param in self.params for opt in param.opts},
+                frozenset(param for param in params if param.required),
+                {param: param.process_value(ctx, param.get_default(ctx))
+                 for param in params if not param.required})
 
-@click.group()
+
+class _RequestGroup(click.Group):
+    """The command group.  It hands an argv that starts with a command name to
+    that command without building a parser: like click's ``Group.parse_args``,
+    it records the ``--help`` option's default and leaves the name in
+    ``ctx._protected_args`` and the rest in ``ctx.args``.  Any other argv
+    (empty, an option first, an unknown name), and a context that does not
+    take its values from argv alone, go to click unchanged, so group help,
+    group usage errors and completion keep click's bytes.
+    """
+
+    def parse_args(self, ctx, args):
+        if not args or args[0] not in self.commands or not _argv_only(ctx):
+            return super().parse_args(ctx, args)
+        help_option = self.get_help_option(ctx)
+        if help_option is not None:
+            ctx.set_parameter_source(help_option.name, ParameterSource.DEFAULT)
+        ctx._protected_args, ctx.args = args[:1], args[1:]
+        return ctx.args
+
+
+@click.group(cls=_RequestGroup)
 def main():
     """Spectra of conformal intertwinors on form bundles over sphere products."""
 
@@ -329,6 +374,10 @@ def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision):
 def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
               precision, output):
     """Tabulate spectral values over a level grid in lexicographic row order."""
+    cells = (jp_max + 1) * (j_max + 1)
+    if cells > MAX_TABLE_CELLS:
+        raise click.UsageError(f"a table takes at most {MAX_TABLE_CELLS} cells, "
+                               f"(--jp-max + 1)(--j-max + 1); got {cells}")
     params = _bundle(p, q, k, a)
     r = _parse_r(r_text, mode if operator == "normalized" else operator)
     try:

@@ -13,11 +13,11 @@ from unittest import mock
 import click
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import intertwinor
-from intertwinor import verify
+from intertwinor import cli, verify
 from intertwinor.cli import main
 from intertwinor.spectra import BundleParams
 
@@ -719,6 +719,38 @@ def test_negative_level_maxima_are_usage_errors(runner, option, value):
             "0<=x<=9223372036854775807" in result.output)
 
 
+def _table_at(jp_max, j_max):
+    args = OPTION_COMMANDS[1].copy()
+    args[args.index("--jp-max") + 1] = jp_max
+    args[args.index("--j-max") + 1] = j_max
+    return args
+
+
+def _no_rows(*args):
+    raise AssertionError("a row was evaluated")
+
+
+@pytest.mark.parametrize("jp_max, j_max, cells", [
+    ("255", "256", 65792), ("65536", "0", 65537), ("100000", "100000", 10000200001),
+    ("9223372036854775807", "9223372036854775807", 2**126),
+], ids=["one-column-over", "one-row-over", "huge", "int64-max"])
+def test_tables_beyond_the_cell_cap_are_usage_errors(runner, monkeypatch, jp_max, j_max,
+                                                       cells):
+    # the table holds all its rows before writing, so its size is capped up front
+    monkeypatch.setattr(cli, "_table_rows", _no_rows)
+    result = runner.invoke(main, _table_at(jp_max, j_max))
+    assert result.exit_code == 2
+    assert_clean_error(result)
+    assert result.output.splitlines()[-1] == \
+        f"Error: a table takes at most 65536 cells, (--jp-max + 1)(--j-max + 1); got {cells}"
+
+
+@pytest.mark.parametrize("jp_max, j_max", [("255", "255"), ("65535", "0"), ("0", "65535")])
+def test_tables_at_the_cell_cap_are_evaluated(runner, monkeypatch, jp_max, j_max):
+    monkeypatch.setattr(cli, "_table_rows", lambda *args: iter(()))
+    assert run_ok(runner, _table_at(jp_max, j_max)).output == ",".join(cli.TABLE_HEADER) + "\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (["table", "--p", "4", "--q", "6", "--k", "2", "--a", "1", "--jp-max", "3",
       "--j-max", "3", "--family", "exact", "--r", "1000"], "|r| <= 256"),
@@ -783,20 +815,48 @@ def _click_parse():
                              click.Command.parse_args)
 
 
-def _parse(name, argv):
-    """What ``make_context`` makes of argv: values, extra args and sources, or the
-    exception and what it printed (the help text for ``--help``)."""
-    cmd = main.commands[name]
+def _click_dispatch():
+    """The group dispatches with click's own ``Group.parse_args``."""
+    return mock.patch.object(type(main), "parse_args", click.Group.parse_args)
+
+
+def _made(make):
+    """The context ``make()`` returns, or the exception and what it printed (the
+    help text for ``--help``)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         try:
-            ctx = cmd.make_context(name, list(argv))
+            return make()
         except click.exceptions.Exit as stop:
             return "exit", stop.exit_code, out.getvalue()
         except click.ClickException as err:
             return type(err), err.format_message(), out.getvalue()
-    return (repr(ctx.params), ctx.args,
-            {p.name: ctx.get_parameter_source(p.name) for p in cmd.get_params(ctx)})
+
+
+def _sources(cmd, ctx):
+    return {p.name: ctx.get_parameter_source(p.name) for p in cmd.get_params(ctx)}
+
+
+def _parse(name, argv, parent=None):
+    """What the command's ``make_context`` makes of argv: values, extra args and
+    sources, or the exception and what it printed."""
+    cmd = main.commands[name]
+    ctx = _made(lambda: cmd.make_context(name, list(argv), parent=parent))
+    if not isinstance(ctx, click.Context):
+        return ctx
+    return repr(ctx.params), ctx.args, _sources(cmd, ctx)
+
+
+def _dispatch(argv):
+    """What ``main.make_context`` makes of a whole argv: the tokens it keeps for
+    dispatch, its parameter sources and what the named command makes of the rest;
+    or the exception and what it printed."""
+    ctx = _made(lambda: main.make_context("main", list(argv)))
+    if not isinstance(ctx, click.Context):
+        return ctx
+    name = next(iter(ctx._protected_args), None)
+    return (ctx._protected_args, ctx.args, _sources(main, ctx),
+            _parse(name, ctx.args, parent=ctx) if name in main.commands else None)
 
 
 @st.composite
@@ -818,6 +878,18 @@ def _argvs(draw):
     return name, tokens
 
 
+#: what a whole argv starts with, for a request command's tokens: its name, another
+#: command's name, group-level tokens, or nothing
+HEADS = (("{name}",), ("torus",), ("--help",), ("--",), ("--", "{name}"), ("bogus",),
+         ("--help", "{name}"), ())
+
+
+@st.composite
+def _whole_argvs(draw):
+    name, tokens = draw(_argvs())
+    return [token.format(name=name) for token in draw(st.sampled_from(HEADS))] + tokens
+
+
 def test_subcommand_options_are_plain():
     # the conditions under which the subcommands' own parse matches click's
     unset = click.Option(["--probe"]).default  # what an option without a default holds
@@ -830,6 +902,20 @@ def test_subcommand_options_are_plain():
             assert not param.deprecated and param.expose_value
             assert param.envvar is None and param.callback is None and param.prompt is None
             assert param.required or param.default is not unset, param.name
+
+
+def test_the_group_has_no_options_of_its_own():
+    # the conditions under which the group's own dispatch matches click's
+    assert not main.params and not main.chain
+
+
+def test_clicks_group_parse_leaves_the_command_name_in_protected_args():
+    # the one private click attribute the group's own dispatch sets; if a click
+    # release moves it, this fails instead of the group dispatching wrongly
+    argv = ORDER_COMMANDS[0] + ["--r", "2"]
+    with _click_dispatch():
+        ctx = main.make_context("main", list(argv))
+    assert ctx._protected_args == ["eval"] and ctx.args == argv[1:]
 
 
 def test_verify_and_torus_use_clicks_parser():
@@ -845,10 +931,22 @@ def test_well_formed_options_skip_clicks_parser(monkeypatch, name, argv):
     def refuse(self, ctx, args):
         raise AssertionError(f"click's parser ran on {args}")
 
-    with _click_parse():
-        want = _parse(name, argv)
+    with _click_parse(), _click_dispatch():
+        want = _dispatch([name] + argv)
     monkeypatch.setattr(click.Command, "parse_args", refuse)
-    assert _parse(name, argv) == want
+    monkeypatch.setattr(click.Group, "parse_args", refuse)
+    assert _dispatch([name] + argv) == want
+
+
+def test_a_repeated_request_processes_only_its_given_values(runner):
+    # the parse table, defaults included, is built once per command
+    argv = ORDER_COMMANDS[0] + ["--r", "1", "--mode", "exact", "--precision", "17"]
+    run_ok(runner, argv)
+    with mock.patch.object(click.Option, "process_value", autospec=True,
+                           side_effect=click.Option.process_value) as process:
+        run_ok(runner, argv)
+    assert [call.args[2] for call in process.call_args_list] == argv[2::2]
+    assert process.call_count == 10
 
 
 @pytest.mark.parametrize("settings_", [
@@ -869,13 +967,34 @@ def test_context_settings_go_to_click(monkeypatch, settings_):
                for p in cmd.params)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_argvs())
-def test_fast_parse_matches_clicks(case):
-    name, argv = case
-    fast = _parse(name, argv)
+# other names than --help are left out: click caches the help option the first
+# time it is asked for, so they would rename it for every later test
+@pytest.mark.parametrize("names", [[], ["--help"]], ids=["none", "--help"])
+def test_help_option_names_are_clicks(names):
+    # the parse table holds the help option of the names it was built for
+    argv = ORDER_COMMANDS[0][1:] + ["--r", "2"]
+    cmd = main.commands["eval"]
+    every = [p.name for p in cmd.params] + ["help"]
     with _click_parse():
-        assert _parse(name, argv) == fast
+        want = cmd.make_context("eval", list(argv), help_option_names=names)
+    for _ in range(2):  # the table is built for these names, then reused
+        ctx = cmd.make_context("eval", list(argv), help_option_names=names)
+        assert ctx.params == want.params
+        assert all(ctx.get_parameter_source(name) == want.get_parameter_source(name)
+                   for name in every)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_whole_argvs())
+@example([])
+@example(["--help"])
+@example(["bogus"])
+@example(["--", "eval"] + ORDER_COMMANDS[0][1:] + ["--r", "2"])
+@example(["eval"] + ORDER_COMMANDS[0][1:] + ["--r", "2"])
+def test_fast_parse_matches_clicks(argv):
+    fast = _dispatch(argv)
+    with _click_parse(), _click_dispatch():
+        assert _dispatch(argv) == fast
 
 
 @pytest.mark.parametrize("line", [

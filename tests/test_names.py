@@ -98,6 +98,7 @@ def test_every_method_is_used():
 def test_a_base_class_hook_counts_as_used():
     # click calls the command's parse_args, whatever else reads that name
     assert overrides("cli", "_PairsCommand", "parse_args")
+    assert overrides("cli", "_RequestGroup", "parse_args")
     assert not overrides("torus", "TorusBasis", "contains")
 
 
