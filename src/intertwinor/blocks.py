@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Tuple
 
 from .arithmetic import (
@@ -176,18 +176,18 @@ def core_pair(params: BundleParams, jp2, j2, r2):
 def block_pair(params: BundleParams, jp2, j2, r2):
     """The unit-seed intertwinor block as (entries, denominator).
 
-    Raises when a factor of the normalization denominator (J'+J+r),
-    (J'-J-r) or (s+r) vanishes, naming the factor.
+    Raises exactly when the denominator, built from the doubled factors
+    (J'+J+r), (J'-J-r) and (s+r), is 0, naming the first factor that vanishes.
     """
-    for value, name in ((jp2 + j2 + r2, "J'+J+r"),
-                        (jp2 - j2 - r2, "J'-J-r"),
-                        (params.s2 + r2, "s+r")):
-        if value == 0:
-            raise DegenerateNormalizationError(f"normalization factor {name} vanishes")
+    factors = (jp2 + j2 + r2, jp2 - j2 - r2, params.s2 + r2)
     # the core times -1/((J'+J+r)(J'-J-r)(s+r)); the core's scale 16 over
     # the doubled factors' 8 leaves 2
+    den = -2 * prod(factors)
+    if den == 0:
+        name = ("J'+J+r", "J'-J-r", "s+r")[factors.index(0)]
+        raise DegenerateNormalizationError(f"normalization factor {name} vanishes")
     entries, _ = core_pair(params, jp2, j2, r2)
-    return entries, -2 * (jp2 + j2 + r2) * (jp2 - j2 - r2) * (params.s2 + r2)
+    return entries, den
 
 
 def intertwinor_block(params: BundleParams, pt: SpectralPoint, r: Rational,

@@ -46,6 +46,9 @@ MAX_TORUS_M = 256
 #: the most cells (jp_max + 1)(j_max + 1) a table may span; it holds every row
 #: before writing, and a 256 x 256 table takes about a second and 80-100 MB
 MAX_TABLE_CELLS = 2**16
+#: the most processed option values one request command keeps; later new texts
+#: are processed and not stored, so a script that sweeps an integer stays bounded
+MAX_KNOWN_VALUES = 2**12
 #: integer options take at most the signed 64-bit range that records can encode;
 #: each is a click range, so its help line states what it accepts
 INT64_MAX = 2**63 - 1
@@ -222,19 +225,29 @@ class _PairsCommand(click.Command):
     given and every given value passes the option's own ``process_value``,
     this fills ``ctx.params`` and the parameter sources as click's parser
     would, without building one.  Its table (each option name's parameter, the
-    required parameters, and the processed default of every other parameter,
-    the help option included) is built on the first such parse and rebuilt
-    only for other help option names, so a request processes only the values
-    it was given.  Any other input goes to click unchanged, so help, every
-    usage error, ``--opt=value``, ``-ofile``, repeated options and completion
-    keep click's bytes.  The two agree for plain options only (one value; no
-    flag, envvar, callback or prompt; required or with a default), which
-    ``tests/test_cli.py`` asserts of both.  The group hands a command its
-    tokens without a parser of its own (``_RequestGroup``).  ``verify`` and
-    ``torus`` run once per job, not per request, so they keep click's parser.
+    required parameters, the processed default of every other parameter, the
+    help option included, and the processed value of each (parameter, text)
+    seen so far) is built on the first such parse and rebuilt only for other
+    help option names.  A value is stored only when ``process_value``
+    returned, and at most MAX_KNOWN_VALUES of them; a text beyond that is
+    processed and not kept.  Sharing them is sound because under these
+    conditions (no token normaliser, not resilient, plain options)
+    ``process_value`` depends on the parameter and the text alone, and its
+    ints and strs are immutable.  So a request processes only the texts the
+    command has not seen: the gain is for in-process callers whose values
+    repeat, while a one-shot shell process starts with an empty table.  Any
+    other input goes to click unchanged, so help, every usage error,
+    ``--opt=value``, ``-ofile``, repeated options and completion keep click's
+    bytes.  The two agree for plain options only (one value of an int range,
+    a choice or a string; no flag, envvar, callback or prompt; required or
+    with a default), which ``tests/test_cli.py`` asserts of both.  The group
+    hands a command its tokens without a parser of its own
+    (``_RequestGroup``).  ``verify`` and ``torus`` run once per job, not per
+    request, so they keep click's parser.
     """
 
-    #: (help option names, {option name: param}, required params, {param: default})
+    #: (help option names, {option name: param}, required params, {param: default},
+    #: {(param, text): processed value})
     _table = None
 
     def parse_args(self, ctx, args):
@@ -256,13 +269,18 @@ class _PairsCommand(click.Command):
         try:
             if self._table is None or self._table[0] != ctx.help_option_names:
                 self._table = self._parse_table(ctx)
-            _, by_opt, required, defaults = self._table
+            _, by_opt, required, defaults, known = self._table
             for name, text in zip(args[::2], args[1::2]):
                 param = by_opt.get(name)
                 if param is None or param in values:
                     return None
-                values[param] = (param.process_value(ctx, text),
-                                 ParameterSource.COMMANDLINE)
+                try:
+                    value = known[param, text]
+                except KeyError:
+                    value = param.process_value(ctx, text)
+                    if len(known) < MAX_KNOWN_VALUES:
+                        known[param, text] = value
+                values[param] = (value, ParameterSource.COMMANDLINE)
         except click.BadParameter:
             return None
         if not values.keys() >= required:
@@ -278,7 +296,8 @@ class _PairsCommand(click.Command):
                 {opt: param for param in self.params for opt in param.opts},
                 frozenset(param for param in params if param.required),
                 {param: param.process_value(ctx, param.get_default(ctx))
-                 for param in params if not param.required})
+                 for param in params if not param.required},
+                {})
 
 
 class _RequestGroup(click.Group):

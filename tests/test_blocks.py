@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import re
 import types
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -228,6 +229,29 @@ class TestBlockEntries:
         pt_line = spectral_point(params, 3, 1)  # J' - J - r = 0 at r = 1
         with pytest.raises(DegenerateNormalizationError, match="J'-J-r"):
             intertwinor_block(params, pt_line, 1, 1)
+
+    def test_denominator_is_its_three_factors(self):
+        # the factors in doubled levels, with 2s = p + q - 2 - 2k derived here: a
+        # point is skipped exactly when one vanishes, naming the first that does
+        names = ("J'+J+r", "J'-J-r", "s+r")
+        first_zero = Counter()
+        for p, q, k, a in ((2, 4, 2, 1), (4, 6, 2, 1), (3, 3, 1, 0), (5, 3, 2, 1)):
+            params = BundleParams(p, q, k, a)
+            for jp2, j2, r2 in itertools.product(range(-6, 7), range(-6, 7), range(-4, 5, 2)):
+                factors = (jp2 + j2 + r2, jp2 - j2 - r2, p + q - 2 - 2 * k + r2)
+                zero = [name for name, value in zip(names, factors) if value == 0]
+                if not zero:
+                    assert block_pair(params, jp2, j2, r2) == (
+                        core_pair(params, jp2, j2, r2)[0],
+                        -2 * factors[0] * factors[1] * factors[2])
+                    continue
+                with pytest.raises(DegenerateNormalizationError) as err:
+                    block_pair(params, jp2, j2, r2)
+                assert str(err.value) == f"normalization factor {zero[0]} vanishes"
+                first_zero[zero[0], len(zero)] += 1
+        # each factor is the first zero somewhere, and some points have several
+        assert {name for name, _ in first_zero} == set(names)
+        assert any(count > 1 for _, count in first_zero)
 
     def test_entries_scale_linearly_in_seed(self):
         pt = spectral_point(PARAMS, 2, 3)

@@ -902,6 +902,9 @@ def test_subcommand_options_are_plain():
             assert not param.deprecated and param.expose_value
             assert param.envvar is None and param.callback is None and param.prompt is None
             assert param.required or param.default is not unset, param.name
+            # types whose values are immutable, so one stored value serves many requests
+            assert isinstance(param.type, (click.IntRange, click.Choice)) \
+                or param.type is click.STRING, param.name
 
 
 def test_the_group_has_no_options_of_its_own():
@@ -938,15 +941,62 @@ def test_well_formed_options_skip_clicks_parser(monkeypatch, name, argv):
     assert _dispatch([name] + argv) == want
 
 
-def test_a_repeated_request_processes_only_its_given_values(runner):
-    # the parse table, defaults included, is built once per command
+def test_a_repeated_request_processes_only_its_given_values(runner, monkeypatch):
+    # the parse table, defaults included, is built once per command, and each
+    # distinct (option, text) is processed once
+    cmd = main.commands["eval"]
+    monkeypatch.setattr(cmd, "_table", None)
     argv = ORDER_COMMANDS[0] + ["--r", "1", "--mode", "exact", "--precision", "17"]
-    run_ok(runner, argv)
+    jp = argv.index("--jp") + 1
+    changed = argv[:jp] + ["2"] + argv[jp + 1:]
+    name_of = {opt: param.name for param in cmd.params for opt in param.opts}
+    calls = []
     with mock.patch.object(click.Option, "process_value", autospec=True,
                            side_effect=click.Option.process_value) as process:
-        run_ok(runner, argv)
-    assert [call.args[2] for call in process.call_args_list] == argv[2::2]
-    assert process.call_count == 10
+        for args in (argv, argv, changed):
+            process.reset_mock()
+            run_ok(runner, args)
+            calls.append([(call.args[0].name, call.args[2]) for call in process.call_args_list])
+    defaults = [("operator", "normalized"), ("mode", "exact"), ("precision", 17),
+                ("output", None), ("help", False)]
+    given = [(name_of[opt], text) for opt, text in zip(argv[1::2], argv[2::2])]
+    assert calls == [defaults + given, [], [("jp", "2")]]
+
+
+def _known(cmd):
+    """The command's stored values, keyed by (parameter name, text)."""
+    return {(param.name, text): value for (param, text), value in cmd._table[4].items()}
+
+
+def test_the_value_table_stops_at_its_bound(monkeypatch):
+    # a full table still processes new texts as click does, and keeps the first ones
+    cmd = main.commands["eval"]
+    monkeypatch.setattr(cmd, "_table", None)
+    monkeypatch.setattr(cli, "MAX_KNOWN_VALUES", 3)
+    argv = ORDER_COMMANDS[0][1:] + ["--r", "2"]
+    p = argv.index("--p") + 1
+    argvs = [argv, argv[:p] + ["5"] + argv[p + 1:]]
+    with _click_parse():
+        want = [_parse("eval", args) for args in argvs]
+    assert [_parse("eval", args) for args in argvs] == want
+    assert _known(cmd) == {("p", "4"): 4, ("q", "6"): 6, ("k", "2"): 2}
+
+
+@pytest.mark.parametrize("option, text", [("--family", "bogus"), ("--p", "x")])
+def test_a_rejected_value_is_not_stored(runner, monkeypatch, option, text):
+    cmd = main.commands["eval"]
+    monkeypatch.setattr(cmd, "_table", None)
+    good = ORDER_COMMANDS[0] + ["--r", "1"]
+    run_ok(runner, good)
+    known = _known(cmd)
+    at = good.index(option) + 1
+    bad = good[:at] + [text] + good[at + 1:]
+    with _click_parse():
+        want = runner.invoke(main, bad)
+    got = runner.invoke(main, bad)
+    assert got.exit_code == want.exit_code == 2
+    assert got.stderr == want.stderr != ""
+    assert _known(cmd) == known
 
 
 @pytest.mark.parametrize("settings_", [
@@ -992,9 +1042,10 @@ def test_help_option_names_are_clicks(names):
 @example(["--", "eval"] + ORDER_COMMANDS[0][1:] + ["--r", "2"])
 @example(["eval"] + ORDER_COMMANDS[0][1:] + ["--r", "2"])
 def test_fast_parse_matches_clicks(argv):
-    fast = _dispatch(argv)
+    fast = [_dispatch(argv) for _ in range(2)]  # the second reads the stored values
     with _click_parse(), _click_dispatch():
-        assert _dispatch(argv) == fast
+        want = _dispatch(argv)
+    assert fast == [want, want]
 
 
 @pytest.mark.parametrize("line", [
