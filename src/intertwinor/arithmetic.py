@@ -91,15 +91,6 @@ def format_fraction(x: Rational) -> str:
                          "digits and cannot be written as a record") from None
 
 
-def twice(x: ScalarLike) -> ScalarLike:
-    """2x: an int for an int or a Fraction with denominator 1 or 2, so that the
-    levels of a lattice point reach the doubled-level kernels as plain ints;
-    other Fractions and floats keep their type and rounding."""
-    if isinstance(x, Fraction) and x.denominator <= 2:
-        return 2 * x.numerator // x.denominator
-    return 2 * x
-
-
 def is_integral(r: ScalarLike) -> bool:
     """True for ints and integer-valued Fractions; floats are never integral."""
     if isinstance(r, bool):

@@ -15,15 +15,16 @@ centered degree on that factor, 4*lambda + o^2 is the square of 2J' or 2J
 at every level, so the even-order products take the doubled levels directly.
 
 Each formula is written once, on doubled levels 2J' = 2j' + p - 2,
-2J = 2j + q - 2, 2s and 2r, where every half-integer shift clears and
-lattice points give plain integers.  A quantity of degree d in the levels
+2J = 2j + q - 2 (:func:`~intertwinor.spectra.doubled_level`), 2s and 2r,
+where every half-integer shift clears and lattice points give plain
+integers.  A quantity of degree d in the levels
 then comes out 2^d times too large, so every kernel returns its values with
 a fixed power-of-two scale, as an unreduced integer ``(value, scale)`` pair
 where a caller needs one.  The kernel bodies are type-generic (ints on the
 verification sweeps and at lattice points, Fractions at other rational
 points, polynomials for the leading symbol); the public functions taking a
 :class:`SpectralPoint` are thin Fraction-returning wrappers over them, which
-pass the doubled levels of :func:`~intertwinor.arithmetic.twice`.  A kernel
+pass the point's ``jp2`` and ``j2`` and the doubled order ``2 * r``.  A kernel
 takes the bundle itself and reads it only through the five doubled-level
 constants that :class:`BundleParams` sets once (``root1``, ``root_mix2``,
 ``sign``, ``s2`` and ``w2``), so any object carrying those attributes serves.
@@ -43,8 +44,8 @@ from .arithmetic import (
     is_integral,
     quotient,
     times,
-    twice,
 )
+from . import spectra
 from .spectra import (
     BundleParams,
     DegenerateNormalizationError,
@@ -82,7 +83,7 @@ def laplace_values(params: BundleParams, jp2, j2):
 
 def laplace_data(params: BundleParams, pt: SpectralPoint) -> LaplaceData:
     root1, root_mix2 = params.root1, params.root_mix2
-    values = laplace_values(params, twice(pt.Jp), twice(pt.J)) + (
+    values = laplace_values(params, pt.jp2, pt.j2) + (
         root1 ** 2, (root_mix2 - 2) ** 2, (root_mix2 + 2) ** 2, root_mix2 ** 2)
     return LaplaceData(*(Fraction(v, 4) for v in values))
 
@@ -110,7 +111,7 @@ def shift_values(params: BundleParams, j2):
 
 
 def interface_shifts(params: BundleParams, pt: SpectralPoint) -> CasimirShifts:
-    n1, n2 = shift_values(params, twice(pt.J))
+    n1, n2 = shift_values(params, pt.j2)
     return CasimirShifts(n1=Fraction(n1), n2=Fraction(n2))
 
 
@@ -199,7 +200,7 @@ def intertwinor_block(params: BundleParams, pt: SpectralPoint, r: Rational,
     one in it.  Raises when a factor of the normalization denominator
     (J'+J+r), (J'-J-r) or (s+r) vanishes, naming the factor.
     """
-    entries, den = block_pair(params, twice(pt.Jp), twice(pt.J), twice(r))
+    entries, den = block_pair(params, pt.jp2, pt.j2, 2 * r)
     scale = Fraction(scale)
     return TwoByTwo(*(scale * e / den for e in entries))
 
@@ -211,8 +212,8 @@ def block_scale_squared(params: BundleParams, pt: SpectralPoint, r: int) -> Exte
     """
     if not is_integral(r):
         raise ValueError(f"the exact seed needs integer r, got {r!r}")
-    gamma_part = quotient(*gamma_product(seed_gamma_args(twice(pt.Jp), twice(pt.J)), int(r)))
-    s2, r2 = params.s2, twice(r)
+    gamma_part = quotient(*gamma_product(seed_gamma_args(pt.jp2, pt.j2), int(r)))
+    s2, r2 = params.s2, 2 * r
     return times(times(quotient(s2 + r2, s2 - r2), gamma_part), gamma_part)
 
 
@@ -275,22 +276,23 @@ def even_order_eigenvalue(family: Family, params: BundleParams,
     r = _check_order(r)
     if family is Family.MIXED:
         raise ValueError("mixed family carries a block; use even_order_block")
-    return Fraction(*even_order_pair(family, params, *_doubled_levels(params, pt), r))
+    return Fraction(*even_order_pair(family, params, *_lattice_levels(params, pt), r))
 
 
 def even_order_block(params: BundleParams, pt: SpectralPoint, r: int) -> TwoByTwo:
     """Order-2r operator on a mixed pair, r >= 1: scalar product times the core block."""
     r = _check_order(r)
-    return two_by_two(*even_block_pair(params, *_doubled_levels(params, pt), r))
+    return two_by_two(*even_block_pair(params, *_lattice_levels(params, pt), r))
 
 
-def _doubled_levels(params: BundleParams, pt: SpectralPoint) -> Tuple[int, int]:
-    """The integers (2J', 2J) of a point on the bundle's level lattice."""
-    jp2, j2 = twice(pt.Jp), twice(pt.J)
-    levels2 = (jp2 - params.p + 2, j2 - params.q + 2)  # 2j' and 2j
-    if not all(isinstance(x, int) and x >= 0 and x % 2 == 0 for x in levels2):
+def _lattice_levels(params: BundleParams, pt: SpectralPoint) -> Tuple[int, int]:
+    """The point's (2J', 2J), checked to be the bundle's doubled levels of integers j', j >= 0."""
+    # 2j' and 2j: each doubled level's offset from that of level 0
+    levels2 = (pt.jp2 - spectra.doubled_level(params.p, 0),
+               pt.j2 - spectra.doubled_level(params.q, 0))
+    if not all(is_integral(x) and x >= 0 and x % 2 == 0 for x in levels2):
         raise ValueError(f"point {pt} is not on the level lattice of {params}")
-    return jp2, j2
+    return pt.jp2, pt.j2
 
 
 # -- exact bivariate polynomials for the leading-symbol check ----------------------

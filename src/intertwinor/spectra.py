@@ -33,7 +33,6 @@ from .arithmetic import (
     quotient,
     require_ints,
     times,
-    twice,
 )
 
 
@@ -121,12 +120,35 @@ class KTypeLabel:
     j: int
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Shifted levels (J', J) = (j' + (p-2)/2, j + (q-2)/2), kept exact."""
+def doubled_level(p: int, j: int) -> int:
+    """2J = 2j + p - 2, the doubled shifted level of the harmonic level j on S^(p-1).
 
-    Jp: Fraction
-    J: Fraction
+    The one place the level map is written: the library, the gates and the
+    torus all take their doubled levels from here.
+    """
+    return 2 * j + p - 2
+
+
+@dataclass(frozen=True, kw_only=True)
+class SpectralPoint:
+    """Doubled shifted levels (2J', 2J) = (2j' + p - 2, 2j + q - 2).
+
+    :func:`spectral_point` builds one from harmonic levels, where both are
+    ints; the kernels take ``jp2`` and ``j2`` as they are, so a point off a
+    bundle's lattice (other ints, or Fractions) also evaluates where the
+    formulas allow.  ``Jp`` and ``J`` read the shifted levels as Fractions.
+    """
+
+    jp2: int
+    j2: int
+
+    @property
+    def Jp(self) -> Fraction:
+        return Fraction(self.jp2, 2)
+
+    @property
+    def J(self) -> Fraction:
+        return Fraction(self.j2, 2)
 
 
 @dataclass(frozen=True)
@@ -207,16 +229,17 @@ def spectral_point(params: BundleParams, jp: int, j: int,
         raise NonexistentKTypeError(
             f"{family.value} type at (j'={jp}, j={j}) is empty for "
             f"p={params.p}, q={params.q}, k={params.k}, a={params.a}")
-    return SpectralPoint(Fraction(2 * jp + params.p - 2, 2), Fraction(2 * j + params.q - 2, 2))
+    return SpectralPoint(jp2=doubled_level(params.p, jp), j2=doubled_level(params.q, j))
 
 
 # -- transition quantities and eigenvalue formulas ----------------------------
 #
 # Each formula is written once, on doubled levels 2J', 2J and doubled order
 # 2r, where every half-integer shift clears and lattice points give plain
-# integers.  The bodies are type-generic: the same code serves ints (the
-# verification sweeps, and the public wrappers below at lattice points and
-# integer or half-integer orders), other Fractions and floats.
+# integers.  The bodies are type-generic: the levels are the ints of the
+# verification sweeps or of a point's ``jp2`` and ``j2``, and the doubled
+# order ``2 * r`` that the public wrappers below pass is an int, a Fraction
+# or a float, as r is.
 
 def transition_factors(mixed: bool, jp2, j2, r2, djp: int, dj: int):
     """Transition quotient to the (dj', dj) neighbor as (numerator, denominator) pairs.
@@ -256,8 +279,7 @@ def seed_gamma_args(jp2, j2):
 def _transition(mixed: bool, pt: SpectralPoint, r: ScalarLike,
                 direction: Direction) -> Extended:
     """The transition quotient as the :func:`times` product of its factors' ratios."""
-    factors = transition_factors(mixed, twice(pt.Jp), twice(pt.J), twice(r),
-                                 direction.djp, direction.dj)
+    factors = transition_factors(mixed, pt.jp2, pt.j2, 2 * r, direction.djp, direction.dj)
     out = quotient(*factors[0])
     for num, den in factors[1:]:
         out = times(out, quotient(num, den))
@@ -300,7 +322,7 @@ def mult1_eigenvalue(pt: SpectralPoint, r: ScalarLike) -> Extended:
     Product of the two gamma ratios at arguments J' + J + 1 and J' - J + 1;
     exact (rising factorial) for integer r, floating otherwise.
     """
-    return gamma_quotient(gamma_args(False, twice(pt.Jp), twice(pt.J)), r)
+    return gamma_quotient(gamma_args(False, pt.jp2, pt.j2), r)
 
 
 def mult2_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> Extended:
@@ -315,7 +337,7 @@ def mult2_transition(pt: SpectralPoint, r: ScalarLike, direction: Direction) -> 
 
 def mult2_det(pt: SpectralPoint, r: ScalarLike) -> Extended:
     """Determinant of the intertwinor on a mixed pair (gamma-quotient form)."""
-    return gamma_quotient(gamma_args(True, twice(pt.Jp), twice(pt.J)), r)
+    return gamma_quotient(gamma_args(True, pt.jp2, pt.j2), r)
 
 
 @dataclass(frozen=True)
@@ -352,7 +374,7 @@ def normalized_eigenvalue(family: Family, params: BundleParams,
     """
     if family is Family.MIXED:
         raise ValueError("mixed family carries a 2x2 block, not a single eigenvalue")
-    s2, r2 = params.s2, twice(r)
+    s2, r2 = params.s2, 2 * r
     if s2 == r2 or s2 == -r2:
         raise DegenerateNormalizationError(
             f"normalization breaks at s = {format_fraction(params.s)} with r = {r}")

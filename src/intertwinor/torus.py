@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
-from . import blocks
+from . import blocks, spectra
 from .arithmetic import POLE, gamma_product, is_integral, require_ints
 from .spectra import BundleParams, gamma_args, gamma_quotient, seed_gamma_args
 
@@ -268,7 +268,8 @@ def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
     if r == 0:
         return ((1, 0, 0, 1) if k == 1 else (1,)), 1
     jp, jn = abs(m), abs(n)
-    args = seed_gamma_args(2 * jp, 2 * jn) if k == 1 else gamma_args(False, 2 * jp, 2 * jn)
+    jp2, jn2 = spectra.doubled_level(2, jp), spectra.doubled_level(2, jn)
+    args = seed_gamma_args(jp2, jn2) if k == 1 else gamma_args(False, jp2, jn2)
     if isinstance(r, int):
         if k == 1:
             # t = -seed / ((J'+J+r)(J'-J-r) r), and the seed's quotient at J'-J
@@ -290,7 +291,7 @@ def _mode_block(k: int, m: int, n: int, r) -> Tuple[tuple, object]:
             t = -t / ((jp + jn + r) * (jp - jn - r) * r)
     if k != 1:
         return (t,), den
-    (c11, c12, _, c22), scale = blocks.core_pair(_MIDDLE_DEGREE, 2 * jp, 2 * jn, 2 * r)
+    (c11, c12, _, c22), scale = blocks.core_pair(_MIDDLE_DEGREE, jp2, jn2, 2 * r)
     e12 = c12 * t * m * n
     return (-t * c11, e12, -e12, -t * c22), scale * den
 

@@ -170,16 +170,18 @@ def _levels(params: BundleParams, floor: Tuple[int, int], j_max: int,
             extra: Optional[dict] = None) -> Iterator[Tuple[int, int, int, int, dict]]:
     """(j', j, 2J', 2J, head) for the levels <= j_max at or above ``floor``, in sweep order.
 
-    The head is a record's point without its order: each record copies it and
-    sets the ``r`` text of :func:`_order_texts`, as a failing one adds keys.
+    The doubled levels are those of :func:`spectra.doubled_level`, taken once
+    per j' and, for the j row, once per call.  The head is a record's point
+    without its order: each record copies it and sets the ``r`` text of
+    :func:`_order_texts`, as a failing one adds keys.
     """
     p, q, k, a = params.p, params.q, params.k, params.a
     extra = extra or {}
+    row = [(j, spectra.doubled_level(q, j)) for j in range(floor[1], j_max + 1)]
     for jp in range(floor[0], j_max + 1):
-        jp2 = 2 * jp + p - 2
-        for j in range(floor[1], j_max + 1):
-            yield jp, j, jp2, 2 * j + q - 2, {"p": p, "q": q, "k": k, "a": a,
-                                                "jp": jp, "j": j, **extra}
+        jp2 = spectra.doubled_level(p, jp)
+        for j, j2 in row:
+            yield jp, j, jp2, j2, {"p": p, "q": q, "k": k, "a": a, "jp": jp, "j": j, **extra}
 
 
 def _gamma_table():
@@ -227,7 +229,7 @@ def run_diamond_checks(grid: GridSpec) -> List[dict]:
     tables = {mixed: _diamond_table(mixed, gamma) for mixed in (False, True)}
     orders = _order_texts(grid.r_values)
     for params in iter_bundles(grid):
-        dp, dq = params.p - 2, params.q - 2
+        p, q = params.p, params.q
         for family in (Family.COEXACT, Family.EXACT, Family.MIXED):
             floor = spectra.level_floor(params, family)
             if floor is None:
@@ -239,7 +241,7 @@ def run_diamond_checks(grid: GridSpec) -> List[dict]:
                 for r, r_text in orders:
                     point = head.copy()
                     point["r"] = r_text
-                    for djp, dj, fail in fails(dp, dq, jp, j, r):
+                    for djp, dj, fail in fails(p, q, jp, j, r):
                         if jp + djp >= lo1 and j + dj >= lo2:
                             point["identity"], lhs, rhs = fail
                             reports.append(check_report("diamond", point, FAIL, lhs, rhs))
@@ -250,7 +252,7 @@ def run_diamond_checks(grid: GridSpec) -> List[dict]:
 
 
 def _diamond_table(mixed: bool, gamma):
-    """The failing diamond comparisons at (p - 2, q - 2, j', j, r) in gate order.
+    """The failing diamond comparisons at (p, q, j', j, r) in gate order.
 
     Corner routes first, then gamma-transition per direction.  Each
     comparison carries the least (j', j) offset over its labels: a corner's
@@ -258,31 +260,32 @@ def _diamond_table(mixed: bool, gamma):
     family's labels fill a quadrant, so they all exist exactly when the
     levels at that offset lie in it.  A label with a negative level never
     exists, so no route is built through one; that guard needs the levels
-    themselves, which is why entries are keyed by them and not by the
-    doubled levels alone.  A route with a vanishing step is undefined in
-    every bundle.
+    themselves, which is why entries are keyed by them and the sphere
+    parameters, and take the doubled levels of :func:`spectra.doubled_level`.
+    A route with a vanishing step is undefined in every bundle.
     """
-    def transition(dp, dq, jp, j, r, d1, d2):
+    def transition(jp2, j2, r2, d1, d2):
         num = den = 1
-        for n, d in spectra.transition_factors(mixed, 2 * jp + dp, 2 * j + dq, 2 * r, d1, d2):
+        for n, d in spectra.transition_factors(mixed, jp2, j2, r2, d1, d2):
             num, den = num * n, den * d
         return num, den
 
     @cache
-    def steps(dp, dq, jp, j, r) -> dict:
+    def steps(p, q, jp, j, r) -> dict:
         # transition pairs from (jp, j) to each neighbor on the lattice, by direction
-        return {(d1, d2): transition(dp, dq, jp, j, r, d1, d2)
+        jp2, j2 = spectra.doubled_level(p, jp), spectra.doubled_level(q, j)
+        return {(d1, d2): transition(jp2, j2, 2 * r, d1, d2)
                 for d1, d2 in _STEPS if jp + d1 >= 0 and j + d2 >= 0}
 
     @cache
-    def fails(dp, dq, jp, j, r) -> list:
-        here = steps(dp, dq, jp, j, r)
+    def fails(p, q, jp, j, r) -> list:
+        here = steps(p, q, jp, j, r)
         out = []
         for (djp, dj), routes in _CORNER_PATHS:
             prods = []
             for first, second in routes:
                 one = here.get(first)
-                two = one and steps(dp, dq, jp + first[0], j + first[1], r).get(second)
+                two = one and steps(p, q, jp + first[0], j + first[1], r).get(second)
                 if not two or 0 in one or 0 in two:
                     break
                 prods.append((one[0] * two[0], one[1] * two[1]))
@@ -291,9 +294,11 @@ def _diamond_table(mixed: bool, gamma):
                 if num_a * den_b != num_b * den_a:
                     out.append((djp, dj, ("diamond-path", _ratio_text(num_a, den_a),
                                           _ratio_text(num_b, den_b))))
-        src_n, src_d = gamma(mixed, 2 * jp + dp, 2 * j + dq, r)
+        jp2, j2 = spectra.doubled_level(p, jp), spectra.doubled_level(q, j)
+        src_n, src_d = gamma(mixed, jp2, j2, r)
         for (d1, d2), (n, d) in here.items():
-            tgt_n, tgt_d = gamma(mixed, 2 * (jp + d1) + dp, 2 * (j + d2) + dq, r)
+            # a unit step in a level is a step of 2 in its doubled level
+            tgt_n, tgt_d = gamma(mixed, jp2 + 2 * d1, j2 + 2 * d2, r)
             lhs, rhs = tgt_n * src_d * d, src_n * tgt_d * n
             if lhs != rhs:
                 out.append((d1, d2, ("gamma-transition", str(lhs), str(rhs))))

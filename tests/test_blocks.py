@@ -85,12 +85,12 @@ def projection_constants(n: int, k: int, j: int) -> ProjectionConstants:
 
 
 def order2(family, params, pt):
-    return Fraction(*order2_pair(family, params, 2 * pt.Jp, 2 * pt.J))
+    return Fraction(*order2_pair(family, params, pt.jp2, pt.j2))
 
 
 def order2_block(params, pt):
     """The second-order block on a mixed pair: the core of the order-2r block at r = 1."""
-    return two_by_two(*core_pair(params, 2 * pt.Jp, 2 * pt.J, 2))
+    return two_by_two(*core_pair(params, pt.jp2, pt.j2, 2))
 
 
 def mixed_points(params, j_hi=5):
@@ -167,9 +167,9 @@ class TestKernelSeam:
                 params = BundleParams(p, q, c1 + a, a)
                 seam = types.SimpleNamespace(**{name: getattr(params, name) for name in DOUBLED})
                 for (jp, j), r in itertools.product(((0, 0), (1, 2), (3, 1)), (1, 2, 3)):
-                    jp2, j2 = 2 * jp + p - 2, 2 * j + q - 2
-                    assert kernel_outcomes(seam, jp2, j2, r) == \
-                        kernel_outcomes(params, jp2, j2, r), (params, jp, j, r)
+                    pt = spectral_point(params, jp, j)
+                    assert kernel_outcomes(seam, pt.jp2, pt.j2, r) == \
+                        kernel_outcomes(params, pt.jp2, pt.j2, r), (params, jp, j, r)
 
 
 class TestLaplaceData:
@@ -277,17 +277,17 @@ class TestSeedScale:
 
     def test_generic_value(self):
         # (s+r)/(s-r) * [rising(2,1) * rising(1/2,1)]^2 at (5/2, 1/2)
-        pt = SpectralPoint(Fraction(5, 2), Fraction(1, 2))
+        pt = SpectralPoint(jp2=5, j2=1)
         assert block_scale_squared(PARAMS, pt, 1) == 3
 
     def test_pole_at_s_equals_r(self):
         params = BundleParams(4, 6, 3, 1)  # s = 1
-        assert block_scale_squared(params, SpectralPoint(Fraction(3), Fraction(1)), 1) is POLE
+        assert block_scale_squared(params, SpectralPoint(jp2=6, j2=2), 1) is POLE
 
     def test_s_equals_r_zero_is_indeterminate(self):
         params = BundleParams(2, 2, 1, 1)  # s = 0
         with pytest.raises(IndeterminateError, match="0 / 0 is indeterminate"):
-            block_scale_squared(params, SpectralPoint(Fraction(1), Fraction(1)), 0)
+            block_scale_squared(params, SpectralPoint(jp2=2, j2=2), 0)
 
     def test_det_consistency_with_gamma_form(self):
         # gamma-quotient det equals the transition product times the squared seed
@@ -420,14 +420,14 @@ class TestEvenOrder:
 
     def test_order_four_product_value(self):
         # (s + r) times the odd-offset product at (5/2, 1/2): 4 * (4*2*3*1)
-        pt = SpectralPoint(Fraction(5, 2), Fraction(1, 2))
-        assert (PARAMS.s + 2) * Fraction(even_product(2 * pt.Jp, 2 * pt.J, 2), 4 ** 2) == 96
+        pt = SpectralPoint(jp2=5, j2=1)
+        assert (PARAMS.s + 2) * Fraction(even_product(pt.jp2, pt.j2, 2), 4 ** 2) == 96
 
     def test_odd_orders_vanish_on_diagonal(self):
-        pt = SpectralPoint(Fraction(7, 2), Fraction(7, 2))
+        pt = SpectralPoint(jp2=7, j2=7)
         for r in (1, 3):
-            assert even_product(2 * pt.Jp, 2 * pt.J, r) == 0
-        assert even_product(2 * pt.Jp, 2 * pt.J, 2) != 0
+            assert even_product(pt.jp2, pt.j2, r) == 0
+        assert even_product(pt.jp2, pt.j2, 2) != 0
 
     def test_family_ratio(self):
         s = PARAMS.s
@@ -463,14 +463,14 @@ class TestEvenOrder:
                     o1, o2 = family_offsets(family, params)
                     for level in (0, 1, 2):
                         pt = spectral_point(params, level, level)
-                        assert 4 * first[family](p - 1, c1, level) + o1 * o1 == (2 * pt.Jp) ** 2
-                        assert 4 * second[family](q - 1, a, level) + o2 * o2 == (2 * pt.J) ** 2
+                        assert 4 * first[family](p - 1, c1, level) + o1 * o1 == pt.jp2 ** 2
+                        assert 4 * second[family](q - 1, a, level) + o2 * o2 == pt.j2 ** 2
 
     def test_block_prefactor_structure(self):
         pt = spectral_point(PARAMS, 2, 3)
         for r in (2, 3, 4):
-            pref = Fraction(even_product(2 * pt.Jp, 2 * pt.J, r - 1), 4 ** (r - 1))
-            entries, scale = core_pair(PARAMS, 2 * pt.Jp, 2 * pt.J, 2 * r)
+            pref = Fraction(even_product(pt.jp2, pt.j2, r - 1), 4 ** (r - 1))
+            entries, scale = core_pair(PARAMS, pt.jp2, pt.j2, 2 * r)
             assert even_order_block(PARAMS, pt, r) == TwoByTwo(
                 *(pref * Fraction(e, scale) for e in entries))
 
@@ -490,18 +490,19 @@ class TestEvenOrder:
         (3.0, 3.0),                        # floats
     ])
     def test_off_lattice_point_rejected(self, Jp, J):
-        # PARAMS has J' = j' + 1 and J = j + 2
-        pt = SpectralPoint(Jp, J)
+        # PARAMS has J' = j' + 1 and J = j + 2; the point holds 2J' and 2J
+        pt = SpectralPoint(jp2=2 * Jp, j2=2 * J)
         with pytest.raises(ValueError, match="is not on the level lattice"):
             even_order_eigenvalue(Family.COEXACT, PARAMS, pt, 2)
         with pytest.raises(ValueError, match="is not on the level lattice"):
             even_order_block(PARAMS, pt, 2)
 
     def test_int_and_fraction_lattice_points_agree(self):
-        for Jp, J in ((1, 2), (3, 3), (4, 6)):
+        for jp2, j2 in ((2, 4), (6, 6), (8, 12)):
             want = even_order_eigenvalue(Family.EXACT, PARAMS,
-                                         SpectralPoint(Fraction(Jp), Fraction(J)), 2)
-            assert even_order_eigenvalue(Family.EXACT, PARAMS, SpectralPoint(Jp, J), 2) == want
+                                         SpectralPoint(jp2=Fraction(jp2), j2=Fraction(j2)), 2)
+            assert even_order_eigenvalue(Family.EXACT, PARAMS,
+                                         SpectralPoint(jp2=jp2, j2=j2), 2) == want
 
 
 class TestBivariatePoly:

@@ -34,8 +34,9 @@ from intertwinor.arithmetic import POLE, IndeterminateError, gamma_ratio, gamma_
 from intertwinor.blocks import block_scale_squared
 
 
-def pt(a, b):
-    return SpectralPoint(Fraction(a), Fraction(b))
+def pt(jp2, j2):
+    """The point at doubled levels (2J', 2J)."""
+    return SpectralPoint(jp2=jp2, j2=j2)
 
 
 class TestBundleParams:
@@ -67,24 +68,31 @@ class TestBundleParams:
 
 class TestSpectralPoint:
     def test_no_shift_at_p_q_2(self):
-        assert spectral_point(BundleParams(2, 2, 1, 1), 3, 1) == pt(3, 1)
+        assert spectral_point(BundleParams(2, 2, 1, 1), 3, 1) == pt(6, 2)
 
     def test_integer_shifts(self):
-        assert spectral_point(BundleParams(4, 6, 2, 1), 1, 2) == pt(2, 4)
+        assert spectral_point(BundleParams(4, 6, 2, 1), 1, 2) == pt(4, 8)
 
     def test_half_integer_shifts(self):
         got = spectral_point(BundleParams(3, 3, 0, 0), 0, 0)
-        assert got == SpectralPoint(Fraction(1, 2), Fraction(1, 2))
+        assert got == pt(1, 1)
+        assert (got.Jp, got.J) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_existence_gate(self):
         params = BundleParams(4, 6, 2, 1)
         with pytest.raises(NonexistentKTypeError):
             spectral_point(params, 0, 2, family=Family.EXACT)
-        assert spectral_point(params, 1, 2, family=Family.EXACT) == pt(2, 4)
+        assert spectral_point(params, 1, 2, family=Family.EXACT) == pt(4, 8)
 
     def test_negative_levels(self):
         with pytest.raises(NonexistentKTypeError):
             spectral_point(BundleParams(2, 2, 0, 0), -1, 0)
+
+    def test_levels_are_keywords(self):
+        # a positional pair could be either levels or doubled levels, so none is read
+        with pytest.raises(TypeError):
+            SpectralPoint(3, 1)
+        assert SpectralPoint(jp2=3, j2=1).Jp == Fraction(3, 2)
 
 
 class TestKTypeExists:
@@ -138,22 +146,22 @@ class TestKTypeExists:
 
 class TestMult1Transition:
     def test_up_right(self):
-        assert mult1_transition(pt(Fraction(3, 2), Fraction(5, 2)), 1, UP_RIGHT) \
+        assert mult1_transition(pt(3, 5), 1, UP_RIGHT) \
             == Fraction(3, 2)
 
     def test_r_zero_is_one(self):
         for direction in DIRECTIONS:
-            assert mult1_transition(pt(4, 7), 0, direction) == 1
+            assert mult1_transition(pt(8, 14), 0, direction) == 1
 
     def test_pole_when_x_equals_r(self):
-        assert mult1_transition(pt(2, 1), 2, DOWN_RIGHT) is POLE
+        assert mult1_transition(pt(4, 2), 2, DOWN_RIGHT) is POLE
 
     def test_zero_when_x_equals_minus_r(self):
-        assert mult1_transition(pt(1, 4), 2, DOWN_RIGHT) == 0
+        assert mult1_transition(pt(2, 8), 2, DOWN_RIGHT) == 0
 
     def test_indeterminate(self):
         with pytest.raises(IndeterminateError):
-            mult1_transition(pt(Fraction(1, 2), Fraction(-3, 2)), 0, UP_RIGHT)
+            mult1_transition(pt(1, -3), 0, UP_RIGHT)
 
     def test_direction_validation(self):
         with pytest.raises(ValueError):
@@ -163,19 +171,19 @@ class TestMult1Transition:
 class TestMult1Eigenvalue:
     def test_half_integer_point(self):
         # G(2)G(3/2) / (G(1)G(1/2)) = 1 * 1/2
-        assert mult1_eigenvalue(pt(Fraction(3, 2), Fraction(1, 2)), 1) == Fraction(1, 2)
+        assert mult1_eigenvalue(pt(3, 1), 1) == Fraction(1, 2)
 
     def test_r_zero(self):
-        assert mult1_eigenvalue(pt(Fraction(9, 2), 3), 0) == 1
+        assert mult1_eigenvalue(pt(9, 6), 0) == 1
 
     def test_order_two(self):
         # rising(1,2) * rising(1/2,2) = 2 * 3/4
-        assert mult1_eigenvalue(pt(Fraction(5, 2), Fraction(1, 2)), 2) == Fraction(3, 2)
+        assert mult1_eigenvalue(pt(5, 1), 2) == Fraction(3, 2)
 
     def test_quotient_matches_transition(self):
         # target-over-source ratio reproduces the one-step transition quantity
-        source = pt(Fraction(3, 2), Fraction(1, 2))
-        target = pt(Fraction(5, 2), Fraction(3, 2))
+        source = pt(3, 1)
+        target = pt(5, 3)
         ratio = mult1_eigenvalue(target, 1) / mult1_eigenvalue(source, 1)
         assert ratio == mult1_transition(source, 1, UP_RIGHT)
 
@@ -184,7 +192,7 @@ class TestMult1Eigenvalue:
            st.integers(min_value=1, max_value=4))
     @settings(max_examples=150, deadline=None)
     def test_inverse_pairing(self, jp, j, p, q, r):
-        point = SpectralPoint(jp + Fraction(p - 2, 2), j + Fraction(q - 2, 2))
+        point = spectral_point(BundleParams(p, q, 0, 0), jp, j)
         fwd = mult1_eigenvalue(point, r)
         bwd = mult1_eigenvalue(point, -r)
         if POLE in (fwd, bwd) or 0 in (fwd, bwd):
@@ -192,7 +200,7 @@ class TestMult1Eigenvalue:
         assert fwd * bwd == 1
 
     def test_float_path_agrees(self):
-        point = pt(Fraction(7, 2), Fraction(3, 2))
+        point = pt(7, 3)
         exact = mult1_eigenvalue(point, 2)
         numeric = mult1_eigenvalue(point, 2.0)
         assert numeric == pytest.approx(float(exact), rel=1e-10)
@@ -211,7 +219,7 @@ class TestDoubledLevelFormulas:
 
     def test_float_transition_keeps_its_rounding(self):
         # same float operations as (x + r)/(x - r) and its two-factor mixed form
-        point, r = pt(Fraction(7, 2), Fraction(3, 2)), 0.3
+        point, r = pt(7, 3), 0.3
         x = float(point.Jp + point.J + 1)
         assert mult1_transition(point, r, UP_RIGHT) == (x + r) / (x - r)
         y = float(point.Jp - point.J)
@@ -258,22 +266,22 @@ class TestPublicValuesPinned:
 
 class TestMult2:
     def test_transition_up_right(self):
-        assert mult2_transition(pt(Fraction(5, 2), Fraction(1, 2)), 1, UP_RIGHT) == 3
+        assert mult2_transition(pt(5, 1), 1, UP_RIGHT) == 3
 
     def test_transition_r_zero(self):
-        assert mult2_transition(pt(6, 2), 0, UP_RIGHT) == 1
+        assert mult2_transition(pt(12, 4), 0, UP_RIGHT) == 1
 
     def test_transition_down_right_negative(self):
-        assert mult2_transition(pt(Fraction(3, 2), Fraction(3, 2)), 1, DOWN_RIGHT) == -3
+        assert mult2_transition(pt(3, 3), 1, DOWN_RIGHT) == -3
 
     def test_det_values(self):
-        assert mult2_det(pt(Fraction(5, 2), Fraction(1, 2)), 1) == Fraction(3, 2)
-        assert mult2_det(pt(4, 4), 0) == 1
-        assert mult2_det(pt(1, 1), 1) == Fraction(-3, 16)
+        assert mult2_det(pt(5, 1), 1) == Fraction(3, 2)
+        assert mult2_det(pt(8, 8), 0) == 1
+        assert mult2_det(pt(2, 2), 1) == Fraction(-3, 16)
 
     def test_det_quotient_matches_transition(self):
-        source = pt(3, 2)
-        target = pt(4, 1)  # down-right neighbor
+        source = pt(6, 4)
+        target = pt(8, 2)  # down-right neighbor
         ratio = mult2_det(target, 2) / mult2_det(source, 2)
         assert ratio == mult2_transition(source, 2, DOWN_RIGHT)
 
@@ -282,26 +290,26 @@ class TestNormalizedEigenvalue:
     def test_coexact_radical(self):
         params = BundleParams(4, 6, 2, 1)  # s = 2
         value = normalized_eigenvalue(Family.COEXACT, params,
-                                      pt(Fraction(3, 2), Fraction(1, 2)), 1)
+                                      pt(3, 1), 1)
         assert value.coeff == Fraction(1, 2)
         assert value.radicand == 3
 
     def test_exact_radical_is_reciprocal(self):
         params = BundleParams(4, 6, 2, 1)
         value = normalized_eigenvalue(Family.EXACT, params,
-                                      pt(Fraction(3, 2), Fraction(1, 2)), 1)
+                                      pt(3, 1), 1)
         assert value.coeff == Fraction(1, 2)
         assert value.radicand == Fraction(1, 3)
 
     def test_r_zero_is_one(self):
         params = BundleParams(4, 6, 2, 1)
         for family in (Family.COEXACT, Family.EXACT):
-            value = normalized_eigenvalue(family, params, pt(5, 3), 0)
+            value = normalized_eigenvalue(family, params, pt(10, 6), 0)
             assert value.coeff == 1 and value.radicand == 1
 
     def test_family_ratio_as_radical_pair(self):
         params = BundleParams(5, 4, 2, 1)  # s = 3/2
-        point = pt(Fraction(7, 2), 2)
+        point = pt(7, 4)
         for r in (1, 2):
             co = normalized_eigenvalue(Family.COEXACT, params, point, r)
             ex = normalized_eigenvalue(Family.EXACT, params, point, r)
@@ -311,7 +319,7 @@ class TestNormalizedEigenvalue:
 
     def test_numeric_ratio_where_real(self):
         params = BundleParams(4, 6, 1, 0)  # s = 3
-        point = pt(3, 4)
+        point = pt(6, 8)
         co = normalized_eigenvalue(Family.COEXACT, params, point, 1)
         ex = normalized_eigenvalue(Family.EXACT, params, point, 1)
         assert co.to_complex() / ex.to_complex() == pytest.approx(2.0, rel=1e-12)
@@ -319,17 +327,17 @@ class TestNormalizedEigenvalue:
     def test_degenerate_normalization(self):
         params = BundleParams(2, 2, 0, 0)  # s = 1
         with pytest.raises(DegenerateNormalizationError):
-            normalized_eigenvalue(Family.COEXACT, params, pt(2, 1), 1)
+            normalized_eigenvalue(Family.COEXACT, params, pt(4, 2), 1)
         with pytest.raises(DegenerateNormalizationError):
-            normalized_eigenvalue(Family.EXACT, params, pt(2, 1), -1)
+            normalized_eigenvalue(Family.EXACT, params, pt(4, 2), -1)
 
     def test_mixed_family_rejected(self):
         with pytest.raises(ValueError):
-            normalized_eigenvalue(Family.MIXED, BundleParams(4, 6, 2, 1), pt(2, 4), 1)
+            normalized_eigenvalue(Family.MIXED, BundleParams(4, 6, 2, 1), pt(4, 8), 1)
 
     def test_complex_evaluation_for_negative_radicand(self):
         params = BundleParams(2, 4, 2, 1)  # s = 0
-        value = normalized_eigenvalue(Family.COEXACT, params, pt(2, 3), 1)
+        value = normalized_eigenvalue(Family.COEXACT, params, pt(4, 6), 1)
         assert value.radicand == -1
         z = value.to_complex()
         assert z.real == pytest.approx(0.0, abs=1e-15)
@@ -350,14 +358,14 @@ class TestNormalizedEigenvalue:
 
 class TestValueTypes:
     def test_exact_path_gives_fractions(self):
-        point = pt(Fraction(5, 2), Fraction(1, 2))
+        point = pt(5, 1)
         values = (gamma_ratio(3, 1), mult1_eigenvalue(point, 1), mult2_det(point, 1),
                   mult1_transition(point, 1, UP_RIGHT), mult2_transition(point, 1, UP_RIGHT),
                   block_scale_squared(BundleParams(4, 6, 2, 1), point, 1))
         assert [type(v) for v in values] == [Fraction] * len(values)
 
     def test_float_path_gives_floats(self):
-        point = pt(Fraction(5, 2), Fraction(1, 2))
+        point = pt(5, 1)
         values = (gamma_ratio_numeric(3.0, 0.5), mult1_eigenvalue(point, 0.5),
                   mult2_det(point, 0.5), mult1_transition(point, 0.5, UP_RIGHT),
                   mult2_transition(point, 0.5, UP_RIGHT))
@@ -377,14 +385,14 @@ class TestDiamondPathIndependence:
            st.integers(min_value=1, max_value=4))
     @settings(max_examples=200, deadline=None)
     def test_two_step_products_commute(self, jp, j, p, q, r):
-        point = SpectralPoint(jp + Fraction(p - 2, 2), j + Fraction(q - 2, 2))
+        point = spectral_point(BundleParams(p, q, 0, 0), jp, j)
         up, down = Direction(+1, +1), Direction(+1, -1)
         # both orders of (j' + 2) via j +- 1
         first = mult1_transition(point, r, up)
-        point_up = SpectralPoint(point.Jp + 1, point.J + 1)
+        point_up = pt(point.jp2 + 2, point.j2 + 2)
         second = mult1_transition(point_up, r, down)
         alt_first = mult1_transition(point, r, down)
-        point_dn = SpectralPoint(point.Jp + 1, point.J - 1)
+        point_dn = pt(point.jp2 + 2, point.j2 - 2)
         alt_second = mult1_transition(point_dn, r, up)
         values = [first, second, alt_first, alt_second]
         if POLE in values or 0 in values:

@@ -12,8 +12,8 @@ from intertwinor.blocks import core_pair, intertwinor_block, two_by_two
 from intertwinor.spectra import (
     BundleParams,
     DegenerateNormalizationError,
-    SpectralPoint,
     seed_gamma_args,
+    spectral_point,
 )
 from intertwinor.torus import (
     PoleOnModeError,
@@ -270,7 +270,7 @@ class TestSpectralOperator:
         params = BundleParams(2, 2, 1, 1)
         op = spectral_operator(TorusBasis(6, 1), 1)
         for m, n in ((2, 1), (3, 2), (1, 4), (2, 2)):
-            pt = SpectralPoint(Fraction(abs(m)), Fraction(abs(n)))
+            pt = spectral_point(params, abs(m), abs(n))
             if pt.Jp - pt.J - 1 == 0:
                 continue
             from intertwinor.arithmetic import gamma_ratio
@@ -290,9 +290,9 @@ class TestSpectralOperator:
         op = spectral_operator(TorusBasis(6, 1), 1)
         ratios = set()
         for m, n in ((2, 1), (3, 2), (4, 1), (3, 1)):
-            pt = SpectralPoint(Fraction(m), Fraction(n))
+            pt = spectral_point(params, m, n)
             # the order-2 block: the core of the order-2r block at r = 1
-            want = two_by_two(*core_pair(params, 2 * pt.Jp, 2 * pt.J, 2))
+            want = two_by_two(*core_pair(params, pt.jp2, pt.j2, 2))
             col_t = op.columns[m, n, "dt"]
             col_r = op.columns[m, n, "dr"]
             det = (col_t.get((m, n, "dt"), Fraction(0)) * col_r.get((m, n, "dr"), Fraction(0))

@@ -352,13 +352,23 @@ class TestLibraryEdits:
         monkeypatch.setattr(blocks, "entry_sums", skewed)
         assert torus.intertwining_residual(6, 1, r).residual == want
 
+    def test_edited_level_map_is_flagged(self, monkeypatch):
+        # the diamond, det, even-order and scalar identities hold at any
+        # levels; the interface equations and the torus tie the map to geometry
+        assert not failures(run_interface_checks(TINY))
+        monkeypatch.setattr(spectra, "doubled_level", lambda p, j: 2 * j + p - 1)
+        bad = failures(run_interface_checks(TINY))
+        assert bad and all(rep["point"].get("equation") for rep in bad)
+        for k, r in itertools.product((0, 1, 2), (1, 2)):
+            assert torus.intertwining_residual(6, k, r).residual > 0, (k, r)
+
     def test_public_functions_match_the_default_gate(self):
         orders = (-1, 0) + SMALL.r_values  # a negative order reaches the gamma poles
         cases = set()
         for params in iter_bundles(SMALL):
             for jp, j in levels(SMALL):
                 pt = spectra.spectral_point(params, jp, j)
-                jp2, j2 = 2 * jp + params.p - 2, 2 * j + params.q - 2
+                jp2, j2 = pt.jp2, pt.j2
                 for r in orders:
                     for mixed, transition, gamma in (
                             (False, spectra.mult1_transition, spectra.mult1_eigenvalue),
@@ -380,7 +390,7 @@ class TestLibraryEdits:
         for params in iter_bundles(SMALL):
             for jp, j in levels(SMALL):
                 pt = spectra.spectral_point(params, jp, j)
-                jp2, j2 = 2 * jp + params.p - 2, 2 * j + params.q - 2
+                jp2, j2 = pt.jp2, pt.j2
                 for r in orders:
                     try:
                         entries, den = blocks.block_pair(params, jp2, j2, 2 * r)
