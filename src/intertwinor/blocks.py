@@ -8,11 +8,12 @@ that basis normalization, so only trace and determinant are contractual.
 
 The first factor sphere carries the negative-definite metric, so its
 second-order quantities enter with a flipped sign: the stored first-factor
-value is ``h_co1 - J'^2`` (the split-signature eigenvalue), whose negative is
-the round-sphere one.  All square-root operators then act by J' and J
-exactly: with lambda a factor sphere's eigenvalue and o the family's doubled
-centered degree on that factor, 4*lambda + o^2 is the square of 2J' or 2J
-at every level, so the even-order products take the doubled levels directly.
+value is ``(root1 / 2)^2 - J'^2`` (the split-signature eigenvalue), whose
+negative is the round-sphere one.  All square-root operators then act by J'
+and J exactly: with lambda a factor sphere's eigenvalue and o the family's
+doubled centered degree on that factor, 4*lambda + o^2 is the square of 2J'
+or 2J at every level, so the even-order products take the doubled levels
+directly.
 
 Each formula is written once, on doubled levels 2J' = 2j' + p - 2,
 2J = 2j + q - 2 (:func:`~intertwinor.spectra.doubled_level`), 2s and 2r,
@@ -57,62 +58,37 @@ from .spectra import (
 
 # -- per-block Laplacian data ---------------------------------------------------
 
-@dataclass(frozen=True)
-class LaplaceData:
-    """Factor Laplacian eigenvalues and centered offsets for a mixed pair.
+def laplace_values(params: BundleParams, jp2, j2):
+    """Four times (lap1, lap2) at doubled levels (2J', 2J).
 
     ``lap1`` is the split-signature second-order value on the first factor
-    (equal on both summands of the pair), ``lap2`` the round value on the
-    second factor.  The four offsets are the squared centered degrees entering
-    the square-root operators; ``lap1 = h_co1 - J'^2`` and
-    ``lap2 = J^2 - h_mix2`` hold identically.
+    (equal on both summands of the mixed pair), ``lap2`` the round value on
+    the second factor.
     """
-
-    lap1: Fraction
-    lap2: Fraction
-    h_co1: Fraction
-    h_co2: Fraction
-    h_ex2: Fraction
-    h_mix2: Fraction
-
-
-def laplace_values(params: BundleParams, jp2, j2):
-    """Four times (lap1, lap2) at doubled levels (2J', 2J)."""
     return params.root1 * params.root1 - jp2 * jp2, j2 * j2 - params.root_mix2 * params.root_mix2
 
 
-def laplace_data(params: BundleParams, pt: SpectralPoint) -> LaplaceData:
-    root1, root_mix2 = params.root1, params.root_mix2
-    values = laplace_values(params, pt.jp2, pt.j2) + (
-        root1 ** 2, (root_mix2 - 2) ** 2, (root_mix2 + 2) ** 2, root_mix2 ** 2)
-    return LaplaceData(*(Fraction(v, 4) for v in values))
+def laplace_data(params: BundleParams, pt: SpectralPoint) -> Tuple[Fraction, Fraction]:
+    return tuple(Fraction(v, 4) for v in laplace_values(params, pt.jp2, pt.j2))
 
 
 # -- Casimir-type shifts ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class CasimirShifts:
-    """Differences of auxiliary Bochner eigenvalues, target minus source.
-
-    ``n1`` steps from the mixed pair's partner at level (j', j+1) on the
-    coexact side into the pair's second summand; ``n2`` steps from the exact
-    partner at (j', j+1) into the first summand.  Both pairs share a bidegree,
-    so the curvature terms cancel and the shifts are plain Laplacian
-    differences.
-    """
-
-    n1: Fraction
-    n2: Fraction
-
-
 def shift_values(params: BundleParams, j2):
-    """The shifts (n1, n2) at doubled level 2J; integers on the lattice."""
+    """The shifts (n1, n2) at doubled level 2J; integers on the lattice.
+
+    They are differences of auxiliary Bochner eigenvalues, target minus
+    source: ``n1`` steps from the mixed pair's partner at level (j', j+1) on
+    the coexact side into the pair's second summand, ``n2`` from the exact
+    partner at (j', j+1) into the first summand.  Both pairs share a
+    bidegree, so the curvature terms cancel and the shifts are plain
+    Laplacian differences.
+    """
     return -(params.root1 + j2), params.root1 - j2
 
 
-def interface_shifts(params: BundleParams, pt: SpectralPoint) -> CasimirShifts:
-    n1, n2 = shift_values(params, pt.j2)
-    return CasimirShifts(n1=Fraction(n1), n2=Fraction(n2))
+def interface_shifts(params: BundleParams, pt: SpectralPoint) -> Tuple[Fraction, Fraction]:
+    return tuple(Fraction(n) for n in shift_values(params, pt.j2))
 
 
 def interface_constants(params: BundleParams, j: int) -> Tuple[Fraction, Fraction]:

@@ -14,7 +14,6 @@ import pytest
 from intertwinor.arithmetic import POLE, IndeterminateError
 from intertwinor.blocks import (
     BivariatePoly,
-    CasimirShifts,
     TwoByTwo,
     block_pair,
     block_scale_squared,
@@ -26,9 +25,7 @@ from intertwinor.blocks import (
     even_order_eigenvalue,
     even_product,
     interface_constants,
-    interface_shifts,
     intertwinor_block,
-    laplace_data,
     laplace_values,
     leading_symbol_polynomials,
     order2_pair,
@@ -173,30 +170,18 @@ class TestKernelSeam:
 
 
 class TestLaplaceData:
-    def test_identities(self):
-        for pt in mixed_points(PARAMS):
-            data = laplace_data(PARAMS, pt)
-            assert data.lap1 == data.h_co1 - pt.Jp ** 2
-            assert data.lap2 == pt.J ** 2 - data.h_mix2
-
     def test_against_factor_spectra(self):
-        # both summands of the pair share the factor eigenvalues
+        # both summands of the pair share the factor eigenvalues; the kernel
+        # returns four times (lap1, lap2)
         params = BundleParams(5, 4, 2, 1)
         pt = spectral_point(params, 2, 3)
-        data = laplace_data(params, pt)
+        lap1, lap2 = laplace_values(params, pt.jp2, pt.j2)
         d1, d2 = params.p - 1, params.q - 1
         c1, a = params.k - params.a, params.a
-        assert data.lap1 == -coexact_laplacian(d1, c1, 2)
-        assert data.lap1 == -exact_laplacian(d1, c1 + 1, 2)
-        assert data.lap2 == exact_laplacian(d2, a, 3)
-        assert data.lap2 == coexact_laplacian(d2, a - 1, 3)
-
-    def test_offsets(self):
-        data = laplace_data(PARAMS, spectral_point(PARAMS, 1, 1))
-        assert data.h_co1 == (Fraction(2, 2) - 1) ** 2
-        assert data.h_co2 == (Fraction(4, 2) - 1) ** 2
-        assert data.h_ex2 == (Fraction(4, 2) + 1) ** 2
-        assert data.h_mix2 == (Fraction(4, 2)) ** 2
+        assert lap1 == -4 * coexact_laplacian(d1, c1, 2)
+        assert lap1 == -4 * exact_laplacian(d1, c1 + 1, 2)
+        assert lap2 == 4 * exact_laplacian(d2, a, 3)
+        assert lap2 == 4 * coexact_laplacian(d2, a - 1, 3)
 
 
 class TestCasimirShifts:
@@ -207,12 +192,11 @@ class TestCasimirShifts:
             c1, a = params.k - params.a, params.a
             for jp, j in itertools.product(range(1, 4), repeat=2):
                 pt = spectral_point(params, jp, j)
-                got = interface_shifts(params, pt)
                 n1 = (exact_laplacian(d1, c1 + 1, jp) + coexact_laplacian(d2, a - 1, j)) \
                     - (coexact_laplacian(d1, c1 + 1, jp) + coexact_laplacian(d2, a - 1, j + 1))
                 n2 = (coexact_laplacian(d1, c1, jp) + exact_laplacian(d2, a, j)) \
                     - (exact_laplacian(d1, c1, jp) + exact_laplacian(d2, a, j + 1))
-                assert got == CasimirShifts(Fraction(n1), Fraction(n2))
+                assert shift_values(params, pt.j2) == (n1, n2)
 
 
 class TestBlockEntries:
@@ -318,9 +302,9 @@ class TestInterfaceEquations:
                 continue
             pt = spectral_point(params, jp, j)
             c1, c2 = interface_constants(params, j)
-            shifts = interface_shifts(params, pt)
-            n1, n2 = shifts.n1 / 2, shifts.n2 / 2
-            data = laplace_data(params, pt)
+            n1, n2 = (Fraction(n, 2) for n in shift_values(params, pt.j2))
+            lap1, lap2 = laplace_values(params, pt.jp2, pt.j2)
+            lap = Fraction(lap1 * lap2, 16)
             for r in (1, 2, 3):
                 if (pt.Jp + pt.J + r) * (pt.Jp - pt.J - r) * (s + r) == 0:
                     continue
@@ -329,7 +313,6 @@ class TestInterfaceEquations:
                 t2 = (s - r) / (s + r)
                 assert sg * (1 - c1) * b.e11 + (n1 - r) * b.e12 == sg * (1 - c1) * t1
                 assert sg * (1 - c1) * b.e21 + (n1 - r) * b.e22 == (n1 + r) * t1
-                lap = data.lap1 * data.lap2
                 assert (n2 - r) / lap * b.e21 - sg * (1 - c2) * b.e22 == -sg * (1 - c2) * t2
                 assert (n2 - r) * b.e11 - sg * (1 - c2) * lap * b.e12 == (n2 + r) * t2
 

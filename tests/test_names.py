@@ -1,6 +1,6 @@
 """Standing checks against dead names: every top-level function and class of
-the package, and every method of its classes, is used somewhere, and no
-module imports a name it never uses.
+the package, every method of its classes and every field of its dataclasses
+is used somewhere, and no module imports a name it never uses.
 
 They read the syntax trees, so a name mentioned in a docstring or a comment
 does not count as a use; only the exemption of a method that overrides a
@@ -128,6 +128,38 @@ def test_a_base_class_hook_counts_as_used():
     assert overrides("cli", "_PairsCommand", "parse_args")
     assert overrides("cli", "_RequestGroup", "parse_args")
     assert not overrides("torus", "TorusBasis", "contains")
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether a class is decorated with ``@dataclass`` or ``@dataclass(...)``."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """A field of a package dataclass must be read as an attribute in the
+    package or the benchmark, or passed by keyword in the benchmark, which
+    builds ``torus.ResidualResult(k=..., r=..., M=...)``.
+
+    Like the method check, this matches bare names: a field counts as read
+    wherever an attribute of its name is read, on any object, or a keyword
+    of its name is passed in the benchmark, to any call.
+    """
+    trees = package_trees()
+    bench_trees = [parse(path) for path in sorted((ROOT / "bench").glob("*.py"))]
+    reads = {node.attr for tree in [*trees.values(), *bench_trees] for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    reads |= {node.arg for tree in bench_trees for node in ast.walk(tree)
+              if isinstance(node, ast.keyword)}
+    unread = [f"{module}: {cls.name}.{node.target.id}"
+              for module, tree in trees.items()
+              for cls in tree.body if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+              for node in cls.body
+              if isinstance(node, ast.AnnAssign) and node.target.id not in reads]
+    assert unread == []
 
 
 def imported_names(tree: ast.Module):

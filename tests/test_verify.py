@@ -226,18 +226,21 @@ class TestNegativeControls:
         assert bad and len(bad) == len(reports)
         assert all(rep["lhs"] == "function family empty" for rep in bad)
 
-    def test_perturbed_existence_is_flagged(self, monkeypatch):
+    @pytest.mark.parametrize("family, lhs", [
+        (Family.EXACT, "exact family nonempty at k=0"),
+        (Family.MIXED, "mixed family nonempty at k=0"),
+    ], ids=["exact", "mixed"])
+    def test_perturbed_existence_is_flagged(self, monkeypatch, family, lhs):
         real = spectra.level_floor
 
-        def skewed(params, family):
-            if params.k == 0 and family is Family.EXACT:
-                return 1, 1  # wrongly claims exact types at k=0
-            return real(params, family)
+        def skewed(params, fam):
+            if params.k == 0 and fam is family:
+                return 1, 1  # wrongly claims types of the family at k=0
+            return real(params, fam)
 
         monkeypatch.setattr(spectra, "level_floor", skewed)
         bad = failures(run_scalar_reduction(TINY))
-        assert bad
-        assert any("exact family nonempty" in rep["lhs"] for rep in bad)
+        assert bad and all(rep["lhs"] == lhs for rep in bad)
 
     def test_pole_in_function_spectrum_is_flagged(self, monkeypatch):
         real = arithmetic.gamma_product
