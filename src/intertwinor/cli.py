@@ -15,6 +15,7 @@ prints a bash completion script).
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import math
 import os
@@ -25,7 +26,9 @@ from pathlib import Path
 from typing import Optional
 
 import click
-from click.core import ParameterSource
+from click.core import ParameterSource, augment_usage_errors
+from click.exceptions import Exit
+from click.utils import PacifyFlushWrapper, _detect_program_name
 
 from . import blocks, spectra, torus, verify
 from .arithmetic import POLE, IndeterminateError, format_fraction, serialize
@@ -208,68 +211,49 @@ def _point_values(params: BundleParams, pt: spectra.SpectralPoint, r, family: Fa
     return values
 
 
-def _argv_only(ctx) -> bool:
-    """Whether a context takes its values from argv alone: not resilient
-    (completion), with no default map, environment prefix or token normaliser."""
-    return not (ctx.resilient_parsing or ctx.default_map is not None
-                or ctx.auto_envvar_prefix is not None or ctx.token_normalize_func is not None)
-
-
 class _PairsCommand(click.Command):
-    """A request command (``eval``, ``table``) that parses a well-formed
-    ``--name value`` sequence itself.
+    """A request command (``eval``, ``table``) whose well-formed ``--name
+    value`` sequence the group parses without click's parser (``_RequestGroup``).
 
     The click decorators stay the only declaration of each option.  When the
-    context takes values from argv alone, the tokens are pairs of a declared
-    option name and its value, no option repeats, every required option is
-    given and every given value passes the option's own ``process_value``,
-    this fills ``ctx.params`` and the parameter sources as click's parser
-    would, without building one.  Its table (each option name's parameter, the
-    required parameters, the processed default of every other parameter, the
-    help option included, and the processed value of each (parameter, text)
-    seen so far) is built on the first such parse and rebuilt only for other
-    help option names.  A value is stored only when ``process_value``
+    tokens are pairs of a declared option name and its value, no option
+    repeats, every required option is given and every given value passes the
+    option's own ``process_value``, ``_pairs`` returns the values and the
+    parameter sources that click's parser would set, without building one.
+    Its table (each option name's parameter, the required parameters, the
+    processed default of every other parameter, the help option included,
+    and the processed value of each (parameter, text) seen so far) is built
+    on the first such parse.  A value is stored only when ``process_value``
     returned, and at most MAX_KNOWN_VALUES of them; a text beyond that is
-    processed and not kept.  Sharing them is sound because under these
-    conditions (no token normaliser, not resilient, plain options)
-    ``process_value`` depends on the parameter and the text alone, and its
-    ints and strs are immutable.  So a request processes only the texts the
-    command has not seen: the gain is for in-process callers whose values
-    repeat, while a one-shot shell process starts with an empty table.  Any
-    other input goes to click unchanged, so help, every usage error,
-    ``--opt=value``, ``-ofile``, repeated options and completion keep click's
-    bytes.  The two agree for plain options only (one value of an int range,
-    a choice or a string; no flag, envvar, callback or prompt; required or
-    with a default), which ``tests/test_cli.py`` asserts of both.  The group
-    hands a command its tokens without a parser of its own
-    (``_RequestGroup``).  ``verify`` and ``torus`` run once per job, not per
-    request, so they keep click's parser.
+    processed and not kept.  Sharing them is sound because the group's
+    contexts carry click's defaults (no token normaliser, default map or
+    environment prefix, not resilient, ``--help`` the only help name) and the
+    options are plain, so ``process_value`` depends on the parameter and the
+    text alone, and its ints and strs are immutable.  So a request processes
+    only the texts the command has not seen: the gain is for in-process
+    callers whose values repeat, while a one-shot shell process starts with
+    an empty table.  Any other input goes to click unchanged, so help, every
+    usage error, ``--opt=value``, ``-ofile``, repeated options and
+    completion keep click's bytes.  The two agree for plain options only (one
+    value of an int range, a choice or a string; no flag, envvar, callback or
+    prompt; required or with a default), which ``tests/test_cli.py`` asserts
+    of both.  ``verify`` and ``torus`` run once per job, not per request, so
+    they keep click's parser.
     """
 
-    #: (help option names, {option name: param}, required params, {param: default},
+    #: ({option name: param}, required params, {param: default},
     #: {(param, text): processed value})
     _table = None
 
-    def parse_args(self, ctx, args):
-        values = self._pairs(ctx, args)
-        if values is None:
-            return super().parse_args(ctx, args)
-        for param, (value, source) in values.items():
-            ctx.set_parameter_source(param.name, source)
-            if param.expose_value:
-                ctx.params[param.name] = value
-        ctx.args = []
-        return ctx.args
-
     def _pairs(self, ctx, args):
         """{param: (value, source)} for every parameter, or None to leave it to click."""
-        if len(args) % 2 or not _argv_only(ctx):
+        if len(args) % 2:
             return None
+        if self._table is None:
+            self._table = self._parse_table(ctx)
+        by_opt, required, defaults, known = self._table
         values = {}
         try:
-            if self._table is None or self._table[0] != ctx.help_option_names:
-                self._table = self._parse_table(ctx)
-            _, by_opt, required, defaults, known = self._table
             for name, text in zip(args[::2], args[1::2]):
                 param = by_opt.get(name)
                 if param is None or param in values:
@@ -292,8 +276,7 @@ class _PairsCommand(click.Command):
 
     def _parse_table(self, ctx):
         params = self.get_params(ctx)  # the declared options and the help option
-        return (list(ctx.help_option_names),
-                {opt: param for param in self.params for opt in param.opts},
+        return ({opt: param for param in self.params for opt in param.opts},
                 frozenset(param for param in params if param.required),
                 {param: param.process_value(ctx, param.get_default(ctx))
                  for param in params if not param.required},
@@ -301,23 +284,70 @@ class _PairsCommand(click.Command):
 
 
 class _RequestGroup(click.Group):
-    """The command group.  It hands an argv that starts with a command name to
-    that command without building a parser: like click's ``Group.parse_args``,
-    it records the ``--help`` option's default and leaves the name in
-    ``ctx._protected_args`` and the rest in ``ctx.args``.  Any other argv
-    (empty, an option first, an unknown name), and a context that does not
-    take its values from argv alone, go to click unchanged, so group help,
-    group usage errors and completion keep click's bytes.
+    """The command group.  Its ``main`` runs a well-formed request without
+    click's context stack: in standalone mode, with no extra context keywords
+    and no ``context_settings`` on the group or the command, when the
+    completion variable is unset (click's own ``_main_shell_completion`` runs
+    first, as in click's ``main``), ``argv[0]`` names a ``_PairsCommand`` and
+    its ``_pairs`` accepts the remaining tokens.  It then builds the group's
+    and the command's contexts as click's ``make_context`` would, with no
+    parser, runs the group's callback and the command's, each under
+    ``augment_usage_errors`` as click's ``Context.invoke`` does, and ends the
+    run as click's ``main`` does: 0 on success, and the same handling of
+    ``ClickException``, ``Exit``, ``Abort``, ``EOFError``/``KeyboardInterrupt``
+    and a broken pipe.  No context is entered, so a callback that asks for the
+    current context would find none; neither callback does.  Every other
+    argv or caller (help, usage errors, completion, ``verify``, ``torus``, a
+    caller that passes ``standalone_mode=False`` or context keywords, and
+    ``sys.argv`` on Windows, where click expands it) goes to click's ``main``
+    unchanged.
     """
 
-    def parse_args(self, ctx, args):
-        if not args or args[0] not in self.commands or not _argv_only(ctx):
-            return super().parse_args(ctx, args)
-        help_option = self.get_help_option(ctx)
-        if help_option is not None:
-            ctx.set_parameter_source(help_option.name, ParameterSource.DEFAULT)
-        ctx._protected_args, ctx.args = args[:1], args[1:]
-        return ctx.args
+    def main(self, args=None, prog_name=None, complete_var=None, standalone_mode=True,
+             **extra):
+        argv = sys.argv[1:] if args is None else list(args)
+        cmd = self.commands.get(argv[0]) if argv else None
+        if (not standalone_mode or extra or self.context_settings
+                or not isinstance(cmd, _PairsCommand) or cmd.context_settings
+                or (args is None and os.name == "nt")):
+            return super().main(args, prog_name, complete_var, standalone_mode, **extra)
+        if prog_name is None:
+            prog_name = _detect_program_name()
+        self._main_shell_completion(extra, prog_name, complete_var)  # exits if completing
+        ctx = self.context_class(self, info_name=prog_name)
+        sub_ctx = cmd.context_class(cmd, info_name=argv[0], parent=ctx)
+        values = cmd._pairs(sub_ctx, argv[1:])
+        if values is None:
+            return super().main(argv, prog_name, complete_var)
+        ctx.invoked_subcommand = argv[0]
+        for param, (value, source) in values.items():
+            sub_ctx.set_parameter_source(param.name, source)
+            if param.expose_value:
+                sub_ctx.params[param.name] = value
+        try:
+            try:
+                with augment_usage_errors(ctx):
+                    self.callback()
+                with augment_usage_errors(sub_ctx):
+                    cmd.callback(**sub_ctx.params)
+            except (EOFError, KeyboardInterrupt) as err:
+                click.echo(file=sys.stderr)
+                raise click.Abort() from err
+            except click.ClickException as err:
+                err.show()
+                sys.exit(err.exit_code)
+            except OSError as err:
+                if err.errno != errno.EPIPE:
+                    raise
+                sys.stdout = PacifyFlushWrapper(sys.stdout)
+                sys.stderr = PacifyFlushWrapper(sys.stderr)
+                sys.exit(1)
+        except Exit as stop:
+            sys.exit(stop.exit_code)
+        except click.Abort:
+            click.echo("Aborted!", file=sys.stderr)
+            sys.exit(1)
+        sys.exit(0)
 
 
 @click.group(cls=_RequestGroup)

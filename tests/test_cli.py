@@ -1,6 +1,8 @@
-import contextlib
 import csv
+import errno
+import functools
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import click
@@ -809,54 +812,41 @@ BAD_VALUES = ("1e3", "1", "COEXACT", "0", "x", "--p", "--", "", "-o",
 ODD_TOKENS = ("--help", "--", "--r=2", "-ofile", "--bogus")
 
 
+#: ``main`` as click's own ``Group.main`` runs it, for ``CliRunner.invoke``
+CLICKS = SimpleNamespace(name=main.name, main=functools.partial(click.Group.main, main))
+
+
 def _click_parse():
-    """The request commands parse with click's own ``Command.parse_args`` inside."""
-    return mock.patch.object(type(main.commands["eval"]), "parse_args",
-                             click.Command.parse_args)
+    """Requests run through click's own ``Group.main``: its contexts and its parser."""
+    return mock.patch.object(type(main), "main", click.Group.main)
 
 
-def _click_dispatch():
-    """The group dispatches with click's own ``Group.parse_args``."""
-    return mock.patch.object(type(main), "parse_args", click.Group.parse_args)
+def _outcome(cli_, argv, **kwargs):
+    """What ``cli_.main(argv, prog_name="intertwinor")`` does in an empty working
+    directory: its exit code, return value, stdout and stderr bytes, the uncaught
+    exception other than SystemExit, and the files it writes."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(cli_, list(argv), prog_name="intertwinor", **kwargs)
+        files = {path.name: path.read_bytes() for path in sorted(Path().iterdir())}
+    stop = result.exception
+    return (result.exit_code, result.return_value, result.stdout_bytes, result.stderr_bytes,
+            None if stop is None or isinstance(stop, SystemExit) else repr(stop), files)
 
 
-def _made(make):
-    """The context ``make()`` returns, or the exception and what it printed (the
-    help text for ``--help``)."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        try:
-            return make()
-        except click.exceptions.Exit as stop:
-            return "exit", stop.exit_code, out.getvalue()
-        except click.ClickException as err:
-            return type(err), err.format_message(), out.getvalue()
+#: a well-formed request, which the group runs itself unless a test says otherwise
+REQUEST = EVAL_AT + ["--r", "3/2", "--mode", "float"]
 
 
-def _sources(cmd, ctx):
-    return {p.name: ctx.get_parameter_source(p.name) for p in cmd.get_params(ctx)}
+def _refuse_clicks_stack(monkeypatch):
+    """Make click's context stack, group invocation, parsers and ``main`` raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("click's context stack ran")
 
-
-def _parse(name, argv, parent=None):
-    """What the command's ``make_context`` makes of argv: values, extra args and
-    sources, or the exception and what it printed."""
-    cmd = main.commands[name]
-    ctx = _made(lambda: cmd.make_context(name, list(argv), parent=parent))
-    if not isinstance(ctx, click.Context):
-        return ctx
-    return repr(ctx.params), ctx.args, _sources(cmd, ctx)
-
-
-def _dispatch(argv):
-    """What ``main.make_context`` makes of a whole argv: the tokens it keeps for
-    dispatch, its parameter sources and what the named command makes of the rest;
-    or the exception and what it printed."""
-    ctx = _made(lambda: main.make_context("main", list(argv)))
-    if not isinstance(ctx, click.Context):
-        return ctx
-    name = next(iter(ctx._protected_args), None)
-    return (ctx._protected_args, ctx.args, _sources(main, ctx),
-            _parse(name, ctx.args, parent=ctx) if name in main.commands else None)
+    for owner, name in ((click.Context, "__enter__"), (click.Group, "invoke"),
+                        (click.Command, "parse_args"), (click.Group, "parse_args"),
+                        (click.Command, "make_context"), (click.Group, "main")):
+        monkeypatch.setattr(owner, name, refuse)
 
 
 @st.composite
@@ -908,17 +898,11 @@ def test_subcommand_options_are_plain():
 
 
 def test_the_group_has_no_options_of_its_own():
-    # the conditions under which the group's own dispatch matches click's
-    assert not main.params and not main.chain
-
-
-def test_clicks_group_parse_leaves_the_command_name_in_protected_args():
-    # the one private click attribute the group's own dispatch sets; if a click
-    # release moves it, this fails instead of the group dispatching wrongly
-    argv = ORDER_COMMANDS[0] + ["--r", "2"]
-    with _click_dispatch():
-        ctx = main.make_context("main", list(argv))
-    assert ctx._protected_args == ["eval"] and ctx.args == argv[1:]
+    # the conditions under which the group's own dispatch matches click's: no
+    # group options, no chain, no result callback and nothing deprecated
+    assert not main.params and not main.chain and main._result_callback is None
+    assert not main.deprecated
+    assert not any(main.commands[name].deprecated for name in SUBCOMMANDS)
 
 
 def test_verify_and_torus_use_clicks_parser():
@@ -927,18 +911,16 @@ def test_verify_and_torus_use_clicks_parser():
 
 
 @pytest.mark.parametrize("name, argv", [
-    ("eval", ORDER_COMMANDS[0][1:] + ["--r", "2", "-o", "x.json"]),
-    ("table", ORDER_COMMANDS[1][1:] + ["--r", "2"]),
+    ("eval", ORDER_COMMANDS[0][1:] + ["--r", "1", "-o", "x.json"]),
+    ("table", ORDER_COMMANDS[1][1:] + ["--r", "1"]),
 ], ids=SUBCOMMANDS)
 def test_well_formed_options_skip_clicks_parser(monkeypatch, name, argv):
-    def refuse(self, ctx, args):
-        raise AssertionError(f"click's parser ran on {args}")
-
-    with _click_parse(), _click_dispatch():
-        want = _dispatch([name] + argv)
-    monkeypatch.setattr(click.Command, "parse_args", refuse)
-    monkeypatch.setattr(click.Group, "parse_args", refuse)
-    assert _dispatch([name] + argv) == want
+    # no context is entered, no group invoked and no parser built, and the
+    # outcome, the record file included, is click's
+    want = _outcome(CLICKS, [name] + argv)
+    assert want[0] == 0
+    _refuse_clicks_stack(monkeypatch)
+    assert _outcome(main, [name] + argv) == want
 
 
 def test_a_repeated_request_processes_only_its_given_values(runner, monkeypatch):
@@ -965,7 +947,7 @@ def test_a_repeated_request_processes_only_its_given_values(runner, monkeypatch)
 
 def _known(cmd):
     """The command's stored values, keyed by (parameter name, text)."""
-    return {(param.name, text): value for (param, text), value in cmd._table[4].items()}
+    return {(param.name, text): value for (param, text), value in cmd._table[3].items()}
 
 
 def test_the_value_table_stops_at_its_bound(monkeypatch):
@@ -973,12 +955,12 @@ def test_the_value_table_stops_at_its_bound(monkeypatch):
     cmd = main.commands["eval"]
     monkeypatch.setattr(cmd, "_table", None)
     monkeypatch.setattr(cli, "MAX_KNOWN_VALUES", 3)
-    argv = ORDER_COMMANDS[0][1:] + ["--r", "2"]
+    argv = ORDER_COMMANDS[0] + ["--r", "2"]
     p = argv.index("--p") + 1
     argvs = [argv, argv[:p] + ["5"] + argv[p + 1:]]
-    with _click_parse():
-        want = [_parse("eval", args) for args in argvs]
-    assert [_parse("eval", args) for args in argvs] == want
+    want = [_outcome(CLICKS, args) for args in argvs]
+    _refuse_clicks_stack(monkeypatch)
+    assert [_outcome(main, args) for args in argvs] == want
     assert _known(cmd) == {("p", "4"): 4, ("q", "6"): 6, ("k", "2"): 2}
 
 
@@ -1020,18 +1002,12 @@ def test_context_settings_go_to_click(monkeypatch, settings_):
 # other names than --help are left out: click caches the help option the first
 # time it is asked for, so they would rename it for every later test
 @pytest.mark.parametrize("names", [[], ["--help"]], ids=["none", "--help"])
-def test_help_option_names_are_clicks(names):
-    # the parse table holds the help option of the names it was built for
-    argv = ORDER_COMMANDS[0][1:] + ["--r", "2"]
-    cmd = main.commands["eval"]
-    every = [p.name for p in cmd.params] + ["help"]
-    with _click_parse():
-        want = cmd.make_context("eval", list(argv), help_option_names=names)
-    for _ in range(2):  # the table is built for these names, then reused
-        ctx = cmd.make_context("eval", list(argv), help_option_names=names)
-        assert ctx.params == want.params
-        assert all(ctx.get_parameter_source(name) == want.get_parameter_source(name)
-                   for name in every)
+def test_help_option_names_are_clicks(monkeypatch, names):
+    # help option names set for the group are click's to apply, to a request
+    # and to a request for help
+    monkeypatch.setattr(main, "context_settings", {"help_option_names": names})
+    for argv in (REQUEST, REQUEST + ["--help"]):
+        assert _outcome(main, argv) == _outcome(CLICKS, argv)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -1042,10 +1018,87 @@ def test_help_option_names_are_clicks(names):
 @example(["--", "eval"] + ORDER_COMMANDS[0][1:] + ["--r", "2"])
 @example(["eval"] + ORDER_COMMANDS[0][1:] + ["--r", "2"])
 def test_fast_parse_matches_clicks(argv):
-    fast = [_dispatch(argv) for _ in range(2)]  # the second reads the stored values
-    with _click_parse(), _click_dispatch():
-        want = _dispatch(argv)
-    assert fast == [want, want]
+    # whole outcomes, files written included; the second run reads the stored values
+    fast = [_outcome(main, argv) for _ in range(2)]
+    assert fast == [_outcome(CLICKS, argv)] * 2
+
+
+def _raise(error):
+    def raiser(*args, **kwargs):
+        raise error
+    return raiser
+
+
+@pytest.mark.parametrize("argv, error, code", [
+    (_table_at("255", "256"), None, 2),
+    (EVAL_AT + ["--r", "1/2"], None, 2),
+    (["eval", "--p", "1", "--q", "3", "--k", "0", "--a", "0"] + BUNDLE_AT, None, 1),
+    (EVAL_AT + ["--r", "2"], KeyboardInterrupt(), 1),
+    (EVAL_AT + ["--r", "2"], BrokenPipeError(errno.EPIPE, "Broken pipe"), 1),
+    (EVAL_AT + ["--r", "2"], RuntimeError("a fault in the record"), 1),
+], ids=["cell-cap", "exact-half-order", "bad-bundle", "interrupt", "broken-pipe", "crash"])
+def test_request_errors_end_as_in_clicks_main(monkeypatch, argv, error, code):
+    # errors raised in a request callback end the run as click's main ends it:
+    # usage errors with their Usage and Try lines, Aborted!, a quiet broken pipe,
+    # and any other exception left to the caller
+    if error is not None:
+        monkeypatch.setattr(cli, "_eval_record", _raise(error))
+    want = _outcome(CLICKS, argv)
+    _refuse_clicks_stack(monkeypatch)
+    got = _outcome(main, argv)
+    assert got == want and got[0] == code
+    assert (b"Usage: intertwinor " in got[3]) == (code == 2)
+
+
+@pytest.mark.parametrize("case", ["group-settings", "command-settings", "default-map",
+                                  "not-standalone", "completing"])
+def test_requests_the_fast_path_declines_go_to_click(monkeypatch, case):
+    kwargs = {}
+    if case == "group-settings":
+        monkeypatch.setattr(main, "context_settings", {"max_content_width": 60})
+    elif case == "command-settings":
+        monkeypatch.setattr(main.commands["eval"], "context_settings",
+                            {"max_content_width": 60})
+    elif case == "default-map":  # a keyword for click's context, which sets the precision
+        kwargs["default_map"] = {"eval": {"precision": 5}}
+        assert _outcome(CLICKS, REQUEST, **kwargs) != _outcome(CLICKS, REQUEST)
+    elif case == "not-standalone":  # the callback's return value, and no exit
+        kwargs["standalone_mode"] = False
+    else:
+        words = ["intertwinor"] + REQUEST + ["--"]
+        kwargs["env"] = {"_INTERTWINOR_COMPLETE": "bash_complete",
+                         "COMP_WORDS": " ".join(words), "COMP_CWORD": str(len(words) - 1)}
+    want = _outcome(CLICKS, REQUEST, **kwargs)
+    calls = []
+
+    def clicks_main(self, *args, **options):
+        calls.append(args)
+        return CLICKS.main(*args, **options)
+
+    monkeypatch.setattr(click.Group, "main", clicks_main)
+    monkeypatch.setattr(cli._PairsCommand, "_pairs", _raise(AssertionError("parsed")))
+    assert _outcome(main, REQUEST, **kwargs) == want
+    if case == "completing":  # click's _main_shell_completion answers and exits first
+        assert want[0] == 0 and b"--precision" in want[2] and calls == []
+    else:
+        assert len(calls) == 1
+
+
+def test_the_click_names_the_fast_path_uses_are_pinned(monkeypatch):
+    # the private and module-level click names that _RequestGroup.main calls or
+    # mirrors; a click release that moves or reshapes one fails here first
+    assert list(inspect.signature(click.Group.main).parameters) == [
+        "self", "args", "prog_name", "complete_var", "standalone_mode",
+        "windows_expand_args", "extra"]
+    assert list(inspect.signature(click.Command._main_shell_completion).parameters) == [
+        "self", "ctx_args", "prog_name", "complete_var"]
+    monkeypatch.delenv("_INTERTWINOR_COMPLETE", raising=False)
+    assert main._main_shell_completion({}, "intertwinor", None) is None
+    assert cli._detect_program_name is click.utils._detect_program_name
+    assert isinstance(cli._detect_program_name(), str)
+    assert cli.PacifyFlushWrapper is click.utils.PacifyFlushWrapper
+    assert cli.augment_usage_errors is click.core.augment_usage_errors
+    assert cli.Exit is click.exceptions.Exit
 
 
 @pytest.mark.parametrize("line", [
