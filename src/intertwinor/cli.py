@@ -216,14 +216,15 @@ class _PairsCommand(click.Command):
     value`` sequence the group parses without click's parser (``_RequestGroup``).
 
     The click decorators stay the only declaration of each option.  When the
-    tokens are pairs of a declared option name and its value, no option
-    repeats, every required option is given and every given value passes the
-    option's own ``process_value``, ``_pairs`` returns the values and the
-    parameter sources that click's parser would set, without building one.
-    Its table (each option name's parameter, the required parameters, the
-    processed default of every other parameter, the help option included,
-    and the processed value of each (parameter, text) seen so far) is built
-    on the first such parse.  A value is stored only when ``process_value``
+    tokens are pairs of a declared option name and its value, every required
+    option is given and every given value passes the option's own
+    ``process_value``, ``_pairs`` returns the values and the parameter
+    sources that click's parser would set, without building one; a repeated
+    option keeps its last value, as click's parser keeps it.  Its table (each
+    option name's parameter, the required parameters, the processed default
+    of every other parameter, the help option included, and the processed
+    value of each (parameter, text) seen so far) is built on the first such
+    parse.  A value is stored only when ``process_value``
     returned, and at most MAX_KNOWN_VALUES of them; a text beyond that is
     processed and not kept.  Sharing them is sound because the group's
     contexts carry click's defaults (no token normaliser, default map or
@@ -233,11 +234,12 @@ class _PairsCommand(click.Command):
     only the texts the command has not seen: the gain is for in-process
     callers whose values repeat, while a one-shot shell process starts with
     an empty table.  Any other input goes to click unchanged, so help, every
-    usage error, ``--opt=value``, ``-ofile``, repeated options and
-    completion keep click's bytes.  The two agree for plain options only (one
-    value of an int range, a choice or a string; no flag, envvar, callback or
-    prompt; required or with a default), which ``tests/test_cli.py`` asserts
-    of both.  ``verify`` and ``torus`` run once per job, not per request, so
+    usage error, ``--opt=value``, ``-ofile``, an earlier value of a repeated
+    option that ``process_value`` rejects (click never processes it), and
+    completion keep click's bytes.  The two agree for plain options only
+    (one value of an int range, a choice or a string; no flag, envvar,
+    callback or prompt; required or with a default), which
+    ``tests/test_cli.py`` asserts of both.  ``verify`` and ``torus`` run once per job, not per request, so
     they keep click's parser.
     """
 
@@ -256,7 +258,7 @@ class _PairsCommand(click.Command):
         try:
             for name, text in zip(args[::2], args[1::2]):
                 param = by_opt.get(name)
-                if param is None or param in values:
+                if param is None:
                     return None
                 try:
                     value = known[param, text]

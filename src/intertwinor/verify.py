@@ -24,8 +24,10 @@ from (0, 0), as it reports the empty levels).  Transition and gamma
 quotients depend on the shifted levels and r alone, not on the bundle's
 (k, a), so they sit in tables that live for one suite call: the gamma table
 the diamond and even-order suites share, the det suite's (det, seed) pairs,
-and the diamond table of failing comparisons, each with the constant offset
-of the least levels its labels need.  The identities, per suite:
+and the diamond suite's planes, one per (p, q, r) and kind, built in one
+sweep, that list the failing comparisons at each requested (j', j), each
+with the constant offset of the least levels its labels need.  The
+identities, per suite:
 
 - diamond: path independence of the transition quotients
   (``diamond-path``) and their compatibility with the eigenvalue or
@@ -50,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import orjson
@@ -200,7 +203,7 @@ def _ratio_text(num: int, den: int) -> str:
 # -- diamond suite ---------------------------------------------------------------
 
 # the least (djp, dj) offset over each corner's labels (both midpoints and
-# the corner), then its two-step paths, as (djp, dj) pairs
+# the corner), then its two-step routes, as (djp, dj) pairs
 _CORNER_PATHS = (
     ((+1, -1), (((+1, +1), (+1, -1)), ((+1, -1), (+1, +1)))),
     ((-2, -1), (((-1, +1), (-1, -1)), ((-1, -1), (-1, +1)))),
@@ -208,6 +211,11 @@ _CORNER_PATHS = (
     ((-1, -2), (((-1, -1), (+1, -1)), ((+1, -1), (-1, -1)))),
 )
 _STEPS = tuple((d.djp, d.dj) for d in DIRECTIONS)
+# the corners with each route as (first step's index in a step row, the
+# midpoint's offset, second step's index)
+_CORNERS = tuple((offset, tuple((_STEPS.index(first), first, _STEPS.index(second))
+                                for first, second in routes))
+                 for offset, routes in _CORNER_PATHS)
 
 
 def run_diamond_checks(grid: GridSpec) -> List[dict]:
@@ -219,29 +227,36 @@ def run_diamond_checks(grid: GridSpec) -> List[dict]:
     transition quantities, so zeros of the spectral function need no special
     casing.  Both sides come from the library's doubled-level formulas
     (:func:`spectra.transition_factors`, :func:`spectra.gamma_args` and
-    :func:`arithmetic.gamma_product`) as integer pairs.  The call builds one
-    table of failing comparisons per kind, shared by the coexact and exact
-    families; a record is the first of them whose labels lie at or above its
-    family's :func:`spectra.level_floor`.
+    :func:`arithmetic.gamma_product`) as integer pairs.  The call reads the
+    floors of one (p, q) slice's bundles first, then builds per order one
+    :func:`_diamond_table` plane for the coexact and exact families together
+    and one for the mixed family, over the levels they request.  Each
+    (bundle, family) fetches its planes once and indexes them by (j', j); a
+    record is the first failing comparison there whose labels lie at or
+    above the family's :func:`spectra.level_floor`.
     """
     reports: List[dict] = []
     gamma = _gamma_table()
-    tables = {mixed: _diamond_table(mixed, gamma) for mixed in (False, True)}
     orders = _order_texts(grid.r_values)
-    for params in iter_bundles(grid):
-        p, q = params.p, params.q
-        for family in (Family.COEXACT, Family.EXACT, Family.MIXED):
-            floor = spectra.level_floor(params, family)
-            if floor is None:
-                continue
+    for (p, q), bundles in groupby(iter_bundles(grid), lambda params: (params.p, params.q)):
+        requests = [(params, family, floor) for params in bundles for family in Family
+                    if (floor := spectra.level_floor(params, family)) is not None]
+        planes = {}
+        for mixed in (False, True):
+            floors = [floor for _, family, floor in requests
+                      if (family is Family.MIXED) == mixed]
+            if floors:
+                planes[mixed] = [_diamond_table(mixed, gamma, p, q, r, floors, grid.j_max)
+                                 for r, _ in orders]
+        for params, family, floor in requests:
             lo1, lo2 = floor
-            fails = tables[family is Family.MIXED]
-            fam_pt = {"family": family.value}
-            for jp, j, _, _, head in _levels(params, floor, grid.j_max, fam_pt):
-                for r, r_text in orders:
+            by_order = list(zip(planes[family is Family.MIXED], (text for _, text in orders)))
+            for jp, j, _, _, head in _levels(params, floor, grid.j_max,
+                                             {"family": family.value}):
+                for plane, r_text in by_order:
                     point = head.copy()
                     point["r"] = r_text
-                    for djp, dj, fail in fails(p, q, jp, j, r):
+                    for djp, dj, fail in plane[jp][j]:
                         if jp + djp >= lo1 and j + dj >= lo2:
                             point["identity"], lhs, rhs = fail
                             reports.append(check_report("diamond", point, FAIL, lhs, rhs))
@@ -251,59 +266,83 @@ def run_diamond_checks(grid: GridSpec) -> List[dict]:
     return reports
 
 
-def _diamond_table(mixed: bool, gamma):
-    """The failing diamond comparisons at (p, q, j', j, r) in gate order.
+def _diamond_table(mixed: bool, gamma, p: int, q: int, r: int,
+                   floors: Sequence[Tuple[int, int]], j_max: int) -> List[list]:
+    """The failing diamond comparisons of one (p, q, r) plane, as ``plane[j'][j]``.
 
-    Corner routes first, then gamma-transition per direction.  Each
+    The plane holds a list at each level (j', j) <= j_max of the quadrants
+    above ``floors`` (the levels its families request) and None elsewhere.
+    It is built in one sweep in sweep order.  A level's step row holds the
+    transition pairs to its four neighbors in :data:`_STEPS` order, None
+    past a negative level; it is built the first time a comparison reads
+    the level, and kept for the plane.  A list holds the corner routes
+    first, then gamma-transition per direction, in gate order.  Each
     comparison carries the least (j', j) offset over its labels: a corner's
     from :data:`_CORNER_PATHS`, a gamma comparison's its direction.  Every
     family's labels fill a quadrant, so they all exist exactly when the
     levels at that offset lie in it.  A label with a negative level never
-    exists, so no route is built through one; that guard needs the levels
-    themselves, which is why entries are keyed by them and the sphere
-    parameters, and take the doubled levels of :func:`spectra.doubled_level`.
-    A route with a vanishing step is undefined in every bundle.
+    exists, so no route is built through one.  A corner's second route is
+    read only when the first is defined, since a route with a vanishing
+    step is undefined in every bundle; so the rows read are those of the
+    requested levels and of the midpoints their routes reach, within one
+    level of the requested quadrants.  Gamma pairs come from ``gamma``, the
+    call's :func:`_gamma_table`.
     """
-    def transition(jp2, j2, r2, d1, d2):
-        num = den = 1
-        for n, d in spectra.transition_factors(mixed, jp2, j2, r2, d1, d2):
-            num, den = num * n, den * d
-        return num, den
+    r2 = 2 * r
+    factors = spectra.transition_factors
+    jp2s = [spectra.doubled_level(p, jp) for jp in range(j_max + 2)]
+    j2s = [spectra.doubled_level(q, j) for j in range(j_max + 2)]
+    rows: List[list] = [[None] * (j_max + 2) for _ in range(j_max + 2)]
+    plane: List[list] = [[None] * (j_max + 1) for _ in range(j_max + 1)]
 
-    @cache
-    def steps(p, q, jp, j, r) -> dict:
-        # transition pairs from (jp, j) to each neighbor on the lattice, by direction
-        jp2, j2 = spectra.doubled_level(p, jp), spectra.doubled_level(q, j)
-        return {(d1, d2): transition(jp2, j2, 2 * r, d1, d2)
-                for d1, d2 in _STEPS if jp + d1 >= 0 and j + d2 >= 0}
-
-    @cache
-    def fails(p, q, jp, j, r) -> list:
-        here = steps(p, q, jp, j, r)
+    def row(jp, j):
+        # the transition pairs from (jp, j) to each neighbor on the lattice
+        jp2, j2 = jp2s[jp], j2s[j]
         out = []
-        for (djp, dj), routes in _CORNER_PATHS:
-            prods = []
-            for first, second in routes:
-                one = here.get(first)
-                two = one and steps(p, q, jp + first[0], j + first[1], r).get(second)
-                if not two or 0 in one or 0 in two:
-                    break
-                prods.append((one[0] * two[0], one[1] * two[1]))
-            else:
-                (num_a, den_a), (num_b, den_b) = prods
-                if num_a * den_b != num_b * den_a:
-                    out.append((djp, dj, ("diamond-path", _ratio_text(num_a, den_a),
-                                          _ratio_text(num_b, den_b))))
-        jp2, j2 = spectra.doubled_level(p, jp), spectra.doubled_level(q, j)
-        src_n, src_d = gamma(mixed, jp2, j2, r)
-        for (d1, d2), (n, d) in here.items():
-            # a unit step in a level is a step of 2 in its doubled level
-            tgt_n, tgt_d = gamma(mixed, jp2 + 2 * d1, j2 + 2 * d2, r)
-            lhs, rhs = tgt_n * src_d * d, src_n * tgt_d * n
-            if lhs != rhs:
-                out.append((d1, d2, ("gamma-transition", str(lhs), str(rhs))))
+        for d1, d2 in _STEPS:
+            if jp + d1 < 0 or j + d2 < 0:
+                out.append(None)
+                continue
+            num = den = 1
+            for n, d in factors(mixed, jp2, j2, r2, d1, d2):
+                num, den = num * n, den * d
+            out.append((num, den))
+        rows[jp][j] = out
         return out
-    return fails
+
+    for jp in range(min(lo1 for lo1, _ in floors), j_max + 1):
+        lo2 = min(lo2 for lo1, lo2 in floors if lo1 <= jp)
+        for j in range(lo2, j_max + 1):
+            here = rows[jp][j] or row(jp, j)
+            out = []
+            for (djp, dj), routes in _CORNERS:
+                prods = []
+                for first, (a, b), second in routes:
+                    one = here[first]
+                    if one is None:
+                        break
+                    two = (rows[jp + a][j + b] or row(jp + a, j + b))[second]
+                    if two is None or 0 in one or 0 in two:
+                        break
+                    prods.append((one[0] * two[0], one[1] * two[1]))
+                else:
+                    (num_a, den_a), (num_b, den_b) = prods
+                    if num_a * den_b != num_b * den_a:
+                        out.append((djp, dj, ("diamond-path", _ratio_text(num_a, den_a),
+                                              _ratio_text(num_b, den_b))))
+            jp2, j2 = jp2s[jp], j2s[j]
+            src_n, src_d = gamma(mixed, jp2, j2, r)
+            for (d1, d2), step in zip(_STEPS, here):
+                if step is None:
+                    continue
+                n, d = step
+                # a unit step in a level is a step of 2 in its doubled level
+                tgt_n, tgt_d = gamma(mixed, jp2 + 2 * d1, j2 + 2 * d2, r)
+                lhs, rhs = tgt_n * src_d * d, src_n * tgt_d * n
+                if lhs != rhs:
+                    out.append((d1, d2, ("gamma-transition", str(lhs), str(rhs))))
+            plane[jp][j] = out
+    return plane
 
 
 # -- interface suite --------------------------------------------------------------
@@ -463,6 +502,9 @@ def run_even_order_checks(grid: GridSpec) -> List[dict]:
                  for r, _ in orders}
 
     gamma = _gamma_table()
+    # read through their modules once per call, so an edit made before the call reaches them
+    even_order_pair, even_block_pair = blocks.even_order_pair, blocks.even_block_pair
+    above_floor = spectra.above_floor
     for params in iter_bundles(grid):
         s2 = params.s2
         floors = [spectra.level_floor(params, family)
@@ -473,43 +515,46 @@ def run_even_order_checks(grid: GridSpec) -> List[dict]:
         present = [floor for floor in floors if floor is not None]
         levels = _levels(params, tuple(map(min, zip(*present))), grid.j_max) if present else ()
         for jp, j, jp2, j2, head in levels:
-            here_m, here_co, here_ex = (spectra.above_floor(floor, jp, j) for floor in floors)
+            here_m, here_co, here_ex = (above_floor(floor, jp, j) for floor in floors)
             if not (here_m or here_co or here_ex):
                 continue
+            # the multiplicity-one families present here, with their names
+            mult1 = [(family, family.value)
+                     for family, here in ((Family.COEXACT, here_co), (Family.EXACT, here_ex))
+                     if here]
             for r, r_text in orders:
                 point = head.copy()
                 point["r"] = r_text
                 r2 = 2 * r
                 bad = None
-                evs = [(family, blocks.even_order_pair(family, params, jp2, j2, r))
-                       for family, here in ((Family.COEXACT, here_co), (Family.EXACT, here_ex))
-                       if here]
+                evs = [(family, value, even_order_pair(family, params, jp2, j2, r))
+                       for family, value in mult1]
                 if r == 1:
-                    for family, (ev_n, ev_d) in evs:
+                    for family, value, (ev_n, ev_d) in evs:
                         want_n, want_d = blocks.order2_pair(family, params, jp2, j2)
                         if ev_n * want_d != want_n * ev_d:
-                            bad = ("order2-" + family.value, _ratio_text(ev_n, ev_d),
+                            bad = ("order2-" + value, _ratio_text(ev_n, ev_d),
                                    _ratio_text(want_n, want_d))
                             break
                 if bad is None and len(evs) == 2:
-                    (_, (co_n, co_d)), (_, (ex_n, ex_d)) = evs
+                    (_, _, (co_n, co_d)), (_, _, (ex_n, ex_d)) = evs
                     lhs, rhs = co_n * (s2 - r2), ex_n * (s2 + r2)
                     if lhs * ex_d != rhs * co_d:
                         bad = ("family-ratio", _ratio_text(lhs, 2 * co_d),
                                _ratio_text(rhs, 2 * ex_d))
                 if bad is None and evs:
                     g_n, g_d = gamma(False, jp2, j2, r)
-                    for family, (ev_n, ev_d) in evs:
+                    for _, value, (ev_n, ev_d) in evs:
                         if g_n == 0:
                             witness = (_ratio_text(ev_n, ev_d), "0") if ev_n else None
                         else:
-                            witness = _same_ratio(eig_seen, (family.value, r),
+                            witness = _same_ratio(eig_seen, (value, r),
                                                   ev_n * g_d, ev_d * g_n)
                         if witness:
                             bad = ("eigenvalue-proportionality",) + witness
                             break
                 if bad is None and here_m:
-                    entries, den = blocks.even_block_pair(params, jp2, j2, r)
+                    entries, den = even_block_pair(params, jp2, j2, r)
                     if r == 1:
                         order2, den2 = blocks.core_pair(params, jp2, j2, 2)
                         if any(e * den2 != o * den for e, o in zip(entries, order2)):

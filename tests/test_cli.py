@@ -923,6 +923,17 @@ def test_well_formed_options_skip_clicks_parser(monkeypatch, name, argv):
     assert _outcome(main, [name] + argv) == want
 
 
+def test_a_repeated_option_keeps_its_last_value(monkeypatch):
+    # as click's parser keeps it, and without click's context stack
+    argv = ORDER_COMMANDS[0] + ["--r", "1", "-o", "first.json", "--j", "3",
+                                "--output", "last.json"]
+    want = _outcome(CLICKS, argv)
+    assert want[0] == 0 and list(want[5]) == ["last.json"]
+    assert json.loads(want[5]["last.json"])["j"] == 3
+    _refuse_clicks_stack(monkeypatch)
+    assert _outcome(main, argv) == want
+
+
 def test_a_repeated_request_processes_only_its_given_values(runner, monkeypatch):
     # the parse table, defaults included, is built once per command, and each
     # distinct (option, text) is processed once
@@ -1017,6 +1028,10 @@ def test_help_option_names_are_clicks(monkeypatch, names):
 @example(["bogus"])
 @example(["--", "eval"] + ORDER_COMMANDS[0][1:] + ["--r", "2"])
 @example(["eval"] + ORDER_COMMANDS[0][1:] + ["--r", "2"])
+# a repeated option: its first value rejected, its last value rejected, both accepted
+@example(["eval", "--p", "x"] + ORDER_COMMANDS[0][1:] + ["--r", "2"])
+@example(ORDER_COMMANDS[0] + ["--r", "2", "--p", "x"])
+@example(ORDER_COMMANDS[0] + ["--r", "1", "-o", "first.json", "--j", "3", "--output", "last.json"])
 def test_fast_parse_matches_clicks(argv):
     # whole outcomes, files written included; the second run reads the stored values
     fast = [_outcome(main, argv) for _ in range(2)]

@@ -536,6 +536,110 @@ def test_whole_grid_is_its_slices_joined(monkeypatch, suite, module, name, edit)
     assert whole == b"".join(encoded(SUITES[suite](part)) for part in slice_grids(PIN_GRID))
 
 
+#: one (p, q) slice with p = q, so a doubled level names its level on either sphere
+EXTENT_GRID = GridSpec(p_min=4, p_max=4, q_min=4, q_max=4, j_max=3, r_values=(1, 2, 3))
+
+
+def _edit_step_where(d0, where):
+    # one direction's transitions one unit off from the levels (j', j) where
+    # ``where`` holds, and untouched elsewhere
+    def edit(real):
+        def skewed(mixed, jp2, j2, r2, djp, dj):
+            (num, den), *rest = real(mixed, jp2, j2, r2, djp, dj)
+            jp, j = (jp2 - EXTENT_GRID.p_min + 2) // 2, (j2 - EXTENT_GRID.q_min + 2) // 2
+            if (djp, dj) == d0 and where(jp, j):
+                num += den
+            return ((num, den), *rest)
+        return skewed
+    return edit
+
+
+@pytest.mark.parametrize("d0", [(d.djp, d.dj) for d in spectra.DIRECTIONS],
+                         ids=lambda d0: "({:+d},{:+d})".format(*d0))
+def test_diamond_reads_steps_one_level_past_the_grid(monkeypatch, d0):
+    # a corner's midpoint may lie one level above j_max, so a step from there
+    # is read; no comparison reads a step from two levels above, or one
+    # toward a negative level
+    real = spectra.transition_factors
+
+    def encoded(where=None):
+        edit = _edit_step_where(d0, where) if where else lambda real: real
+        monkeypatch.setattr(spectra, "transition_factors", edit(real))
+        reports = run_diamond_checks(EXTENT_GRID)
+        return len(failures(reports)), b"".join(encode(rep) + b"\n" for rep in reports)
+
+    top = EXTENT_GRID.j_max
+    clean = encoded()
+    assert clean[0] == 0
+    assert encoded(lambda jp, j: jp == top + 1)[0]
+    assert encoded(lambda jp, j: jp == top + 2) == clean
+    assert encoded(lambda jp, j: (d0[0] < 0 and jp == 0) or (d0[1] < 0 and j == 0)) == clean
+
+
+#: the corners in gate order, each as its two routes of two steps
+CORNER_ROUTES = (
+    (((+1, +1), (+1, -1)), ((+1, -1), (+1, +1))),
+    (((-1, +1), (-1, -1)), ((-1, -1), (-1, +1))),
+    (((-1, +1), (+1, +1)), ((+1, +1), (-1, +1))),
+    (((-1, -1), (+1, -1)), ((+1, -1), (-1, -1))),
+)
+
+
+def test_diamond_kernel_work_is_the_levels_it_reads(monkeypatch):
+    # one call evaluates a level's four steps once when a comparison first
+    # reads the level: every requested level, and a corner's midpoint when
+    # the route before it is defined (a second route only after a first with
+    # no vanishing step); and each gamma pair once
+    grid = GridSpec(p_min=4, p_max=4, q_min=6, q_max=6, j_max=3, r_values=(0, 1, 2, 3))
+    p, q = grid.p_min, grid.q_min
+    steps = [(d.djp, d.dj) for d in spectra.DIRECTIONS]
+    rows, gammas = set(), set()
+
+    def step(mixed, r, jp, j, d):
+        # the pair of one step from a read level, None toward a negative level
+        rows.add((mixed, r, jp, j))
+        if jp + d[0] < 0 or j + d[1] < 0:
+            return None
+        num = den = 1
+        for n, m in spectra.transition_factors(mixed, spectra.doubled_level(p, jp),
+                                               spectra.doubled_level(q, j), 2 * r, *d):
+            num, den = num * n, den * m
+        return num, den
+
+    for mixed in (False, True):
+        floors = [spectra.level_floor(params, family) for params in iter_bundles(grid)
+                  for family in Family if (family is Family.MIXED) == mixed]
+        for r in grid.r_values:
+            for jp, j in levels(grid):
+                if not any(spectra.above_floor(floor, jp, j) for floor in floors):
+                    continue
+                rows.add((mixed, r, jp, j))
+                for routes in CORNER_ROUTES:
+                    for first, second in routes:
+                        one = step(mixed, r, jp, j, first)
+                        if one is None:
+                            break
+                        two = step(mixed, r, jp + first[0], j + first[1], second)
+                        if two is None or 0 in one or 0 in two:
+                            break
+                # gamma-transition reads the level's pair and each neighbor's
+                for djp, dj in [(0, 0)] + steps:
+                    if jp + djp >= 0 and j + dj >= 0:
+                        gammas.add((mixed, spectra.doubled_level(p, jp + djp),
+                                    spectra.doubled_level(q, j + dj), r))
+    want_steps = sum(jp + djp >= 0 and j + dj >= 0
+                     for _, _, jp, j in rows for djp, dj in steps)
+
+    calls = {"transition_factors": 0, "gamma_product": 0}
+    for module, name in ((spectra, "transition_factors"), (arithmetic, "gamma_product")):
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    run_diamond_checks(grid)
+    assert calls == {"transition_factors": want_steps, "gamma_product": len(gammas)}
+
+
 class TestScalarReduction:
     def test_only_function_family_at_k0(self):
         reports = run_scalar_reduction(SMALL)
