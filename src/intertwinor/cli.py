@@ -93,10 +93,6 @@ def _emit(text: str, out: Optional[Path]) -> None:
             fh.write(text.encode())
 
 
-def _json_line(record: dict) -> str:
-    return verify.encode(record).decode() + "\n"
-
-
 def _parse_r(text: str, mode: str):
     """Float mode accepts any finite real; exact mode and the even-order
     operator (``mode="even-order"``) accept integers only.
@@ -384,7 +380,7 @@ def cmd_eval(p, q, k, a, jp, j, r_text, family, operator, mode, precision, outpu
         raise click.ClickException(str(err))
     if record.get("value_float") == "pole":  # kept as a table row, an error on its own
         raise click.ClickException("pole has no finite value")
-    _emit(_json_line(record), _resolve_out(output))
+    _emit(verify.encode_lines([record]).decode(), _resolve_out(output))
 
 
 def _table_rows(params, jp_max, j_max, r, family, operator, mode, precision):
@@ -437,7 +433,7 @@ def cmd_table(p, q, k, a, jp_max, j_max, r_text, family, operator, mode, fmt,
     except _EVAL_ERRORS as err:
         raise click.ClickException(str(err))
     if fmt == "jsonl":
-        _emit("".join(_json_line(rec) for rec in rows), _resolve_out(output))
+        _emit(verify.encode_lines(rows).decode(), _resolve_out(output))
         return
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=TABLE_HEADER, restval="", extrasaction="ignore",
@@ -512,9 +508,9 @@ def cmd_torus(k, r_text, m_trunc, tol, mode, output):
         result.exact_zero if mode == "exact" else result.residual < tol)
     point = {"k": k, "r": str(r), "M": m_trunc, "mode": mode,
              "margin": torus.MARGIN, "columns": result.columns}
-    line = _json_line(verify.check_report(
+    line = verify.encode_lines([verify.check_report(
         "intertwining-residual", point, verify.PASS if passed else verify.FAIL,
-        repr(result.residual), f"tol {tol!r}"))
+        repr(result.residual), f"tol {tol!r}")]).decode()
     click.echo(line, nl=False)
     out = _resolve_out(output)
     if out is not None:

@@ -6,8 +6,10 @@ quotient could degenerate), and failures carry both sides of the violated
 identity as witnesses.  Degenerate points (vanishing normalization factors)
 are skipped and counted, never silently dropped; labels whose K-type is
 empty are not grid points and are passed over.  A suite returns one record
-per check and point, the plain dict that :func:`encode` writes, built by
-:func:`check_report`.
+per check and point, the plain dict built by :func:`check_report`;
+:func:`append_report` writes a report through :func:`encode_lines`, one
+orjson call per batch of :data:`REPORT_BATCH` records, so the encoded bytes
+held at once stay bounded on any grid.
 
 The suites run on the library's own formulas, so a gate checks the code
 that users run.  Every suite takes the integer kernels of :mod:`spectra`,
@@ -71,14 +73,29 @@ FAIL = "fail"
 SKIP = "skipped-degenerate"
 
 
-def encode(record: dict) -> bytes:
-    """The one JSON encoding of report and CLI records: sorted keys, no spaces.
+#: records per orjson call in :func:`append_report`; a batch of report lines
+#: is about 110 KB, the most encoded bytes a write holds at once
+REPORT_BATCH = 1024
 
-    Records hold only ASCII strings, bools, dicts and integers in the signed
-    64-bit range, so the bytes are those of ``json.dumps(record,
-    sort_keys=True, separators=(",", ":"))``.
+
+def encode_lines(records: Sequence[dict]) -> bytes:
+    """The one JSON-lines encoding of report and CLI records: sorted keys, no spaces.
+
+    One line per record, each ending in a newline; no records give ``b""``.
+    Records hold only ASCII strings, bools, integers in the signed 64-bit
+    range and dicts of these, so each line is ``json.dumps(record,
+    sort_keys=True, separators=(",", ":"))``.  One orjson call encodes the
+    records as an array; its record boundaries, ``},{"`` (a record closes,
+    the next opens with its first key), then become newlines.  Nothing else
+    in the array matches: no record holds a list, so an object follows a
+    comma only between records; every ``"`` inside a string is escaped; and
+    no record string ends in ``},{``, the one way a string's closing quote
+    could complete the pattern (see :func:`check_report`).
     """
-    return orjson.dumps(record, option=orjson.OPT_SORT_KEYS)
+    if not records:
+        return b""
+    data = orjson.dumps(records, option=orjson.OPT_SORT_KEYS)
+    return data[1:-1].replace(b'},{"', b'}\n{"') + b"\n"
 
 
 @dataclass(frozen=True)
@@ -110,10 +127,13 @@ class GridSpec:
 
 def check_report(check: str, point: dict, status: str,
                  lhs: Optional[str] = None, rhs: Optional[str] = None) -> dict:
-    """The record of one identity at one grid point, as :func:`encode` writes it.
+    """The record of one identity at one grid point, as :func:`encode_lines` writes it.
 
     ``lhs`` and ``rhs`` are the failure witnesses (a skip's reason is its
-    ``lhs``); each is left out of the record when it is None.
+    ``lhs``); each is left out of the record when it is None.  Every string
+    of a record is a name, a numeral, a repr of a block or polynomial, or an
+    error message, and none ends in ``},{``, so :func:`encode_lines` finds
+    the record boundaries exactly.
     """
     out = {"check": check, "point": point, "status": status}
     if lhs is not None:
@@ -124,8 +144,14 @@ def check_report(check: str, point: dict, status: str,
 
 
 def append_report(reports: Sequence[dict], fh) -> None:
-    """Append the records to a file open for binary writing, one JSON line each."""
-    fh.writelines(encode(rep) + b"\n" for rep in reports)
+    """Append the records to a file open for binary writing, one JSON line each.
+
+    The records go through :func:`encode_lines` in batches of
+    :data:`REPORT_BATCH`, one orjson call and one write each, so a write
+    holds at most one batch of encoded bytes however many records it takes.
+    """
+    for start in range(0, len(reports), REPORT_BATCH):
+        fh.write(encode_lines(reports[start:start + REPORT_BATCH]))
 
 
 def write_report(reports: Sequence[dict], path) -> None:
@@ -274,46 +300,47 @@ def _diamond_table(mixed: bool, gamma, p: int, q: int, r: int,
     above ``floors`` (the levels its families request) and None elsewhere.
     It is built in one sweep in sweep order.  A level's step row holds the
     transition pairs to its four neighbors in :data:`_STEPS` order, None
-    past a negative level; it is built the first time a comparison reads
-    the level, and kept for the plane.  A list holds the corner routes
-    first, then gamma-transition per direction, in gate order.  Each
-    comparison carries the least (j', j) offset over its labels: a corner's
-    from :data:`_CORNER_PATHS`, a gamma comparison's its direction.  Every
-    family's labels fill a quadrant, so they all exist exactly when the
-    levels at that offset lie in it.  A label with a negative level never
-    exists, so no route is built through one.  A corner's second route is
-    read only when the first is defined, since a route with a vanishing
-    step is undefined in every bundle; so the rows read are those of the
-    requested levels and of the midpoints their routes reach, within one
-    level of the requested quadrants.  Gamma pairs come from ``gamma``, the
-    call's :func:`_gamma_table`.
+    past a negative level; each step is built the first time a comparison
+    reads it, and kept for the plane.  A requested level's gamma comparisons
+    read all four steps, a corner's midpoint only the one its route takes
+    next.  A list holds the corner routes first, then gamma-transition per
+    direction, in gate order.  Each comparison carries the least (j', j)
+    offset over its labels: a corner's from :data:`_CORNER_PATHS`, a gamma
+    comparison's its direction.  Every family's labels fill a quadrant, so
+    they all exist exactly when the levels at that offset lie in it.  A
+    label with a negative level never exists, so no route is built through
+    one.  A corner's second route is read only when the first is defined,
+    since a route with a vanishing step is undefined in every bundle; so the
+    steps built are those of the requested levels and the second steps of
+    the routes they reach, within one level of the requested quadrants.
+    Gamma pairs come from ``gamma``, the call's :func:`_gamma_table`.
     """
     r2 = 2 * r
     factors = spectra.transition_factors
     jp2s = [spectra.doubled_level(p, jp) for jp in range(j_max + 2)]
     j2s = [spectra.doubled_level(q, j) for j in range(j_max + 2)]
-    rows: List[list] = [[None] * (j_max + 2) for _ in range(j_max + 2)]
+    unread = object()  # a step no comparison has read yet
+    rows = [[[unread] * len(_STEPS) for _ in range(j_max + 2)] for _ in range(j_max + 2)]
     plane: List[list] = [[None] * (j_max + 1) for _ in range(j_max + 1)]
 
-    def row(jp, j):
-        # the transition pairs from (jp, j) to each neighbor on the lattice
-        jp2, j2 = jp2s[jp], j2s[j]
-        out = []
-        for d1, d2 in _STEPS:
-            if jp + d1 < 0 or j + d2 < 0:
-                out.append(None)
-                continue
-            num = den = 1
-            for n, d in factors(mixed, jp2, j2, r2, d1, d2):
-                num, den = num * n, den * d
-            out.append((num, den))
-        rows[jp][j] = out
-        return out
+    def step(jp, j, i):
+        # the transition pair from (jp, j) along _STEPS[i], None toward a negative level
+        d1, d2 = _STEPS[i]
+        if jp + d1 < 0 or j + d2 < 0:
+            return None
+        num = den = 1
+        for n, d in factors(mixed, jp2s[jp], j2s[j], r2, d1, d2):
+            num, den = num * n, den * d
+        return num, den
 
     for jp in range(min(lo1 for lo1, _ in floors), j_max + 1):
         lo2 = min(lo2 for lo1, lo2 in floors if lo1 <= jp)
         for j in range(lo2, j_max + 1):
-            here = rows[jp][j] or row(jp, j)
+            # gamma-transition reads every step of a requested level
+            here = rows[jp][j]
+            for i, pair in enumerate(here):
+                if pair is unread:
+                    here[i] = step(jp, j, i)
             out = []
             for (djp, dj), routes in _CORNERS:
                 prods = []
@@ -321,7 +348,10 @@ def _diamond_table(mixed: bool, gamma, p: int, q: int, r: int,
                     one = here[first]
                     if one is None:
                         break
-                    two = (rows[jp + a][j + b] or row(jp + a, j + b))[second]
+                    mid = rows[jp + a][j + b]
+                    two = mid[second]
+                    if two is unread:
+                        two = mid[second] = step(jp + a, j + b, second)
                     if two is None or 0 in one or 0 in two:
                         break
                     prods.append((one[0] * two[0], one[1] * two[1]))
@@ -332,10 +362,10 @@ def _diamond_table(mixed: bool, gamma, p: int, q: int, r: int,
                                               _ratio_text(num_b, den_b))))
             jp2, j2 = jp2s[jp], j2s[j]
             src_n, src_d = gamma(mixed, jp2, j2, r)
-            for (d1, d2), step in zip(_STEPS, here):
-                if step is None:
+            for (d1, d2), pair in zip(_STEPS, here):
+                if pair is None:
                     continue
-                n, d = step
+                n, d = pair
                 # a unit step in a level is a step of 2 in its doubled level
                 tgt_n, tgt_d = gamma(mixed, jp2 + 2 * d1, j2 + 2 * d2, r)
                 lhs, rhs = tgt_n * src_d * d, src_n * tgt_d * n
@@ -369,8 +399,8 @@ def run_interface_checks(grid: GridSpec) -> List[dict]:
         constants = {}
         for j in range(floor[1], grid.j_max + 1):
             c1, c2 = blocks.interface_constants(params, j)
-            constants[j] = ((1 - c1).numerator, (1 - c1).denominator,
-                            (1 - c2).numerator, (1 - c2).denominator)
+            d1, d2 = 1 - c1, 1 - c2
+            constants[j] = (d1.numerator, d1.denominator, d2.numerator, d2.denominator)
         for jp, j, jp2, j2, head in _levels(params, floor, grid.j_max):
             u1, v1, u2, v2 = constants[j]  # 1 - c1 = u1/v1, 1 - c2 = u2/v2
             n1, n2 = blocks.shift_values(params, j2)  # the equations take n1/2, n2/2

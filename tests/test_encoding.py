@@ -1,10 +1,12 @@
 """Every record kind encodes to the bytes of the stdlib JSON encoder.
 
-``verify.encode`` is the one encoder of report and CLI records.  It must
-write what ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
-writes, and pure ASCII, since it never escapes non-ASCII text.
+``verify.encode_lines`` is the one encoder of report and CLI records.  It
+must write one line per record, each what ``json.dumps(record,
+sort_keys=True, separators=(",", ":"))`` writes, and pure ASCII, since it
+never escapes non-ASCII text.
 """
 
+import io
 import json
 
 import pytest
@@ -17,12 +19,16 @@ from intertwinor.spectra import Family
 TINY = verify.GridSpec(p_max=3, q_max=3, j_max=3, r_values=(1, 2))
 
 
+def stdlib_lines(records):
+    return "".join(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+                   for record in records).encode()
+
+
 def assert_stdlib_bytes(records):
     assert records
-    for record in records:
-        data = verify.encode(record)
-        assert data == json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
-        assert data.isascii()
+    data = verify.encode_lines(records)
+    assert data == stdlib_lines(records)
+    assert data.isascii()
 
 
 def suite_records(grid):
@@ -66,6 +72,40 @@ def test_fail_records_with_witnesses(monkeypatch):
     assert_stdlib_bytes(records)
 
 
+def test_witnesses_that_look_like_boundaries():
+    # a record boundary is `},{"`; inside a string its quote is escaped
+    records = [
+        verify.check_report("demo", {"p": 2, "r": '},{"'}, verify.FAIL,
+                            lhs='}\n{"check"', rhs='\\"},{"\\'),
+        verify.check_report("demo", {"p": 3}, verify.SKIP, lhs='}},{{"'),
+        verify.check_report("demo", {}, verify.PASS),
+    ]
+    assert_stdlib_bytes(records)
+    assert len(verify.encode_lines(records).splitlines()) == len(records)
+
+
+def test_no_records_give_no_bytes():
+    assert verify.encode_lines([]) == b""
+    assert verify.encode_lines(()) == b""
+
+
+def test_append_report_writes_batches(monkeypatch):
+    monkeypatch.setattr(verify, "REPORT_BATCH", 3)
+    records = suite_records(TINY)[:7]
+    writes = []
+
+    class Sink(io.BytesIO):
+        def write(self, data):
+            writes.append(data)
+            return super().write(data)
+
+    sink = Sink()
+    verify.append_report(records, sink)
+    assert sink.getvalue() == b"".join(verify.encode_lines([rec]) for rec in records)
+    assert sink.getvalue() == stdlib_lines(records)
+    assert [data.count(b"\n") for data in writes] == [3, 3, 1]
+
+
 BUNDLE = ["--p", "4", "--q", "6", "--k", "2", "--a", "1"]
 CLI_RECORDS = [
     ["eval"] + BUNDLE + ["--jp", "1", "--j", "2", "--r", "1", "--family", "m1-delta"],
@@ -97,19 +137,21 @@ CLI_RECORDS = [
 
 @pytest.mark.parametrize("args", CLI_RECORDS, ids=lambda args: "-".join(args[:1] + args[-3:]))
 def test_cli_records(monkeypatch, args):
-    records = []
+    # each command encodes its records in one list
+    batches = []
 
-    def encode(record):
-        records.append(record)
-        return real(record)
+    def encode_lines(records):
+        batches.append(records)
+        return real(records)
 
-    real = verify.encode
-    monkeypatch.setattr(verify, "encode", encode)
+    real = verify.encode_lines
+    monkeypatch.setattr(verify, "encode_lines", encode_lines)
     result = CliRunner().invoke(main, args)
     monkeypatch.undo()
     assert result.exit_code == 0, result.output
+    [records] = batches
     assert_stdlib_bytes(records)
-    assert result.output.encode() == b"".join(real(record) + b"\n" for record in records)
+    assert result.output.encode() == real(records)
 
 
 def test_cli_records_cover_every_marker():

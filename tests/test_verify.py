@@ -17,7 +17,7 @@ from intertwinor.verify import (
     SUITES,
     GridSpec,
     check_report,
-    encode,
+    encode_lines,
     iter_bundles,
     run_even_order_checks,
     run_det_checks,
@@ -121,9 +121,7 @@ class TestSuitesPass:
 
 class TestDeterminism:
     def test_identical_runs(self):
-        first = [encode(rep).decode() for rep in run_diamond_checks(TINY)]
-        second = [encode(rep).decode() for rep in run_diamond_checks(TINY)]
-        assert first == second
+        assert encode_lines(run_diamond_checks(TINY)) == encode_lines(run_diamond_checks(TINY))
 
     def test_reports_serialize_to_json_lines(self, tmp_path):
         reports = run_scalar_reduction(TINY)
@@ -487,7 +485,7 @@ class TestPinnedReports:
         if module is not None:
             monkeypatch.setattr(module, name, edit(getattr(module, name)))
         reports = suite(PIN_GRID)
-        data = "".join(encode(rep).decode() + "\n" for rep in reports).encode()
+        data = encode_lines(reports)
         assert len(failures(reports)) == failed
         assert hashlib.sha256(data).hexdigest() == digest
 
@@ -502,7 +500,7 @@ class TestPinnedReports:
 
         monkeypatch.setattr(spectra, "transition_factors", nowhere_zero)
         reports = run_diamond_checks(PIN_GRID)
-        data = "".join(encode(rep).decode() + "\n" for rep in reports).encode()
+        data = encode_lines(reports)
         assert len(failures(reports)) == 1826
         assert hashlib.sha256(data).hexdigest() == \
             "2d20f254c486b45b6094c630f334ed4ef8518f29dd0fc820f91b693faec94ef3"
@@ -529,11 +527,8 @@ def test_whole_grid_is_its_slices_joined(monkeypatch, suite, module, name, edit)
     if module is not None:
         monkeypatch.setattr(module, name, edit(getattr(module, name)))
 
-    def encoded(reports):
-        return b"".join(encode(rep) + b"\n" for rep in reports)
-
-    whole = encoded(SUITES[suite](PIN_GRID))
-    assert whole == b"".join(encoded(SUITES[suite](part)) for part in slice_grids(PIN_GRID))
+    whole = encode_lines(SUITES[suite](PIN_GRID))
+    assert whole == b"".join(encode_lines(SUITES[suite](part)) for part in slice_grids(PIN_GRID))
 
 
 #: one (p, q) slice with p = q, so a doubled level names its level on either sphere
@@ -566,7 +561,7 @@ def test_diamond_reads_steps_one_level_past_the_grid(monkeypatch, d0):
         edit = _edit_step_where(d0, where) if where else lambda real: real
         monkeypatch.setattr(spectra, "transition_factors", edit(real))
         reports = run_diamond_checks(EXTENT_GRID)
-        return len(failures(reports)), b"".join(encode(rep) + b"\n" for rep in reports)
+        return len(failures(reports)), encode_lines(reports)
 
     top = EXTENT_GRID.j_max
     clean = encoded()
@@ -586,23 +581,24 @@ CORNER_ROUTES = (
 
 
 def test_diamond_kernel_work_is_the_levels_it_reads(monkeypatch):
-    # one call evaluates a level's four steps once when a comparison first
-    # reads the level: every requested level, and a corner's midpoint when
-    # the route before it is defined (a second route only after a first with
-    # no vanishing step); and each gamma pair once
+    # one call evaluates each step once, when a comparison first reads it:
+    # all four steps of every requested level (gamma-transition reads them),
+    # and a corner's second step when the step before it is defined (a
+    # second route only after a first with no vanishing step); and each
+    # gamma pair once
     grid = GridSpec(p_min=4, p_max=4, q_min=6, q_max=6, j_max=3, r_values=(0, 1, 2, 3))
     p, q = grid.p_min, grid.q_min
     steps = [(d.djp, d.dj) for d in spectra.DIRECTIONS]
-    rows, gammas = set(), set()
+    read, gammas = set(), set()
 
     def step(mixed, r, jp, j, d):
-        # the pair of one step from a read level, None toward a negative level
-        rows.add((mixed, r, jp, j))
+        # the pair of one step, None toward a negative level
         if jp + d[0] < 0 or j + d[1] < 0:
             return None
+        args = (mixed, spectra.doubled_level(p, jp), spectra.doubled_level(q, j), 2 * r, *d)
+        read.add(args)
         num = den = 1
-        for n, m in spectra.transition_factors(mixed, spectra.doubled_level(p, jp),
-                                               spectra.doubled_level(q, j), 2 * r, *d):
+        for n, m in spectra.transition_factors(*args):
             num, den = num * n, den * m
         return num, den
 
@@ -613,7 +609,8 @@ def test_diamond_kernel_work_is_the_levels_it_reads(monkeypatch):
             for jp, j in levels(grid):
                 if not any(spectra.above_floor(floor, jp, j) for floor in floors):
                     continue
-                rows.add((mixed, r, jp, j))
+                for d in steps:
+                    step(mixed, r, jp, j, d)
                 for routes in CORNER_ROUTES:
                     for first, second in routes:
                         one = step(mixed, r, jp, j, first)
@@ -627,17 +624,17 @@ def test_diamond_kernel_work_is_the_levels_it_reads(monkeypatch):
                     if jp + djp >= 0 and j + dj >= 0:
                         gammas.add((mixed, spectra.doubled_level(p, jp + djp),
                                     spectra.doubled_level(q, j + dj), r))
-    want_steps = sum(jp + djp >= 0 and j + dj >= 0
-                     for _, _, jp, j in rows for djp, dj in steps)
 
-    calls = {"transition_factors": 0, "gamma_product": 0}
-    for module, name in ((spectra, "transition_factors"), (arithmetic, "gamma_product")):
-        def counted(*args, real=getattr(module, name), name=name):
-            calls[name] += 1
+    made, gamma_calls = [], []
+    for module, name, log in ((spectra, "transition_factors", made),
+                              (arithmetic, "gamma_product", gamma_calls)):
+        def counted(*args, real=getattr(module, name), log=log):
+            log.append(args)
             return real(*args)
         monkeypatch.setattr(module, name, counted)
     run_diamond_checks(grid)
-    assert calls == {"transition_factors": want_steps, "gamma_product": len(gammas)}
+    assert len(made) == len(read) and set(made) == read
+    assert len(gamma_calls) == len(gammas)
 
 
 class TestScalarReduction:
@@ -728,7 +725,7 @@ def test_even_order_writes_nothing_above_no_floor(monkeypatch):
 
 def test_check_report_json_shape():
     rep = check_report("demo", {"p": 2}, FAIL, lhs="1", rhs="2")
-    record = json.loads(encode(rep).decode())
+    record = json.loads(encode_lines([rep]))
     assert record == {"check": "demo", "point": {"p": 2}, "status": "fail",
                       "lhs": "1", "rhs": "2"}
     # an unset witness is left out, and a set empty one kept
